@@ -5,10 +5,10 @@ from .detection import (
     Decision,
     DetectionSeries,
     DriftEstimate,
-    StepStats,
     UndefinedRatio,
     classify,
     det_ratio_bound,
+    detect_ensemble,
     expected_step_drift,
     joint_log_density_oracle,
     rn_series,
@@ -25,8 +25,10 @@ from .harness import (
     load_scenario,
     preset,
     run_mdp_batch,
+    read_scenario_json,
     run_montecarlo,
     scenario_from_dict,
+    with_overrides,
 )
 from .mdp import (
     FiniteMdp,
@@ -74,15 +76,17 @@ from .policies import (
     Mimic,
     Replacement,
     Zero,
+    admit_controls,
     compose_control,
+    control_means,
     honest_mean,
 )
 from .simulator import (
-    ConditionalPair,
+    Ensemble,
     NonFiniteState,
     Trajectory,
-    predicted_conditionals,
     simulate,
+    simulate_ensemble,
     write_trajectory_csv,
 )
 

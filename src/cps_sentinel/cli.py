@@ -8,7 +8,6 @@ environment variable CPS_SENTINEL_SEED overrides seeds.base when set.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -23,7 +22,7 @@ from .detection import (
     series_summary,
 )
 from .mdp import NotAbsolutelyContinuous
-from .model import honest_influence_check, validate_attack, validate_model
+from .model import honest_influence_check
 from .numerics import ConvergenceFailure, NotPositiveDefinite, NotSymmetric, split_seed
 from .simulator import NonFiniteState, simulate, trajectory_csv_text
 
@@ -72,21 +71,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str, args) -> harness.Scenario:
-    scenario = harness.load_scenario(path)
-    updates = {}
+def _scenario_data(args) -> dict:
+    """The scenario file's mapping with command-line and environment overrides.
+
+    Overrides go into the mapping before validation, so an overridden
+    horizon, seed count or threshold is checked like one in the file.
+    """
     env_seed = os.environ.get("CPS_SENTINEL_SEED")
+    seed_base = None
     if env_seed is not None:
-        updates["seed_base"] = int(env_seed)
-    if getattr(args, "horizon", None):
-        updates["horizon"] = args.horizon
-    if getattr(args, "threshold", None) is not None:
-        updates["threshold"] = args.threshold
-    if getattr(args, "seeds", None):
-        updates["seed_count"] = args.seeds
-    if getattr(args, "out", None):
-        updates["outputs"] = args.out
-    return dataclasses.replace(scenario, **updates) if updates else scenario
+        try:
+            seed_base = int(env_seed)
+        except ValueError:
+            raise ValueError(f"CPS_SENTINEL_SEED must be an integer, got {env_seed!r}") from None
+    return harness.with_overrides(
+        harness.read_scenario_json(args.scenario),
+        horizon=args.horizon, threshold=args.threshold, seed_count=args.seeds,
+        seed_base=seed_base, outputs=args.out)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -115,38 +116,20 @@ def _dispatch(args) -> int:
         _write_or_print(text, args.out)
         return 0
 
-    if args.command == "mdp":
-        s = harness.load_mdp_scenario(args.scenario)
-        env_seed = os.environ.get("CPS_SENTINEL_SEED")
-        replacements = {}
-        if env_seed is not None:
-            replacements["seed_base"] = int(env_seed)
-        if args.horizon:
-            replacements["horizon"] = args.horizon
-        if args.seeds:
-            replacements["seed_count"] = args.seeds
-        if args.out:
-            replacements["outputs"] = args.out
-        if replacements:
-            s = dataclasses.replace(s, **replacements)
-        summary = harness.run_mdp_batch(s)
-        print(json.dumps(summary, sort_keys=True, indent=2))
-        return 0
-
     if args.command == "check":
         s = harness.load_scenario(args.scenario)
-        issues = validate_model(s.model)
-        if s.attack is not None:
-            issues += validate_attack(s.model, s.attack[0])
-        for issue in issues:
-            print(f"invalid: {issue}")
         holds, unreachable = honest_influence_check(
             s.model, s.attack[0] if s.attack else None)
         print(f"influence check: {'holds' if holds else 'fails'}"
               + ("" if holds else f" (unreachable agents: {sorted(unreachable)})"))
-        return 1 if issues else 0
+        return 0
 
-    s = _load(args.scenario, args)
+    if args.command == "mdp":
+        summary = harness.run_mdp_batch(harness.mdp_scenario_from_dict(_scenario_data(args)))
+        print(json.dumps(summary, sort_keys=True, indent=2))
+        return 0
+
+    s = harness.scenario_from_dict(_scenario_data(args))
 
     if args.command == "simulate":
         seed = args.seed if args.seed is not None else split_seed(s.seed_base, 0)
@@ -171,6 +154,11 @@ def _dispatch(args) -> int:
         summary = harness.run_montecarlo(
             s, override_assumption2=args.override_assumption2)
         print(json.dumps(summary.summary_dict(), sort_keys=True, indent=2))
+        if summary.n_failed:
+            first = next(r["error"] for r in summary.rows if r["error"] is not None)
+            print(f"numeric error: {summary.n_failed} of {summary.n_runs} seeds failed; "
+                  f"first: {first}", file=sys.stderr)
+            return 2
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")

@@ -9,8 +9,11 @@ thresholds. Alongside it we track the eigenvalue-weighted residual
 energies whose ratio sorts detectable from undetectable regimes, and the
 running product of conditional-covariance determinant ratios.
 
-All cumulative series use compensated summation so that horizons up to
-1e5 steps of small increments stay exact to roundoff.
+:func:`detect_ensemble` computes every statistic as arrays for a whole
+batch of paths, one row per seed; :func:`rn_series` is the same function
+on a batch of one. All cumulative series use compensated summation, run
+across the seed axis in one pass, so that horizons up to 1e5 steps of
+small increments stay exact to roundoff.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import enum
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .numerics import (
     log_gaussian_density,
     logdet,
     make_spd,
+    matvec,
     quad_forms_inv,
 )
 from .policies import (
@@ -45,8 +49,7 @@ from .policies import (
     Mimic,
     Replacement,
     Zero,
-    corrupt_mean_components,
-    honest_mean,
+    control_means,
 )
 from .simulator import Trajectory, conditional_covariances, simulate
 
@@ -61,28 +64,24 @@ class Decision(enum.Enum):
 
 
 @dataclass(frozen=True)
-class StepStats:
-    """Per-step detection quantities; ``t`` counts predicted states from 1."""
-
-    t: int
-    honest_logdens: float
-    corrupt_logdens: float
-    step_log_ratio: float
-    s: float
-    s_breve: float
-    half_logdet_ratio: float
-
-
-@dataclass(frozen=True)
 class DetectionSeries:
-    """Cumulative detection statistics over a path prefix.
+    """Per-step and cumulative detection statistics, all arrays over steps.
 
-    ``cum_log_l[k]`` is the log likelihood ratio after k+1 steps; ``r_n``
-    is the ratio of cumulative weighted residual energies, carried as NaN
-    wherever its denominator is zero (flagged, never infinite).
+    The last axis of every field is the step: entry k belongs to the
+    prediction of state x_{k+1}. A batch carries a leading seed axis, and
+    :meth:`row` takes one seed's series out of it. ``cum_log_l[k]`` is
+    the log likelihood ratio after k+1 steps; ``r_n`` is the ratio of
+    cumulative weighted residual energies, carried as NaN wherever its
+    denominator is zero (flagged, never infinite). The scalar accessors
+    apply to a single seed's series.
     """
 
-    steps: tuple[StepStats, ...]
+    step_log_ratio: np.ndarray
+    honest_logdens: np.ndarray
+    corrupt_logdens: np.ndarray
+    s: np.ndarray
+    s_breve: np.ndarray
+    half_logdet_ratio: np.ndarray
     cum_log_l: np.ndarray
     cum_s: np.ndarray
     cum_s_breve: np.ndarray
@@ -92,7 +91,11 @@ class DetectionSeries:
 
     @property
     def horizon(self) -> int:
-        return len(self.steps)
+        return self.cum_log_l.shape[-1]
+
+    def row(self, i: int) -> "DetectionSeries":
+        """The series of seed ``i`` of a batch."""
+        return DetectionSeries(*(getattr(self, f.name)[i] for f in fields(self)))
 
     def log_l_at(self, n: int) -> float:
         """Cumulative log likelihood ratio after n steps (n >= 1)."""
@@ -108,9 +111,15 @@ class DetectionSeries:
         return float(self.r_n[n - 1])
 
 
-def rn_series(traj: Trajectory, m: CpsModel, honest: HonestPolicy,
-              corrupt: CorruptPolicy | None, cfg: AttackConfig | None) -> DetectionSeries:
-    """Detection series along one observed path.
+# Seeds per slice of detect_ensemble, chosen so that each (seeds, steps,
+# agents) temporary stays near this many doubles.
+_SLICE_DOUBLES = 1 << 14
+
+
+def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
+                    corrupt: CorruptPolicy | None,
+                    cfg: AttackConfig | None) -> DetectionSeries:
+    """Detection series of every path in ``states`` (shape (S, n+1, N)).
 
     Per step t (predicting state x_t from the history up to t-1):
 
@@ -119,9 +128,16 @@ def rn_series(traj: Trajectory, m: CpsModel, honest: HonestPolicy,
     * s_breve_t = ||x_t - corrupt mean||^2 / lambda_max(corrupt covariance),
     * half logdet ratio = (logdet corrupt cov - logdet honest cov) / 2.
 
-    Both predictors are evaluated along the same given trajectory.
+    Both predictors are evaluated along the same given path. The
+    predictor means and residuals are computed for a slice of seeds at a
+    time, the quadratic forms one seed at a time (a triangular solve's
+    result would otherwise depend on how many paths share it), and the
+    prefix sums of all four per-step series of the whole batch in one
+    compensated pass. Every seed's result is therefore the same whether
+    it runs alone or in any batch.
     """
-    n = traj.horizon
+    states = np.asarray(states, dtype=float)
+    n_seeds, n = states.shape[0], states.shape[1] - 1
     if n < 1:
         raise ValueError("trajectory must contain at least one step")
     h_cov, c_cov = conditional_covariances(m, corrupt, cfg)
@@ -129,54 +145,42 @@ def rn_series(traj: Trajectory, m: CpsModel, honest: HonestPolicy,
     ld_c = logdet(c_cov)
     lam_min_h, _ = eig_extremes(h_cov)
     _, lam_max_c = eig_extremes(c_cov)
-
-    a = m.dynamics
-    b = m.actuator_gains
-    mu_h = np.empty((n, m.n_agents))
-    mu_c = np.empty((n, m.n_agents))
-    mal = cfg.malicious_indices if cfg is not None else None
-    for t in range(n):
-        hist = traj.states[: t + 1]
-        g = honest_mean(honest, hist, t)
-        drive = a @ traj.states[t]
-        mu_h[t] = drive + b * g
-        if corrupt is None or cfg is None:
-            mu_c[t] = mu_h[t]
-        else:
-            u_mean = g.copy()
-            u_mean[mal] = corrupt_mean_components(corrupt, honest, hist, t, mal,
-                                                  honest_vec=g)
-            mu_c[t] = drive + b * u_mean
-
-    z_h = traj.states[1:] - mu_h
-    z_c = traj.states[1:] - mu_c
-    q_h = quad_forms_inv(h_cov, z_h)
-    q_c = quad_forms_inv(c_cov, z_c)
+    attack = None if corrupt is None or cfg is None else (cfg, corrupt)
     const = -0.5 * m.n_agents * LOG_TWO_PI
-    dens_h = const - 0.5 * ld_h - 0.5 * q_h
-    dens_c = const - 0.5 * ld_c - 0.5 * q_c
-    ratios = dens_h - dens_c
-    s = np.sum(z_h * z_h, axis=1) / lam_min_h
-    s_breve = np.sum(z_c * z_c, axis=1) / lam_max_c
-    half_ld = np.full(n, 0.5 * (ld_c - ld_h))
 
-    cum_log_l = kahan_cumsum(ratios)
-    cum_s = kahan_cumsum(s)
-    cum_s_breve = kahan_cumsum(s_breve)
-    cum_logdet = kahan_cumsum(half_ld)
+    # steps[0..3]: step log ratio, s, s_breve, half logdet ratio
+    steps = np.empty((4, n_seeds, n))
+    dens = np.empty((2, n_seeds, n))
+    steps[3] = 0.5 * (ld_c - ld_h)
+    width = max(1, _SLICE_DOUBLES // (n * m.n_agents))
+    for lo in range(0, n_seeds, width):
+        x = states[lo:lo + width]
+        g, c = control_means(honest, attack, x[:, :-1])
+        drive = matvec(m.dynamics, x[:, :-1])
+        z_h = x[:, 1:] - (drive + m.actuator_gains * g)
+        z_c = x[:, 1:] - (drive + m.actuator_gains * c)
+        for k in range(x.shape[0]):
+            dens[0, lo + k] = const - 0.5 * ld_h - 0.5 * quad_forms_inv(h_cov, z_h[k])
+            dens[1, lo + k] = const - 0.5 * ld_c - 0.5 * quad_forms_inv(c_cov, z_c[k])
+        steps[1, lo:lo + width] = np.sum(z_h * z_h, axis=-1) / lam_min_h
+        steps[2, lo:lo + width] = np.sum(z_c * z_c, axis=-1) / lam_max_c
+    np.subtract(dens[0], dens[1], out=steps[0])
+
+    cum_log_l, cum_s, cum_s_breve, cum_logdet = kahan_cumsum(steps)
     r_defined = cum_s_breve > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         r_n = np.where(r_defined, cum_s / np.where(r_defined, cum_s_breve, 1.0), np.nan)
-
-    steps = tuple(
-        StepStats(t=t + 1, honest_logdens=float(dens_h[t]),
-                  corrupt_logdens=float(dens_c[t]),
-                  step_log_ratio=float(ratios[t]), s=float(s[t]),
-                  s_breve=float(s_breve[t]), half_logdet_ratio=float(half_ld[t]))
-        for t in range(n))
-    return DetectionSeries(steps=steps, cum_log_l=cum_log_l, cum_s=cum_s,
+    return DetectionSeries(step_log_ratio=steps[0], honest_logdens=dens[0],
+                           corrupt_logdens=dens[1], s=steps[1], s_breve=steps[2],
+                           half_logdet_ratio=steps[3], cum_log_l=cum_log_l, cum_s=cum_s,
                            cum_s_breve=cum_s_breve, cum_logdet_ratio=cum_logdet,
                            r_n=r_n, r_defined=r_defined)
+
+
+def rn_series(traj: Trajectory, m: CpsModel, honest: HonestPolicy,
+              corrupt: CorruptPolicy | None, cfg: AttackConfig | None) -> DetectionSeries:
+    """Detection series along one observed path: :func:`detect_ensemble` of one."""
+    return detect_ensemble(traj.states[None], m, honest, corrupt, cfg).row(0)
 
 
 @dataclass(frozen=True)
@@ -342,7 +346,7 @@ def expected_step_drift(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolic
         return DriftEstimate(value=value, stderr=0.0, method="closed_form")
     traj = simulate(m, honest, (cfg, corrupt), mc_steps, seed)
     series = rn_series(traj, m, honest, corrupt, cfg)
-    ratios = np.array([s.step_log_ratio for s in series.steps])
+    ratios = series.step_log_ratio
     value = float(np.mean(ratios))
     stderr = float(np.std(ratios, ddof=1) / math.sqrt(len(ratios)))
     return DriftEstimate(value=value, stderr=stderr, method="monte_carlo")

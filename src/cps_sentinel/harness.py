@@ -3,23 +3,24 @@
 Scenarios are JSON with explicit row-major matrices and string-tagged
 policy kinds; statistical parameters carry no defaults, so a file either
 states its covariances or fails validation. Batch runs derive one stream
-per run index, write one detection CSV per seed plus a deterministic
-summary, and refuse attack scenarios that violate the honest-influence
+per run index, simulate and detect all seeds together on the ensemble
+engine, write one detection CSV per seed plus a deterministic summary,
+and refuse attack scenarios that violate the honest-influence
 requirement unless explicitly overridden.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .detection import Decision, classify, rn_series, write_series_csv
+from .detection import Decision, classify, detect_ensemble, write_series_csv
 from .mdp import FiniteMdp, StochasticPolicy, analytic_drift, induced_kernel, path_log_ratio, simulate_path
 from .model import (
     AttackConfig,
@@ -42,7 +43,7 @@ from .policies import (
     Replacement,
     Zero,
 )
-from .simulator import simulate
+from .simulator import simulate_ensemble
 
 
 class ParseError(Exception):
@@ -82,9 +83,11 @@ class RunSummary:
 
     scenario: str
     n_runs: int
+    n_ok: int
+    n_failed: int
     horizon: int
     threshold: float
-    detection_fraction: float
+    detection_fraction: float | None
     mean_drift: float | None
     drift_stderr: float | None
     runtime_seconds: float
@@ -94,6 +97,8 @@ class RunSummary:
         return {
             "scenario": self.scenario,
             "n_runs": self.n_runs,
+            "n_ok": self.n_ok,
+            "n_failed": self.n_failed,
             "horizon": self.horizon,
             "threshold": self.threshold,
             "detection_fraction": self.detection_fraction,
@@ -103,8 +108,8 @@ class RunSummary:
         }
 
 
-def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file, reporting all defects together."""
+def read_scenario_json(path) -> dict:
+    """The JSON object stored in a scenario file, not yet validated."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -115,10 +120,40 @@ def load_scenario(path) -> Scenario:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path} must hold a JSON object")
-    return scenario_from_dict(data)
+    return data
+
+
+def with_overrides(data: dict, *, horizon: int | None = None,
+                   threshold: float | None = None, seed_count: int | None = None,
+                   seed_base: int | None = None, outputs: str | None = None) -> dict:
+    """A copy of a scenario mapping with run settings replaced.
+
+    Apply overrides before :func:`scenario_from_dict` or
+    :func:`mdp_scenario_from_dict`, so that an overridden value passes the
+    same validation as one written in the file. ``None`` leaves a setting
+    as it is; any other value, zero included, replaces it.
+    """
+    data = dict(data)
+    for key, value in (("horizon", horizon), ("threshold", threshold), ("outputs", outputs)):
+        if value is not None:
+            data[key] = value
+    if isinstance(data.get("seeds"), dict):
+        seeds = dict(data["seeds"])
+        for key, value in (("count", seed_count), ("base", seed_base)):
+            if value is not None:
+                seeds[key] = value
+        data["seeds"] = seeds
+    return data
+
+
+def load_scenario(path) -> Scenario:
+    """Parse and validate a scenario file, reporting all defects together."""
+    return scenario_from_dict(read_scenario_json(path))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise ParseError("a scenario must be a JSON object")
     issues: list[Violation] = []
 
     def bad(path, code, message):
@@ -300,33 +335,23 @@ def _check_attack_sizes(model: CpsModel, attack, horizon) -> list[Violation]:
     return issues
 
 
-def _run_one(s: Scenario, index: int) -> dict:
-    seed = split_seed(s.seed_base, index)
-    row = {"run_index": index, "seed": seed, "log_l": None, "r_n": None,
-           "decision": None, "error": None, "series": None}
-    try:
-        traj = simulate(s.model, s.honest, s.attack, s.horizon, seed)
-        corrupt = s.attack[1] if s.attack else None
-        cfg = s.attack[0] if s.attack else None
-        series = rn_series(traj, s.model, s.honest, corrupt, cfg)
-        row["log_l"] = series.log_l_at(s.horizon)
-        row["r_n"] = float(series.r_n[-1]) if series.r_defined[-1] else None
-        row["decision"] = classify(series, s.horizon, s.threshold).value
-        row["series"] = series
-    except Exception as exc:  # recorded per seed, batch continues
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+def _chunk_seeds(s: Scenario) -> int:
+    """Seeds per engine call: the noise block and states of a call stay near 32 MB."""
+    return max(1, (1 << 22) // (s.horizon * 3 * s.model.n_agents))
 
 
-def run_montecarlo(s: Scenario, *, max_workers: int = 1,
-                   override_assumption2: bool = False,
+def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
                    out_dir=None) -> RunSummary:
     """Simulate, detect, and classify one batch of independent seeds.
 
     Refuses attack scenarios whose network leaves some agent untouched by
     honest excitation (``override_assumption2`` runs them anyway, for
-    studying exactly that failure mode). Results are merged in run-index
-    order, so serial and parallel execution agree bit for bit.
+    studying exactly that failure mode). All seeds run through the
+    ensemble engine (:func:`simulate_ensemble`, :func:`detect_ensemble`)
+    in one call, or in chunks when one call's arrays would pass about
+    32 MB; a seed's result does not depend on the chunking. A seed whose
+    state overflows is recorded with its ``NonFiniteState`` message and
+    counted in ``n_failed``; the others run on.
     """
     if s.attack is not None:
         holds, unreachable = honest_influence_check(s.model, s.attack[0])
@@ -336,22 +361,40 @@ def run_montecarlo(s: Scenario, *, max_workers: int = 1,
                 "actuated agent; detection guarantees do not apply "
                 "(pass override_assumption2 to run anyway)")
     start = time.perf_counter()
-    indices = range(s.seed_count)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(lambda i: _run_one(s, i), indices))
-    else:
-        rows = [_run_one(s, i) for i in indices]
-    rows.sort(key=lambda r: r["run_index"])
-
+    cfg, corrupt = s.attack if s.attack is not None else (None, None)
+    chunk_seeds = _chunk_seeds(s)
     out_path = Path(out_dir) if out_dir is not None else (
         Path(s.outputs) if s.outputs else None)
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        for row in rows:
-            if row["series"] is not None:
-                with open(out_path / f"run_{row['run_index']:05d}.csv", "w") as fp:
-                    write_series_csv(row["series"], fp)
+
+    rows = []
+    for lo in range(0, s.seed_count, chunk_seeds):
+        indices = range(lo, min(lo + chunk_seeds, s.seed_count))
+        ens = simulate_ensemble(s.model, s.honest, s.attack, s.horizon,
+                                [split_seed(s.seed_base, i) for i in indices])
+        done = ens.failed_at == 0  # failed runs have no meaningful path to detect on
+        batch = None
+        if done.any():
+            batch = detect_ensemble(ens.states if done.all() else ens.states[done],
+                                    s.model, s.honest, corrupt, cfg)
+        position = np.cumsum(done) - 1
+        for k, index in enumerate(indices):
+            row = {"run_index": index, "seed": ens.seeds[k], "log_l": None, "r_n": None,
+                   "decision": None, "error": None}
+            error = ens.error(k)
+            if error is not None:
+                row["error"] = f"{type(error).__name__}: {error}"
+            else:
+                series = batch.row(position[k])
+                row["log_l"] = series.log_l_at(s.horizon)
+                row["r_n"] = float(series.r_n[-1]) if series.r_defined[-1] else None
+                row["decision"] = classify(series, s.horizon, s.threshold).value
+                if out_path is not None:
+                    with open(out_path / f"run_{index:05d}.csv", "w") as fp:
+                        write_series_csv(series, fp)
+            rows.append(row)
+    if out_path is not None:
         _write_runs_table(out_path / "runs.csv", rows)
 
     ok = [r for r in rows if r["error"] is None]
@@ -361,12 +404,12 @@ def run_montecarlo(s: Scenario, *, max_workers: int = 1,
     drift_stderr = (float(np.std(drifts, ddof=1) / math.sqrt(len(drifts)))
                     if len(drifts) > 1 else None)
     summary = RunSummary(
-        scenario=s.name, n_runs=s.seed_count, horizon=s.horizon,
-        threshold=s.threshold,
-        detection_fraction=(n_detect / len(ok)) if ok else 0.0,
+        scenario=s.name, n_runs=s.seed_count, n_ok=len(ok), n_failed=len(rows) - len(ok),
+        horizon=s.horizon, threshold=s.threshold,
+        detection_fraction=(n_detect / len(ok)) if ok else None,
         mean_drift=mean_drift, drift_stderr=drift_stderr,
         runtime_seconds=time.perf_counter() - start,
-        rows=[{k: v for k, v in r.items() if k != "series"} for r in rows],
+        rows=rows,
     )
     if out_path is not None:
         (out_path / "summary.json").write_text(
@@ -375,16 +418,18 @@ def run_montecarlo(s: Scenario, *, max_workers: int = 1,
 
 
 def _write_runs_table(path: Path, rows: list[dict]) -> None:
-    with open(path, "w") as fp:
-        fp.write("run_index,seed,logL,r_n,decision,error\n")
+    """One line per seed; cells that need it (an error message) are quoted."""
+    with open(path, "w", newline="") as fp:
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(["run_index", "seed", "logL", "r_n", "decision", "error"])
         for r in rows:
-            fp.write(",".join([
-                str(r["run_index"]), str(r["seed"]),
+            writer.writerow([
+                r["run_index"], r["seed"],
                 "" if r["log_l"] is None else repr(float(r["log_l"])),
                 "" if r["r_n"] is None else repr(float(r["r_n"])),
                 r["decision"] or "",
-                (r["error"] or "").replace(",", ";"),
-            ]) + "\n")
+                r["error"] or "",
+            ])
 
 
 @dataclass(frozen=True)
@@ -400,16 +445,12 @@ class MdpScenario:
 
 
 def load_mdp_scenario(path) -> MdpScenario:
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return mdp_scenario_from_dict(data)
+    return mdp_scenario_from_dict(read_scenario_json(path))
 
 
 def mdp_scenario_from_dict(data: dict) -> MdpScenario:
+    if not isinstance(data, dict):
+        raise ParseError("a scenario must be a JSON object")
     issues: list[Violation] = []
     try:
         mdp = FiniteMdp(np.asarray(data["mdp"]["kernel"], dtype=float),
@@ -637,7 +678,3 @@ def preset(name: str) -> dict:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
     return PRESETS[name]()
-
-
-def is_mdp_scenario(data: dict) -> bool:
-    return "mdp" in data

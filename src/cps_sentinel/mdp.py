@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ConvergenceFailure, split_seed
+from .numerics import ConvergenceFailure
 
 _ROW_TOL = 1e-12
 STATE_ACTION_CAP = 64
@@ -216,7 +216,3 @@ def analytic_drift(k_honest: np.ndarray, k_corrupt: np.ndarray) -> float:
             drift += mu[x] * c * (np.log(h) - np.log(c))
     return float(drift)
 
-
-def batch_seeds(base: int, count: int) -> list[int]:
-    """Derived stream seeds for a batch of independent paths."""
-    return [split_seed(base, i) for i in range(count)]

@@ -22,7 +22,6 @@ from .numerics import (
     GaussianLaw,
     NotPositiveDefinite,
     NotSymmetric,
-    SpdMatrix,
     make_spd,
 )
 
@@ -63,10 +62,6 @@ class CpsModel:
         if w.ndim == 2 and w.shape == (self.n_agents,) * 2 and _is_diagonal(w):
             return GaussianLaw(zero, DiagonalPsd(np.diag(w).copy()))
         return GaussianLaw(zero, make_spd(w))
-
-    @cached_property
-    def noise_spd(self) -> SpdMatrix:
-        return make_spd(self.process_noise)
 
     @cached_property
     def excitation_law(self) -> GaussianLaw:
@@ -159,10 +154,10 @@ class AttackConfig:
     def malicious_count(self) -> int:
         return len(self.malicious_set)
 
-    @property
+    @cached_property
     def malicious_indices(self) -> np.ndarray:
-        """0-based index array into state/control vectors."""
-        return np.array(self.malicious_set, dtype=int) - 1
+        """0-based index array into state/control vectors (read-only)."""
+        return _ro(np.array(self.malicious_set, dtype=int) - 1)
 
 
 def validate_attack(m: CpsModel, attack: AttackConfig) -> list[Violation]:

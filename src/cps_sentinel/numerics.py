@@ -14,12 +14,16 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 DEFAULT_DIM_CAP = 32
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 _MASK64 = (1 << 64) - 1
+
+# LAPACK's triangular solve for doubles, the routine scipy's
+# solve_triangular wraps; called directly where it runs once per path.
+_TRTRS = get_lapack_funcs("trtrs", (np.empty((1, 1)),))
 
 
 class NotSymmetric(ValueError):
@@ -210,11 +214,18 @@ def quad_form_inv(v: Covariance, z) -> float:
 
 
 def quad_forms_inv(v: Covariance, rows: np.ndarray) -> np.ndarray:
-    """Row-wise z^T V^{-1} z for a stack of vectors (one solve per batch)."""
+    """Row-wise z^T V^{-1} z for a stack of vectors (one solve per stack).
+
+    The solve is ``solve_triangular(v.chol, rows.T, lower=True)`` without
+    its per-call input checks: the same LAPACK call with the arguments
+    that function passes for a C-ordered factor.
+    """
     rows = np.asarray(rows, dtype=float)
     if isinstance(v, DiagonalPsd):
         return np.sum(rows * rows / _positive_diag(v), axis=1)
-    y = solve_triangular(v.chol, rows.T, lower=True, check_finite=False)
+    y, info = _TRTRS(v.chol.T, rows.T, lower=False, trans=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"triangular solve failed (info {info})")
     return np.sum(y * y, axis=0)
 
 
@@ -233,6 +244,31 @@ def log_gaussian_density(x, law: GaussianLaw) -> float:
             - 0.5 * quad_form_inv(law.cov, resid))
 
 
+def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ v`` for every vector ``v`` along the last axis of ``x``.
+
+    Each vector goes through the same matrix-vector kernel as a lone
+    ``a @ v``, so a row's result never depends on how many rows are
+    stacked beside it (a single ``x @ a.T`` product does not promise that).
+    """
+    return (a @ x[..., None])[..., 0]
+
+
+def normals_to_gaussian(law: GaussianLaw, z: np.ndarray) -> np.ndarray:
+    """Turn standard normals into draws from ``law``, in place.
+
+    ``z`` holds one vector of ``law.dim`` normals along its last axis, with
+    any leading axes; it is overwritten and returned. Each vector gets
+    exactly the arithmetic of :func:`sample_gaussian`.
+    """
+    if isinstance(law.cov, DiagonalPsd):
+        z *= np.sqrt(law.cov.diag)
+    else:
+        z[...] = matvec(law.cov.chol, z)
+    z += law.mean
+    return z
+
+
 def sample_gaussian(rng: np.random.Generator, law: GaussianLaw) -> np.ndarray:
     """One draw from ``law`` using the caller's stream.
 
@@ -240,24 +276,25 @@ def sample_gaussian(rng: np.random.Generator, law: GaussianLaw) -> np.ndarray:
     regardless of degenerate covariance entries, so stream positions stay
     aligned across model variants. Bit-reproducible given the stream state.
     """
-    z = rng.standard_normal(law.dim)
-    if isinstance(law.cov, DiagonalPsd):
-        return law.mean + np.sqrt(law.cov.diag) * z
-    return law.mean + law.cov.chol @ z
+    return normals_to_gaussian(law, rng.standard_normal(law.dim))
 
 
 def kahan_cumsum(values) -> np.ndarray:
-    """Compensated (Kahan) prefix sums of a 1-D array."""
+    """Compensated (Kahan) prefix sums along the last axis.
+
+    Leading axes are independent series summed in lockstep, so one call
+    covers a whole batch; each series gets the same operations as alone.
+    """
     values = np.asarray(values, dtype=float)
     out = np.empty_like(values)
-    total = 0.0
-    comp = 0.0
-    for i, v in enumerate(values):
-        y = v - comp
+    total = np.zeros(values.shape[:-1])
+    comp = np.zeros(values.shape[:-1])
+    for i in range(values.shape[-1]):
+        y = values[..., i] - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        out[i] = total
+        out[..., i] = total
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .model import AttackConfig
-from .numerics import DiagonalPsd, GaussianLaw, sample_gaussian
+from .numerics import DiagonalPsd, GaussianLaw, matvec, sample_gaussian
 
 History = np.ndarray
 
@@ -30,11 +30,6 @@ class LinearFeedback:
     """u = gain @ x_t; pass a sequence of gains for a per-step schedule."""
 
     gain: np.ndarray | tuple
-
-    def gain_at(self, t: int) -> np.ndarray:
-        if isinstance(self.gain, tuple):
-            return self.gain[t]
-        return self.gain
 
     @property
     def stationary(self) -> bool:
@@ -67,28 +62,6 @@ HonestPolicy = Union[Zero, LinearFeedback, Affine, HistoryWindow]
 
 def is_markov(policy: HonestPolicy) -> bool:
     return not isinstance(policy, HistoryWindow)
-
-
-def honest_mean(policy: HonestPolicy, history: History, t: int) -> np.ndarray:
-    """Nominal control at step t given the states observed so far."""
-    history = np.asarray(history, dtype=float)
-    if history.ndim != 2 or history.shape[0] != t + 1:
-        raise ValueError(f"history must hold states x_0..x_{t}, got shape {history.shape}")
-    x = history[-1]
-    if isinstance(policy, Zero):
-        return np.zeros_like(x)
-    if isinstance(policy, LinearFeedback):
-        return policy.gain_at(t) @ x
-    if isinstance(policy, Affine):
-        return policy.gain @ x + policy.offset
-    if isinstance(policy, HistoryWindow):
-        out = np.zeros_like(x)
-        for k, g in enumerate(policy.lag_gains):
-            if k > t:
-                break
-            out += g @ history[t - k]
-        return out
-    raise TypeError(f"unknown honest policy {policy!r}")
 
 
 @dataclass(frozen=True)
@@ -170,61 +143,139 @@ CorruptPolicy = Union[Replacement, Fdi, DoS, Mimic]
 Attack = tuple[AttackConfig, CorruptPolicy]
 
 
-def corrupt_mean_components(corrupt: CorruptPolicy, honest: HonestPolicy,
-                            history: History, t: int, malicious_idx: np.ndarray,
-                            honest_vec: np.ndarray | None = None) -> np.ndarray:
-    """Conditional-mean contribution of the attacked channels (length M).
+def control_means(honest: HonestPolicy, attack: Attack | None, states: np.ndarray,
+                  t: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional control means under the honest and the corrupt hypothesis.
 
-    For FDI this already includes the honest mean plus the offset; the
-    channel's excitation is randomness, not mean, so it never appears here.
+    This is the one dispatch over policy kinds; the simulator, the
+    detector and the per-step helpers below all call it. ``states`` holds
+    observed states x_0, x_1, ... along its second-to-last axis, with any
+    leading batch axes (one per seed). With ``t`` given it must hold
+    x_0..x_t and the means at step t come back with shape (..., N); with
+    ``t=None`` the means at every step of the path come back with the
+    shape of ``states``.
+
+    The corrupt mean differs from the honest one only on the attacked
+    channels. For FDI it includes the offset; excitation is randomness,
+    not mean, so it never appears here. With no attack the corrupt mean is
+    the honest array itself.
     """
+    states = np.asarray(states, dtype=float)
+    if t is None:
+        lo, hi = 0, states.shape[-2]
+    elif states.ndim < 2 or states.shape[-2] != t + 1:
+        raise ValueError(f"history must hold states x_0..x_{t}, got shape {states.shape}")
+    else:
+        lo, hi = t, t + 1
+    g = _honest_means(honest, states, lo, hi)
+    c = g
+    if attack is not None:
+        cfg, corrupt = attack
+        mal = cfg.malicious_indices
+        c = g.copy()
+        c[..., mal] = _corrupt_means(corrupt, g, states, lo, hi, mal)
+    if t is None:
+        return g, c
+    return g[..., 0, :], c[..., 0, :]
+
+
+def _honest_means(policy: HonestPolicy, states: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Honest means at steps lo..hi-1, shape (..., hi - lo, N)."""
+    x = states[..., lo:hi, :]
+    if isinstance(policy, Zero):
+        return np.zeros_like(x)
+    if isinstance(policy, LinearFeedback):
+        if policy.stationary:
+            return matvec(policy.gain, x)
+        if len(policy.gain) < hi:
+            raise ValueError(f"gain schedule has {len(policy.gain)} steps, "
+                             f"step {hi - 1} requested")
+        return (np.stack(policy.gain[lo:hi]) @ x[..., None])[..., 0]
+    if isinstance(policy, Affine):
+        return matvec(policy.gain, x) + policy.offset
+    if isinstance(policy, HistoryWindow):
+        out = np.zeros_like(x)
+        for k, g in enumerate(policy.lag_gains):
+            first = max(lo, k)  # lags reaching before x_0 are dropped
+            if first < hi:
+                out[..., first - lo:, :] += matvec(g, states[..., first - k:hi - k, :])
+        return out
+    raise TypeError(f"unknown honest policy {policy!r}")
+
+
+def _corrupt_means(corrupt: CorruptPolicy, g: np.ndarray, states: np.ndarray,
+                   lo: int, hi: int, mal: np.ndarray) -> np.ndarray:
+    """Corrupt means of the attacked channels at steps lo..hi-1 (broadcastable)."""
     if isinstance(corrupt, DoS):
-        return np.zeros(len(malicious_idx))
+        return 0.0
     if isinstance(corrupt, Fdi):
-        g = honest_mean(honest, history, t) if honest_vec is None else honest_vec
-        return g[malicious_idx] + corrupt.offset_at(t)
+        if corrupt.offsets.ndim == 1:
+            return g[..., mal] + corrupt.offsets
+        if corrupt.offsets.shape[0] < hi:
+            corrupt.offset_at(hi - 1)  # raises with the schedule length
+        return g[..., mal] + corrupt.offsets[lo:hi]
     if isinstance(corrupt, Mimic):
-        g = honest_mean(honest, history, t) if honest_vec is None else honest_vec
-        return g[malicious_idx]
+        return g[..., mal]
     if isinstance(corrupt, Replacement):
         if corrupt.mode == "constant":
             return corrupt.values
         if corrupt.mode == "scaled_state":
-            return corrupt.values * history[-1][malicious_idx]
+            return corrupt.values * states[..., lo:hi, :][..., mal]
         if corrupt.mode == "sign_flip":
-            g = honest_mean(honest, history, t) if honest_vec is None else honest_vec
-            return -g[malicious_idx]
-        out = np.asarray(corrupt.custom(history, t, malicious_idx), dtype=float).reshape(-1)
-        if out.size != len(malicious_idx):
-            raise ValueError("custom replacement returned the wrong length")
+            return -g[..., mal]
+        out = np.empty(g.shape[:-1] + (len(mal),))
+        for idx in np.ndindex(states.shape[:-2]):
+            for t in range(lo, hi):
+                v = np.asarray(corrupt.custom(states[idx][: t + 1], t, mal),
+                               dtype=float).reshape(-1)
+                if v.size != len(mal):
+                    raise ValueError("custom replacement returned the wrong length")
+                out[idx + (t - lo,)] = v
         return out
     raise TypeError(f"unknown corrupt policy {corrupt!r}")
 
 
-def compose_control(honest: HonestPolicy, attack: Attack | None, history: History,
-                    t: int, excitation: np.ndarray,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Control vector actually admitted at step t.
+def admit_controls(attack: Attack | None, t: int, honest_vec: np.ndarray,
+                   corrupt_vec: np.ndarray, excitation: np.ndarray,
+                   own: np.ndarray | None = None) -> np.ndarray:
+    """Control vectors actually admitted at step t, given both means.
 
     Honest channels emit mean plus excitation. Replacement and DoS discard
     the channel's excitation; FDI keeps it and adds the offset; mimicry
-    draws fresh excitation from its own covariance (consumes ``rng``).
+    adds its own excitation ``own`` to the honest mean. Works on any
+    leading batch axes.
     """
-    history = np.asarray(history, dtype=float)
-    excitation = np.asarray(excitation, dtype=float)
-    g = honest_mean(honest, history, t)
-    u = g + excitation
+    u = honest_vec + excitation
     if attack is None:
         return u
     cfg, corrupt = attack
     mal = cfg.malicious_indices
     if isinstance(corrupt, Fdi):
-        u[mal] = g[mal] + excitation[mal] + corrupt.offset_at(t)
+        u[..., mal] += corrupt.offset_at(t)
     elif isinstance(corrupt, Mimic):
+        u[..., mal] = honest_vec[..., mal] + own
+    else:
+        u[..., mal] = corrupt_vec[..., mal]
+    return u
+
+
+def honest_mean(policy: HonestPolicy, history: History, t: int) -> np.ndarray:
+    """Nominal control at step t given the states observed so far."""
+    return control_means(policy, None, history, t)[0]
+
+
+def compose_control(honest: HonestPolicy, attack: Attack | None, history: History,
+                    t: int, excitation: np.ndarray,
+                    rng: np.random.Generator | None = None) -> np.ndarray:
+    """Control vector admitted at step t for one path (see :func:`admit_controls`).
+
+    Mimicry draws fresh excitation from its own covariance (consumes ``rng``).
+    """
+    g, c = control_means(honest, attack, history, t)
+    own = None
+    if attack is not None and isinstance(attack[1], Mimic):
         if rng is None:
             raise ValueError("mimic policy draws its own excitation and needs an rng")
-        own = sample_gaussian(rng, GaussianLaw(np.zeros(len(mal)), corrupt.self_excitation))
-        u[mal] = g[mal] + own
-    else:
-        u[mal] = corrupt_mean_components(corrupt, honest, history, t, mal, honest_vec=g)
-    return u
+        law = GaussianLaw(np.zeros(attack[0].malicious_count), attack[1].self_excitation)
+        own = sample_gaussian(rng, law)
+    return admit_controls(attack, t, g, c, np.asarray(excitation, dtype=float), own)

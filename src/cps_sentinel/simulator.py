@@ -1,9 +1,15 @@
-"""Seeded sample paths and one-step conditional predictors.
+"""Seeded sample paths, simulated as an ensemble of seeds in lockstep.
 
-One run owns one PCG64 stream. The per-step draw order is fixed
-(excitation, then any mimic self-excitation, then process noise), so runs
-are bit-reproducible per seed. Concurrent batches derive disjoint streams
-with :func:`cps_sentinel.numerics.split_seed`.
+Each seed owns one PCG64 stream, ``default_rng(seed)``. It first draws the
+initial state (when the initial law is Gaussian), then its whole noise
+block ``standard_normal((horizon, 2N + M))``: per step the excitation (N
+values), any mimic self-excitation (M values, M = number of attacked
+channels), then the process noise (N values). That is the order a
+step-by-step draw would take, and every seed reproduces bit for bit however
+many seeds run beside it. :func:`simulate_ensemble` runs the state
+recursion once over time on (seeds, agents) arrays; :func:`simulate` is the
+same engine with a single seed. Batches derive disjoint streams with
+:func:`cps_sentinel.numerics.split_seed`.
 """
 
 from __future__ import annotations
@@ -15,7 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CpsModel
-from .numerics import Dirac, SpdMatrix, make_spd, sample_gaussian
+from .numerics import (
+    Dirac,
+    GaussianLaw,
+    SpdMatrix,
+    make_spd,
+    matvec,
+    normals_to_gaussian,
+    sample_gaussian,
+)
 from .policies import (
     Attack,
     DoS,
@@ -23,9 +37,8 @@ from .policies import (
     HonestPolicy,
     Mimic,
     Replacement,
-    compose_control,
-    corrupt_mean_components,
-    honest_mean,
+    admit_controls,
+    control_means,
 )
 
 
@@ -65,53 +78,99 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def simulate(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
-             horizon: int, seed: int) -> Trajectory:
-    """Simulate ``horizon`` steps of the closed loop under the given policies.
+@dataclass(frozen=True)
+class Ensemble:
+    """Sample paths of several seeds simulated in lockstep; row i is ``seeds[i]``.
 
-    Raises :class:`NonFiniteState` if a state overflows; the run is never
-    clamped, since clamping would corrupt every downstream statistic.
+    ``states`` has shape (S, n+1, N). ``controls`` and ``excitations``,
+    shape (S, n, N), are kept only on request. ``failed_at[i]`` is the
+    first step whose state overflowed in run i, or 0 if the run completed;
+    the rows of a failed run are meaningless from that step on.
+    """
+
+    states: np.ndarray
+    controls: np.ndarray | None
+    excitations: np.ndarray | None
+    seeds: tuple[int, ...]
+    attacked: bool
+    failed_at: np.ndarray
+
+    def error(self, i: int) -> NonFiniteState | None:
+        step = int(self.failed_at[i])
+        if step == 0:
+            return None
+        return NonFiniteState(f"state overflowed at step {step} (seed {self.seeds[i]})")
+
+    def trajectory(self, i: int) -> Trajectory:
+        if self.controls is None:
+            raise ValueError("the ensemble was simulated without keeping controls")
+        return Trajectory(self.states[i], self.controls[i], self.excitations[i],
+                          seed=self.seeds[i], attacked=self.attacked)
+
+
+def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
+                      horizon: int, seeds, *, keep_controls: bool = False) -> Ensemble:
+    """Simulate ``horizon`` steps of the closed loop for every seed at once.
+
+    ``keep_controls`` keeps the controls and excitations of every step;
+    detection needs only the states. A run whose state overflows is marked
+    in ``failed_at`` at its own first bad step, and the other runs go on.
+    States are never clamped, since clamping would corrupt every
+    downstream statistic.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    rng = np.random.default_rng(int(seed))
+    seeds = tuple(int(seed) for seed in seeds)
     n = m.n_agents
+    own_law = None
+    if attack is not None and isinstance(attack[1], Mimic):
+        own_law = GaussianLaw(np.zeros(attack[0].malicious_count), attack[1].self_excitation)
+    k = 0 if own_law is None else own_law.dim
+
+    # Each seed's noise block is drawn and scaled in place, one seed at a time.
+    states = np.empty((len(seeds), horizon + 1, n))
+    noise = np.empty((len(seeds), horizon, 2 * n + k))
+    init = m.initial_law
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        states[i, 0] = init.point if isinstance(init, Dirac) else sample_gaussian(rng, init)
+        z = rng.standard_normal(out=noise[i])
+        normals_to_gaussian(m.excitation_law, z[:, :n])
+        if own_law is not None:
+            normals_to_gaussian(own_law, z[:, n:n + k])
+        normals_to_gaussian(m.noise_law, z[:, n + k:])
+    excitations, own, process = noise[..., :n], noise[..., n:n + k], noise[..., n + k:]
+
+    controls = np.empty((len(seeds), horizon, n)) if keep_controls else None
+    failed_at = np.zeros(len(seeds), dtype=int)
     a = m.dynamics
     b = m.actuator_gains
-    noise_law = m.noise_law
-    excitation_law = m.excitation_law
-
-    states = np.empty((horizon + 1, n))
-    controls = np.empty((horizon, n))
-    excitations = np.empty((horizon, n))
-
-    init = m.initial_law
-    states[0] = init.point if isinstance(init, Dirac) else sample_gaussian(rng, init)
-
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
-            e = sample_gaussian(rng, excitation_law)
-            u = compose_control(honest, attack, states[: t + 1], t, e, rng)
-            w = sample_gaussian(rng, noise_law)
-            x_next = a @ states[t] + b * u + w
-            if not np.isfinite(np.sum(x_next)):
-                raise NonFiniteState(f"state overflowed at step {t + 1} (seed {seed})")
-            states[t + 1] = x_next
-            controls[t] = u
-            excitations[t] = e
+            g, c = control_means(honest, attack, states[:, : t + 1], t)
+            u = admit_controls(attack, t, g, c, excitations[:, t], own[:, t])
+            x_next = states[:, t + 1]
+            np.add(matvec(a, states[:, t]) + b * u, process[:, t], out=x_next)
+            bad = ~np.isfinite(x_next.sum(axis=1))
+            if bad.any():
+                failed_at[bad & (failed_at == 0)] = t + 1
+            if controls is not None:
+                controls[:, t] = u
+    return Ensemble(states, controls, excitations if keep_controls else None, seeds,
+                    attack is not None, failed_at)
 
-    return Trajectory(states, controls, excitations, seed=int(seed),
-                      attacked=attack is not None)
 
+def simulate(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
+             horizon: int, seed: int) -> Trajectory:
+    """Simulate one run: :func:`simulate_ensemble` with the single ``seed``.
 
-@dataclass(frozen=True)
-class ConditionalPair:
-    """One-step conditional laws of the next state under both hypotheses."""
-
-    honest_mean: np.ndarray
-    honest_cov: SpdMatrix
-    corrupt_mean: np.ndarray
-    corrupt_cov: SpdMatrix
+    Raises :class:`NonFiniteState` if the state overflows.
+    """
+    ens = simulate_ensemble(m, honest, attack, horizon, [seed], keep_controls=True)
+    error = ens.error(0)
+    if error is not None:
+        raise error
+    return ens.trajectory(0)
 
 
 def conditional_covariances(m: CpsModel, corrupt, cfg) -> tuple[SpdMatrix, SpdMatrix]:
@@ -157,30 +216,6 @@ def _cov_key(corrupt, cfg):
         return None
     extra = tuple(corrupt.self_excitation.diag) if isinstance(corrupt, Mimic) else None
     return (type(corrupt).__name__, cfg.malicious_set, extra)
-
-
-def predicted_conditionals(m: CpsModel, honest: HonestPolicy, corrupt,
-                           cfg, traj: Trajectory, t: int) -> ConditionalPair:
-    """Both one-step predictors for x_{t+1}, evaluated along the given path.
-
-    The corrupt predictor is evaluated on the same observed history; which
-    path to feed in is the caller's choice. Pass ``corrupt=None, cfg=None``
-    to mirror the honest hypothesis on both sides.
-    """
-    if t >= traj.horizon:
-        raise ValueError(f"step {t} is beyond the trajectory horizon {traj.horizon}")
-    h_cov, c_cov = conditional_covariances(m, corrupt, cfg)
-    hist = traj.states[: t + 1]
-    g = honest_mean(honest, hist, t)
-    drive = m.dynamics @ traj.states[t]
-    mu_h = drive + m.actuator_gains * g
-    if corrupt is None or cfg is None:
-        return ConditionalPair(mu_h, h_cov, mu_h, c_cov)
-    mal = cfg.malicious_indices
-    u_mean = g.copy()
-    u_mean[mal] = corrupt_mean_components(corrupt, honest, hist, t, mal, honest_vec=g)
-    mu_c = drive + m.actuator_gains * u_mean
-    return ConditionalPair(mu_h, h_cov, mu_c, c_cov)
 
 
 def write_trajectory_csv(traj: Trajectory, fp) -> None:

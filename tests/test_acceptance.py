@@ -12,14 +12,16 @@ import math
 import numpy as np
 import pytest
 
-from cps_sentinel import cli
+from cps_sentinel import cli, harness
 from cps_sentinel.detection import (
     Decision,
     classify,
     det_ratio_bound,
+    detect_ensemble,
     expected_step_drift,
     joint_log_density_oracle,
     rn_series,
+    series_csv_text,
 )
 from cps_sentinel.harness import (
     AssumptionViolation,
@@ -40,7 +42,15 @@ from cps_sentinel.numerics import (
     split_seed,
 )
 from cps_sentinel.policies import DoS, LinearFeedback, Replacement
-from cps_sentinel.simulator import conditional_covariances, simulate
+from cps_sentinel.simulator import conditional_covariances, simulate, simulate_ensemble
+
+
+def run_batch(s, horizon, n_seeds):
+    """Detection series of seeds 0..n_seeds-1 of a scenario, run as one ensemble."""
+    seeds = [split_seed(s.seed_base, i) for i in range(n_seeds)]
+    ens = simulate_ensemble(s.model, s.honest, s.attack, horizon, seeds)
+    assert not ens.failed_at.any()
+    return detect_ensemble(ens.states, s.model, s.honest, s.attack[1], s.attack[0])
 
 
 def gate(number: int, ok: bool, text: str) -> None:
@@ -70,7 +80,7 @@ def test_criterion_1_factorization_oracle():
             policy = LinearFeedback(rng.standard_normal((n_agents, n_agents)) * 0.2)
             traj = simulate(m, policy, None, 10, seed=int(rng.integers(0, 2 ** 62)))
             series = rn_series(traj, m, policy, None, None)
-            chain = math.fsum(s.honest_logdens for s in series.steps)
+            chain = math.fsum(series.honest_logdens)
             if isinstance(initial, GaussianLaw):
                 chain += log_gaussian_density(traj.states[0], initial)
             worst = max(worst, abs(chain - joint_log_density_oracle(traj, m, policy)))
@@ -98,12 +108,8 @@ def test_criterion_3_martingale_mean():
     # mean of the likelihood ratio under the corrupt law is 1
     s = scenario_from_dict(preset("fdi"))
     n_seeds = 100_000
-    total = 0.0
-    for i in range(n_seeds):
-        traj = simulate(s.model, s.honest, s.attack, 5, split_seed(s.seed_base, i))
-        series = rn_series(traj, s.model, s.honest, s.attack[1], s.attack[0])
-        total += math.exp(series.log_l_at(5))
-    mean = total / n_seeds
+    series = run_batch(s, 5, n_seeds)
+    mean = math.fsum(np.exp(series.cum_log_l[:, 4])) / n_seeds
     gate(3, 0.9 <= mean <= 1.1,
          f"martingale mean: E[exp(logL_5)] over 1e5 corrupt seeds = {mean:.4f} "
          f"in [0.9, 1.1]")
@@ -149,13 +155,12 @@ def test_criterion_5_detection_regime():
     horizon_detect = math.ceil(20.0 / abs(drift.value))
 
     n, n_seeds = 2000, 200
-    finals = np.empty(n_seeds)
+    batch = run_batch(s, n, n_seeds)
+    finals = batch.cum_log_l[:, n - 1] / n
     detected = 0
     rn_big = 0
     for i in range(n_seeds):
-        traj = simulate(s.model, s.honest, s.attack, n, split_seed(s.seed_base, i))
-        series = rn_series(traj, s.model, s.honest, s.attack[1], s.attack[0])
-        finals[i] = series.log_l_at(n) / n
+        series = batch.row(i)
         if classify(series, horizon_detect, -10.0) is Decision.ATTACK:
             detected += 1
         if series.rn_at(n) > 10.0:
@@ -178,14 +183,12 @@ def test_criterion_6_non_detection_regime():
     recorded_bound = hi / lo * (1.0 + 1e-9)
 
     n, n_seeds = 2000, 50
-    worst_log_l = 0.0
-    max_rn = 0.0
+    batch = run_batch(s, n, n_seeds)
+    worst_log_l = float(np.abs(batch.cum_log_l).max())
+    max_rn = float(np.nanmax(batch.r_n))
     detected = 0
     for i in range(n_seeds):
-        traj = simulate(s.model, s.honest, s.attack, n, split_seed(s.seed_base, i))
-        series = rn_series(traj, s.model, s.honest, s.attack[1], s.attack[0])
-        worst_log_l = max(worst_log_l, float(np.abs(series.cum_log_l).max()))
-        max_rn = max(max_rn, float(np.nanmax(series.r_n)))
+        series = batch.row(i)
         for threshold in (-1e-9, -10.0, -1e6):
             if classify(series, n, threshold) is Decision.ATTACK:
                 detected += 1
@@ -287,16 +290,23 @@ def test_criterion_9_reproducibility(tmp_path):
     s1.pop("runtime_seconds"), s2.pop("runtime_seconds")
     ok &= s1 == s2
 
-    # serial versus parallel execution
+    # one batch, the same seeds in two chunks, and each seed on its own
     s = scenario_from_dict(json.loads(scenario_path.read_text()))
-    serial = run_montecarlo(s, out_dir=tmp_path / "ser")
-    parallel = run_montecarlo(s, max_workers=4, out_dir=tmp_path / "par")
-    a, b = serial.summary_dict(), parallel.summary_dict()
+    whole = run_montecarlo(s, out_dir=tmp_path / "whole")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_chunk_seeds", lambda _: 2)  # engine calls of 2 and 1 seeds
+        chunked = run_montecarlo(s, out_dir=tmp_path / "chunked")
+    a, b = whole.summary_dict(), chunked.summary_dict()
     a.pop("runtime_seconds"), b.pop("runtime_seconds")
-    ok &= a == b
+    ok &= a == b and whole.rows == chunked.rows
+    ok &= (tmp_path / "whole" / "runs.csv").read_bytes() == \
+        (tmp_path / "chunked" / "runs.csv").read_bytes()
     for i in range(3):
-        ok &= (tmp_path / "ser" / f"run_{i:05d}.csv").read_bytes() == \
-            (tmp_path / "par" / f"run_{i:05d}.csv").read_bytes()
+        traj = simulate(s.model, s.honest, s.attack, s.horizon, split_seed(s.seed_base, i))
+        alone = series_csv_text(rn_series(traj, s.model, s.honest, s.attack[1], s.attack[0]))
+        name = f"run_{i:05d}.csv"
+        ok &= (tmp_path / "whole" / name).read_bytes() == \
+            (tmp_path / "chunked" / name).read_bytes() == alone.encode()
 
     # single-trajectory and detection outputs
     for cmd, fname in (("simulate", "traj{}.csv"), ("detect", "series{}.csv")):
@@ -313,5 +323,6 @@ def test_criterion_9_reproducibility(tmp_path):
         ok &= (tmp_path / "md1" / f"run_{i:05d}.csv").read_bytes() == \
             (tmp_path / "md2" / f"run_{i:05d}.csv").read_bytes()
 
-    gate(9, ok, "reproducibility: repeated CLI runs and serial/parallel "
-                "execution produce identical outputs (wall time excluded)")
+    gate(9, ok, "reproducibility: repeated CLI runs, a whole batch, the same seeds in "
+                "two chunks and each seed alone produce identical outputs "
+                "(wall time excluded)")

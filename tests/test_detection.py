@@ -66,7 +66,7 @@ class TestRnSeries:
         pol = Replacement.constant([0.0])
         traj = manual_trajectory([[0.0, 0.0], [1.0, 0.0]], attacked=True)
         series = rn_series(traj, m, Zero(), pol, cfg)
-        assert series.steps[0].step_log_ratio == pytest.approx(0.25 - 0.5 * math.log(2.0))
+        assert series.step_log_ratio[0] == pytest.approx(0.25 - 0.5 * math.log(2.0))
 
     def test_cumulative_matches_fsum(self):
         m = model(dynamics=np.array([[0.5, 0.2], [0.0, 0.4]]))
@@ -74,7 +74,7 @@ class TestRnSeries:
         pol = Replacement.constant([1.0])
         traj = simulate(m, Zero(), (cfg, pol), 200, seed=2)
         series = rn_series(traj, m, Zero(), pol, cfg)
-        ratios = [s.step_log_ratio for s in series.steps]
+        ratios = series.step_log_ratio.tolist()
         for n in (1, 50, 200):
             assert series.log_l_at(n) == pytest.approx(math.fsum(ratios[:n]), abs=1e-10)
 
@@ -86,15 +86,18 @@ class TestRnSeries:
         traj = simulate(m, LinearFeedback(-0.2 * np.eye(2)), (cfg, pol), 100, seed=3)
         series = rn_series(traj, m, LinearFeedback(-0.2 * np.eye(2)), pol, cfg)
         from cps_sentinel.numerics import eig_extremes, quad_form_inv
-        from cps_sentinel.simulator import predicted_conditionals
+        from cps_sentinel.policies import honest_mean
+        from cps_sentinel.simulator import conditional_covariances
+        h_cov, _ = conditional_covariances(m, pol, cfg)
+        lo, hi = eig_extremes(h_cov)
         for t in (0, 10, 99):
-            pair = predicted_conditionals(m, LinearFeedback(-0.2 * np.eye(2)), pol, cfg,
-                                          traj, t)
-            z = traj.states[t + 1] - pair.honest_mean
-            q = quad_form_inv(pair.honest_cov, z)
-            lo, hi = eig_extremes(pair.honest_cov)
+            g = honest_mean(LinearFeedback(-0.2 * np.eye(2)), traj.states[: t + 1], t)
+            z = traj.states[t + 1] - (m.dynamics @ traj.states[t] + m.actuator_gains * g)
+            q = quad_form_inv(h_cov, z)
             norm2 = float(z @ z)
             assert norm2 / hi * (1 - 1e-9) <= q <= norm2 / lo * (1 + 1e-9)
+            # s_t is the same residual energy over the smallest eigenvalue
+            assert series.s[t] == pytest.approx(norm2 / lo, rel=1e-12)
 
     def test_undefined_ratio_flagged_not_infinite(self):
         m = model()
@@ -193,7 +196,7 @@ class TestJointOracle:
             policy = LinearFeedback(rng.standard_normal((n_agents, n_agents)) * 0.2)
             traj = simulate(m, policy, None, 10, seed=int(rng.integers(0, 2 ** 32)))
             series = rn_series(traj, m, policy, None, None)
-            chain = math.fsum(s.honest_logdens for s in series.steps)
+            chain = math.fsum(series.honest_logdens)
             if isinstance(initial, GaussianLaw):
                 chain += log_gaussian_density(traj.states[0], initial)
             assert abs(chain - joint_log_density_oracle(traj, m, policy)) < 1e-8
@@ -203,7 +206,7 @@ class TestJointOracle:
         policy = Affine(-0.2 * np.eye(2), np.array([0.5, -0.5]))
         traj = simulate(m, policy, None, 6, seed=8)
         series = rn_series(traj, m, policy, None, None)
-        chain = math.fsum(s.honest_logdens for s in series.steps)
+        chain = math.fsum(series.honest_logdens)
         assert abs(chain - joint_log_density_oracle(traj, m, policy)) < 1e-8
 
     def test_history_policy_rejected(self):
@@ -258,7 +261,7 @@ class TestExpectedStepDrift:
         closed = expected_step_drift(m, Zero(), pol, cfg).value
         traj = simulate(m, Zero(), (cfg, pol), 20_000, seed=10)
         series = rn_series(traj, m, Zero(), pol, cfg)
-        ratios = np.array([s.step_log_ratio for s in series.steps])
+        ratios = series.step_log_ratio
         assert np.mean(ratios) == pytest.approx(closed, abs=4 * np.std(ratios) / 140)
 
 

@@ -1,0 +1,202 @@
+"""The seed-ensemble engine: a seed's result never depends on its batch.
+
+Row i of a batch, the same seed in another chunk, and the per-seed
+``simulate`` / ``rn_series`` result must agree bit for bit, for every
+policy kind, and a seed whose state overflows must fail alone.
+"""
+
+import math
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cps_sentinel.detection import detect_ensemble, rn_series
+from cps_sentinel.model import AttackConfig, CpsModel
+from cps_sentinel.numerics import DiagonalPsd, Dirac, GaussianLaw, make_spd
+from cps_sentinel.policies import (
+    Affine,
+    DoS,
+    Fdi,
+    HistoryWindow,
+    LinearFeedback,
+    Mimic,
+    Replacement,
+    Zero,
+)
+from cps_sentinel.simulator import NonFiniteState, simulate, simulate_ensemble
+
+
+def chain(n, initial=None, noise=None):
+    a = 0.5 * np.eye(n) + 0.2 * np.eye(n, k=-1) + 0.1 * np.eye(n, k=1)
+    if noise is None:
+        noise = 0.5 * np.eye(n) + 0.1 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    return CpsModel(n_agents=n, dynamics=a, actuator_gains=np.linspace(1.0, 2.0, n),
+                    process_noise=noise, excitation=np.linspace(0.5, 1.0, n),
+                    initial_law=Dirac(np.zeros(n)) if initial is None else initial)
+
+
+def _custom(history, t, mal):
+    return 0.3 * history[-1][mal] - 0.1 * history[0][mal] + 0.01 * t
+
+
+N = 3
+CASES = {
+    "linear-replacement": (chain(N), LinearFeedback(-0.2 * np.eye(N)),
+                           (AttackConfig((2,)), Replacement.scaled_state([-0.3]))),
+    "schedule-sign-flip": (chain(N), LinearFeedback(tuple(-0.01 * k * np.eye(N)
+                                                          for k in range(40))),
+                           (AttackConfig((1, 3)), Replacement.sign_flip())),
+    "affine-constant": (chain(N, noise=np.diag([0.3, 0.6, 0.9])),
+                        Affine(-0.1 * np.eye(N), np.array([0.2, -0.1, 0.0])),
+                        (AttackConfig((1,)), Replacement.constant([0.4]))),
+    "window-mimic": (chain(N), HistoryWindow((-0.2 * np.eye(N), -0.05 * np.eye(N),
+                                              0.02 * np.eye(N))),
+                     (AttackConfig((2, 3)), Mimic(DiagonalPsd([0.3, 0.2])))),
+    "window-fdi-schedule": (chain(N), HistoryWindow((-0.2 * np.eye(N), 0.1 * np.eye(N))),
+                            (AttackConfig((1,)), Fdi(np.linspace(0, 1, 40)[:, None]))),
+    "gaussian-init-dos": (chain(N, initial=GaussianLaw(np.ones(N),
+                                                       make_spd(0.5 * np.eye(N) + 0.1))),
+                          Zero(), (AttackConfig((2,)), DoS())),
+    "custom": (chain(N), LinearFeedback(-0.1 * np.eye(N)),
+               (AttackConfig((3,)), Replacement.from_callable(_custom))),
+    "no-attack": (chain(N), LinearFeedback(-0.2 * np.eye(N)), None),
+}
+
+
+def assert_series_equal(a, b):
+    for f in fields(a):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True), f.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(CASES)), count=st.integers(1, 6),
+       horizon=st.integers(1, 30), split=st.integers(0, 6),
+       base=st.integers(0, 2 ** 63))
+def test_rows_match_chunks_and_the_per_seed_api(case, count, horizon, split, base):
+    m, honest, attack = CASES[case]
+    corrupt, cfg = (attack[1], attack[0]) if attack else (None, None)
+    seeds = [(base + 7919 * i) % 2 ** 64 for i in range(count)]
+    split = min(split, count)
+    whole = simulate_ensemble(m, honest, attack, horizon, seeds, keep_controls=True)
+    parts = [simulate_ensemble(m, honest, attack, horizon, part, keep_controls=True)
+             for part in (seeds[:split], seeds[split:]) if part]
+    assert not whole.failed_at.any()
+    batch = detect_ensemble(whole.states, m, honest, corrupt, cfg)
+    part_series = [detect_ensemble(p.states, m, honest, corrupt, cfg) for p in parts]
+    rows = [(p, s, k) for p, s in zip(parts, part_series) for k in range(len(p.seeds))]
+    for i, seed in enumerate(seeds):
+        part, part_batch, k = rows[i]
+        alone = simulate(m, honest, attack, horizon, seed)
+        for name in ("states", "controls", "excitations"):
+            assert np.array_equal(getattr(whole, name)[i], getattr(alone, name)), name
+            assert np.array_equal(getattr(part, name)[k], getattr(alone, name)), name
+        single = rn_series(alone, m, honest, corrupt, cfg)
+        assert_series_equal(batch.row(i), single)
+        assert_series_equal(part_batch.row(k), single)
+
+
+def _blow_up(history, t, mal):
+    # seeds that start with x_1 > 0 are driven to overflow; the rest stay calm
+    return history[-1][mal] * 1e300 if history[0][0] > 0 else np.zeros(len(mal))
+
+
+def test_an_overflowing_seed_fails_alone_with_its_own_message():
+    m = chain(2, initial=GaussianLaw(np.zeros(2), DiagonalPsd([1.0, 1.0])))
+    attack = (AttackConfig((1,)), Replacement.from_callable(_blow_up))
+    honest = LinearFeedback(-0.2 * np.eye(2))
+    seeds = list(range(12))
+    ens = simulate_ensemble(m, honest, attack, 20, seeds, keep_controls=True)
+    failed = ens.failed_at > 0
+    assert failed.any() and not failed.all()
+    for i, seed in enumerate(seeds):
+        if failed[i]:
+            with pytest.raises(NonFiniteState) as err:
+                simulate(m, honest, attack, 20, seed)
+            assert str(err.value) == str(ens.error(i))
+            assert str(err.value) == (f"state overflowed at step {ens.failed_at[i]} "
+                                      f"(seed {seed})")
+        else:
+            assert ens.error(i) is None
+            alone = simulate(m, honest, attack, 20, seed)
+            assert np.array_equal(ens.states[i], alone.states)
+
+
+def test_draw_order_is_excitation_then_mimic_then_noise():
+    m = chain(2, noise=np.diag([0.25, 4.0]))
+    attack = (AttackConfig((1,)), Mimic(DiagonalPsd([9.0])))
+    ens = simulate_ensemble(m, Zero(), attack, 3, [42], keep_controls=True)
+    z = np.random.default_rng(42).standard_normal((3, 5))
+    np.testing.assert_array_equal(ens.excitations[0], z[:, :2] * np.sqrt(m.excitation))
+    # x_1 = b * u_0 + w_0 from x_0 = 0, with u_0 = (3 z_mimic, e_2)
+    u0 = np.array([3.0 * z[0, 2], z[0, 1] * np.sqrt(m.excitation[1])])
+    w0 = z[0, 3:] * np.array([0.5, 2.0])
+    np.testing.assert_allclose(ens.states[0, 1], m.actuator_gains * u0 + w0, rtol=1e-15)
+
+
+def test_trajectory_needs_kept_controls():
+    ens = simulate_ensemble(chain(2), Zero(), None, 3, [1])
+    with pytest.raises(ValueError):
+        ens.trajectory(0)
+
+
+def reference_path(m, honest_gain, attack, horizon, seed):
+    """Step-by-step loop of one seed, the way a single run is written by hand.
+
+    Markov linear honest law; replacement (scaled state), FDI (constant)
+    or mimicry on the attacked channels.
+    """
+    rng = np.random.default_rng(seed)
+    cfg, corrupt = attack
+    mal = cfg.malicious_indices
+    chol = np.linalg.cholesky(m.process_noise)
+    x = [m.initial_law.point.copy()]
+    for _ in range(horizon):
+        g = honest_gain @ x[-1]
+        u = g + np.sqrt(m.excitation) * rng.standard_normal(m.n_agents)
+        if isinstance(corrupt, Replacement):
+            u[mal] = corrupt.values * x[-1][mal]
+        elif isinstance(corrupt, Fdi):
+            u[mal] += corrupt.offsets
+        else:
+            own = np.sqrt(corrupt.self_excitation.diag) * rng.standard_normal(len(mal))
+            u[mal] = g[mal] + own
+        w = chol @ rng.standard_normal(m.n_agents)
+        x.append(m.dynamics @ x[-1] + m.actuator_gains * u + w)
+    return np.array(x)
+
+
+@pytest.mark.parametrize("corrupt", [Replacement.scaled_state([-0.3]), Fdi(np.array([0.4])),
+                                     Mimic(DiagonalPsd([0.3]))])
+def test_engine_matches_a_hand_written_loop(corrupt):
+    from cps_sentinel.numerics import log_gaussian_density
+    from cps_sentinel.simulator import conditional_covariances
+
+    m = chain(N)
+    gain = -0.2 * np.eye(N) + 0.05 * np.eye(N, k=1)
+    attack = (AttackConfig((2,)), corrupt)
+    seeds = [3, 1 << 40, 77]
+    ens = simulate_ensemble(m, LinearFeedback(gain), attack, 40, seeds)
+    batch = detect_ensemble(ens.states, m, LinearFeedback(gain), corrupt, attack[0])
+    h_cov, c_cov = conditional_covariances(m, corrupt, attack[0])
+    for i, seed in enumerate(seeds):
+        x = reference_path(m, gain, attack, 40, seed)
+        assert np.array_equal(ens.states[i], x)
+        # log ratio by the joint-density route, one Gaussian density per step
+        steps = []
+        for t in range(40):
+            g = gain @ x[t]
+            c = g.copy()
+            if isinstance(corrupt, Replacement):
+                c[1] = corrupt.values[0] * x[t][1]
+            elif isinstance(corrupt, Fdi):
+                c[1] += corrupt.offsets[0]
+            drive = m.dynamics @ x[t]
+            honest_law = GaussianLaw(drive + m.actuator_gains * g, h_cov)
+            corrupt_law = GaussianLaw(drive + m.actuator_gains * c, c_cov)
+            steps.append(log_gaussian_density(x[t + 1], honest_law)
+                         - log_gaussian_density(x[t + 1], corrupt_law))
+        np.testing.assert_allclose(batch.step_log_ratio[i], steps, rtol=1e-12, atol=1e-12)
+        assert batch.cum_log_l[i, -1] == pytest.approx(math.fsum(steps), abs=1e-9)

@@ -1,9 +1,12 @@
+import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cps_sentinel import cli
-from cps_sentinel.detection import classify, rn_series
+from cps_sentinel import cli, harness
+from cps_sentinel.detection import classify, rn_series, series_csv_text
 from cps_sentinel.harness import (
     AssumptionViolation,
     PRESETS,
@@ -12,12 +15,44 @@ from cps_sentinel.harness import (
     mdp_scenario_from_dict,
     preset,
     run_mdp_batch,
+    _write_runs_table,
     run_montecarlo,
     scenario_from_dict,
 )
 from cps_sentinel.model import honest_influence_check
 from cps_sentinel.numerics import split_seed
 from cps_sentinel.simulator import simulate
+
+
+def run_in_chunks(s, chunk, out_dir):
+    """run_montecarlo with the seeds split into engine calls of ``chunk`` seeds."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_chunk_seeds", lambda _: chunk)
+        return run_montecarlo(s, out_dir=out_dir)
+
+
+def assert_batch_matches_chunks_and_per_seed(s, chunk, tmp_path):
+    """A whole batch, the same seeds in chunks, and each seed alone agree exactly.
+
+    Compares per-seed CSV bytes, runs.csv bytes, rows and the summary.
+    """
+    whole = run_montecarlo(s, out_dir=tmp_path / "whole")
+    chunked = run_in_chunks(s, chunk, tmp_path / "chunked")
+    a, b = whole.summary_dict(), chunked.summary_dict()
+    a.pop("runtime_seconds"), b.pop("runtime_seconds")
+    assert a == b
+    assert whole.rows == chunked.rows
+    assert (tmp_path / "whole" / "runs.csv").read_bytes() == \
+        (tmp_path / "chunked" / "runs.csv").read_bytes()
+    corrupt, cfg = (s.attack[1], s.attack[0]) if s.attack else (None, None)
+    for i, row in enumerate(whole.rows):
+        traj = simulate(s.model, s.honest, s.attack, s.horizon, split_seed(s.seed_base, i))
+        series = rn_series(traj, s.model, s.honest, corrupt, cfg)
+        name = f"run_{i:05d}.csv"
+        assert (tmp_path / "whole" / name).read_bytes() == \
+            (tmp_path / "chunked" / name).read_bytes() == series_csv_text(series).encode()
+        assert row["log_l"] == series.log_l_at(s.horizon)
+        assert row["decision"] == classify(series, s.horizon, s.threshold).value
 
 
 LINEAR_PRESETS = ["identity", "replacement", "fdi", "dos", "mimic", "example1", "example2"]
@@ -193,26 +228,18 @@ class TestRunMontecarlo:
         sa.pop("runtime_seconds"), sb.pop("runtime_seconds")
         assert sa == sb
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_batch_matches_chunks_and_per_seed(self, tmp_path):
         s = small("fdi", count=6, horizon=30)
-        serial = run_montecarlo(s, out_dir=tmp_path / "serial")
-        parallel = run_montecarlo(s, max_workers=4, out_dir=tmp_path / "parallel")
-        a = serial.summary_dict()
-        b = parallel.summary_dict()
-        a.pop("runtime_seconds"), b.pop("runtime_seconds")
-        assert a == b
-        for i in range(6):
-            name = f"run_{i:05d}.csv"
-            assert (tmp_path / "serial" / name).read_bytes() == \
-                (tmp_path / "parallel" / name).read_bytes()
+        assert_batch_matches_chunks_and_per_seed(s, 4, tmp_path)
 
     def test_summary_json_keys_exact(self, tmp_path):
         s = small("identity", count=2, horizon=20)
         run_montecarlo(s, out_dir=tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert set(summary) == {"scenario", "n_runs", "horizon", "threshold",
-                                "detection_fraction", "mean_drift", "drift_stderr",
-                                "runtime_seconds"}
+        assert set(summary) == {"scenario", "n_runs", "n_ok", "n_failed", "horizon",
+                                "threshold", "detection_fraction", "mean_drift",
+                                "drift_stderr", "runtime_seconds"}
+        assert summary["n_ok"] == 2 and summary["n_failed"] == 0
 
     def test_per_seed_errors_recorded_without_aborting(self):
         data = preset("identity")
@@ -223,6 +250,34 @@ class TestRunMontecarlo:
         summary = run_montecarlo(s)
         assert all(r["error"] is not None and "NonFiniteState" in r["error"]
                    for r in summary.rows)
+        assert summary.n_failed == 2 and summary.n_ok == 0
+        assert summary.detection_fraction is None  # no run, so no verdict
+
+    def test_error_cells_are_quoted_in_runs_table(self, tmp_path):
+        rows = [{"run_index": 0, "seed": 11, "log_l": -1.5, "r_n": None,
+                 "decision": "attack", "error": None},
+                {"run_index": 1, "seed": 12, "log_l": None, "r_n": None,
+                 "decision": None, "error": 'Boom: a, b\nsecond "line"'}]
+        _write_runs_table(tmp_path / "runs.csv", rows)
+        with open(tmp_path / "runs.csv", newline="") as fp:
+            table = list(csv.reader(fp))
+        assert table[0] == ["run_index", "seed", "logL", "r_n", "decision", "error"]
+        assert table[1] == ["0", "11", "-1.5", "", "attack", ""]
+        assert table[2] == ["1", "12", "", "", "", 'Boom: a, b\nsecond "line"']
+        assert len(table) == 3
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["replacement", "fdi", "dos", "mimic", "identity"]),
+       count=st.integers(1, 7), horizon=st.integers(1, 25), chunk=st.integers(1, 8),
+       base=st.integers(0, 2 ** 32))
+def test_chunking_never_changes_a_seed(tmp_path_factory, name, count, horizon, chunk, base):
+    data = preset(name)
+    data["seeds"] = {"base": base, "count": count}
+    data["horizon"] = horizon
+    assert_batch_matches_chunks_and_per_seed(scenario_from_dict(data), chunk,
+                                             tmp_path_factory.mktemp("runs"))
 
 
 class TestMdpBatch:
@@ -336,6 +391,59 @@ class TestCli:
         assert cli.main(["mdp", str(path)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["n_runs"] == 3
+
+    def test_overrides_are_validated(self, tmp_path, capsys):
+        data = preset("fdi")
+        data["attack"]["offsets"] = [[0.2]] * 10
+        data["horizon"] = 10
+        path = tmp_path / "fdi.json"
+        path.write_text(json.dumps(data))
+        out = str(tmp_path / "o")
+        assert cli.main(["montecarlo", str(path), "--seeds", "2", "--out", out]) == 0
+        capsys.readouterr()
+        assert cli.main(["montecarlo", str(path), "--horizon", "50", "--out", out]) == 1
+        assert "ScheduleTooShort" not in capsys.readouterr().out
+        for flag in ("--horizon", "--seeds"):
+            assert cli.main(["montecarlo", str(path), flag, "0", "--out", out]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_env_seed_is_validated(self, tmp_path, monkeypatch, capsys):
+        path = self.write_preset(tmp_path, "identity", horizon=10)
+        monkeypatch.setenv("CPS_SENTINEL_SEED", "1.5")
+        assert cli.main(["simulate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: CPS_SENTINEL_SEED must be an integer")
+
+    def test_overrides_reach_the_batch(self, tmp_path, monkeypatch, capsys):
+        path = self.write_preset(tmp_path, "identity", horizon=10,
+                                 seeds={"base": 1, "count": 2})
+        monkeypatch.setenv("CPS_SENTINEL_SEED", "5")
+        assert cli.main(["montecarlo", str(path), "--horizon", "7", "--seeds", "3",
+                         "--threshold", "-2.5", "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["horizon"], summary["n_runs"], summary["threshold"]) == (7, 3, -2.5)
+        runs = (tmp_path / "o" / "runs.csv").read_text().splitlines()
+        assert runs[1].split(",")[1] == str(split_seed(5, 0))
+
+    @pytest.mark.parametrize("command", ["check", "simulate", "montecarlo", "mdp"])
+    def test_non_object_json_is_a_parse_error(self, tmp_path, capsys, command):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2, 3]")
+        assert cli.main([command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_failed_seeds_exit_two(self, tmp_path, capsys):
+        data = preset("identity")
+        data["model"]["dynamics"] = [[10.0, 0.0], [0.0, 10.0]]
+        data["horizon"] = 500
+        data["seeds"]["count"] = 2
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["montecarlo", str(path), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert (summary["n_ok"], summary["n_failed"]) == (0, 2)
+        assert summary["detection_fraction"] is None
+        assert captured.err.startswith("numeric error: 2 of 2 seeds failed")
 
     def test_cli_reruns_are_byte_identical(self, tmp_path):
         path = self.write_preset(tmp_path, "fdi", horizon=25,

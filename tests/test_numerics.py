@@ -162,6 +162,15 @@ class TestQuadFormInv:
         singles = [quad_form_inv(v, r) for r in rows]
         np.testing.assert_allclose(batched, singles, rtol=1e-12)
 
+    def test_batched_solve_is_scipys_triangular_solve(self):
+        from scipy.linalg import solve_triangular
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((4, 4))
+        v = make_spd(g @ g.T + 0.2 * np.eye(4))
+        rows = rng.standard_normal((30, 4))
+        y = solve_triangular(v.chol, rows.T, lower=True, check_finite=False)
+        assert np.array_equal(quad_forms_inv(v, rows), np.sum(y * y, axis=0))
+
 
 class TestLogGaussianDensity:
     def test_at_mean_identity_cov(self):

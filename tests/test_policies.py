@@ -13,6 +13,7 @@ from cps_sentinel.policies import (
     Replacement,
     Zero,
     compose_control,
+    control_means,
     honest_mean,
     is_markov,
 )
@@ -155,3 +156,57 @@ def test_mimic_matches_honest_conditional_law_distributionally():
     cov_h = np.cov(honest_draws.T)
     cov_m = np.cov(mimic_draws.T)
     assert np.abs(np.diag(cov_h) - np.diag(cov_m)).max() < 0.05 * v_e.max()
+
+
+HONEST_KINDS = [
+    Zero(),
+    LinearFeedback(np.array([[0.3, -0.1, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, -0.4]])),
+    LinearFeedback(tuple((0.1 * k) * np.eye(3) for k in range(6))),
+    Affine(-0.2 * np.eye(3), np.array([1.0, -1.0, 0.5])),
+    HistoryWindow((np.eye(3), 0.5 * np.ones((3, 3)), -0.25 * np.eye(3))),
+]
+CORRUPT_KINDS = [
+    None, DoS(), Fdi(np.array([0.7])), Fdi(np.arange(6.0)[:, None]), Mimic(DiagonalPsd([1.0])),
+    Replacement.constant([2.0]), Replacement.scaled_state([-0.5]), Replacement.sign_flip(),
+    Replacement.from_callable(lambda history, t, mal: history[0][mal] * t),
+]
+
+
+@pytest.mark.parametrize("honest", HONEST_KINDS)
+@pytest.mark.parametrize("corrupt", CORRUPT_KINDS)
+def test_control_means_path_batch_and_step_agree(honest, corrupt):
+    # one kernel serves a batch of paths, one path, and one step of one path
+    states = np.random.default_rng(23).standard_normal((4, 6, 3))
+    attack = None if corrupt is None else (AttackConfig((2,)), corrupt)
+    g, c = control_means(honest, attack, states)
+    assert g.shape == c.shape == states.shape
+    if attack is None:
+        assert c is g
+    else:
+        assert np.array_equal(np.delete(c, 1, axis=-1), np.delete(g, 1, axis=-1))
+    for i in range(4):
+        g_i, c_i = control_means(honest, attack, states[i])
+        assert np.array_equal(g_i, g[i]) and np.array_equal(c_i, c[i])
+        for t in range(6):
+            g_t, c_t = control_means(honest, attack, states[i, : t + 1], t)
+            assert np.array_equal(g_t, g[i, t]) and np.array_equal(c_t, c[i, t])
+            assert np.array_equal(g_t, honest_mean(honest, states[i, : t + 1], t))
+
+
+def test_control_means_corrupt_channel_values():
+    states = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    honest = LinearFeedback(np.eye(3))
+    cfg = AttackConfig((2,))
+    expect = [(DoS(), 0.0), (Fdi(np.array([0.5])), 5.5), (Mimic(DiagonalPsd([1.0])), 5.0),
+              (Replacement.constant([7.0]), 7.0), (Replacement.scaled_state([2.0]), 10.0),
+              (Replacement.sign_flip(), -5.0)]
+    for corrupt, value in expect:
+        g, c = control_means(honest, (cfg, corrupt), states, 1)
+        assert np.array_equal(g, [4.0, 5.0, 6.0])
+        assert np.array_equal(c, [4.0, value, 6.0]), corrupt
+
+
+def test_fdi_schedule_too_short_for_the_path():
+    attack = (AttackConfig((1,)), Fdi(np.array([[1.0], [2.0]])))
+    with pytest.raises(ValueError):
+        control_means(Zero(), attack, np.zeros((3, 2)))

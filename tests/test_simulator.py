@@ -5,13 +5,21 @@ import pytest
 
 from cps_sentinel.model import AttackConfig, CpsModel
 from cps_sentinel.numerics import DiagonalPsd, Dirac, GaussianLaw, logdet, make_spd
-from cps_sentinel.policies import DoS, Fdi, LinearFeedback, Mimic, Replacement, Zero
+from cps_sentinel.policies import (
+    DoS,
+    Fdi,
+    LinearFeedback,
+    Mimic,
+    Replacement,
+    Zero,
+    control_means,
+)
 from cps_sentinel.simulator import (
     NonFiniteState,
     Trajectory,
     conditional_covariances,
-    predicted_conditionals,
     simulate,
+    simulate_ensemble,
     write_trajectory_csv,
 )
 
@@ -55,9 +63,7 @@ class TestSimulate:
         # x' = 0.5 x + u + w with u = e: Var_inf = (V_w + V_e) / (1 - 0.25) = 8/3
         m = model(n=1, dynamics=[[0.5]], gains=[1.0], noise=[[1.0]],
                   excitation=[1.0], initial=Dirac([0.0]))
-        finals = np.empty(10_000)
-        for i in range(10_000):
-            finals[i] = simulate(m, Zero(), None, 50, seed=i).states[-1, 0]
+        finals = simulate_ensemble(m, Zero(), None, 50, range(10_000)).states[:, -1, 0]
         target = 8.0 / 3.0
         assert abs(np.var(finals) - target) < 0.05 * target
 
@@ -134,50 +140,61 @@ class TestConditionalCovariances:
             assert logdet(c) < logdet(h)
 
 
+def predicted_means(m, honest, corrupt, cfg, traj, t):
+    """Honest and corrupt one-step predictor means of x_{t+1} along ``traj``."""
+    attack = None if corrupt is None else (cfg, corrupt)
+    g, c = control_means(honest, attack, traj.states[: t + 1], t)
+    drive = m.dynamics @ traj.states[t]
+    return drive + m.actuator_gains * g, drive + m.actuator_gains * c
+
+
 class TestPredictedConditionals:
     def test_no_attack_direct_substitution(self):
         m = model()
         traj = simulate(m, Zero(), None, 3, seed=5)
-        pair = predicted_conditionals(m, Zero(), None, None, traj, 1)
-        np.testing.assert_array_equal(pair.honest_mean, np.zeros(2))
-        np.testing.assert_array_equal(pair.honest_cov.mat, 2.0 * np.eye(2))
-        assert pair.honest_cov is pair.corrupt_cov
+        mu_h, mu_c = predicted_means(m, Zero(), None, None, traj, 1)
+        np.testing.assert_array_equal(mu_h, np.zeros(2))
+        np.testing.assert_array_equal(mu_c, mu_h)
+        h_cov, c_cov = conditional_covariances(m, None, None)
+        np.testing.assert_array_equal(h_cov.mat, 2.0 * np.eye(2))
+        assert h_cov is c_cov
 
     def test_replacement_block_covariance(self):
         m = model()
         cfg = AttackConfig((1,))
         pol = Replacement.constant([0.0])
         traj = simulate(m, Zero(), (cfg, pol), 3, seed=5)
-        pair = predicted_conditionals(m, Zero(), pol, cfg, traj, 0)
-        np.testing.assert_array_equal(pair.corrupt_cov.mat, np.diag([1.0, 2.0]))
+        mu_h, mu_c = predicted_means(m, Zero(), pol, cfg, traj, 0)
+        np.testing.assert_array_equal(mu_c, mu_h)  # both channel means are 0
+        _, c_cov = conditional_covariances(m, pol, cfg)
+        np.testing.assert_array_equal(c_cov.mat, np.diag([1.0, 2.0]))
 
     def test_fdi_shifts_mean_keeps_covariance(self):
         m = model(dynamics=np.array([[0.3, 0.1], [0.0, 0.2]]), gains=[2.0, 1.0])
         cfg = AttackConfig((1,))
         pol = Fdi(np.array([1.0]))
         traj = simulate(m, Zero(), (cfg, pol), 3, seed=6)
-        pair = predicted_conditionals(m, Zero(), pol, cfg, traj, 2)
-        np.testing.assert_allclose(pair.corrupt_mean - pair.honest_mean, [2.0, 0.0])
-        np.testing.assert_array_equal(pair.corrupt_cov.mat, pair.honest_cov.mat)
+        mu_h, mu_c = predicted_means(m, Zero(), pol, cfg, traj, 2)
+        np.testing.assert_allclose(mu_c - mu_h, [2.0, 0.0])
+        h_cov, c_cov = conditional_covariances(m, pol, cfg)
+        np.testing.assert_array_equal(c_cov.mat, h_cov.mat)
 
     def test_markov_predictors_ignore_early_states(self):
         m = model(dynamics=np.array([[0.5, 0.2], [0.1, 0.4]]))
         cfg = AttackConfig((2,))
         pol = Replacement.scaled_state([0.3])
-        traj = simulate(m, LinearFeedback(-0.2 * np.eye(2)), (cfg, pol), 5, seed=7)
-        pair = predicted_conditionals(m, LinearFeedback(-0.2 * np.eye(2)), pol, cfg, traj, 4)
+        honest = LinearFeedback(-0.2 * np.eye(2))
+        traj = simulate(m, honest, (cfg, pol), 5, seed=7)
         mutated = Trajectory(
             np.vstack([traj.states[:4][::-1], traj.states[4:]]),
             traj.controls, traj.excitations, traj.seed, traj.attacked)
-        pair2 = predicted_conditionals(m, LinearFeedback(-0.2 * np.eye(2)), pol, cfg,
-                                       mutated, 4)
-        assert np.array_equal(pair.honest_mean, pair2.honest_mean)
-        assert np.array_equal(pair.corrupt_mean, pair2.corrupt_mean)
+        for a, b in zip(predicted_means(m, honest, pol, cfg, traj, 4),
+                        predicted_means(m, honest, pol, cfg, mutated, 4)):
+            assert np.array_equal(a, b)
 
     def test_sampled_control_means_match_predictors_for_every_kind(self):
         # the conditional mean fed to the predictor must agree with the
         # average of the controls the corrupt policy actually emits
-        from cps_sentinel.numerics import DiagonalPsd
         m = model(gains=[1.0, 2.0], excitation=[0.5, 1.0],
                   initial=Dirac([1.0, -1.0]))
         honest = LinearFeedback(np.array([[0.3, 0.0], [0.1, 0.2]]))
@@ -190,7 +207,7 @@ class TestPredictedConditionals:
         sqrt_ve = np.sqrt(m.excitation)
         for pol in kinds:
             traj = simulate(m, honest, (cfg, pol), 1, seed=0)
-            pair = predicted_conditionals(m, honest, pol, cfg, traj, 0)
+            _, corrupt_mean = predicted_means(m, honest, pol, cfg, traj, 0)
             rng = np.random.default_rng(55)
             total = np.zeros(2)
             n_draws = 20_000
@@ -198,7 +215,7 @@ class TestPredictedConditionals:
                 e = sqrt_ve * rng.standard_normal(2)
                 total += compose_control(honest, (cfg, pol), history, 0, e, rng)
             sampled_mean = m.dynamics @ history[0] + m.actuator_gains * total / n_draws
-            assert np.abs(sampled_mean - pair.corrupt_mean).max() < 0.06, pol
+            assert np.abs(sampled_mean - corrupt_mean).max() < 0.06, pol
 
     def test_residual_covariance_converges(self):
         # one long stationary no-attack run: residual sample covariance
