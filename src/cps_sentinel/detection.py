@@ -28,6 +28,7 @@ import numpy as np
 
 from .model import AttackConfig, CpsModel
 from .numerics import (
+    DiagonalPsd,
     Dirac,
     GaussianLaw,
     LOG_TWO_PI,
@@ -129,12 +130,11 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
     * half logdet ratio = (logdet corrupt cov - logdet honest cov) / 2.
 
     Both predictors are evaluated along the same given path. The
-    predictor means and residuals are computed for a slice of seeds at a
-    time, the quadratic forms one seed at a time (a triangular solve's
-    result would otherwise depend on how many paths share it), and the
-    prefix sums of all four per-step series of the whole batch in one
-    compensated pass. Every seed's result is therefore the same whether
-    it runs alone or in any batch.
+    predictor means, residuals and quadratic forms (an elementwise forward
+    substitution, no threaded BLAS call) are computed for a slice of seeds
+    at a time with arithmetic that treats every row alike, and the prefix
+    sums of all four per-step series of the whole batch in one compensated
+    pass. Every seed's result is therefore the same alone or in any batch.
     """
     states = np.asarray(states, dtype=float)
     n_seeds, n = states.shape[0], states.shape[1] - 1
@@ -159,9 +159,8 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
         drive = matvec(m.dynamics, x[:, :-1])
         z_h = x[:, 1:] - (drive + m.actuator_gains * g)
         z_c = x[:, 1:] - (drive + m.actuator_gains * c)
-        for k in range(x.shape[0]):
-            dens[0, lo + k] = const - 0.5 * ld_h - 0.5 * quad_forms_inv(h_cov, z_h[k])
-            dens[1, lo + k] = const - 0.5 * ld_c - 0.5 * quad_forms_inv(c_cov, z_c[k])
+        dens[0, lo:lo + width] = const - 0.5 * ld_h - 0.5 * quad_forms_inv(h_cov, z_h)
+        dens[1, lo:lo + width] = const - 0.5 * ld_c - 0.5 * quad_forms_inv(c_cov, z_c)
         steps[1, lo:lo + width] = np.sum(z_h * z_h, axis=-1) / lam_min_h
         steps[2, lo:lo + width] = np.sum(z_c * z_c, axis=-1) / lam_max_c
     np.subtract(dens[0], dens[1], out=steps[0])
@@ -299,8 +298,6 @@ def joint_log_density_oracle(traj: Trajectory, m: CpsModel,
 
 
 def _dense_cov(cov) -> np.ndarray:
-    from .numerics import DiagonalPsd
-
     return np.diag(cov.diag) if isinstance(cov, DiagonalPsd) else cov.mat
 
 
@@ -421,17 +418,15 @@ def write_series_csv(series: DetectionSeries, fp) -> None:
 
     Undefined ratio entries are left empty rather than written as inf/nan.
     """
+    cols = [map(str, range(1, series.horizon + 1)),
+            map(repr, series.cum_log_l.tolist()),
+            [repr(r) if ok else "" for r, ok in zip(series.r_n.tolist(),
+                                                    series.r_defined.tolist())],
+            map(repr, series.cum_s.tolist()),
+            map(repr, series.cum_s_breve.tolist()),
+            map(repr, series.cum_logdet_ratio.tolist())]
     fp.write("t,logL,r_n,s_sum,sbreve_sum,logdet_ratio_sum\n")
-    for k in range(series.horizon):
-        r_cell = repr(float(series.r_n[k])) if series.r_defined[k] else ""
-        fp.write(",".join([
-            str(k + 1),
-            repr(float(series.cum_log_l[k])),
-            r_cell,
-            repr(float(series.cum_s[k])),
-            repr(float(series.cum_s_breve[k])),
-            repr(float(series.cum_logdet_ratio[k])),
-        ]) + "\n")
+    fp.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 def series_csv_text(series: DetectionSeries) -> str:

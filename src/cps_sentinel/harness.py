@@ -476,6 +476,8 @@ def mdp_scenario_from_dict(data: dict) -> MdpScenario:
     if not isinstance(seeds, dict) or not isinstance(seeds.get("base"), int) \
             or not isinstance(seeds.get("count"), int) or seeds.get("count", 0) < 1:
         issues.append(Violation("seeds", "Missing", "scenario needs seeds: {base, count}"))
+    if "threshold" in data:
+        issues.append(Violation("threshold", "Unsupported", "an MDP scenario has no threshold"))
     if issues:
         raise ValidationError(issues)
     return MdpScenario(name=data.get("name", "unnamed"), mdp=mdp,
@@ -502,9 +504,8 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
         finals.append(series[-1])
         if out_path is not None:
             with open(out_path / f"run_{i:05d}.csv", "w") as fp:
-                fp.write("t,log_ratio\n")
-                for t, v in enumerate(series):
-                    fp.write(f"{t},{repr(float(v))}\n")
+                rows = zip(map(str, range(len(series))), map(repr, series.tolist()))
+                fp.write("t,log_ratio\n" + "\n".join(map(",".join, rows)) + "\n")
     finals = np.asarray(finals)
     per_step = finals / s.horizon
     summary = {

@@ -14,16 +14,12 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import solve_triangular
 
 DEFAULT_DIM_CAP = 32
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 _MASK64 = (1 << 64) - 1
-
-# LAPACK's triangular solve for doubles, the routine scipy's
-# solve_triangular wraps; called directly where it runs once per path.
-_TRTRS = get_lapack_funcs("trtrs", (np.empty((1, 1)),))
 
 
 class NotSymmetric(ValueError):
@@ -213,20 +209,28 @@ def quad_form_inv(v: Covariance, z) -> float:
     return float(y @ y)
 
 
-def quad_forms_inv(v: Covariance, rows: np.ndarray) -> np.ndarray:
-    """Row-wise z^T V^{-1} z for a stack of vectors (one solve per stack).
+def quad_forms_inv(v: Covariance, rows) -> np.ndarray:
+    """z^T V^{-1} z for every vector z along the last axis of ``rows``.
 
-    The solve is ``solve_triangular(v.chol, rows.T, lower=True)`` without
-    its per-call input checks: the same LAPACK call with the arguments
-    that function passes for a C-ordered factor.
+    Forward substitution against the cached factor, one column at a time,
+    as elementwise arithmetic over all leading axes at once (no BLAS call):
+    every vector gets the same operations alone or in any stack.
     """
     rows = np.asarray(rows, dtype=float)
+    if rows.shape[-1:] != (v.dim,):
+        raise ValueError(f"last axis of shape {rows.shape} does not match dim {v.dim}")
+    y = np.moveaxis(rows, -1, 0).copy()
+    q = np.zeros(rows.shape[:-1])
     if isinstance(v, DiagonalPsd):
-        return np.sum(rows * rows / _positive_diag(v), axis=1)
-    y, info = _TRTRS(v.chol.T, rows.T, lower=False, trans=1)
-    if info != 0:
-        raise NotPositiveDefinite(f"triangular solve failed (info {info})")
-    return np.sum(y * y, axis=0)
+        for i, d in enumerate(_positive_diag(v)):
+            q += y[i] * y[i] / d
+        return q
+    chol = v.chol
+    for j in range(v.dim):
+        y[j] /= chol[j, j]
+        y[j + 1:] -= np.multiply.outer(chol[j + 1:, j], y[j])
+        q += y[j] * y[j]
+    return q
 
 
 def log_gaussian_density(x, law: GaussianLaw) -> float:

@@ -200,3 +200,35 @@ def test_engine_matches_a_hand_written_loop(corrupt):
                          - log_gaussian_density(x[t + 1], corrupt_law))
         np.testing.assert_allclose(batch.step_log_ratio[i], steps, rtol=1e-12, atol=1e-12)
         assert batch.cum_log_l[i, -1] == pytest.approx(math.fsum(steps), abs=1e-9)
+
+
+def test_dense_quadratic_forms_do_not_depend_on_the_batch():
+    """Full process noise: the log densities need the whole Cholesky factor.
+
+    With 8 agents and 601 steps detect_ensemble works three seeds per
+    slice, so seed 3 opens a slice of the whole batch and closes a chunk,
+    at a row offset that is not a multiple of any vector width.
+    """
+    from cps_sentinel.numerics import log_gaussian_density
+    from cps_sentinel.simulator import conditional_covariances
+
+    n = 8
+    m = chain(n)
+    gain = -0.2 * np.eye(n)
+    honest = LinearFeedback(gain)
+    cfg, corrupt = AttackConfig((2, 5, 8)), Mimic(DiagonalPsd([0.3, 0.4, 0.5]))
+    seeds = [11, 1 << 40, 5, 97, 12345, 1 << 63, 8]
+    ens = simulate_ensemble(m, honest, (cfg, corrupt), 601, seeds)
+    x = ens.states
+    whole = detect_ensemble(x, m, honest, corrupt, cfg)
+    alone = detect_ensemble(x[3:4], m, honest, corrupt, cfg)
+    chunk = detect_ensemble(x[2:4], m, honest, corrupt, cfg)
+    h_cov, c_cov = conditional_covariances(m, corrupt, cfg)
+    means = [m.dynamics @ xt + m.actuator_gains * (gain @ xt) for xt in x[3, :-1]]
+    for name, cov in (("honest_logdens", h_cov), ("corrupt_logdens", c_cov)):
+        row = getattr(whole, name)[3]
+        assert np.array_equal(getattr(alone, name)[0], row), name
+        assert np.array_equal(getattr(chunk, name)[1], row), name
+        oracle = [log_gaussian_density(x[3, t + 1], GaussianLaw(mu, cov))
+                  for t, mu in enumerate(means)]
+        np.testing.assert_allclose(row, oracle, rtol=1e-12)

@@ -392,6 +392,25 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["n_runs"] == 3
 
+    def mdp_file(self, tmp_path, **tweak):
+        data = preset("mdp-detect")
+        data.update(horizon=20, seeds={"base": 1, "count": 2}, **tweak)
+        path = tmp_path / "mdp.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_mdp_threshold_in_the_file_is_rejected(self, tmp_path, capsys):
+        path = self.mdp_file(tmp_path, threshold=-10.0)
+        assert cli.main(["mdp", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "threshold" in err
+
+    def test_mdp_threshold_override_is_rejected(self, tmp_path, capsys):
+        path = self.mdp_file(tmp_path)
+        assert cli.main(["mdp", str(path), "--threshold", "-5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "threshold" in err
+
     def test_overrides_are_validated(self, tmp_path, capsys):
         data = preset("fdi")
         data["attack"]["offsets"] = [[0.2]] * 10
