@@ -38,6 +38,7 @@ from .mdp import (
     induced_kernel,
     path_log_ratio,
     simulate_path,
+    simulate_paths,
     stationary_distribution,
 )
 from .model import (

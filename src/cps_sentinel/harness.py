@@ -21,7 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from .detection import Decision, classify, detect_ensemble, write_series_csv
-from .mdp import FiniteMdp, StochasticPolicy, analytic_drift, induced_kernel, path_log_ratio, simulate_path
+from .mdp import (
+    _CHUNK_CELLS,
+    FiniteMdp,
+    StochasticPolicy,
+    analytic_drift,
+    induced_kernel,
+    path_log_ratio,
+    simulate_paths,
+)
 from .model import (
     AttackConfig,
     CpsModel,
@@ -85,6 +93,7 @@ class RunSummary:
     n_runs: int
     n_ok: int
     n_failed: int
+    failure_codes: dict[str, int]
     horizon: int
     threshold: float
     detection_fraction: float | None
@@ -99,6 +108,7 @@ class RunSummary:
             "n_runs": self.n_runs,
             "n_ok": self.n_ok,
             "n_failed": self.n_failed,
+            "failure_codes": self.failure_codes,
             "horizon": self.horizon,
             "threshold": self.threshold,
             "detection_fraction": self.detection_fraction,
@@ -351,7 +361,8 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
     in one call, or in chunks when one call's arrays would pass about
     32 MB; a seed's result does not depend on the chunking. A seed whose
     state overflows is recorded with its ``NonFiniteState`` message and
-    counted in ``n_failed``; the others run on.
+    counted in ``n_failed`` and, by exception name, in ``failure_codes``;
+    the others run on.
     """
     if s.attack is not None:
         holds, unreachable = honest_influence_check(s.model, s.attack[0])
@@ -369,6 +380,7 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
         out_path.mkdir(parents=True, exist_ok=True)
 
     rows = []
+    failure_codes: dict[str, int] = {}
     for lo in range(0, s.seed_count, chunk_seeds):
         indices = range(lo, min(lo + chunk_seeds, s.seed_count))
         ens = simulate_ensemble(s.model, s.honest, s.attack, s.horizon,
@@ -384,7 +396,9 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
                    "decision": None, "error": None}
             error = ens.error(k)
             if error is not None:
-                row["error"] = f"{type(error).__name__}: {error}"
+                code = type(error).__name__
+                row["error"] = f"{code}: {error}"
+                failure_codes[code] = failure_codes.get(code, 0) + 1
             else:
                 series = batch.row(position[k])
                 row["log_l"] = series.log_l_at(s.horizon)
@@ -405,6 +419,7 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
                     if len(drifts) > 1 else None)
     summary = RunSummary(
         scenario=s.name, n_runs=s.seed_count, n_ok=len(ok), n_failed=len(rows) - len(ok),
+        failure_codes=failure_codes,
         horizon=s.horizon, threshold=s.threshold,
         detection_fraction=(n_detect / len(ok)) if ok else None,
         mean_drift=mean_drift, drift_stderr=drift_stderr,
@@ -487,26 +502,34 @@ def mdp_scenario_from_dict(data: dict) -> MdpScenario:
 
 
 def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
-    """Simulate corrupt-policy paths and track the kernel log ratio series."""
+    """Simulate corrupt-policy paths and track the kernel log ratio series.
+
+    The seeds run in chunks of about ``_CHUNK_CELLS`` path entries: one
+    :func:`simulate_paths` and one :func:`path_log_ratio` call per chunk,
+    and only the final values outlive it. Each seed's series is its own
+    CSV, ``t,log_ratio``; every distinct value of a chunk is formatted
+    once, with ``repr``, and shared by the rows that hold it.
+    """
     start = time.perf_counter()
     k_h = induced_kernel(s.mdp, s.honest_policy)
     k_c = induced_kernel(s.mdp, s.corrupt_policy)
     drift = analytic_drift(k_h, k_c)
-    finals = []
+    finals = np.empty(s.seed_count)
     out_path = Path(out_dir) if out_dir is not None else (
         Path(s.outputs) if s.outputs else None)
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-    for i in range(s.seed_count):
-        seed = split_seed(s.seed_base, i)
-        path = simulate_path(s.mdp, s.corrupt_policy, s.horizon, seed)
-        series = path_log_ratio(path, k_h, k_c, s.mdp.initial, s.mdp.initial)
-        finals.append(series[-1])
+        layout = [""] * (2 * (s.horizon + 1))
+        layout[0::2] = ["t,log_ratio\n0,"] + [f"\n{t}," for t in range(1, s.horizon + 1)]
+    width = max(1, _CHUNK_CELLS // (s.horizon + 1))
+    for lo in range(0, s.seed_count, width):
+        hi = min(lo + width, s.seed_count)
+        paths = simulate_paths(s.mdp, s.corrupt_policy, s.horizon,
+                               [split_seed(s.seed_base, i) for i in range(lo, hi)])
+        series = path_log_ratio(paths, k_h, k_c, s.mdp.initial, s.mdp.initial)
+        finals[lo:hi] = series[:, -1]
         if out_path is not None:
-            with open(out_path / f"run_{i:05d}.csv", "w") as fp:
-                rows = zip(map(str, range(len(series))), map(repr, series.tolist()))
-                fp.write("t,log_ratio\n" + "\n".join(map(",".join, rows)) + "\n")
-    finals = np.asarray(finals)
+            _write_log_ratio_csvs(out_path, lo, series, layout)
     per_step = finals / s.horizon
     summary = {
         "scenario": s.name,
@@ -522,6 +545,26 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
         (out_path / "summary.json").write_text(
             json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary
+
+
+def _write_log_ratio_csvs(out_path: Path, first: int, series: np.ndarray,
+                          layout: list[str]) -> None:
+    """Write row k of ``series`` to ``run_{first + k}.csv`` as ``t,log_ratio`` lines.
+
+    ``layout`` holds the line prefixes at its even positions; a file is
+    its join with the row's values at the odd ones, plus a newline. Every
+    distinct value (bit pattern, so -0.0 and 0.0 keep their own text) is
+    formatted once, with ``repr``; no string outlives the call.
+    """
+    bits, inverse = np.unique(series.view(np.int64), return_inverse=True)
+    # np.float64 is a float, so its repr is the float's; iterating the
+    # array keeps no list of Python floats alive beside the strings
+    texts = np.array(list(map(float.__repr__, bits.view(np.float64))), dtype=object)
+    lines = list(layout)
+    for k, row in enumerate(inverse.reshape(series.shape)):
+        lines[1::2] = texts[row].tolist()
+        with open(out_path / f"run_{first + k:05d}.csv", "w") as fp:
+            fp.write("".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

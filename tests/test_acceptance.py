@@ -30,7 +30,7 @@ from cps_sentinel.harness import (
     run_montecarlo,
     scenario_from_dict,
 )
-from cps_sentinel.mdp import analytic_drift, induced_kernel, path_log_ratio, simulate_path
+from cps_sentinel.mdp import analytic_drift, induced_kernel, path_log_ratio, simulate_paths
 from cps_sentinel.model import AttackConfig, CpsModel, honest_influence_check
 from cps_sentinel.numerics import (
     Dirac,
@@ -220,25 +220,28 @@ def test_criterion_8_mdp_testbed():
     k_c = induced_kernel(s.mdp, s.corrupt_policy)
     drift = analytic_drift(k_h, k_c)
 
+    def log_ratios(mdp, policy, n, base, count, k_h, k_c, nu_h, nu_c, chunk=10):
+        """Series of seeds split_seed(base, 0..count-1), ``chunk`` seeds per engine call."""
+        return np.concatenate([
+            path_log_ratio(simulate_paths(mdp, policy, n,
+                                          [split_seed(base, i)
+                                           for i in range(lo, min(lo + chunk, count))]),
+                           k_h, k_c, nu_h, nu_c)
+            for lo in range(0, count, chunk)])
+
     # ergodic drift over 100 seeds at n = 1e5
     n_long = 100_000
-    finals = np.empty(100)
-    for i in range(100):
-        path = simulate_path(s.mdp, s.corrupt_policy, n_long, split_seed(s.seed_base, i))
-        finals[i] = path_log_ratio(path, k_h, k_c, s.mdp.initial, s.mdp.initial)[-1]
+    finals = log_ratios(s.mdp, s.corrupt_policy, n_long, s.seed_base, 100,
+                        k_h, k_c, s.mdp.initial, s.mdp.initial)[:, -1]
     emp = float(finals.mean()) / n_long
     drift_ok = abs(emp - drift) <= 0.05 * abs(drift)
 
     # likelihood ratio below 1e-6 by n = 20/|drift| on >= 95% of seeds
     n_star = math.ceil(20.0 / abs(drift))
     n_decay_seeds = 400
-    below = 0
-    for i in range(n_decay_seeds):
-        path = simulate_path(s.mdp, s.corrupt_policy, n_star,
-                             split_seed(s.seed_base + 1, i))
-        series = path_log_ratio(path, k_h, k_c, s.mdp.initial, s.mdp.initial)
-        if math.exp(series[n_star]) < 1e-6:
-            below += 1
+    series = log_ratios(s.mdp, s.corrupt_policy, n_star, s.seed_base + 1, n_decay_seeds,
+                        k_h, k_c, s.mdp.initial, s.mdp.initial, chunk=n_decay_seeds)
+    below = int(np.sum(np.exp(series[:, n_star]) < 1e-6))
     decay_ok = below / n_decay_seeds >= 0.95
 
     # kernel-level mimicry pins the series at the initial-law ratio
@@ -246,19 +249,14 @@ def test_criterion_8_mdp_testbed():
     k_h2 = induced_kernel(sm.mdp, sm.honest_policy)
     k_c2 = induced_kernel(sm.mdp, sm.corrupt_policy)
     nu_h, nu_c = np.array([0.6, 0.4]), np.array([0.5, 0.5])
-    mimic_ok = True
-    for i in range(5):
-        path = simulate_path(sm.mdp, sm.corrupt_policy, 2000, split_seed(9, i))
-        series = path_log_ratio(path, k_h2, k_c2, nu_h, nu_c)
-        mimic_ok &= series[0] == pytest.approx(math.log(0.6 / 0.5))
-        mimic_ok &= float(np.abs(series - series[0]).max()) <= 1e-12
+    series = log_ratios(sm.mdp, sm.corrupt_policy, 2000, 9, 5, k_h2, k_c2, nu_h, nu_c)
+    mimic_ok = bool(np.all(series[:, 0] == pytest.approx(math.log(0.6 / 0.5))))
+    mimic_ok &= float(np.abs(series - series[:, :1]).max()) <= 1e-12
 
     # discrete martingale mean at n = 10 over 1e4 seeds
-    total = 0.0
-    for i in range(10_000):
-        path = simulate_path(s.mdp, s.corrupt_policy, 10, split_seed(s.seed_base + 2, i))
-        total += math.exp(path_log_ratio(path, k_h, k_c, s.mdp.initial, s.mdp.initial)[-1])
-    mart = total / 10_000
+    series = log_ratios(s.mdp, s.corrupt_policy, 10, s.seed_base + 2, 10_000,
+                        k_h, k_c, s.mdp.initial, s.mdp.initial, chunk=10_000)
+    mart = math.fsum(np.exp(series[:, -1]).tolist()) / 10_000
     mart_ok = 0.9 <= mart <= 1.1
 
     gate(8, drift_ok and decay_ok and mimic_ok and mart_ok,

@@ -236,10 +236,11 @@ class TestRunMontecarlo:
         s = small("identity", count=2, horizon=20)
         run_montecarlo(s, out_dir=tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert set(summary) == {"scenario", "n_runs", "n_ok", "n_failed", "horizon",
-                                "threshold", "detection_fraction", "mean_drift",
+        assert set(summary) == {"scenario", "n_runs", "n_ok", "n_failed", "failure_codes",
+                                "horizon", "threshold", "detection_fraction", "mean_drift",
                                 "drift_stderr", "runtime_seconds"}
         assert summary["n_ok"] == 2 and summary["n_failed"] == 0
+        assert summary["failure_codes"] == {}
 
     def test_per_seed_errors_recorded_without_aborting(self):
         data = preset("identity")
@@ -251,6 +252,7 @@ class TestRunMontecarlo:
         assert all(r["error"] is not None and "NonFiniteState" in r["error"]
                    for r in summary.rows)
         assert summary.n_failed == 2 and summary.n_ok == 0
+        assert summary.failure_codes == {"NonFiniteState": 2}
         assert summary.detection_fraction is None  # no run, so no verdict
 
     def test_error_cells_are_quoted_in_runs_table(self, tmp_path):
@@ -399,6 +401,19 @@ class TestCli:
         path.write_text(json.dumps(data))
         return path
 
+    def test_mdp_batch_failure_exits_two_with_an_error_line(self, tmp_path, capsys):
+        # a periodic corrupt chain has no stationary law, so the batch raises
+        data = preset("mdp-detect")
+        data["mdp"] = {"kernel": [[[0.0, 1.0], [1.0, 0.0]]], "initial": [1.0, 0.0]}
+        data["honest_policy"] = data["corrupt_policy"] = [[1.0], [1.0]]
+        path = tmp_path / "periodic.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["mdp", str(path), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: ConvergenceFailure: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_mdp_threshold_in_the_file_is_rejected(self, tmp_path, capsys):
         path = self.mdp_file(tmp_path, threshold=-10.0)
         assert cli.main(["mdp", str(path)]) == 1
@@ -461,6 +476,7 @@ class TestCli:
         captured = capsys.readouterr()
         summary = json.loads(captured.out)
         assert (summary["n_ok"], summary["n_failed"]) == (0, 2)
+        assert summary["failure_codes"] == {"NonFiniteState": 2}
         assert summary["detection_fraction"] is None
         assert captured.err.startswith("numeric error: 2 of 2 seeds failed")
 
