@@ -12,7 +12,6 @@ from .detection import (
     expected_step_drift,
     joint_log_density_oracle,
     rn_series,
-    rn_series_two_path,
 )
 from .harness import (
     AssumptionViolation,
@@ -37,18 +36,14 @@ from .mdp import (
     analytic_drift,
     induced_kernel,
     path_log_ratio,
-    simulate_path,
     simulate_paths,
     stationary_distribution,
 )
 from .model import (
     AttackConfig,
     CpsModel,
-    PartitionedModel,
     Violation,
     honest_influence_check,
-    partition,
-    reassemble,
     validate_attack,
     validate_model,
 )
@@ -78,9 +73,7 @@ from .policies import (
     Replacement,
     Zero,
     admit_controls,
-    compose_control,
     control_means,
-    honest_mean,
 )
 from .simulator import (
     Ensemble,

@@ -8,7 +8,6 @@ environment variable CPS_SENTINEL_SEED overrides seeds.base when set.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -112,8 +111,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "preset":
-        text = json.dumps(harness.preset(args.name), sort_keys=True, indent=2) + "\n"
-        _write_or_print(text, args.out)
+        _write_or_print(harness.json_text(harness.preset(args.name)), args.out)
         return 0
 
     if args.command == "check":
@@ -126,34 +124,30 @@ def _dispatch(args) -> int:
 
     if args.command == "mdp":
         summary = harness.run_mdp_batch(harness.mdp_scenario_from_dict(_scenario_data(args)))
-        print(json.dumps(summary, sort_keys=True, indent=2))
+        sys.stdout.write(harness.json_text(summary))
         return 0
 
     s = harness.scenario_from_dict(_scenario_data(args))
 
-    if args.command == "simulate":
+    if args.command in ("simulate", "detect"):
         seed = args.seed if args.seed is not None else split_seed(s.seed_base, 0)
         traj = simulate(s.model, s.honest, s.attack, s.horizon, seed)
-        _write_or_print(trajectory_csv_text(traj), args.out)
-        return 0
-
-    if args.command == "detect":
-        seed = args.seed if args.seed is not None else split_seed(s.seed_base, 0)
-        traj = simulate(s.model, s.honest, s.attack, s.horizon, seed)
-        corrupt = s.attack[1] if s.attack else None
-        cfg = s.attack[0] if s.attack else None
+        if args.command == "simulate":
+            _write_or_print(trajectory_csv_text(traj), args.out)
+            return 0
+        cfg, corrupt = s.attack if s.attack is not None else (None, None)
         series = rn_series(traj, s.model, s.honest, corrupt, cfg)
         drift = (expected_step_drift(s.model, s.honest, corrupt, cfg)
                  if s.attack else None)
         _write_or_print(series_csv_text(series), args.out)
         summary = series_summary(series, s.horizon, s.threshold, drift)
-        print(json.dumps(summary, sort_keys=True, indent=2))
+        sys.stdout.write(harness.json_text(summary))
         return 0
 
     if args.command == "montecarlo":
         summary = harness.run_montecarlo(
             s, override_assumption2=args.override_assumption2)
-        print(json.dumps(summary.summary_dict(), sort_keys=True, indent=2))
+        sys.stdout.write(harness.json_text(summary.summary_dict()))
         if summary.n_failed:
             first = next(r["error"] for r in summary.rows if r["error"] is not None)
             print(f"numeric error: {summary.n_failed} of {summary.n_runs} seeds failed; "

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import io
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -180,39 +179,6 @@ def rn_series(traj: Trajectory, m: CpsModel, honest: HonestPolicy,
               corrupt: CorruptPolicy | None, cfg: AttackConfig | None) -> DetectionSeries:
     """Detection series along one observed path: :func:`detect_ensemble` of one."""
     return detect_ensemble(traj.states[None], m, honest, corrupt, cfg).row(0)
-
-
-@dataclass(frozen=True)
-class TwoPathRatio:
-    """Residual-energy ratio with numerator and denominator from two paths."""
-
-    r_n: np.ndarray
-    cum_s: np.ndarray
-    cum_s_breve: np.ndarray
-    r_defined: np.ndarray
-
-
-def rn_series_two_path(honest_traj: Trajectory, attacked_traj: Trajectory,
-                       m: CpsModel, honest: HonestPolicy,
-                       corrupt: CorruptPolicy | None,
-                       cfg: AttackConfig | None) -> TwoPathRatio:
-    """Energy-ratio statistic with each side evaluated on its own path.
-
-    The numerator weighs honest-path residuals against the honest
-    predictor, the denominator attacked-path residuals against the corrupt
-    predictor, mirroring the two-path statement of the detectability
-    statistic. Both trajectories must share horizon and width.
-    """
-    if honest_traj.horizon != attacked_traj.horizon:
-        raise ValueError("the two paths must share a horizon")
-    honest_side = rn_series(honest_traj, m, honest, None, None)
-    attacked_side = rn_series(attacked_traj, m, honest, corrupt, cfg)
-    cum_s = honest_side.cum_s
-    cum_s_breve = attacked_side.cum_s_breve
-    defined = cum_s_breve > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_n = np.where(defined, cum_s / np.where(defined, cum_s_breve, 1.0), np.nan)
-    return TwoPathRatio(r_n=r_n, cum_s=cum_s, cum_s_breve=cum_s_breve, r_defined=defined)
 
 
 def classify(series: DetectionSeries, n: int, log_threshold: float) -> Decision:
@@ -447,6 +413,3 @@ def series_summary(series: DetectionSeries, n: int, log_threshold: float,
         "drift_estimate": None if drift is None else drift.value,
     }
 
-
-def summary_json_text(summary: dict) -> str:
-    return json.dumps(summary, sort_keys=True, indent=2) + "\n"

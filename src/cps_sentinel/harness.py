@@ -14,8 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .model import (
     validate_attack,
     validate_model,
 )
-from .numerics import DiagonalPsd, Dirac, GaussianLaw, split_seed
+from .numerics import DiagonalPsd, Dirac, GaussianLaw, make_spd, split_seed
 from .policies import (
     Affine,
     CorruptPolicy,
@@ -103,19 +104,20 @@ class RunSummary:
     rows: list[dict] = field(repr=False, default_factory=list)
 
     def summary_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "n_runs": self.n_runs,
-            "n_ok": self.n_ok,
-            "n_failed": self.n_failed,
-            "failure_codes": self.failure_codes,
-            "horizon": self.horizon,
-            "threshold": self.threshold,
-            "detection_fraction": self.detection_fraction,
-            "mean_drift": self.mean_drift,
-            "drift_stderr": self.drift_stderr,
-            "runtime_seconds": self.runtime_seconds,
-        }
+        """Every field but the per-seed rows."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+
+
+def json_text(mapping: dict) -> str:
+    """Sorted, indented JSON of ``mapping`` plus a newline, strict about numbers.
+
+    A non-finite top-level number (the drift of a path the honest law
+    forbids, say) is written as ``null``: strict JSON has no NaN or
+    Infinity token.
+    """
+    mapping = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+               for key, value in mapping.items()}
+    return json.dumps(mapping, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def read_scenario_json(path) -> dict:
@@ -156,6 +158,48 @@ def with_overrides(data: dict, *, horizon: int | None = None,
     return data
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _run_settings(data: dict, issues: list[Violation]) -> dict:
+    """Name, horizon, seeds and outputs, checked alike for both kinds of scenario.
+
+    Defects go into ``issues``; the settings come back as keyword arguments
+    of :class:`Scenario` and :class:`MdpScenario`.
+    """
+    horizon = data.get("horizon")
+    if not _is_int(horizon) or horizon < 1:
+        issues.append(Violation("horizon", "BadHorizon",
+                                f"horizon must be a positive integer, got {horizon!r}"))
+    seeds = data.get("seeds")
+    seed_base = seed_count = None
+    if not isinstance(seeds, dict) or "base" not in seeds or "count" not in seeds:
+        issues.append(Violation("seeds", "Missing", "scenario needs seeds: {base, count}"))
+    else:
+        seed_base, seed_count = seeds["base"], seeds["count"]
+        if not _is_int(seed_base):
+            issues.append(Violation("seeds.base", "BadSeed", "seed base must be an integer"))
+        if not _is_int(seed_count) or seed_count < 1:
+            issues.append(Violation("seeds.count", "BadCount",
+                                    "seed count must be a positive integer"))
+    outputs = data.get("outputs")
+    if outputs is not None and not isinstance(outputs, str):
+        issues.append(Violation("outputs", "BadType", "outputs must be a directory path"))
+    return {"name": data.get("name", "unnamed"), "horizon": horizon, "seed_base": seed_base,
+            "seed_count": seed_count, "outputs": outputs}
+
+
+def _out_path(out_dir, outputs: str | None) -> Path | None:
+    """A batch's output directory, created: ``out_dir``, else the scenario's ``outputs``."""
+    if out_dir is None and not outputs:
+        return None
+    path = Path(out_dir if out_dir is not None else outputs)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file, reporting all defects together."""
     return scenario_from_dict(read_scenario_json(path))
@@ -169,7 +213,6 @@ def scenario_from_dict(data: dict) -> Scenario:
     def bad(path, code, message):
         issues.append(Violation(path, code, message))
 
-    name = data.get("name", "unnamed")
     model = None
     md = data.get("model")
     if not isinstance(md, dict):
@@ -199,34 +242,25 @@ def scenario_from_dict(data: dict) -> Scenario:
             except (ValueError, TypeError, KeyError) as exc:
                 bad("attack", "BadAttack", str(exc))
 
-    horizon = data.get("horizon")
-    if not isinstance(horizon, int) or horizon < 1:
-        bad("horizon", "BadHorizon", f"horizon must be a positive integer, got {horizon!r}")
-    seeds = data.get("seeds")
-    seed_base, seed_count = 0, 0
-    if not isinstance(seeds, dict) or "base" not in seeds or "count" not in seeds:
-        bad("seeds", "Missing", "scenario needs seeds: {base, count}")
-    else:
-        seed_base, seed_count = seeds["base"], seeds["count"]
-        if not isinstance(seed_base, int):
-            bad("seeds.base", "BadSeed", "seed base must be an integer")
-        if not isinstance(seed_count, int) or seed_count < 1:
-            bad("seeds.count", "BadCount", "seed count must be a positive integer")
+    settings = _run_settings(data, issues)
     threshold = data.get("threshold")
-    if not isinstance(threshold, (int, float)):
-        bad("threshold", "Missing", "scenario needs a log-domain threshold")
+    # finite as a float: NaN, infinities and integers past the float range fail
+    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool) \
+            or not abs(threshold) <= sys.float_info.max:
+        bad("threshold", "Missing" if threshold is None else "BadThreshold",
+            "scenario needs a finite log-domain threshold")
 
     if model is not None and not issues:
         issues.extend(validate_model(model))
+    if not issues:  # policies and the attacked set are checked against a valid model
         issues.extend(_check_honest_sizes(model, honest))
         if attack is not None:
             issues.extend(validate_attack(model, attack[0]))
-            issues.extend(_check_attack_sizes(model, attack, horizon))
+            issues.extend(_check_attack_sizes(model, attack, settings["horizon"]))
     if issues:
         raise ValidationError(issues)
-    return Scenario(name=name, model=model, honest=honest, attack=attack,
-                    horizon=horizon, seed_base=seed_base, seed_count=seed_count,
-                    threshold=float(threshold), outputs=data.get("outputs"))
+    return Scenario(model=model, honest=honest, attack=attack, threshold=float(threshold),
+                    **settings)
 
 
 def _parse_model(md: dict) -> tuple[CpsModel | None, list[Violation]]:
@@ -239,6 +273,8 @@ def _parse_model(md: dict) -> tuple[CpsModel | None, list[Violation]]:
         return None, issues
     init = md["initial"]
     try:
+        if not isinstance(init, dict):
+            raise ValueError("initial must be an object with a 'kind'")
         if init.get("kind") == "dirac":
             initial = Dirac(init["point"])
         elif init.get("kind") == "gaussian":
@@ -246,7 +282,6 @@ def _parse_model(md: dict) -> tuple[CpsModel | None, list[Violation]]:
             if cov.ndim == 1:
                 initial = GaussianLaw(init["mean"], DiagonalPsd(cov))
             else:
-                from .numerics import make_spd
                 initial = GaussianLaw(init["mean"], make_spd(cov))
         else:
             raise ValueError(f"initial.kind must be 'dirac' or 'gaussian', got {init.get('kind')!r}")
@@ -277,7 +312,10 @@ def _parse_honest(hd: dict) -> HonestPolicy:
 
 
 def _parse_attack(ad: dict) -> tuple[AttackConfig, CorruptPolicy]:
-    cfg = AttackConfig(tuple(ad["malicious_set"]))
+    agents = ad["malicious_set"]
+    if not isinstance(agents, list) or not all(_is_int(i) for i in agents):
+        raise ValueError(f"malicious_set must be a list of agent numbers, got {agents!r}")
+    cfg = AttackConfig(tuple(agents))
     kind = ad.get("kind")
     if kind == "replacement":
         mode = ad.get("mode", "constant")
@@ -300,48 +338,47 @@ def _parse_attack(ad: dict) -> tuple[AttackConfig, CorruptPolicy]:
 
 def _check_honest_sizes(model: CpsModel, honest) -> list[Violation]:
     n = model.n_agents
-    square = (n, n)
-    if isinstance(honest, LinearFeedback) and honest.stationary \
-            and np.shape(honest.gain) != square:
-        return [Violation("honest.gain", "DimMismatch",
-                          f"expected shape {square}, got {np.shape(honest.gain)}")]
-    if isinstance(honest, Affine):
-        issues = []
-        if np.shape(honest.gain) != square:
-            issues.append(Violation("honest.gain", "DimMismatch",
-                                    f"expected shape {square}, got {np.shape(honest.gain)}"))
-        if np.shape(honest.offset) != (n,):
-            issues.append(Violation("honest.offset", "DimMismatch",
-                                    f"expected length {n}, got {np.shape(honest.offset)}"))
-        return issues
-    if isinstance(honest, HistoryWindow):
-        return [Violation(f"honest.lag_gains[{k}]", "DimMismatch",
-                          f"expected shape {square}, got {g.shape}")
-                for k, g in enumerate(honest.lag_gains) if g.shape != square]
-    return []
+    arrays = []
+    if isinstance(honest, LinearFeedback) and honest.stationary:
+        arrays = [("honest.gain", honest.gain, (n, n))]
+    elif isinstance(honest, Affine):
+        arrays = [("honest.gain", honest.gain, (n, n)), ("honest.offset", honest.offset, (n,))]
+    elif isinstance(honest, HistoryWindow):
+        arrays = [(f"honest.lag_gains[{k}]", g, (n, n)) for k, g in enumerate(honest.lag_gains)]
+    return _check_arrays(arrays)
 
 
 def _check_attack_sizes(model: CpsModel, attack, horizon) -> list[Violation]:
     cfg, pol = attack
     m_count = cfg.malicious_count
     issues = []
-    if isinstance(pol, Replacement) and pol.mode in ("constant", "scaled_state") \
-            and pol.values.shape != (m_count,):
-        issues.append(Violation("attack.values", "DimMismatch",
-                                f"expected {m_count} entries, got {pol.values.shape}"))
+    if isinstance(pol, Replacement) and pol.mode in ("constant", "scaled_state"):
+        issues.extend(_check_arrays([("attack.values", pol.values, (m_count,))]))
+    if isinstance(pol, Mimic):
+        issues.extend(_check_arrays([("attack.self_excitation", pol.self_excitation.diag,
+                                      (m_count,))]))
     if isinstance(pol, Fdi):
         if pol.offsets.shape[-1] != m_count:
             issues.append(Violation("attack.offsets", "DimMismatch",
                                     f"expected {m_count} offsets per step, "
                                     f"got {pol.offsets.shape}"))
-        elif pol.offsets.ndim == 2 and isinstance(horizon, int) \
-                and pol.offsets.shape[0] < horizon:
+        elif pol.offsets.ndim == 2 and pol.offsets.shape[0] < horizon:
             issues.append(Violation("attack.offsets", "ScheduleTooShort",
                                     f"offset schedule covers {pol.offsets.shape[0]} "
                                     f"steps but the horizon is {horizon}"))
-    if isinstance(pol, Mimic) and pol.self_excitation.dim != m_count:
-        issues.append(Violation("attack.self_excitation", "DimMismatch",
-                                f"expected {m_count} variances, got {pol.self_excitation.dim}"))
+    return issues
+
+
+def _check_arrays(arrays) -> list[Violation]:
+    """One violation per (path, array, shape) whose array has another shape or a
+    non-finite entry."""
+    issues = []
+    for path, a, shape in arrays:
+        if np.shape(a) != shape:
+            issues.append(Violation(path, "DimMismatch",
+                                    f"expected shape {shape}, got {np.shape(a)}"))
+        elif not np.isfinite(a).all():
+            issues.append(Violation(path, "NonFinite", "entries must be finite"))
     return issues
 
 
@@ -374,10 +411,7 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
     start = time.perf_counter()
     cfg, corrupt = s.attack if s.attack is not None else (None, None)
     chunk_seeds = _chunk_seeds(s)
-    out_path = Path(out_dir) if out_dir is not None else (
-        Path(s.outputs) if s.outputs else None)
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+    out_path = _out_path(out_dir, s.outputs)
 
     rows = []
     failure_codes: dict[str, int] = {}
@@ -413,10 +447,7 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
 
     ok = [r for r in rows if r["error"] is None]
     n_detect = sum(1 for r in ok if r["decision"] == Decision.ATTACK.value)
-    drifts = [r["log_l"] / s.horizon for r in ok]
-    mean_drift = float(np.mean(drifts)) if drifts else None
-    drift_stderr = (float(np.std(drifts, ddof=1) / math.sqrt(len(drifts)))
-                    if len(drifts) > 1 else None)
+    mean_drift, drift_stderr = _drift_stats([r["log_l"] / s.horizon for r in ok])
     summary = RunSummary(
         scenario=s.name, n_runs=s.seed_count, n_ok=len(ok), n_failed=len(rows) - len(ok),
         failure_codes=failure_codes,
@@ -427,9 +458,17 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
         rows=rows,
     )
     if out_path is not None:
-        (out_path / "summary.json").write_text(
-            json.dumps(summary.summary_dict(), sort_keys=True, indent=2) + "\n")
+        (out_path / "summary.json").write_text(json_text(summary.summary_dict()))
     return summary
+
+
+def _drift_stats(drifts) -> tuple[float | None, float | None]:
+    """Mean per-step drift of a batch and its standard error, over finite drifts only."""
+    drifts = np.asarray(drifts, dtype=float)
+    finite = drifts[np.isfinite(drifts)]
+    mean = float(np.mean(drifts)) if drifts.size else None
+    stderr = float(np.std(finite, ddof=1) / math.sqrt(finite.size)) if finite.size > 1 else None
+    return mean, stderr
 
 
 def _write_runs_table(path: Path, rows: list[dict]) -> None:
@@ -473,32 +512,20 @@ def mdp_scenario_from_dict(data: dict) -> MdpScenario:
     except (ValueError, KeyError, TypeError) as exc:
         issues.append(Violation("mdp", "BadMdp", str(exc)))
         mdp = None
-    honest = corrupt = None
+    policies = {}
     for key in ("honest_policy", "corrupt_policy"):
         try:
-            pol = StochasticPolicy(np.asarray(data[key], dtype=float))
-            if key == "honest_policy":
-                honest = pol
-            else:
-                corrupt = pol
+            policies[key] = StochasticPolicy(np.asarray(data[key], dtype=float))
+            if mdp is not None:
+                induced_kernel(mdp, policies[key])  # checks the shape against the MDP
         except (ValueError, KeyError, TypeError) as exc:
             issues.append(Violation(key, "BadPolicy", str(exc)))
-    horizon = data.get("horizon")
-    if not isinstance(horizon, int) or horizon < 1:
-        issues.append(Violation("horizon", "BadHorizon",
-                                f"horizon must be a positive integer, got {horizon!r}"))
-    seeds = data.get("seeds", {})
-    if not isinstance(seeds, dict) or not isinstance(seeds.get("base"), int) \
-            or not isinstance(seeds.get("count"), int) or seeds.get("count", 0) < 1:
-        issues.append(Violation("seeds", "Missing", "scenario needs seeds: {base, count}"))
+    settings = _run_settings(data, issues)
     if "threshold" in data:
         issues.append(Violation("threshold", "Unsupported", "an MDP scenario has no threshold"))
     if issues:
         raise ValidationError(issues)
-    return MdpScenario(name=data.get("name", "unnamed"), mdp=mdp,
-                       honest_policy=honest, corrupt_policy=corrupt,
-                       horizon=horizon, seed_base=seeds["base"],
-                       seed_count=seeds["count"], outputs=data.get("outputs"))
+    return MdpScenario(mdp=mdp, **policies, **settings)
 
 
 def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
@@ -515,10 +542,8 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
     k_c = induced_kernel(s.mdp, s.corrupt_policy)
     drift = analytic_drift(k_h, k_c)
     finals = np.empty(s.seed_count)
-    out_path = Path(out_dir) if out_dir is not None else (
-        Path(s.outputs) if s.outputs else None)
+    out_path = _out_path(out_dir, s.outputs)
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
         layout = [""] * (2 * (s.horizon + 1))
         layout[0::2] = ["t,log_ratio\n0,"] + [f"\n{t}," for t in range(1, s.horizon + 1)]
     width = max(1, _CHUNK_CELLS // (s.horizon + 1))
@@ -530,20 +555,18 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
         finals[lo:hi] = series[:, -1]
         if out_path is not None:
             _write_log_ratio_csvs(out_path, lo, series, layout)
-    per_step = finals / s.horizon
+    mean_drift, drift_stderr = _drift_stats(finals / s.horizon)
     summary = {
         "scenario": s.name,
         "n_runs": s.seed_count,
         "horizon": s.horizon,
         "analytic_drift": drift,
-        "mean_drift": float(np.mean(per_step)),
-        "drift_stderr": float(np.std(per_step, ddof=1) / math.sqrt(len(per_step)))
-        if len(per_step) > 1 else None,
+        "mean_drift": mean_drift,
+        "drift_stderr": drift_stderr,
         "runtime_seconds": time.perf_counter() - start,
     }
     if out_path is not None:
-        (out_path / "summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        (out_path / "summary.json").write_text(json_text(summary))
     return summary
 
 

@@ -41,9 +41,9 @@ class FiniteMdp:
             raise ValueError(f"kernel must have shape (actions, states, states), got {k.shape}")
         if k.shape[0] > STATE_ACTION_CAP or k.shape[1] > STATE_ACTION_CAP:
             raise ValueError(f"state/action counts are capped at {STATE_ACTION_CAP}")
-        if (k < 0).any() or np.abs(k.sum(axis=2) - 1.0).max() > _ROW_TOL:
+        if not (k >= 0).all() or np.abs(k.sum(axis=2) - 1.0).max() > _ROW_TOL:
             raise ValueError("every kernel row must be a probability vector")
-        if nu.size != k.shape[1] or (nu < 0).any() or abs(nu.sum() - 1.0) > _ROW_TOL:
+        if nu.size != k.shape[1] or not (nu >= 0).all() or abs(nu.sum() - 1.0) > _ROW_TOL:
             raise ValueError("initial law must be a probability vector over states")
         k.setflags(write=False)
         nu.setflags(write=False)
@@ -69,7 +69,7 @@ class StochasticPolicy:
         p = np.array(self.probs, dtype=float)
         if p.ndim != 2:
             raise ValueError(f"policy must have shape (states, actions), got {p.shape}")
-        if (p < 0).any() or np.abs(p.sum(axis=1) - 1.0).max() > _ROW_TOL:
+        if not (p >= 0).all() or np.abs(p.sum(axis=1) - 1.0).max() > _ROW_TOL:
             raise ValueError("every policy row must be a probability vector")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -80,33 +80,6 @@ def induced_kernel(mdp: FiniteMdp, policy: StochasticPolicy) -> np.ndarray:
     if policy.probs.shape != (mdp.n_states, mdp.n_actions):
         raise ValueError("policy shape does not match the MDP")
     return np.einsum("xu,uxy->xy", policy.probs, mdp.kernel)
-
-
-def reduce_window_policy(mdp: FiniteMdp, window_probs: np.ndarray, k: int
-                         ) -> tuple[FiniteMdp, StochasticPolicy]:
-    """Rewrite a k-step history-window policy as Markov on the product space.
-
-    ``window_probs`` is indexed (s^k flattened, action) with the most recent
-    state in the lowest stride. The returned MDP walks tuples of the last k
-    states; its initial law places the pre-history on state copies.
-    """
-    s = mdp.n_states
-    big = s ** k
-    probs = np.asarray(window_probs, dtype=float).reshape(big, mdp.n_actions)
-    kernel = np.zeros((mdp.n_actions, big, big))
-    for code in range(big):
-        recent = code % s
-        succ_base = (code * s) % big
-        for u in range(mdp.n_actions):
-            for nxt in range(s):
-                kernel[u, code, succ_base + nxt] = mdp.kernel[u, recent, nxt]
-    initial = np.zeros(big)
-    for x0 in range(s):
-        code = 0
-        for _ in range(k):
-            code = code * s + x0
-        initial[code] = mdp.initial[x0]
-    return FiniteMdp(kernel, initial), StochasticPolicy(probs)
 
 
 def _draw(cum: np.ndarray, last: int, u: np.ndarray) -> np.ndarray:
@@ -177,11 +150,6 @@ def simulate_paths(mdp: FiniteMdp, policy: StochasticPolicy, n: int,
     paths[:, 0] = x0
     np.subtract(moves.T, base[:, None], out=paths[:, 1:])
     return paths
-
-
-def simulate_path(mdp: FiniteMdp, policy: StochasticPolicy, n: int, seed: int) -> np.ndarray:
-    """Sample x_0..x_n for one seed: :func:`simulate_paths` on a batch of one."""
-    return simulate_paths(mdp, policy, n, [seed])[0]
 
 
 def path_log_ratio(path: np.ndarray, k_honest: np.ndarray, k_corrupt: np.ndarray,

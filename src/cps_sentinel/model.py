@@ -93,7 +93,7 @@ def validate_model(m: CpsModel) -> list[Violation]:
     """Collect every defect of a model; an empty list means valid."""
     issues: list[Violation] = []
     n = m.n_agents
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         return [Violation("model.n_agents", "BadAgentCount",
                           f"n_agents must be a positive integer, got {n!r}")]
     if n > DEFAULT_DIM_CAP:
@@ -217,58 +217,3 @@ def honest_influence_check(m: CpsModel,
     unreachable = frozenset(int(i) + 1 for i in np.nonzero(~reached)[0])
     return (len(unreachable) == 0, unreachable)
 
-
-@dataclass(frozen=True)
-class PartitionedModel:
-    """Model blocks after permuting the malicious agents to the front.
-
-    ``perm[k]`` is the original (0-based) agent index occupying permuted
-    position ``k``; the first ``malicious_count`` positions are malicious.
-    """
-
-    perm: np.ndarray
-    malicious_count: int
-    dynamics: np.ndarray
-    b_malicious: np.ndarray
-    b_honest: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    w1: np.ndarray
-    w12: np.ndarray
-    w21: np.ndarray
-    w2: np.ndarray
-
-
-def partition(m: CpsModel, attack: AttackConfig) -> PartitionedModel:
-    """Permute malicious agents first and slice the stated blocks.
-
-    The permutation keeps index order within each group, so the round trip
-    through :func:`reassemble` is exact to the bit.
-    """
-    mal = attack.malicious_indices
-    hon = np.array([i for i in range(m.n_agents) if i not in set(mal.tolist())], dtype=int)
-    perm = np.concatenate([mal, hon])
-    k = len(mal)
-    a_p = m.dynamics[np.ix_(perm, perm)]
-    w_p = m.process_noise[np.ix_(perm, perm)]
-    gains_p = m.actuator_gains[perm]
-    exc_p = m.excitation[perm]
-    return PartitionedModel(
-        perm=_ro(perm), malicious_count=k, dynamics=_ro(a_p),
-        b_malicious=_ro(gains_p[:k].copy()), b_honest=_ro(gains_p[k:].copy()),
-        v1=_ro(exc_p[:k].copy()), v2=_ro(exc_p[k:].copy()),
-        w1=_ro(w_p[:k, :k].copy()), w12=_ro(w_p[:k, k:].copy()),
-        w21=_ro(w_p[k:, :k].copy()), w2=_ro(w_p[k:, k:].copy()),
-    )
-
-
-def reassemble(pm: PartitionedModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Invert the permutation, returning (dynamics, gains, process_noise, excitation)."""
-    n = pm.perm.size
-    inv = np.empty(n, dtype=int)
-    inv[pm.perm] = np.arange(n)
-    gains_p = np.concatenate([pm.b_malicious, pm.b_honest])
-    exc_p = np.concatenate([pm.v1, pm.v2])
-    w_p = np.block([[pm.w1, pm.w12], [pm.w21, pm.w2]])
-    return (pm.dynamics[np.ix_(inv, inv)], gains_p[inv],
-            w_p[np.ix_(inv, inv)], exc_p[inv])

@@ -180,12 +180,8 @@ def eig_extremes(v: SpdMatrix) -> tuple[float, float]:
 
     Backed by the symmetric eigensolver; its internal iteration cap maps to
     :class:`ConvergenceFailure`. Suitable for the dense desk-scale sizes
-    this package targets. The result is memoized on the (immutable)
-    instance, since detection recomputes the same extremes every step.
+    this package targets.
     """
-    cached = v.__dict__.get("_extremes")
-    if cached is not None:
-        return cached
     try:
         w = np.linalg.eigvalsh(v.mat)
     except np.linalg.LinAlgError as exc:
@@ -194,7 +190,6 @@ def eig_extremes(v: SpdMatrix) -> tuple[float, float]:
     if lo <= 0.0:
         raise NotPositiveDefinite(
             f"eigenvalue {lo:.3e} nonpositive for a matrix that passed Cholesky")
-    v.__dict__["_extremes"] = (lo, hi)
     return lo, hi
 
 

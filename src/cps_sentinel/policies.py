@@ -15,7 +15,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .model import AttackConfig
-from .numerics import DiagonalPsd, GaussianLaw, matvec, sample_gaussian
+from .numerics import DiagonalPsd, matvec
 
 History = np.ndarray
 
@@ -58,10 +58,6 @@ class HistoryWindow:
 
 
 HonestPolicy = Union[Zero, LinearFeedback, Affine, HistoryWindow]
-
-
-def is_markov(policy: HonestPolicy) -> bool:
-    return not isinstance(policy, HistoryWindow)
 
 
 @dataclass(frozen=True)
@@ -147,13 +143,12 @@ def control_means(honest: HonestPolicy, attack: Attack | None, states: np.ndarra
                   t: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Conditional control means under the honest and the corrupt hypothesis.
 
-    This is the one dispatch over policy kinds; the simulator, the
-    detector and the per-step helpers below all call it. ``states`` holds
-    observed states x_0, x_1, ... along its second-to-last axis, with any
-    leading batch axes (one per seed). With ``t`` given it must hold
-    x_0..x_t and the means at step t come back with shape (..., N); with
-    ``t=None`` the means at every step of the path come back with the
-    shape of ``states``.
+    This is the one dispatch over policy kinds; the simulator and the
+    detector both call it. ``states`` holds observed states x_0, x_1, ...
+    along its second-to-last axis, with any leading batch axes (one per
+    seed). With ``t`` given it must hold x_0..x_t and the means at step t
+    come back with shape (..., N); with ``t=None`` the means at every step
+    of the path come back with the shape of ``states``.
 
     The corrupt mean differs from the honest one only on the attacked
     channels. For FDI it includes the offset; excitation is randomness,
@@ -258,24 +253,3 @@ def admit_controls(attack: Attack | None, t: int, honest_vec: np.ndarray,
         u[..., mal] = corrupt_vec[..., mal]
     return u
 
-
-def honest_mean(policy: HonestPolicy, history: History, t: int) -> np.ndarray:
-    """Nominal control at step t given the states observed so far."""
-    return control_means(policy, None, history, t)[0]
-
-
-def compose_control(honest: HonestPolicy, attack: Attack | None, history: History,
-                    t: int, excitation: np.ndarray,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Control vector admitted at step t for one path (see :func:`admit_controls`).
-
-    Mimicry draws fresh excitation from its own covariance (consumes ``rng``).
-    """
-    g, c = control_means(honest, attack, history, t)
-    own = None
-    if attack is not None and isinstance(attack[1], Mimic):
-        if rng is None:
-            raise ValueError("mimic policy draws its own excitation and needs an rng")
-        law = GaussianLaw(np.zeros(attack[0].malicious_count), attack[1].self_excitation)
-        own = sample_gaussian(rng, law)
-    return admit_controls(attack, t, g, c, np.asarray(excitation, dtype=float), own)

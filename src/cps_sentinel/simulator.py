@@ -180,22 +180,9 @@ def conditional_covariances(m: CpsModel, corrupt, cfg) -> tuple[SpdMatrix, SpdMa
     excitation variance is zeroed (replacement, DoS), kept (FDI), or
     swapped for the mimic's own covariance. With no attack both sides are
     the same object, so downstream log ratios cancel exactly.
-
-    Results are memoized per model instance; offsets and replacement maps
-    never enter the covariance, so the cache keys on kind and set only.
     """
-    cache = m.__dict__.setdefault("_cov_cache", {})
-    key = _cov_key(corrupt, cfg)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     b = m.actuator_gains
-    honest = cache.get(_cov_key(None, None))
-    if honest is None:
-        honest_cov = make_spd(m.process_noise + np.diag(b * b * m.excitation))
-        cache[_cov_key(None, None)] = (honest_cov, honest_cov)
-    else:
-        honest_cov = honest[0]
+    honest_cov = make_spd(m.process_noise + np.diag(b * b * m.excitation))
     if corrupt is None or cfg is None:
         return honest_cov, honest_cov
     mal = cfg.malicious_indices
@@ -206,16 +193,7 @@ def conditional_covariances(m: CpsModel, corrupt, cfg) -> tuple[SpdMatrix, SpdMa
         v[mal] = corrupt.self_excitation.diag
     elif not isinstance(corrupt, Fdi):
         raise TypeError(f"unknown corrupt policy {corrupt!r}")
-    corrupt_cov = make_spd(m.process_noise + np.diag(b * b * v))
-    cache[key] = (honest_cov, corrupt_cov)
-    return honest_cov, corrupt_cov
-
-
-def _cov_key(corrupt, cfg):
-    if corrupt is None or cfg is None:
-        return None
-    extra = tuple(corrupt.self_excitation.diag) if isinstance(corrupt, Mimic) else None
-    return (type(corrupt).__name__, cfg.malicious_set, extra)
+    return honest_cov, make_spd(m.process_noise + np.diag(b * b * v))
 
 
 def write_trajectory_csv(traj: Trajectory, fp) -> None:

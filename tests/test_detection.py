@@ -11,7 +11,6 @@ from cps_sentinel.detection import (
     expected_step_drift,
     joint_log_density_oracle,
     rn_series,
-    rn_series_two_path,
     series_csv_text,
     series_summary,
 )
@@ -86,12 +85,12 @@ class TestRnSeries:
         traj = simulate(m, LinearFeedback(-0.2 * np.eye(2)), (cfg, pol), 100, seed=3)
         series = rn_series(traj, m, LinearFeedback(-0.2 * np.eye(2)), pol, cfg)
         from cps_sentinel.numerics import eig_extremes, quad_form_inv
-        from cps_sentinel.policies import honest_mean
+        from cps_sentinel.policies import control_means
         from cps_sentinel.simulator import conditional_covariances
         h_cov, _ = conditional_covariances(m, pol, cfg)
         lo, hi = eig_extremes(h_cov)
         for t in (0, 10, 99):
-            g = honest_mean(LinearFeedback(-0.2 * np.eye(2)), traj.states[: t + 1], t)
+            g = control_means(LinearFeedback(-0.2 * np.eye(2)), None, traj.states[: t + 1], t)[0]
             z = traj.states[t + 1] - (m.dynamics @ traj.states[t] + m.actuator_gains * g)
             q = quad_form_inv(h_cov, z)
             norm2 = float(z @ z)
@@ -265,47 +264,23 @@ class TestExpectedStepDrift:
         assert np.mean(ratios) == pytest.approx(closed, abs=4 * np.std(ratios) / 140)
 
 
-class TestTwoPathRatio:
-    def test_same_path_matches_single_path_series(self):
-        m = model(dynamics=np.array([[0.5, 0.2], [0.0, 0.4]]))
-        cfg = AttackConfig((1,))
-        pol = Replacement.constant([0.0])
-        traj = simulate(m, Zero(), (cfg, pol), 50, seed=11)
-        single = rn_series(traj, m, Zero(), pol, cfg)
-        two = rn_series_two_path(traj, traj, m, Zero(), pol, cfg)
-        np.testing.assert_array_equal(two.r_n, single.r_n)
-
-    def test_distinct_paths(self):
-        m = model(dynamics=np.array([[0.5, 0.2], [0.0, 0.4]]))
-        cfg = AttackConfig((1,))
-        pol = Replacement.constant([0.0])
-        honest_traj = simulate(m, Zero(), None, 50, seed=12)
-        attacked_traj = simulate(m, Zero(), (cfg, pol), 50, seed=13)
-        two = rn_series_two_path(honest_traj, attacked_traj, m, Zero(), pol, cfg)
-        assert two.r_defined.all()
-        assert np.isfinite(two.r_n).all()
-
-    def test_two_path_limit_matches_trace_oracle(self):
-        # each side's residuals are the true one-step noise of its own law,
-        # so r_n -> [tr(V) / lambda_min(V)] / [tr(Vb) / lambda_max(Vb)];
-        # here (3.2 / 0.2) / (3.04 / 3) = 15.789...
-        m = model(dynamics=np.array([[0.5, 0.3], [0.0, 0.5]]),
-                  noise=np.diag([0.04, 2.0]), excitation=[0.16, 1.0])
-        honest = LinearFeedback(np.diag([-0.2, -0.2]))
-        cfg = AttackConfig((1,))
-        pol = Replacement.scaled_state([-0.2])
-        honest_traj = simulate(m, honest, None, 2000, seed=15)
-        attacked_traj = simulate(m, honest, (cfg, pol), 2000, seed=16)
-        two = rn_series_two_path(honest_traj, attacked_traj, m, honest, pol, cfg)
-        oracle = (3.2 / 0.2) / (3.04 / 3.0)
-        assert float(two.r_n[-1]) == pytest.approx(oracle, rel=0.1)
-
-    def test_horizon_mismatch_rejected(self):
-        m = model()
-        a = simulate(m, Zero(), None, 5, seed=1)
-        b = simulate(m, Zero(), None, 6, seed=1)
-        with pytest.raises(ValueError):
-            rn_series_two_path(a, b, m, Zero(), None, None)
+def test_two_path_energy_ratio_limit_matches_trace_oracle():
+    # the residual energies of two paths, each against its own law's
+    # predictor: honest-path cum_s over attacked-path cum_s_breve. Each
+    # side's residuals are the true one-step noise of its own law, so the
+    # ratio -> [tr(V) / lambda_min(V)] / [tr(Vb) / lambda_max(Vb)];
+    # here (3.2 / 0.2) / (3.04 / 3) = 15.789...
+    m = model(dynamics=np.array([[0.5, 0.3], [0.0, 0.5]]),
+              noise=np.diag([0.04, 2.0]), excitation=[0.16, 1.0])
+    honest = LinearFeedback(np.diag([-0.2, -0.2]))
+    cfg = AttackConfig((1,))
+    pol = Replacement.scaled_state([-0.2])
+    honest_traj = simulate(m, honest, None, 2000, seed=15)
+    attacked_traj = simulate(m, honest, (cfg, pol), 2000, seed=16)
+    cum_s = rn_series(honest_traj, m, honest, None, None).cum_s
+    cum_s_breve = rn_series(attacked_traj, m, honest, pol, cfg).cum_s_breve
+    oracle = (3.2 / 0.2) / (3.04 / 3.0)
+    assert float(cum_s[-1] / cum_s_breve[-1]) == pytest.approx(oracle, rel=0.1)
 
 
 def test_history_dependent_policy_end_to_end():

@@ -1,5 +1,10 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -493,3 +498,129 @@ class TestCli:
 def test_all_presets_have_builders():
     assert set(PRESETS) == {"identity", "replacement", "fdi", "dos", "mimic",
                             "example1", "example2", "mdp-detect", "mdp-mimic"}
+
+
+# Malformed input and overrides: every subcommand, every preset, one JSON
+# node swapped for an out-of-kind value, random run-setting overrides.
+
+SWAP_VALUES = [None, True, 0, -1, 1.5, "x", [], {}, [[1.5]]]
+COMMANDS = ["check", "simulate", "detect", "montecarlo", "mdp"]
+
+
+def json_nodes(value, path=()):
+    """The path (keys and indices) of every node of a JSON value, the root first."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_nodes(child, path + (key,))
+
+
+def swapped(data, path, value):
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def small_preset(name):
+    """A preset cut to a few seeds and steps, so that each command takes milliseconds."""
+    data = preset(name)
+    data["horizon"] = min(data["horizon"], 12)
+    data["seeds"]["count"] = 3
+    return data
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of an in-process ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def is_integer_field(path):
+    return path in {("horizon",), ("seeds", "base"), ("seeds", "count"), ("model", "n_agents")} \
+        or (len(path) == 3 and path[:2] == ("attack", "malicious_set"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(PRESETS)), command=st.sampled_from(COMMANDS),
+       value=st.sampled_from(SWAP_VALUES),
+       horizon=st.none() | st.integers(-2, 30), seeds=st.none() | st.integers(-2, 4),
+       threshold=st.none() | st.floats())
+def test_malformed_input_never_crashes(data, name, command, value, horizon, seeds, threshold):
+    scenario = small_preset(name)
+    path = data.draw(st.sampled_from(list(json_nodes(scenario))), label="path")
+    overrides = {"--horizon": horizon, "--seeds": seeds, "--threshold": threshold}
+    argv = [command]
+    if command != "check":
+        argv += [f"{flag}={v}" for flag, v in overrides.items() if v is not None]
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "scenario.json"
+        file.write_text(json.dumps(swapped(scenario, path, value)))
+        code, out, err = run_cli(argv[:1] + [str(file)] + argv[1:])
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert err.splitlines()[-1].startswith(("error: ", "numeric error: "))
+    if command in ("montecarlo", "mdp") and out:
+        json.loads(out, parse_constant=reject_constant)
+    overridden = (path == ("horizon",) and horizon is not None and command != "check") or \
+        (path == ("seeds", "count") and seeds is not None and command != "check")
+    if is_integer_field(path) and not overridden and type(value) is not int:
+        assert code == 1, (path, value)
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("identity", ("model", "initial"), 5),
+    ("replacement", ("model", "n_agents"), 2.0),
+    ("replacement", ("attack", "malicious_set"), [1.5]),
+    ("replacement", ("attack", "malicious_set"), [True]),
+    ("identity", ("horizon",), True),
+    ("identity", ("seeds", "count"), True),
+    ("mdp-detect", ("seeds", "base"), True),
+    ("mdp-detect", ("seeds", "count"), 2.5),
+    ("identity", ("model", "n_agents"), True),
+    ("identity", ("threshold",), True),
+    ("identity", ("threshold",), float("nan")),
+    ("identity", ("threshold",), 10 ** 400),
+    ("identity", ("outputs",), 5),
+    ("identity", ("honest", "gain", 0, 0), None),
+    ("replacement", ("attack", "values", 0), None),
+    ("mdp-detect", ("mdp", "kernel", 0, 0, 0), None),
+    ("mdp-detect", ("honest_policy",), [[1.0]]),
+])
+def test_malformed_fields_exit_one_with_an_error_line(tmp_path, name, path, value):
+    file = tmp_path / "scenario.json"
+    file.write_text(json.dumps(swapped(small_preset(name), path, value)))
+    code, out, err = run_cli(["mdp" if name.startswith("mdp") else "montecarlo", str(file)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_mdp_count_and_seed_codes_match_the_linear_ones():
+    codes = {}
+    for name in ("identity", "mdp-detect"):
+        parse = mdp_scenario_from_dict if name.startswith("mdp") else scenario_from_dict
+        for key, value in (("count", 0), ("base", "x")):
+            data = small_preset(name)
+            data["seeds"][key] = value
+            with pytest.raises(ValidationError) as err:
+                parse(data)
+            codes[name, key] = [(v.path, v.code) for v in err.value.issues]
+    assert codes["identity", "count"] == codes["mdp-detect", "count"] == \
+        [("seeds.count", "BadCount")]
+    assert codes["identity", "base"] == codes["mdp-detect", "base"] == \
+        [("seeds.base", "BadSeed")]

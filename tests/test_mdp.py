@@ -1,3 +1,4 @@
+import json
 import math
 from bisect import bisect_right
 
@@ -16,8 +17,6 @@ from cps_sentinel.mdp import (
     analytic_drift,
     induced_kernel,
     path_log_ratio,
-    reduce_window_policy,
-    simulate_path,
     simulate_paths,
     stationary_distribution,
 )
@@ -149,14 +148,14 @@ class TestSimulatePath:
         flip = np.array([[[0.0, 1.0], [1.0, 0.0]]])
         mdp = FiniteMdp(flip, np.array([1.0, 0.0]))
         pol = StochasticPolicy(np.array([[1.0], [1.0]]))
-        path = simulate_path(mdp, pol, 6, seed=0)
+        path = simulate_paths(mdp, pol, 6, [0])[0]
         np.testing.assert_array_equal(path, [0, 1, 0, 1, 0, 1, 0])
 
     def test_seed_repetition_reproduces_path(self):
         mdp = two_action_mdp()
         pol = StochasticPolicy(np.array([[0.4, 0.6], [0.6, 0.4]]))
-        a = simulate_path(mdp, pol, 500, seed=77)
-        b = simulate_path(mdp, pol, 500, seed=77)
+        a = simulate_paths(mdp, pol, 500, [77])[0]
+        b = simulate_paths(mdp, pol, 500, [77])[0]
         np.testing.assert_array_equal(a, b)
 
     def test_visit_frequencies_match_stationary(self):
@@ -164,7 +163,7 @@ class TestSimulatePath:
         k = np.array([[0.8, 0.2], [0.6, 0.4]])
         mdp = FiniteMdp(k[None, :, :], np.array([1.0, 0.0]))
         pol = StochasticPolicy(np.array([[1.0], [1.0]]))
-        path = simulate_path(mdp, pol, 100_000, seed=5)
+        path = simulate_paths(mdp, pol, 100_000, [5])[0]
         freq = np.bincount(path, minlength=2) / path.size
         assert np.abs(freq - np.array([0.75, 0.25])).max() < 0.01
 
@@ -183,10 +182,10 @@ class TestSimulatePath:
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: FixedUniforms([0.1, near_one, near_one]))
         # action 1 (not 2, whose probability is 0), then state 1 (not 2)
-        np.testing.assert_array_equal(simulate_path(mdp, policy, 1, seed=0), [0, 1])
+        np.testing.assert_array_equal(simulate_paths(mdp, policy, 1, [0])[0], [0, 1])
 
         monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedUniforms([near_one]))
-        np.testing.assert_array_equal(simulate_path(mdp, policy, 0, seed=0), [1])
+        np.testing.assert_array_equal(simulate_paths(mdp, policy, 0, [0])[0], [1])
 
     def test_batch_rows_are_the_per_seed_paths(self):
         mdp = two_action_mdp(initial=(0.3, 0.7))
@@ -196,7 +195,7 @@ class TestSimulatePath:
         assert paths.shape == (3, 301)
         for row, seed in zip(paths, seeds):
             np.testing.assert_array_equal(row, reference_path(mdp, pol, 300, seed))
-            np.testing.assert_array_equal(row, simulate_path(mdp, pol, 300, seed))
+            np.testing.assert_array_equal(row, simulate_paths(mdp, pol, 300, [seed])[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,7 +210,7 @@ def test_engine_paths_are_the_per_seed_loop_whatever_the_batch(case, n, count, b
     for row, seed in zip(paths, seeds):
         assert row.tolist() == reference_path(mdp, corrupt, n, seed)
     # one seed alone, and the batch minus its first seed, give the same rows
-    np.testing.assert_array_equal(simulate_path(mdp, corrupt, n, seeds[-1]), paths[-1])
+    np.testing.assert_array_equal(simulate_paths(mdp, corrupt, n, [seeds[-1]])[0], paths[-1])
     np.testing.assert_array_equal(simulate_paths(mdp, corrupt, n, seeds[1:]), paths[1:])
 
 
@@ -252,9 +251,27 @@ def test_batch_files_carry_minus_inf_cells(tmp_path):
     texts = [(tmp_path / f"run_{i:05d}.csv").read_text() for i in range(5)]
     assert any("-inf" in text for text in texts)
     for i, text in enumerate(texts):
-        series = path_log_ratio(simulate_path(mdp, corrupt, 40, split_seed(11, i)),
+        series = path_log_ratio(simulate_paths(mdp, corrupt, 40, [split_seed(11, i)])[0],
                                 k_h, k_c, mdp.initial, mdp.initial)
         assert text == plain_csv(series)
+
+
+def test_summary_json_is_strict_when_the_drift_is_minus_inf(tmp_path):
+    # the same MDP: every drift is -inf or a finite mean, and strict JSON
+    # has no token for -inf, so the summary writes null
+    mdp = FiniteMdp(np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.2, 0.8], [0.5, 0.5]]]),
+                    np.array([1.0, 0.0]))
+    honest = StochasticPolicy(np.array([[1.0, 0.0], [0.5, 0.5]]))
+    corrupt = StochasticPolicy(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    summary = run_mdp_batch(mdp_scenario(mdp, honest, corrupt, 40, 11, 5), out_dir=tmp_path)
+    assert summary["mean_drift"] == -np.inf
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    written = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    assert written["analytic_drift"] is None and written["mean_drift"] is None
+    assert written["drift_stderr"] is None or math.isfinite(written["drift_stderr"])
 
 
 class TestPathLogRatio:
@@ -409,31 +426,7 @@ class TestAnalyticDrift:
         kc = np.array([[0.5, 0.5], [0.3, 0.7]])
         mdp = FiniteMdp(np.stack([kh, kc]), np.array([0.5, 0.5]))
         corrupt = StochasticPolicy(np.array([[0.0, 1.0], [0.0, 1.0]]))
-        path = simulate_path(mdp, corrupt, 100_000, seed=9)
+        path = simulate_paths(mdp, corrupt, 100_000, [9])[0]
         series = path_log_ratio(path, kh, kc, mdp.initial, mdp.initial)
         drift = analytic_drift(kh, kc)
         assert abs(series[-1] / 100_000 - drift) < 0.05 * abs(drift)
-
-
-class TestWindowPolicyReduction:
-    def test_k1_reduction_is_identity(self):
-        mdp = two_action_mdp(initial=(0.5, 0.5))
-        probs = np.array([[0.4, 0.6], [0.7, 0.3]])
-        big_mdp, big_pol = reduce_window_policy(mdp, probs, 1)
-        np.testing.assert_array_equal(big_mdp.kernel, mdp.kernel)
-        np.testing.assert_array_equal(big_pol.probs, probs)
-        np.testing.assert_array_equal(big_mdp.initial, mdp.initial)
-
-    def test_k2_product_space_rows_are_stochastic(self):
-        mdp = two_action_mdp(initial=(0.5, 0.5))
-        rng = np.random.default_rng(42)
-        probs = rng.random((4, 2)) + 0.1
-        probs /= probs.sum(axis=1, keepdims=True)
-        big_mdp, big_pol = reduce_window_policy(mdp, probs, 2)
-        assert big_mdp.n_states == 4
-        np.testing.assert_allclose(big_mdp.kernel.sum(axis=2), 1.0)
-        # the product chain's recent-state marginal follows the base kernel
-        pol = StochasticPolicy(probs)
-        path = simulate_path(big_mdp, pol, 2000, seed=3)
-        recent = path % 2
-        assert set(np.unique(recent)) <= {0, 1}

@@ -1,13 +1,9 @@
 import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cps_sentinel.model import (
     AttackConfig,
     CpsModel,
     honest_influence_check,
-    partition,
-    reassemble,
     validate_attack,
     validate_model,
 )
@@ -159,55 +155,6 @@ class TestInfluenceCheck:
             # fewer malicious agents = more honest sources: can only improve
             if held_large:
                 assert held_small
-
-
-class TestPartition:
-    def test_already_ordered(self):
-        m = two_agent_model(np.eye(2), gains=(2.0, 3.0))
-        pm = partition(m, AttackConfig((1,)))
-        assert pm.perm.tolist() == [0, 1]
-        assert pm.b_malicious.tolist() == [2.0]
-
-    def test_single_swap(self):
-        m = two_agent_model(np.eye(2), gains=(2.0, 3.0))
-        pm = partition(m, AttackConfig((2,)))
-        assert pm.perm.tolist() == [1, 0]
-        assert pm.b_malicious.tolist() == [3.0]
-
-    def test_blocks_match_permutation_conjugation(self):
-        rng = np.random.default_rng(13)
-        g = rng.standard_normal((3, 3))
-        noise = g @ g.T + 0.5 * np.eye(3)
-        m = CpsModel(n_agents=3, dynamics=rng.standard_normal((3, 3)),
-                     actuator_gains=[1.0, 2.0, 3.0], process_noise=noise,
-                     excitation=[0.5, 1.5, 2.5], initial_law=Dirac(np.zeros(3)))
-        pm = partition(m, AttackConfig((2,)))
-        p = np.zeros((3, 3))
-        for new_pos, orig in enumerate(pm.perm):
-            p[new_pos, orig] = 1.0
-        w_perm = p @ noise @ p.T
-        np.testing.assert_array_equal(pm.w1, w_perm[:1, :1])
-        np.testing.assert_array_equal(pm.w12, w_perm[:1, 1:])
-        np.testing.assert_array_equal(pm.w21, w_perm[1:, :1])
-        np.testing.assert_array_equal(pm.w2, w_perm[1:, 1:])
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2 ** 20))
-    def test_round_trip_is_exact(self, n, seed):
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((n, n))
-        m = CpsModel(n_agents=n, dynamics=rng.standard_normal((n, n)),
-                     actuator_gains=rng.standard_normal(n),
-                     process_noise=g @ g.T + 0.1 * np.eye(n),
-                     excitation=rng.random(n), initial_law=Dirac(np.zeros(n)))
-        k = int(rng.integers(1, n))
-        mal = tuple(sorted(rng.choice(n, size=k, replace=False) + 1))
-        pm = partition(m, AttackConfig(mal))
-        a, gains, noise, excitation = reassemble(pm)
-        assert np.array_equal(a, m.dynamics)
-        assert np.array_equal(gains, m.actuator_gains)
-        assert np.array_equal(noise, m.process_noise)
-        assert np.array_equal(excitation, m.excitation)
 
 
 def test_noise_law_keeps_diagonal_form():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cps_sentinel.model import AttackConfig, CpsModel
-from cps_sentinel.numerics import DiagonalPsd, Dirac, GaussianLaw, logdet, make_spd
+from cps_sentinel.numerics import DiagonalPsd, Dirac, GaussianLaw, logdet, make_spd, split_seed
 from cps_sentinel.policies import (
     DoS,
     Fdi,
@@ -202,19 +202,14 @@ class TestPredictedConditionals:
         kinds = [Replacement.constant([0.7]), Replacement.scaled_state([0.4]),
                  Replacement.sign_flip(), DoS(), Fdi(np.array([0.6])),
                  Mimic(DiagonalPsd([0.5]))]
-        from cps_sentinel.policies import compose_control
         history = np.array([[1.0, -1.0]])
-        sqrt_ve = np.sqrt(m.excitation)
+        seeds = [split_seed(55, i) for i in range(20_000)]
         for pol in kinds:
             traj = simulate(m, honest, (cfg, pol), 1, seed=0)
             _, corrupt_mean = predicted_means(m, honest, pol, cfg, traj, 0)
-            rng = np.random.default_rng(55)
-            total = np.zeros(2)
-            n_draws = 20_000
-            for _ in range(n_draws):
-                e = sqrt_ve * rng.standard_normal(2)
-                total += compose_control(honest, (cfg, pol), history, 0, e, rng)
-            sampled_mean = m.dynamics @ history[0] + m.actuator_gains * total / n_draws
+            # one step from x_0 for each seed: the controls the engine admits
+            ens = simulate_ensemble(m, honest, (cfg, pol), 1, seeds, keep_controls=True)
+            sampled_mean = m.dynamics @ history[0] + m.actuator_gains * ens.controls[:, 0].mean(0)
             assert np.abs(sampled_mean - corrupt_mean).max() < 0.06, pol
 
     def test_residual_covariance_converges(self):
