@@ -5,7 +5,6 @@ from .detection import (
     Decision,
     DetectionSeries,
     DriftEstimate,
-    UndefinedRatio,
     classify,
     det_ratio_bound,
     detect_ensemble,
@@ -69,11 +68,13 @@ from .policies import (
     Fdi,
     HistoryWindow,
     LinearFeedback,
+    LinearLaws,
     Mimic,
     Replacement,
     Zero,
     admit_controls,
     control_means,
+    lift,
 )
 from .simulator import (
     Ensemble,

@@ -13,20 +13,14 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .detection import (
-    UndefinedRatio,
-    expected_step_drift,
-    rn_series,
-    series_csv_text,
-    series_summary,
-)
+from .detection import expected_step_drift, rn_series, series_csv_text, series_summary
 from .mdp import NotAbsolutelyContinuous
 from .model import honest_influence_check
 from .numerics import ConvergenceFailure, NotPositiveDefinite, NotSymmetric, split_seed
 from .simulator import NonFiniteState, simulate, trajectory_csv_text
 
 _NUMERIC_ERRORS = (NonFiniteState, NotPositiveDefinite, NotSymmetric,
-                   ConvergenceFailure, NotAbsolutelyContinuous, UndefinedRatio)
+                   ConvergenceFailure, NotAbsolutelyContinuous)
 
 
 def _build_parser() -> argparse.ArgumentParser:

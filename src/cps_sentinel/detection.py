@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 
 from .model import AttackConfig, CpsModel
 from .numerics import (
@@ -42,20 +43,13 @@ from .numerics import (
 from .policies import (
     Affine,
     CorruptPolicy,
-    DoS,
-    Fdi,
     HonestPolicy,
     LinearFeedback,
-    Mimic,
-    Replacement,
     Zero,
     control_means,
+    lift,
 )
-from .simulator import Trajectory, conditional_covariances, simulate
-
-
-class UndefinedRatio(ValueError):
-    """The residual-energy ratio was queried where its denominator is zero."""
+from .simulator import Trajectory, conditional_covariances
 
 
 class Decision(enum.Enum):
@@ -103,13 +97,6 @@ class DetectionSeries:
             raise ValueError(f"n must lie in [1, {self.horizon}], got {n}")
         return float(self.cum_log_l[n - 1])
 
-    def rn_at(self, n: int) -> float:
-        if not 1 <= n <= self.horizon:
-            raise ValueError(f"n must lie in [1, {self.horizon}], got {n}")
-        if not self.r_defined[n - 1]:
-            raise UndefinedRatio(f"residual-energy denominator is zero at n={n}")
-        return float(self.r_n[n - 1])
-
 
 # Seeds per slice of detect_ensemble, chosen so that each (seeds, steps,
 # agents) temporary stays near this many doubles.
@@ -139,12 +126,12 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
     n_seeds, n = states.shape[0], states.shape[1] - 1
     if n < 1:
         raise ValueError("trajectory must contain at least one step")
-    h_cov, c_cov = conditional_covariances(m, corrupt, cfg)
+    laws = lift(honest, None if corrupt is None or cfg is None else (cfg, corrupt), m.n_agents)
+    h_cov, c_cov = conditional_covariances(m, laws)
     ld_h = logdet(h_cov)
     ld_c = logdet(c_cov)
     lam_min_h, _ = eig_extremes(h_cov)
     _, lam_max_c = eig_extremes(c_cov)
-    attack = None if corrupt is None or cfg is None else (cfg, corrupt)
     const = -0.5 * m.n_agents * LOG_TWO_PI
 
     # steps[0..3]: step log ratio, s, s_breve, half logdet ratio
@@ -154,7 +141,7 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
     width = max(1, _SLICE_DOUBLES // (n * m.n_agents))
     for lo in range(0, n_seeds, width):
         x = states[lo:lo + width]
-        g, c = control_means(honest, attack, x[:, :-1])
+        g, c = control_means(laws, x[:, :-1])
         drive = matvec(m.dynamics, x[:, :-1])
         z_h = x[:, 1:] - (drive + m.actuator_gains * g)
         z_c = x[:, 1:] - (drive + m.actuator_gains * c)
@@ -271,8 +258,6 @@ def _stationary_linear_gain(policy: HonestPolicy, n: int) -> tuple[np.ndarray, n
     if isinstance(policy, Zero):
         return np.zeros((n, n)), np.zeros(n)
     if isinstance(policy, LinearFeedback):
-        if not policy.stationary:
-            raise ValueError("the joint-density oracle needs a stationary gain")
         return np.asarray(policy.gain, dtype=float), np.zeros(n)
     if isinstance(policy, Affine):
         return np.asarray(policy.gain, dtype=float), np.asarray(policy.offset, dtype=float)
@@ -281,102 +266,59 @@ def _stationary_linear_gain(policy: HonestPolicy, n: int) -> tuple[np.ndarray, n
 
 @dataclass(frozen=True)
 class DriftEstimate:
-    """Expected per-step log-ratio drift under the corrupt law."""
+    """Expected per-step log-ratio drift under the corrupt law.
 
-    value: float
-    stderr: float
+    ``value`` is None when the drift has no stationary value: the mean gap
+    depends on the state and the corrupt closed loop is not stable
+    (``method`` "unstable"), or the FDI offsets change from step to step
+    ("time_varying").
+    """
+
+    value: float | None
     method: str
 
 
 def expected_step_drift(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolicy,
-                        cfg: AttackConfig, *, mc_steps: int = 10_000,
-                        seed: int = 0) -> DriftEstimate:
-    """Expected per-step drift of the cumulative log likelihood ratio.
+                        cfg: AttackConfig) -> DriftEstimate:
+    """Stationary expected per-step drift of the cumulative log likelihood ratio.
 
-    When the corrupt-vs-honest conditional mean gap is history independent
-    the drift is minus the Gaussian relative entropy in closed form:
-    -1/2 [tr(V^-1 Vb) - N + logdet V - logdet Vb + gap^T V^-1 gap]. Other
-    scenarios are estimated by averaging the step log ratio over a long
-    simulated corrupt path, with the i.i.d. standard error reported.
+    Minus the Gaussian relative entropy of the corrupt one-step law from
+    the honest one: -1/2 [tr(V^-1 Vb) - N + logdet V - logdet Vb + E q],
+    with q = gap^T V^-1 gap and gap = D z + delta the corrupt-minus-honest
+    predictor mean, D = diag(b) (corrupt gains - honest gains) on the
+    lag-stacked state z_t = (x_t, ..., x_{t-L+1}). When D = 0 the gap is
+    the constant delta ("closed_form"). Otherwise z follows the corrupt
+    closed loop z' = F z + f + noise, and with its stationary mean mu and
+    covariance P (a discrete Lyapunov equation), E q = (D mu + delta)^T
+    V^-1 (D mu + delta) + tr(D^T V^-1 D P) ("lyapunov").
     """
-    h_cov, c_cov = conditional_covariances(m, corrupt, cfg)
-    gap = _constant_mean_gap(m, honest, corrupt, cfg)
-    if gap is not None:
-        solve = np.linalg.solve(h_cov.mat, c_cov.mat)
-        quad = float(gap @ np.linalg.solve(h_cov.mat, gap))
-        value = -0.5 * (float(np.trace(solve)) - m.n_agents
-                        + logdet(h_cov) - logdet(c_cov) + quad)
-        return DriftEstimate(value=value, stderr=0.0, method="closed_form")
-    traj = simulate(m, honest, (cfg, corrupt), mc_steps, seed)
-    series = rn_series(traj, m, honest, corrupt, cfg)
-    ratios = series.step_log_ratio
-    value = float(np.mean(ratios))
-    stderr = float(np.std(ratios, ddof=1) / math.sqrt(len(ratios)))
-    return DriftEstimate(value=value, stderr=stderr, method="monte_carlo")
-
-
-def _constant_mean_gap(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolicy,
-                       cfg: AttackConfig) -> np.ndarray | None:
-    """Corrupt-minus-honest conditional mean gap, if history independent.
-
-    Returns the full-length gap vector (nonzero only on attacked channels)
-    or None when the gap depends on the state, in which case the caller
-    falls back to Monte Carlo.
-    """
-    n = m.n_agents
-    mal = cfg.malicious_indices
-    gap = np.zeros(n)
-    if isinstance(corrupt, Mimic):
-        return gap
-    if isinstance(corrupt, Fdi):
-        if corrupt.offsets.ndim != 1:
-            return None
-        gap[mal] = m.actuator_gains[mal] * corrupt.offsets
-        return gap
-
-    honest_const = _constant_components(honest, mal)
-    if isinstance(corrupt, DoS):
-        if honest_const is None:
-            return None
-        gap[mal] = m.actuator_gains[mal] * (0.0 - honest_const)
-        return gap
-    if isinstance(corrupt, Replacement):
-        if corrupt.mode == "constant" and honest_const is not None:
-            gap[mal] = m.actuator_gains[mal] * (corrupt.values - honest_const)
-            return gap
-        if corrupt.mode == "sign_flip" and honest_const is not None:
-            gap[mal] = m.actuator_gains[mal] * (-2.0 * honest_const)
-            return gap
-        if corrupt.mode == "scaled_state" and _gain_matches(honest, mal, corrupt.values):
-            return gap
-    return None
-
-
-def _constant_components(policy: HonestPolicy, mal: np.ndarray) -> np.ndarray | None:
-    """Honest mean on the attacked channels when it ignores the state."""
-    if isinstance(policy, Zero):
-        return np.zeros(len(mal))
-    if isinstance(policy, Affine) and not np.asarray(policy.gain)[mal].any():
-        return np.asarray(policy.offset, dtype=float)[mal]
-    if isinstance(policy, LinearFeedback) and policy.stationary \
-            and not np.asarray(policy.gain)[mal].any():
-        return np.zeros(len(mal))
-    return None
-
-
-def _gain_matches(policy: HonestPolicy, mal: np.ndarray, scales: np.ndarray) -> bool:
-    """True when scaled-state replacement reproduces the honest feedback rows."""
-    if not (isinstance(policy, LinearFeedback) and policy.stationary):
-        return False
-    gain = np.asarray(policy.gain, dtype=float)
-    for k, i in enumerate(mal):
-        row = gain[i].copy()
-        if row[i] != scales[k]:
-            return False
-        row[i] = 0.0
-        if row.any():
-            return False
-    return True
+    laws = lift(honest, (cfg, corrupt), m.n_agents)
+    if laws.fdi is not None and laws.fdi.ndim == 2:
+        return DriftEstimate(value=None, method="time_varying")
+    h_cov, c_cov = conditional_covariances(m, laws)
+    n, b = m.n_agents, m.actuator_gains
+    gains, gain_gap, offset, offset_gap = laws.gain_gaps()
+    delta = b * offset_gap
+    d = b[:, None] * np.hstack(gain_gap)
+    quad, method = 0.0, "closed_form"
+    if d.any():
+        lags = gains.shape[0]
+        f = np.eye(n * lags, k=-n)  # shifts each lag block one block down
+        f[:n] = b[:, None] * np.hstack(gains + gain_gap)
+        f[:n, :n] += m.dynamics
+        if np.abs(np.linalg.eigvals(f)).max() >= 1.0:
+            return DriftEstimate(value=None, method="unstable")
+        q = np.zeros_like(f)
+        q[:n, :n] = c_cov.mat
+        drive = np.zeros(n * lags)
+        drive[:n] = b * (offset + offset_gap)
+        delta = d @ np.linalg.solve(np.eye(n * lags) - f, drive) + delta
+        cov = solve_discrete_lyapunov(f, q)
+        quad, method = float(np.trace(d.T @ np.linalg.solve(h_cov.mat, d) @ cov)), "lyapunov"
+    solve = np.linalg.solve(h_cov.mat, c_cov.mat)
+    quad += float(delta @ np.linalg.solve(h_cov.mat, delta))
+    value = -0.5 * (float(np.trace(solve)) - n + logdet(h_cov) - logdet(c_cov) + quad)
+    return DriftEstimate(value=value, method=method)
 
 
 def write_series_csv(series: DetectionSeries, fp) -> None:

@@ -339,7 +339,7 @@ def _parse_attack(ad: dict) -> tuple[AttackConfig, CorruptPolicy]:
 def _check_honest_sizes(model: CpsModel, honest) -> list[Violation]:
     n = model.n_agents
     arrays = []
-    if isinstance(honest, LinearFeedback) and honest.stationary:
+    if isinstance(honest, LinearFeedback):
         arrays = [("honest.gain", honest.gain, (n, n))]
     elif isinstance(honest, Affine):
         arrays = [("honest.gain", honest.gain, (n, n)), ("honest.offset", honest.offset, (n,))]

@@ -14,7 +14,6 @@ same engine with a single seed. Batches derive disjoint streams with
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
 
@@ -30,16 +29,7 @@ from .numerics import (
     normals_to_gaussian,
     sample_gaussian,
 )
-from .policies import (
-    Attack,
-    DoS,
-    Fdi,
-    HonestPolicy,
-    Mimic,
-    Replacement,
-    admit_controls,
-    control_means,
-)
+from .policies import Attack, HonestPolicy, LinearLaws, admit_controls, control_means, lift
 
 
 class NonFiniteState(RuntimeError):
@@ -122,9 +112,8 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
         raise ValueError("horizon must be at least 1")
     seeds = tuple(int(seed) for seed in seeds)
     n = m.n_agents
-    own_law = None
-    if attack is not None and isinstance(attack[1], Mimic):
-        own_law = GaussianLaw(np.zeros(attack[0].malicious_count), attack[1].self_excitation)
+    laws = lift(honest, attack, n)
+    own_law = None if laws.own is None else GaussianLaw(np.zeros(laws.own.dim), laws.own)
     k = 0 if own_law is None else own_law.dim
 
     # Each seed's noise block is drawn and scaled in place, one seed at a time.
@@ -147,8 +136,8 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
     b = m.actuator_gains
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
-            g, c = control_means(honest, attack, states[:, : t + 1], t)
-            u = admit_controls(attack, t, g, c, excitations[:, t], own[:, t])
+            g, c = control_means(laws, states[:, : t + 1], t)
+            u = admit_controls(laws, t, g, c, excitations[:, t], own[:, t])
             x_next = states[:, t + 1]
             np.add(matvec(a, states[:, t]) + b * u, process[:, t], out=x_next)
             bad = ~np.isfinite(x_next.sum(axis=1))
@@ -173,26 +162,20 @@ def simulate(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
     return ens.trajectory(0)
 
 
-def conditional_covariances(m: CpsModel, corrupt, cfg) -> tuple[SpdMatrix, SpdMatrix]:
+def conditional_covariances(m: CpsModel, laws: LinearLaws) -> tuple[SpdMatrix, SpdMatrix]:
     """Time-invariant conditional covariances under both hypotheses.
 
-    Honest: diag(b) V_e diag(b) + V_w. Corrupt: the attacked channels'
-    excitation variance is zeroed (replacement, DoS), kept (FDI), or
-    swapped for the mimic's own covariance. With no attack both sides are
-    the same object, so downstream log ratios cancel exactly.
+    Honest: diag(b) V_e diag(b) + V_w. Corrupt: the same with the
+    excitation variances the corrupt law admits (the attacked channels'
+    are zeroed, kept, or swapped for the mimic's own). When the attacked
+    channels keep their excitation both sides are the same object, so
+    downstream log ratios cancel exactly.
     """
     b = m.actuator_gains
     honest_cov = make_spd(m.process_noise + np.diag(b * b * m.excitation))
-    if corrupt is None or cfg is None:
+    if laws.keep:
         return honest_cov, honest_cov
-    mal = cfg.malicious_indices
-    v = m.excitation.copy()
-    if isinstance(corrupt, (Replacement, DoS)):
-        v[mal] = 0.0
-    elif isinstance(corrupt, Mimic):
-        v[mal] = corrupt.self_excitation.diag
-    elif not isinstance(corrupt, Fdi):
-        raise TypeError(f"unknown corrupt policy {corrupt!r}")
+    v = laws.excitation(m.excitation)
     return honest_cov, make_spd(m.process_noise + np.diag(b * b * v))
 
 
@@ -200,18 +183,15 @@ def write_trajectory_csv(traj: Trajectory, fp) -> None:
     """Write columns t, x_1..x_N, u_1..u_N, e_1..e_N.
 
     The final row carries the terminal state with empty control cells.
+    Each column is formatted at once, with ``repr`` per value.
     """
     n = traj.n_agents
-    writer = csv.writer(fp, lineterminator="\n")
-    header = (["t"] + [f"x_{i+1}" for i in range(n)]
-              + [f"u_{i+1}" for i in range(n)] + [f"e_{i+1}" for i in range(n)])
-    writer.writerow(header)
-    for t in range(traj.horizon):
-        writer.writerow([t] + [repr(float(v)) for v in traj.states[t]]
-                        + [repr(float(v)) for v in traj.controls[t]]
-                        + [repr(float(v)) for v in traj.excitations[t]])
-    writer.writerow([traj.horizon] + [repr(float(v)) for v in traj.states[-1]]
-                    + [""] * (2 * n))
+    fp.write(",".join(["t"] + [f"{name}_{i + 1}" for name in "xue" for i in range(n)]) + "\n")
+    cols = [map(str, range(traj.horizon + 1))]
+    cols += [map(repr, col) for col in traj.states.T.tolist()]
+    cols += [[*map(repr, col), ""] for a in (traj.controls, traj.excitations)
+             for col in a.T.tolist()]
+    fp.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:

@@ -41,7 +41,7 @@ from cps_sentinel.numerics import (
     make_spd,
     split_seed,
 )
-from cps_sentinel.policies import DoS, LinearFeedback, Replacement
+from cps_sentinel.policies import DoS, LinearFeedback, Replacement, lift
 from cps_sentinel.simulator import conditional_covariances, simulate, simulate_ensemble
 
 
@@ -135,7 +135,8 @@ def test_criterion_4_determinant_ratio_bound():
                      initial_law=Dirac(np.zeros(n)))
         cfg = AttackConfig(mal)
         pol = Replacement.constant(np.zeros(k)) if draw % 2 == 0 else DoS()
-        h_cov, c_cov = conditional_covariances(m, pol, cfg)
+        h_cov, c_cov = conditional_covariances(m, lift(LinearFeedback(np.zeros((n, n))),
+                                                        (cfg, pol), n))
         all_strict &= logdet(c_cov) < logdet(h_cov)
         traj = simulate(m, LinearFeedback(np.zeros((n, n))), (cfg, pol), 5,
                         seed=int(rng.integers(0, 2 ** 62)))
@@ -163,7 +164,8 @@ def test_criterion_5_detection_regime():
         series = batch.row(i)
         if classify(series, horizon_detect, -10.0) is Decision.ATTACK:
             detected += 1
-        if series.rn_at(n) > 10.0:
+        assert series.r_defined[n - 1]
+        if series.r_n[n - 1] > 10.0:
             rn_big += 1
     mean_drift = float(finals.mean())
     drift_ok = abs(mean_drift - drift.value) <= 0.1 * abs(drift.value)
@@ -177,7 +179,8 @@ def test_criterion_5_detection_regime():
 
 def test_criterion_6_non_detection_regime():
     s = scenario_from_dict(preset("mimic"))
-    h_cov, c_cov = conditional_covariances(s.model, s.attack[1], s.attack[0])
+    h_cov, c_cov = conditional_covariances(
+        s.model, lift(s.honest, s.attack, s.model.n_agents))
     lo, _ = eig_extremes(h_cov)
     _, hi = eig_extremes(c_cov)
     recorded_bound = hi / lo * (1.0 + 1e-9)

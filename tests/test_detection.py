@@ -1,19 +1,23 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cps_sentinel.detection import (
     Decision,
-    UndefinedRatio,
     classify,
     det_ratio_bound,
+    detect_ensemble,
     expected_step_drift,
     joint_log_density_oracle,
     rn_series,
     series_csv_text,
     series_summary,
 )
+from cps_sentinel.harness import preset, scenario_from_dict
 from cps_sentinel.model import AttackConfig, CpsModel
 from cps_sentinel.numerics import (
     DiagonalPsd,
@@ -21,9 +25,21 @@ from cps_sentinel.numerics import (
     GaussianLaw,
     log_gaussian_density,
     make_spd,
+    split_seed,
 )
-from cps_sentinel.policies import Affine, DoS, Fdi, LinearFeedback, Mimic, Replacement, Zero
-from cps_sentinel.simulator import Trajectory, simulate
+from cps_sentinel.policies import (
+    Affine,
+    DoS,
+    Fdi,
+    HistoryWindow,
+    LinearFeedback,
+    Mimic,
+    Replacement,
+    Zero,
+    control_means,
+    lift,
+)
+from cps_sentinel.simulator import Trajectory, conditional_covariances, simulate, simulate_ensemble
 
 
 def model(n=2, dynamics=None, gains=None, noise=None, excitation=None, initial=None):
@@ -85,12 +101,11 @@ class TestRnSeries:
         traj = simulate(m, LinearFeedback(-0.2 * np.eye(2)), (cfg, pol), 100, seed=3)
         series = rn_series(traj, m, LinearFeedback(-0.2 * np.eye(2)), pol, cfg)
         from cps_sentinel.numerics import eig_extremes, quad_form_inv
-        from cps_sentinel.policies import control_means
-        from cps_sentinel.simulator import conditional_covariances
-        h_cov, _ = conditional_covariances(m, pol, cfg)
+        laws = lift(LinearFeedback(-0.2 * np.eye(2)), (cfg, pol), 2)
+        h_cov, _ = conditional_covariances(m, laws)
         lo, hi = eig_extremes(h_cov)
         for t in (0, 10, 99):
-            g = control_means(LinearFeedback(-0.2 * np.eye(2)), None, traj.states[: t + 1], t)[0]
+            g = control_means(laws, traj.states[: t + 1], t)[0]
             z = traj.states[t + 1] - (m.dynamics @ traj.states[t] + m.actuator_gains * g)
             q = quad_form_inv(h_cov, z)
             norm2 = float(z @ z)
@@ -104,8 +119,6 @@ class TestRnSeries:
         series = rn_series(traj, m, Zero(), Replacement.constant([0.0]), AttackConfig((1,)))
         assert not series.r_defined[0]
         assert np.isnan(series.r_n[0])
-        with pytest.raises(UndefinedRatio):
-            series.rn_at(1)
         csv_text = series_csv_text(series)
         row = csv_text.strip().split("\n")[1].split(",")
         assert row[2] == ""  # empty cell, never inf
@@ -209,7 +222,6 @@ class TestJointOracle:
         assert abs(chain - joint_log_density_oracle(traj, m, policy)) < 1e-8
 
     def test_history_policy_rejected(self):
-        from cps_sentinel.policies import HistoryWindow
         m = model()
         traj = simulate(m, Zero(), None, 2, seed=9)
         with pytest.raises(ValueError):
@@ -245,13 +257,31 @@ class TestExpectedStepDrift:
         assert est.method == "closed_form"
         assert est.value == pytest.approx(-0.5 * (-0.8 + math.log(5.0)))
 
-    def test_state_dependent_gap_falls_back_to_monte_carlo(self):
+    def test_state_dependent_gap_is_exact(self):
         m = model(dynamics=np.array([[0.5, 0.3], [0.0, 0.5]]))
-        est = expected_step_drift(m, LinearFeedback(np.diag([-0.2, -0.2])), DoS(),
-                                  AttackConfig((1,)), mc_steps=4000, seed=1)
-        assert est.method == "monte_carlo"
-        assert est.stderr > 0.0
+        honest, pol, cfg = LinearFeedback(np.diag([-0.2, -0.2])), DoS(), AttackConfig((1,))
+        est = expected_step_drift(m, honest, pol, cfg)
+        assert est.method == "lyapunov"
+        mean, stderr = monte_carlo_drift(m, honest, pol, cfg, base=1)
+        assert abs(est.value - mean) <= 5 * stderr
         assert est.value < 0.0
+
+    def test_unstable_corrupt_loop_has_no_drift(self):
+        # DoS removes the stabilising feedback of agent 1: its loop gain is 1.2
+        m = model(dynamics=np.array([[1.2, 0.0], [0.0, 0.5]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = expected_step_drift(m, LinearFeedback(np.diag([-0.9, -0.2])), DoS(),
+                                      AttackConfig((1,)))
+        assert est.value is None and est.method == "unstable"
+        # the same open loop with no state-dependent gap keeps its closed form
+        est = expected_step_drift(m, Zero(), DoS(), AttackConfig((1,)))
+        assert est.method == "closed_form"
+        assert est.value == pytest.approx(0.25 - 0.5 * math.log(2.0))
+
+    def test_time_varying_fdi_has_no_drift(self):
+        est = expected_step_drift(model(), Zero(), Fdi(np.ones((30, 1))), AttackConfig((1,)))
+        assert est.value is None and est.method == "time_varying"
 
     def test_monte_carlo_agrees_with_closed_form(self):
         m = model()
@@ -285,25 +315,108 @@ def test_two_path_energy_ratio_limit_matches_trace_oracle():
 
 def test_history_dependent_policy_end_to_end():
     # window feedback is the history-dependent policy class; detection and
-    # the Monte Carlo drift route must both handle it
-    from cps_sentinel.policies import HistoryWindow
+    # the exact drift must both handle it
     m = model(dynamics=np.array([[0.5, 0.3], [0.0, 0.5]]),
               noise=np.diag([0.04, 2.0]), excitation=[0.16, 1.0])
     honest = HistoryWindow((-0.2 * np.eye(2), 0.1 * np.eye(2)))
     cfg = AttackConfig((1,))
     pol = Fdi(np.array([0.5]))
-    est = expected_step_drift(m, honest, pol, cfg, mc_steps=5000, seed=2)
+    est = expected_step_drift(m, honest, pol, cfg)
     assert est.method == "closed_form"  # constant offset: gap is b * d
     traj = simulate(m, honest, (cfg, pol), 400, seed=17)
     series = rn_series(traj, m, honest, pol, cfg)
     assert classify(series, 400, -10.0) is Decision.ATTACK
     assert series.log_l_at(400) / 400 == pytest.approx(est.value, rel=0.5)
 
-    # state-dependent corruption of a window policy goes through Monte Carlo
-    est2 = expected_step_drift(m, honest, Replacement.sign_flip(), cfg,
-                               mc_steps=4000, seed=3)
-    assert est2.method == "monte_carlo"
+    # state-dependent corruption of a window policy: the lag-stacked loop
+    flip = Replacement.sign_flip()
+    est2 = expected_step_drift(m, honest, flip, cfg)
+    assert est2.method == "lyapunov"
+    mean, stderr = monte_carlo_drift(m, honest, flip, cfg, base=3)
+    assert abs(est2.value - mean) <= 5 * stderr
     assert est2.value < 0.0
+
+
+def monte_carlo_drift(m, honest, corrupt, cfg, *, seeds=200, horizon=500, burn=100, base=0):
+    """Test-only oracle of the stationary drift: simulate and average.
+
+    Each seed's step log ratios after ``burn`` steps are averaged, and
+    the standard error is taken across the independent seeds, not over
+    the autocorrelated steps of one path.
+    """
+    ens = simulate_ensemble(m, honest, (cfg, corrupt), horizon,
+                            [split_seed(base, i) for i in range(seeds)])
+    assert not ens.failed_at.any()
+    per_seed = detect_ensemble(ens.states, m, honest, corrupt, cfg).step_log_ratio[:, burn:]
+    per_seed = per_seed.mean(axis=1)
+    return float(per_seed.mean()), float(per_seed.std(ddof=1) / math.sqrt(seeds))
+
+
+@pytest.mark.parametrize("name", ["replacement", "fdi", "dos", "mimic", "example1",
+                                  "example2"])
+def test_drift_of_every_attacked_preset_matches_the_oracle(name):
+    s = scenario_from_dict(preset(name))
+    cfg, corrupt = s.attack
+    est = expected_step_drift(s.model, s.honest, corrupt, cfg)
+    mean, stderr = monte_carlo_drift(s.model, s.honest, corrupt, cfg, base=s.seed_base)
+    assert abs(est.value - mean) <= 5 * stderr + 1e-12, (est, mean, stderr)
+
+
+HONEST_BUILDERS = {
+    "zero": lambda gain, offset, lag2: Zero(),
+    "linear": lambda gain, offset, lag2: LinearFeedback(gain),
+    "affine": lambda gain, offset, lag2: Affine(gain, offset),
+    "window": lambda gain, offset, lag2: HistoryWindow((gain, lag2)),
+}
+ATTACK_BUILDERS = {
+    "dos": lambda v, m_count: DoS(),
+    "fdi": lambda v, m_count: Fdi(v[:m_count]),
+    "mimic": lambda v, m_count: Mimic(DiagonalPsd(np.abs(v[:m_count]) + 0.1)),
+    "constant": lambda v, m_count: Replacement.constant(v[:m_count]),
+    "scaled_state": lambda v, m_count: Replacement.scaled_state(0.8 * v[:m_count]),
+    "sign_flip": lambda v, m_count: Replacement.sign_flip(),
+}
+
+
+def _matrix(n, scale):
+    return st.lists(st.floats(-scale, scale), min_size=n * n, max_size=n * n).map(
+        lambda xs: np.array(xs).reshape(n, n))
+
+
+@st.composite
+def stable_scenarios(draw, honest_kind, attack_kind):
+    n = draw(st.integers(1, 3))
+    agents = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    cfg = AttackConfig(tuple(sorted(agents)))
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    m = model(n=n, dynamics=draw(_matrix(n, 0.5)), gains=vec(0.5, 1.5),
+              noise=np.diag(vec(0.2, 1.5)), excitation=vec(0.1, 1.0))
+    honest = HONEST_BUILDERS[honest_kind](draw(_matrix(n, 0.6)), vec(-1.0, 1.0),
+                                          draw(_matrix(n, 0.3)))
+    corrupt = ATTACK_BUILDERS[attack_kind](vec(-1.0, 1.0), cfg.malicious_count)
+    # keep the corrupt closed loop well inside the unit circle, so that a
+    # burn-in of 100 steps reaches the stationary law
+    gains, gain_gap, _, _ = lift(honest, (cfg, corrupt), n).gain_gaps()
+    f = np.eye(n * len(gains), k=-n)
+    f[:n] = m.actuator_gains[:, None] * np.hstack(gains + gain_gap)
+    f[:n, :n] += m.dynamics
+    assume(np.abs(np.linalg.eigvals(f)).max() < 0.8)
+    return m, honest, corrupt, cfg
+
+
+@pytest.mark.parametrize("attack_kind", sorted(ATTACK_BUILDERS))
+@pytest.mark.parametrize("honest_kind", sorted(HONEST_BUILDERS))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exact_drift_matches_the_monte_carlo_oracle(honest_kind, attack_kind, data):
+    m, honest, corrupt, cfg = data.draw(stable_scenarios(honest_kind, attack_kind))
+    est = expected_step_drift(m, honest, corrupt, cfg)
+    assert est.value is not None
+    mean, stderr = monte_carlo_drift(m, honest, corrupt, cfg, seeds=100, horizon=400)
+    assert abs(est.value - mean) <= 5 * stderr + 1e-12, (est, mean, stderr)
 
 
 def test_series_summary_round_trip():

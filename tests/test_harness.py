@@ -370,6 +370,16 @@ class TestCli:
         assert summary["decision"] == "attack"
         assert out.read_text().startswith("t,logL,r_n")
 
+    def test_detect_with_a_per_step_fdi_schedule(self, tmp_path, capsys):
+        # a time-varying offset has no stationary drift: null, not an error
+        path = self.write_preset(tmp_path, "fdi", horizon=20,
+                                 attack={"malicious_set": [1], "kind": "fdi",
+                                         "offsets": [[0.1 * k] for k in range(20)]})
+        assert cli.main(["detect", str(path), "--out", str(tmp_path / "s.csv")]) == 0
+        text = capsys.readouterr().out
+        assert '"drift_estimate": null' in text
+        assert json.loads(text)["n"] == 20
+
     def test_numeric_error_exit_code(self, tmp_path):
         data = preset("identity")
         data["model"]["dynamics"] = [[10.0, 0.0], [0.0, 10.0]]

@@ -14,6 +14,7 @@ from cps_sentinel.policies import (
     Zero,
     admit_controls,
     control_means,
+    lift,
 )
 from cps_sentinel.simulator import simulate_ensemble
 
@@ -22,53 +23,58 @@ def hist(*states):
     return np.array(states, dtype=float)
 
 
+def means(honest, attack, states, t=None):
+    return control_means(lift(honest, attack, np.shape(states)[-1]), states, t)
+
+
 def admitted(honest, attack, history, t, excitation):
     # the control the simulator admits at step t when mimicry draws nothing
-    g, c = control_means(honest, attack, history, t)
-    return admit_controls(attack, t, g, c, np.asarray(excitation, dtype=float))
+    laws = lift(honest, attack, history.shape[-1])
+    g, c = control_means(laws, history, t)
+    return admit_controls(laws, t, g, c, np.asarray(excitation, dtype=float))
 
 
 class TestHonestMean:
     def test_zero_policy(self):
-        out = control_means(Zero(), None, hist([3.0, -1.0]), 0)[0]
+        out = means(Zero(), None, hist([3.0, -1.0]), 0)[0]
         assert np.array_equal(out, [0.0, 0.0])
 
     def test_identity_gain_reads_last_state(self):
         p = LinearFeedback(np.eye(2))
-        out = control_means(p, None, hist([9.0, 9.0], [1.0, 2.0]), 1)[0]
+        out = means(p, None, hist([9.0, 9.0], [1.0, 2.0]), 1)[0]
         assert np.array_equal(out, [1.0, 2.0])
 
     def test_window_combines_lagged_states(self):
         # gains (I, I/2) on states (x_{t-1}, x_t) = ((2,0),(1,1)) -> (2,1)
         p = HistoryWindow((np.eye(2), 0.5 * np.eye(2)))
-        out = control_means(p, None, hist([2.0, 0.0], [1.0, 1.0]), 1)[0]
+        out = means(p, None, hist([2.0, 0.0], [1.0, 1.0]), 1)[0]
         assert np.array_equal(out, [2.0, 1.0])
 
     def test_window_truncates_before_start(self):
         p = HistoryWindow((np.eye(2), 0.5 * np.eye(2)))
-        out = control_means(p, None, hist([1.0, 1.0]), 0)[0]
+        out = means(p, None, hist([1.0, 1.0]), 0)[0]
         assert np.array_equal(out, [1.0, 1.0])
 
     def test_affine(self):
         p = Affine(np.eye(2), np.array([1.0, -1.0]))
-        out = control_means(p, None, hist([2.0, 2.0]), 0)[0]
+        out = means(p, None, hist([2.0, 2.0]), 0)[0]
         assert np.array_equal(out, [3.0, 1.0])
 
-    def test_gain_schedule(self):
-        p = LinearFeedback((np.eye(2), 2.0 * np.eye(2)))
-        assert np.array_equal(control_means(p, None, hist([1.0, 1.0]), 0)[0], [1.0, 1.0])
+    def test_gain_is_the_same_at_every_step(self):
+        p = LinearFeedback(2.0 * np.eye(2))
+        assert np.array_equal(means(p, None, hist([1.0, 1.0]), 0)[0], [2.0, 2.0])
         assert np.array_equal(
-            control_means(p, None, hist([0.0, 0.0], [1.0, 1.0]), 1)[0], [2.0, 2.0])
+            means(p, None, hist([0.0, 0.0], [1.0, 1.0]), 1)[0], [2.0, 2.0])
 
     def test_history_length_checked(self):
         with pytest.raises(ValueError):
-            control_means(Zero(), None, hist([1.0, 1.0]), 1)
+            means(Zero(), None, hist([1.0, 1.0]), 1)
 
     def test_markov_ignores_all_but_last_state(self):
         p = LinearFeedback(np.array([[0.3, -0.1], [0.2, 0.5]]))
         h1 = hist([5.0, 5.0], [1.0, 2.0])
         h2 = hist([-7.0, 0.0], [1.0, 2.0])
-        assert np.array_equal(control_means(p, None, h1, 1), control_means(p, None, h2, 1))
+        assert np.array_equal(means(p, None, h1, 1), means(p, None, h2, 1))
 
 
 class TestComposeControl:
@@ -108,21 +114,13 @@ class TestComposeControl:
         out = admitted(p, attack, hist([3.0, 2.0]), 0, np.zeros(2))
         np.testing.assert_allclose(out, [-3.0, 2.0])
 
-    def test_replacement_custom_hook(self):
-        def takeover(history, t, malicious_idx):
-            return history[-1][malicious_idx] + t
-
-        attack = (AttackConfig((2,)), Replacement.from_callable(takeover))
-        out = admitted(Zero(), attack, hist([0.0, 5.0], [0.0, 6.0]), 1, np.zeros(2))
-        np.testing.assert_allclose(out, [0.0, 7.0])
-
     def test_no_attack_equals_mean_plus_excitation_exactly(self):
         rng = np.random.default_rng(21)
         p = LinearFeedback(rng.standard_normal((3, 3)))
         h = hist(rng.standard_normal(3), rng.standard_normal(3))
         e = rng.standard_normal(3)
         out = admitted(p, None, h, 1, e)
-        assert np.array_equal(out, control_means(p, None, h, 1)[0] + e)
+        assert np.array_equal(out, means(p, None, h, 1)[0] + e)
 
     def test_fdi_schedule_indexing(self):
         fdi = Fdi(np.array([[1.0], [2.0]]))
@@ -130,8 +128,8 @@ class TestComposeControl:
         out0 = admitted(Zero(), attack, hist([0.0, 0.0]), 0, np.zeros(2))
         out1 = admitted(Zero(), attack, hist([0.0, 0.0], [0.0, 0.0]), 1, np.zeros(2))
         assert out0[0] == 1.0 and out1[0] == 2.0
-        with pytest.raises(ValueError):
-            fdi.offset_at(2)
+        with pytest.raises(ValueError, match="schedule has 2 steps, step 2 requested"):
+            admitted(Zero(), attack, np.zeros((3, 2)), 2, np.zeros(2))
 
 
 def test_mimic_matches_honest_conditional_law_distributionally():
@@ -160,14 +158,14 @@ def test_mimic_matches_honest_conditional_law_distributionally():
 HONEST_KINDS = [
     Zero(),
     LinearFeedback(np.array([[0.3, -0.1, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, -0.4]])),
-    LinearFeedback(tuple((0.1 * k) * np.eye(3) for k in range(6))),
+    LinearFeedback(0.3 * np.eye(3) - 0.1 * np.ones((3, 3))),
     Affine(-0.2 * np.eye(3), np.array([1.0, -1.0, 0.5])),
     HistoryWindow((np.eye(3), 0.5 * np.ones((3, 3)), -0.25 * np.eye(3))),
 ]
 CORRUPT_KINDS = [
     None, DoS(), Fdi(np.array([0.7])), Fdi(np.arange(6.0)[:, None]), Mimic(DiagonalPsd([1.0])),
     Replacement.constant([2.0]), Replacement.scaled_state([-0.5]), Replacement.sign_flip(),
-    Replacement.from_callable(lambda history, t, mal: history[0][mal] * t),
+    Replacement.scaled_state([1.25]),
 ]
 
 
@@ -177,19 +175,19 @@ def test_control_means_path_batch_and_step_agree(honest, corrupt):
     # one kernel serves a batch of paths, one path, and one step of one path
     states = np.random.default_rng(23).standard_normal((4, 6, 3))
     attack = None if corrupt is None else (AttackConfig((2,)), corrupt)
-    g, c = control_means(honest, attack, states)
+    g, c = means(honest, attack, states)
     assert g.shape == c.shape == states.shape
     if attack is None:
         assert c is g
     else:
         assert np.array_equal(np.delete(c, 1, axis=-1), np.delete(g, 1, axis=-1))
     for i in range(4):
-        g_i, c_i = control_means(honest, attack, states[i])
+        g_i, c_i = means(honest, attack, states[i])
         assert np.array_equal(g_i, g[i]) and np.array_equal(c_i, c[i])
         for t in range(6):
-            g_t, c_t = control_means(honest, attack, states[i, : t + 1], t)
+            g_t, c_t = means(honest, attack, states[i, : t + 1], t)
             assert np.array_equal(g_t, g[i, t]) and np.array_equal(c_t, c[i, t])
-            assert np.array_equal(g_t, control_means(honest, None, states[i, : t + 1], t)[0])
+            assert np.array_equal(g_t, means(honest, None, states[i, : t + 1], t)[0])
 
 
 def test_control_means_corrupt_channel_values():
@@ -200,7 +198,7 @@ def test_control_means_corrupt_channel_values():
               (Replacement.constant([7.0]), 7.0), (Replacement.scaled_state([2.0]), 10.0),
               (Replacement.sign_flip(), -5.0)]
     for corrupt, value in expect:
-        g, c = control_means(honest, (cfg, corrupt), states, 1)
+        g, c = means(honest, (cfg, corrupt), states, 1)
         assert np.array_equal(g, [4.0, 5.0, 6.0])
         assert np.array_equal(c, [4.0, value, 6.0]), corrupt
 
@@ -208,4 +206,21 @@ def test_control_means_corrupt_channel_values():
 def test_fdi_schedule_too_short_for_the_path():
     attack = (AttackConfig((1,)), Fdi(np.array([[1.0], [2.0]])))
     with pytest.raises(ValueError):
-        control_means(Zero(), attack, np.zeros((3, 2)))
+        means(Zero(), attack, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("honest", HONEST_KINDS)
+@pytest.mark.parametrize("corrupt", [c for c in CORRUPT_KINDS
+                                     if not (isinstance(c, Fdi) and c.offsets.ndim == 2)])
+def test_gain_matrices_reproduce_the_means(honest, corrupt):
+    # the dense gains the drift reads give the means the engine evaluates
+    states = np.random.default_rng(24).standard_normal((4, 6, 3))
+    laws = lift(honest, None if corrupt is None else (AttackConfig((2,)), corrupt), 3)
+    g, c = control_means(laws, states)
+    gains, gain_gap, offset, offset_gap = laws.gain_gaps()
+    for t in range(len(gains) - 1, 6):
+        lagged = states[:, t - np.arange(len(gains))]  # (seeds, lag, N)
+        honest_t = np.einsum("kij,skj->si", gains, lagged) + offset
+        corrupt_t = np.einsum("kij,skj->si", gains + gain_gap, lagged) + offset + offset_gap
+        np.testing.assert_allclose(g[:, t], honest_t, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(c[:, t], corrupt_t, rtol=1e-12, atol=1e-12)

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -13,6 +14,7 @@ from cps_sentinel.policies import (
     Replacement,
     Zero,
     control_means,
+    lift,
 )
 from cps_sentinel.simulator import (
     NonFiniteState,
@@ -22,6 +24,11 @@ from cps_sentinel.simulator import (
     simulate_ensemble,
     write_trajectory_csv,
 )
+
+
+def covariances(m, corrupt, cfg):
+    attack = None if corrupt is None else (cfg, corrupt)
+    return conditional_covariances(m, lift(Zero(), attack, m.n_agents))
 
 
 def model(n=2, dynamics=None, gains=None, noise=None, excitation=None, initial=None):
@@ -81,28 +88,35 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(model(), Zero(), None, 0, seed=0)
 
+    def test_fdi_schedule_shorter_than_the_horizon(self):
+        attack = (AttackConfig((1,)), Fdi(np.ones((20, 1))))
+        simulate_ensemble(model(), Zero(), attack, 20, [1, 2])
+        with pytest.raises(ValueError) as err:
+            simulate_ensemble(model(), Zero(), attack, 21, [1, 2])
+        assert str(err.value) == "fdi offset schedule has 20 steps, step 20 requested"
+
 
 class TestConditionalCovariances:
     def test_no_attack_shares_the_object(self):
-        h, c = conditional_covariances(model(), None, None)
+        h, c = covariances(model(), None, None)
         assert h is c
 
     def test_honest_block_values(self):
         # A=0, b=(1,1), V_e = I, V_w = I -> honest covariance 2I
-        h, _ = conditional_covariances(model(), None, None)
+        h, _ = covariances(model(), None, None)
         np.testing.assert_array_equal(h.mat, 2.0 * np.eye(2))
 
     def test_replacement_zeroes_attacked_excitation(self):
-        _, c = conditional_covariances(model(), Replacement.constant([0.0]),
+        _, c = covariances(model(), Replacement.constant([0.0]),
                                        AttackConfig((1,)))
         np.testing.assert_array_equal(c.mat, np.diag([1.0, 2.0]))
 
     def test_fdi_keeps_honest_covariance(self):
-        h, c = conditional_covariances(model(), Fdi(np.array([1.0])), AttackConfig((1,)))
+        h, c = covariances(model(), Fdi(np.array([1.0])), AttackConfig((1,)))
         np.testing.assert_array_equal(h.mat, c.mat)
 
     def test_mimic_uses_self_excitation(self):
-        _, c = conditional_covariances(model(), Mimic(DiagonalPsd([0.25])),
+        _, c = covariances(model(), Mimic(DiagonalPsd([0.25])),
                                        AttackConfig((1,)))
         np.testing.assert_array_equal(c.mat, np.diag([1.25, 2.0]))
 
@@ -117,7 +131,7 @@ class TestConditionalCovariances:
             m = model(n=n, dynamics=rng.standard_normal((n, n)), gains=gains,
                       noise=g @ g.T + 0.05 * np.eye(n), excitation=rng.random(n),
                       initial=Dirac(np.zeros(n)))
-            h, c = conditional_covariances(m, DoS(), AttackConfig((1,)))
+            h, c = covariances(m, DoS(), AttackConfig((1,)))
             assert logdet(h) > -np.inf and logdet(c) > -np.inf
 
     def test_det_strictly_drops_for_replacement(self):
@@ -135,7 +149,7 @@ class TestConditionalCovariances:
             m = model(n=n, dynamics=np.zeros((n, n)), gains=gains,
                       noise=g @ g.T + 0.05 * np.eye(n), excitation=excitation,
                       initial=Dirac(np.zeros(n)))
-            h, c = conditional_covariances(m, Replacement.constant(np.zeros(k)),
+            h, c = covariances(m, Replacement.constant(np.zeros(k)),
                                            AttackConfig(mal))
             assert logdet(c) < logdet(h)
 
@@ -143,7 +157,7 @@ class TestConditionalCovariances:
 def predicted_means(m, honest, corrupt, cfg, traj, t):
     """Honest and corrupt one-step predictor means of x_{t+1} along ``traj``."""
     attack = None if corrupt is None else (cfg, corrupt)
-    g, c = control_means(honest, attack, traj.states[: t + 1], t)
+    g, c = control_means(lift(honest, attack, m.n_agents), traj.states[: t + 1], t)
     drive = m.dynamics @ traj.states[t]
     return drive + m.actuator_gains * g, drive + m.actuator_gains * c
 
@@ -155,7 +169,7 @@ class TestPredictedConditionals:
         mu_h, mu_c = predicted_means(m, Zero(), None, None, traj, 1)
         np.testing.assert_array_equal(mu_h, np.zeros(2))
         np.testing.assert_array_equal(mu_c, mu_h)
-        h_cov, c_cov = conditional_covariances(m, None, None)
+        h_cov, c_cov = covariances(m, None, None)
         np.testing.assert_array_equal(h_cov.mat, 2.0 * np.eye(2))
         assert h_cov is c_cov
 
@@ -166,7 +180,7 @@ class TestPredictedConditionals:
         traj = simulate(m, Zero(), (cfg, pol), 3, seed=5)
         mu_h, mu_c = predicted_means(m, Zero(), pol, cfg, traj, 0)
         np.testing.assert_array_equal(mu_c, mu_h)  # both channel means are 0
-        _, c_cov = conditional_covariances(m, pol, cfg)
+        _, c_cov = covariances(m, pol, cfg)
         np.testing.assert_array_equal(c_cov.mat, np.diag([1.0, 2.0]))
 
     def test_fdi_shifts_mean_keeps_covariance(self):
@@ -176,7 +190,7 @@ class TestPredictedConditionals:
         traj = simulate(m, Zero(), (cfg, pol), 3, seed=6)
         mu_h, mu_c = predicted_means(m, Zero(), pol, cfg, traj, 2)
         np.testing.assert_allclose(mu_c - mu_h, [2.0, 0.0])
-        h_cov, c_cov = conditional_covariances(m, pol, cfg)
+        h_cov, c_cov = covariances(m, pol, cfg)
         np.testing.assert_array_equal(c_cov.mat, h_cov.mat)
 
     def test_markov_predictors_ignore_early_states(self):
@@ -234,6 +248,25 @@ class TestTrajectoryCsv:
         last = lines[-1].split(",")
         assert last[0] == "2" and last[3] == "" and last[-1] == ""
         assert float(last[1]) == traj.states[2, 0]
+
+    def test_columns_match_a_per_cell_writer(self):
+        # signed zeros included: a DoS channel emits 0.0, a sign flip of a
+        # zero mean -0.0, and a scaled state from x_0 = 0 as well
+        for pol in (DoS(), Replacement.sign_flip(), Replacement.scaled_state([-0.2])):
+            traj = simulate(model(), LinearFeedback(-0.2 * np.eye(2)),
+                            (AttackConfig((1,)), pol), 30, seed=10)
+            ref = io.StringIO()
+            writer = csv.writer(ref, lineterminator="\n")
+            writer.writerow(["t", "x_1", "x_2", "u_1", "u_2", "e_1", "e_2"])
+            for t in range(traj.horizon):
+                writer.writerow([t] + [repr(float(v)) for v in traj.states[t]]
+                                + [repr(float(v)) for v in traj.controls[t]]
+                                + [repr(float(v)) for v in traj.excitations[t]])
+            writer.writerow([traj.horizon] + [repr(float(v)) for v in traj.states[-1]]
+                            + [""] * 4)
+            buf = io.StringIO()
+            write_trajectory_csv(traj, buf)
+            assert buf.getvalue() == ref.getvalue()
 
     def test_trajectory_shape_validation(self):
         with pytest.raises(ValueError):
