@@ -317,7 +317,8 @@ def expected_step_drift(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolic
         quad, method = float(np.trace(d.T @ np.linalg.solve(h_cov.mat, d) @ cov)), "lyapunov"
     solve = np.linalg.solve(h_cov.mat, c_cov.mat)
     quad += float(delta @ np.linalg.solve(h_cov.mat, delta))
-    value = -0.5 * (float(np.trace(solve)) - n + logdet(h_cov) - logdet(c_cov) + quad)
+    # + 0.0 turns the -0.0 of a zero bracket into 0.0 and changes nothing else
+    value = -0.5 * (float(np.trace(solve)) - n + logdet(h_cov) - logdet(c_cov) + quad) + 0.0
     return DriftEstimate(value=value, method=method)
 
 

@@ -540,7 +540,7 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
     start = time.perf_counter()
     k_h = induced_kernel(s.mdp, s.honest_policy)
     k_c = induced_kernel(s.mdp, s.corrupt_policy)
-    drift = analytic_drift(k_h, k_c)
+    drift = analytic_drift(k_h, k_c, s.mdp.initial)
     finals = np.empty(s.seed_count)
     out_path = _out_path(out_dir, s.outputs)
     if out_path is not None:

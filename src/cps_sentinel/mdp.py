@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ConvergenceFailure
-
 _ROW_TOL = 1e-12
 STATE_ACTION_CAP = 64
 
@@ -200,44 +198,45 @@ def path_log_ratio(path: np.ndarray, k_honest: np.ndarray, k_corrupt: np.ndarray
     return out
 
 
-def stationary_distribution(k: np.ndarray, *, tol: float = 1e-12,
-                            max_iter: int = 200_000) -> np.ndarray:
-    """Power iteration to the stationary law of a state kernel.
+def stationary_distribution(k: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """Limit law lim (1/n) sum_{t<n} initial K^t of any finite chain, exactly.
 
-    Starts from a point mass on state 0 and stops at the first checked
-    step m whose law pi_m = e_0 K^m has residual max|pi_m K - pi_m| below
-    ``tol``, returning pi_m K. The checked steps are m = 0, 1, 2, 4, 8, ...
-    (K^m by repeated squaring) and finally m = max_iter - 1, the last step
-    the plain iteration would check. Periodic chains oscillate and hit the
-    cap instead of silently averaging out; irreducibility and aperiodicity
-    are the caller's concern.
+    A state is recurrent when every state it reaches reaches it back. Each
+    closed class reachable from ``initial`` gets the mass it absorbs times
+    its own stationary law (one solve each); every other state gets 0.0.
     """
     k = np.asarray(k, dtype=float)
-    power = np.eye(k.shape[0])  # K^m
-    m = 0
-    while True:
-        pi = power[0]
-        nxt = pi @ k
-        if np.abs(nxt - pi).max() < tol:
-            return nxt
-        step = min(max(m, 1), max_iter - 1 - m)
-        if step < 1:
-            raise ConvergenceFailure(
-                f"power iteration did not reach residual {tol:g} in {max_iter} steps")
-        power = power @ (power if step == m else np.linalg.matrix_power(k, step))
-        m += step
+    nu = np.asarray(initial, dtype=float)
+    n = k.shape[0]
+    # reach[x, y]: y is reachable from x; the path counts stay below 1e115
+    reach = np.linalg.matrix_power(np.eye(n) + (k > 0.0), n - 1) > 0.0
+    rec = (reach <= reach.T).all(axis=1)
+    # first landing law on the recurrent states, via expected transient visits
+    visits = np.linalg.solve(np.eye(n - rec.sum()) - k[np.ix_(~rec, ~rec)].T, nu[~rec])
+    landing = np.where(rec, nu + visits @ k[~rec], 0.0)
+    mu = np.zeros(n)
+    for first in np.unique(np.argmax(reach[rec & reach[nu > 0.0].any(axis=0)], axis=1)):
+        cls = np.flatnonzero(reach[first])  # the closed class of its first state
+        balance = np.eye(cls.size) - k[np.ix_(cls, cls)].T
+        balance[-1] = 1.0  # the normalisation in place of one balance equation
+        mu[cls] = landing[cls].sum() * np.linalg.solve(balance, np.eye(cls.size)[-1])
+    return mu
 
 
-def analytic_drift(k_honest: np.ndarray, k_corrupt: np.ndarray) -> float:
-    """Expected per-step log ratio under the corrupt chain at stationarity.
+def analytic_drift(k_honest: np.ndarray, k_corrupt: np.ndarray,
+                   initial: np.ndarray | None = None) -> float:
+    """Expected per-step log ratio of the corrupt chain in the long run.
 
-    Equals minus the corrupt-stationary-weighted relative entropy of the
-    corrupt rows against the honest rows; zero iff the kernels agree on
-    the corrupt support, -inf if the honest kernel forbids a corrupt move.
+    Minus the relative entropy of the corrupt rows against the honest
+    rows, weighted by the corrupt limit law from ``initial`` (state 0 by
+    default); zero iff the kernels agree on the rows that law uses, -inf
+    if the honest kernel forbids a move of one of them.
     """
     k_honest = np.asarray(k_honest, dtype=float)
     k_corrupt = np.asarray(k_corrupt, dtype=float)
-    mu = stationary_distribution(k_corrupt)
+    if initial is None:
+        initial = np.eye(k_corrupt.shape[0])[0]
+    mu = stationary_distribution(k_corrupt, initial)
     used = (mu[:, None] != 0.0) & (k_corrupt != 0.0)
     if (used & (k_honest == 0.0)).any():
         return -np.inf

@@ -20,6 +20,7 @@ DEFAULT_DIM_CAP = 32
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 _MASK64 = (1 << 64) - 1
+_SYM_RTOL = 1e-12
 
 
 class NotSymmetric(ValueError):
@@ -76,23 +77,22 @@ class SpdMatrix:
         return self.mat.shape[0]
 
 
-def make_spd(entries, *, sym_rtol: float = 1e-12,
-             dim_cap: int | None = DEFAULT_DIM_CAP) -> SpdMatrix:
+def make_spd(entries, *, dim_cap: int | None = DEFAULT_DIM_CAP) -> SpdMatrix:
     """Validate symmetry and positive definiteness, caching the Cholesky factor.
 
     Raises
     ------
     NotSymmetric
-        If ``max|M - M^T|`` exceeds ``sym_rtol * max|M|``.
+        If ``max|M - M^T|`` exceeds ``1e-12 * max|M|``.
     NotPositiveDefinite
         If the Cholesky factorization fails (nonpositive pivot).
     """
     m = as_square_matrix(entries, dim_cap)
     gap = float(np.abs(m - m.T).max())
     scale = float(np.abs(m).max())
-    if gap > sym_rtol * scale:
+    if gap > _SYM_RTOL * scale:
         raise NotSymmetric(
-            f"asymmetry {gap:.3e} exceeds {sym_rtol:.1e} relative tolerance")
+            f"asymmetry {gap:.3e} exceeds {_SYM_RTOL:.1e} relative tolerance")
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:

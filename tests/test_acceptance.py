@@ -27,6 +27,7 @@ from cps_sentinel.harness import (
     AssumptionViolation,
     mdp_scenario_from_dict,
     preset,
+    run_mdp_batch,
     run_montecarlo,
     scenario_from_dict,
 )
@@ -221,7 +222,7 @@ def test_criterion_8_mdp_testbed():
     s = mdp_scenario_from_dict(preset("mdp-detect"))
     k_h = induced_kernel(s.mdp, s.honest_policy)
     k_c = induced_kernel(s.mdp, s.corrupt_policy)
-    drift = analytic_drift(k_h, k_c)
+    drift = analytic_drift(k_h, k_c, s.mdp.initial)
 
     def log_ratios(mdp, policy, n, base, count, k_h, k_c, nu_h, nu_c, chunk=10):
         """Series of seeds split_seed(base, 0..count-1), ``chunk`` seeds per engine call."""
@@ -327,3 +328,44 @@ def test_criterion_9_reproducibility(tmp_path):
     gate(9, ok, "reproducibility: repeated CLI runs, a whole batch, the same seeds in "
                 "two chunks and each seed alone produce identical outputs "
                 "(wall time excluded)")
+
+
+def test_criterion_10_mdp_drift_from_the_initial_law():
+    def batch(corrupt, honest, initial, count, horizon, base=1):
+        """Batch summary of a two-action MDP: action 0 is the corrupt kernel, 1 the honest."""
+        n = len(initial)
+        return run_mdp_batch(mdp_scenario_from_dict({
+            "name": "chain", "horizon": horizon, "seeds": {"base": base, "count": count},
+            "mdp": {"kernel": [corrupt, honest], "initial": initial},
+            "honest_policy": [[0.0, 1.0]] * n, "corrupt_policy": [[1.0, 0.0]] * n,
+        }))
+
+    def agrees(summary):
+        """The batch mean drift against the analytic one: within 5 standard
+        errors, or 1e-12 when every path is the same (its standard error is
+        then 0 up to rounding)."""
+        gap = abs(summary["mean_drift"] - summary["analytic_drift"])
+        return gap <= max(5.0 * summary["drift_stderr"], 1e-12)
+
+    cases = {
+        # two absorbing corrupt states, started in the one the honest law leaves
+        "reducible": (batch([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.25, 0.75]],
+                            [0.0, 1.0], 20, 200), math.log(0.75)),
+        # a swap, which has no limit in law but a Cesaro one
+        "periodic": (batch([[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]],
+                           [1.0, 0.0], 20, 200), math.log(0.5)),
+        # half the paths end where the honest law leaves w.p. 0.25, half agree
+        "mixture": (batch([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                          [[0.0, 0.5, 0.5], [0.0, 0.75, 0.25], [0.0, 0.0, 1.0]],
+                          [1.0, 0.0, 0.0], 400, 1000), 0.5 * math.log(0.75)),
+    }
+    ok = all(abs(summary["analytic_drift"] - exact) <= 1e-12 and agrees(summary)
+             for summary, exact in cases.values())
+    data = preset("mdp-mimic")
+    data["seeds"]["count"], data["horizon"] = 5, 200
+    mimic = run_mdp_batch(mdp_scenario_from_dict(data))
+    ok &= mimic["analytic_drift"] == 0.0 == mimic["mean_drift"]
+    gate(10, ok, "finite testbed from the initial law: " + ", ".join(
+        f"{name} drift {summary['analytic_drift']:.6f} (exact {exact:.6f}, batch "
+        f"{summary['mean_drift']:.6f} +- {summary['drift_stderr']:.1e})"
+        for name, (summary, exact) in cases.items()) + "; mimic 0.0")

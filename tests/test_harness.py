@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -380,6 +381,13 @@ class TestCli:
         assert '"drift_estimate": null' in text
         assert json.loads(text)["n"] == 20
 
+    def test_detect_prints_a_positive_zero_drift_for_the_mimic(self, tmp_path, capsys):
+        path = self.write_preset(tmp_path, "mimic", horizon=50)
+        assert cli.main(["detect", str(path), "--out", str(tmp_path / "s.csv")]) == 0
+        text = capsys.readouterr().out
+        assert '"drift_estimate": 0.0' in text
+        assert math.copysign(1.0, json.loads(text)["drift_estimate"]) == 1.0
+
     def test_numeric_error_exit_code(self, tmp_path):
         data = preset("identity")
         data["model"]["dynamics"] = [[10.0, 0.0], [0.0, 10.0]]
@@ -416,18 +424,18 @@ class TestCli:
         path.write_text(json.dumps(data))
         return path
 
-    def test_mdp_batch_failure_exits_two_with_an_error_line(self, tmp_path, capsys):
-        # a periodic corrupt chain has no stationary law, so the batch raises
+    def test_periodic_mdp_batch_exits_zero_with_zero_drift(self, tmp_path, capsys):
+        # a periodic corrupt chain has a Cesaro limit law, so its drift is exact
         data = preset("mdp-detect")
         data["mdp"] = {"kernel": [[[0.0, 1.0], [1.0, 0.0]]], "initial": [1.0, 0.0]}
         data["honest_policy"] = data["corrupt_policy"] = [[1.0], [1.0]]
         path = tmp_path / "periodic.json"
         path.write_text(json.dumps(data))
-        assert cli.main(["mdp", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert cli.main(["mdp", str(path), "--out", str(tmp_path / "o")]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("numeric error: ConvergenceFailure: ")
-        assert len(captured.err.splitlines()) == 1
+        assert captured.err == ""
+        summary = json.loads(captured.out)
+        assert summary["analytic_drift"] == 0.0 == summary["mean_drift"]
 
     def test_mdp_threshold_in_the_file_is_rejected(self, tmp_path, capsys):
         path = self.mdp_file(tmp_path, threshold=-10.0)

@@ -4,7 +4,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cps_sentinel import harness
@@ -20,7 +20,7 @@ from cps_sentinel.mdp import (
     simulate_paths,
     stationary_distribution,
 )
-from cps_sentinel.numerics import ConvergenceFailure, split_seed
+from cps_sentinel.numerics import split_seed
 
 
 P0 = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -77,6 +77,36 @@ def plain_power_iteration(k, steps=20_000):
     for _ in range(steps):
         pi = pi @ k
     return pi
+
+
+def reachable_recurrent(k, nu):
+    """States reachable from the support of ``nu`` that reach back every
+    state they reach, by a depth-first search from each state."""
+    n = len(k)
+
+    def reached(x):
+        seen, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for z in range(n):
+                if k[y, z] > 0.0 and z not in seen:
+                    seen.add(z)
+                    todo.append(z)
+        return seen
+
+    sets = [reached(x) for x in range(n)]
+    start = set().union(*(sets[x] for x in range(n) if nu[x] > 0.0))
+    return {x for x in start if all(x in sets[y] for y in sets[x])}
+
+
+def multichain_law(k, nu):
+    """The limit law from the multichain evaluation equations mu (I - K) = 0,
+    mu + w (I - K) = nu (Puterman, section 8.2), solved by least squares;
+    these pin mu down uniquely whatever the class structure of K."""
+    n = len(k)
+    a = (np.eye(n) - k).T
+    system = np.block([[a, np.zeros((n, n))], [np.eye(n), a]])
+    return np.linalg.lstsq(system, np.concatenate([np.zeros(n), nu]), rcond=None)[0][:n]
 
 
 def plain_csv(series):
@@ -222,10 +252,6 @@ def test_batch_files_are_plain_repr_rows_whatever_the_batch(tmp_path_factory, ca
                                                             base, cells):
     mdp, honest, corrupt = case
     k_h, k_c = induced_kernel(mdp, honest), induced_kernel(mdp, corrupt)
-    try:
-        stationary_distribution(k_c)
-    except ConvergenceFailure:
-        assume(False)  # a periodic corrupt chain has no analytic drift
     out = tmp_path_factory.mktemp("mdp")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_CHUNK_CELLS", cells)
@@ -340,21 +366,20 @@ class TestPathLogRatio:
 
 
 class TestStationaryDistribution:
-    def test_periodic_two_cycle_fails_to_converge(self):
-        with pytest.raises(ConvergenceFailure):
-            stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]), max_iter=5000)
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_periodic_two_cycle_is_uniform_from_either_start(self, start):
+        mu = stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)[start])
+        np.testing.assert_allclose(mu, [0.5, 0.5], rtol=0.0, atol=1e-15)
 
     def test_symmetric_chain(self):
         k = np.array([[0.7, 0.3], [0.3, 0.7]])
-        np.testing.assert_allclose(stationary_distribution(k), [0.5, 0.5], atol=1e-10)
+        np.testing.assert_allclose(stationary_distribution(k, [1.0, 0.0]), [0.5, 0.5],
+                                   atol=1e-10)
 
     def test_asymmetric_chain_detailed_balance(self):
         k = np.array([[0.8, 0.2], [0.6, 0.4]])
-        np.testing.assert_allclose(stationary_distribution(k), [0.75, 0.25], atol=1e-10)
-
-    def test_periodic_two_cycle_fails_at_the_default_cap(self):
-        with pytest.raises(ConvergenceFailure):
-            stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(stationary_distribution(k, [0.0, 1.0]), [0.75, 0.25],
+                                   atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_with_plain_power_iteration(self, seed):
@@ -362,22 +387,38 @@ class TestStationaryDistribution:
         n = 1 + seed
         k = rng.random((n, n)) * (rng.random((n, n)) < 0.7) + np.eye(n) * 0.05
         k /= k.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(stationary_distribution(k), plain_power_iteration(k),
+        np.testing.assert_allclose(stationary_distribution(k, np.eye(len(k))[0]),
+                                   plain_power_iteration(k),
                                    rtol=0.0, atol=1e-12)
 
     def test_slow_chain_agrees_with_plain_power_iteration(self):
         # the mdp-detect corrupt chain: second eigenvalue 0.9964, so a plain
         # iteration stopped at residual 1e-12 would still be 2.8e-10 away
         k = np.array([[0.03 * 0.94 + 0.97, 0.03 * 0.06], [0.03 * 0.06, 0.03 * 0.94 + 0.97]])
-        np.testing.assert_allclose(stationary_distribution(k), plain_power_iteration(k),
+        np.testing.assert_allclose(stationary_distribution(k, np.eye(len(k))[0]),
+                                   plain_power_iteration(k),
                                    rtol=0.0, atol=1e-12)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(41)
         k = rng.random((5, 5)) + 0.1
         k /= k.sum(axis=1, keepdims=True)
-        pi = stationary_distribution(k)
+        pi = stationary_distribution(k, np.full(5, 0.2))
         assert np.abs(pi @ k - pi).max() < 1e-11
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=finite_mdps())
+def test_exact_law_of_every_induced_chain_from_the_initial_law(case):
+    mdp, honest, corrupt = case
+    for policy in (honest, corrupt):
+        k = induced_kernel(mdp, policy)
+        mu = stationary_distribution(k, mdp.initial)
+        assert (mu >= 0.0).all() and abs(mu.sum() - 1.0) <= 1e-12
+        assert np.abs(mu @ k - mu).max() <= 1e-14
+        support = np.isin(np.arange(len(k)), list(reachable_recurrent(k, mdp.initial)))
+        assert (mu[~support] == 0.0).all() and (mu[support] > 0.0).all()
+        np.testing.assert_allclose(mu, multichain_law(k, mdp.initial), rtol=0.0, atol=1e-10)
 
 
 class TestAnalyticDrift:
@@ -392,7 +433,7 @@ class TestAnalyticDrift:
     def test_matches_brute_force_sum(self):
         kh = np.array([[0.8, 0.2], [0.6, 0.4]])
         kc = np.array([[0.5, 0.5], [0.3, 0.7]])
-        mu = stationary_distribution(kc)
+        mu = stationary_distribution(kc, [1.0, 0.0])
         brute = 0.0
         for x in range(2):
             for y in range(2):
