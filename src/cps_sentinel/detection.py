@@ -297,14 +297,17 @@ def expected_step_drift(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolic
         return DriftEstimate(value=None, method="time_varying")
     h_cov, c_cov = conditional_covariances(m, laws)
     n, b = m.n_agents, m.actuator_gains
-    gains, gain_gap, offset, offset_gap = laws.gain_gaps()
+    offset = np.zeros(n) if laws.offset is None else laws.offset
+    offset_gap = (np.zeros(n) if laws.corrupt_offset is None else laws.corrupt_offset) - offset
+    if laws.fdi is not None:
+        offset_gap[laws.mal] += laws.fdi
     delta = b * offset_gap
-    d = b[:, None] * np.hstack(gain_gap)
+    d = b[:, None] * np.hstack(laws.corrupt_gains - laws.gains)
     quad, method = 0.0, "closed_form"
     if d.any():
-        lags = gains.shape[0]
+        lags = laws.gains.shape[0]
         f = np.eye(n * lags, k=-n)  # shifts each lag block one block down
-        f[:n] = b[:, None] * np.hstack(gains + gain_gap)
+        f[:n] = b[:, None] * np.hstack(laws.corrupt_gains)
         f[:n, :n] += m.dynamics
         if np.abs(np.linalg.eigvals(f)).max() >= 1.0:
             return DriftEstimate(value=None, method="unstable")

@@ -249,6 +249,8 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     Each vector goes through the same matrix-vector kernel as a lone
     ``a @ v``, so a row's result never depends on how many rows are
     stacked beside it (a single ``x @ a.T`` product does not promise that).
+    Its accumulator starts at +0.0, so it never returns ``-0.0``: a row
+    whose products are all zeros, of either sign, sums to +0.0.
     """
     return (a @ x[..., None])[..., 0]
 

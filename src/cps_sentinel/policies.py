@@ -122,69 +122,27 @@ Attack = tuple[AttackConfig, CorruptPolicy]
 class LinearLaws:
     """The honest and the corrupt control law of a scenario as gain matrices.
 
-    Honest mean at step t: ``sum_k lags[k] @ x_{t-k} + offset``; lags that
-    reach before x_0 are dropped, and no lags is the zero law. The corrupt
-    mean equals it on the honest channels. On the attacked channels
-    ``mal`` it is ``follow * honest mean + self_gain * x_t[mal] +
-    corrupt_offset``, plus the FDI offset ``fdi`` (a vector, or a table
-    with one row per step), so its gain rows are ``follow`` times the
-    honest rows plus ``diag(self_gain)`` at lag 0. Absent terms (None, or
-    ``follow == 0``) are skipped rather than added as zeros, which keeps
-    every mean the exact number the policy defines, down to the sign of
-    a zero. ``keep`` tells whether the attacked channels keep their
+    Honest mean at step t: ``sum_k gains[k] @ x_{t-k} + offset``, and the
+    corrupt mean the same with ``corrupt_gains`` and ``corrupt_offset``,
+    plus the FDI offset ``fdi`` (a vector, or a table with one row per
+    step) on the attacked channels ``mal``. Both gain arrays have shape
+    (L, N, N), L >= 1, and lags that reach before x_0 are dropped; the
+    zero law is one zero matrix. An absent offset is None, not zeros, so
+    the step loop adds nothing for it. When the corrupt law reuses the
+    honest gains and offset (no attack, FDI, mimicry) they are the same
+    objects. ``keep`` tells whether the attacked channels keep their
     private excitation (FDI) or lose it; ``own`` is the mimic's
     self-excitation covariance on them.
     """
 
-    n: int
-    lags: tuple[np.ndarray, ...]
+    gains: np.ndarray
     offset: np.ndarray | None
+    corrupt_gains: np.ndarray
+    corrupt_offset: np.ndarray | None
     mal: np.ndarray
-    follow: float = 1.0
-    self_gain: np.ndarray | None = None
-    corrupt_offset: np.ndarray | None = None
     fdi: np.ndarray | None = None
     keep: bool = True
     own: DiagonalPsd | None = None
-
-    def honest_means(self, states: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Honest means at steps lo..hi-1 along ``states``, shape (..., hi - lo, N)."""
-        x = states[..., lo:hi, :]
-        if not self.lags:
-            out = np.zeros_like(x)
-        else:
-            out = matvec(self.lags[0], x)
-            for k, g in enumerate(self.lags[1:], 1):
-                first = max(lo, k)
-                if first < hi:
-                    out[..., first - lo:, :] += matvec(g, states[..., first - k:hi - k, :])
-        return out if self.offset is None else out + self.offset
-
-    def corrupt_means(self, g: np.ndarray, states: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Corrupt means at steps lo..hi-1 given the honest ones ``g``.
-
-        The honest array itself when the two laws agree; otherwise a copy
-        with the attacked channels rewritten, reusing ``g`` (no second
-        lag sum).
-        """
-        if (self.follow == 1.0 and self.self_gain is None and self.corrupt_offset is None
-                and self.fdi is None):
-            return g
-        mal = self.mal
-        terms = []
-        if self.follow == 1.0:
-            terms.append(g[..., mal])
-        elif self.follow:
-            terms.append(self.follow * g[..., mal])
-        if self.self_gain is not None:
-            terms.append(self.self_gain * states[..., lo:hi, :][..., mal])
-        if self.corrupt_offset is not None:
-            terms.append(self.corrupt_offset)
-        if self.fdi is not None:
-            terms.append(self.fdi_offsets(lo, hi))
-        c = g.copy()
-        c[..., mal] = sum(terms[1:], terms[0]) if terms else 0.0
-        return c
 
     def fdi_offsets(self, lo: int, hi: int) -> np.ndarray:
         """FDI offsets of steps lo..hi-1, or the constant offset vector."""
@@ -202,28 +160,6 @@ class LinearLaws:
             v[self.mal] = 0.0 if self.own is None else self.own.diag
         return v
 
-    def gain_gaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense per-lag gains and offsets: honest, and corrupt minus honest.
-
-        Returns ``(gains, gain_gap, offset, offset_gap)`` with shapes
-        (L, N, N), (L, N, N), (N,), (N,), L >= 1. A per-step FDI table has
-        no single offset gap; the caller must not ask for one.
-        """
-        n, mal = self.n, self.mal
-        gains = np.array(self.lags) if self.lags else np.zeros((1, n, n))
-        offset = np.zeros(n) if self.offset is None else self.offset
-        gain_gap = np.zeros_like(gains)
-        offset_gap = np.zeros(n)
-        gain_gap[:, mal] = (self.follow - 1.0) * gains[:, mal]
-        offset_gap[mal] = (self.follow - 1.0) * offset[mal]
-        if self.self_gain is not None:
-            gain_gap[0, mal, mal] += self.self_gain
-        if self.corrupt_offset is not None:
-            offset_gap[mal] += self.corrupt_offset
-        if self.fdi is not None:
-            offset_gap[mal] += self.fdi
-        return gains, gain_gap, offset, offset_gap
-
 
 def lift(honest: HonestPolicy, attack: Attack | None, n: int) -> LinearLaws:
     """The gain matrices of an honest law and an attack on ``n`` agents.
@@ -232,34 +168,56 @@ def lift(honest: HonestPolicy, attack: Attack | None, n: int) -> LinearLaws:
     reads the :class:`LinearLaws` it returns.
     """
     if isinstance(honest, Zero):
-        lags, offset = (), None
+        gains, offset = np.zeros((1, n, n)), None
     elif isinstance(honest, LinearFeedback):
-        lags, offset = (np.asarray(honest.gain, dtype=float),), None
+        gains, offset = np.asarray(honest.gain, dtype=float)[None], None
     elif isinstance(honest, Affine):
-        lags = (np.asarray(honest.gain, dtype=float),)
+        gains = np.asarray(honest.gain, dtype=float)[None]
         offset = np.asarray(honest.offset, dtype=float)
     elif isinstance(honest, HistoryWindow):
-        lags, offset = honest.lag_gains, None
+        gains, offset = np.array(honest.lag_gains), None
     else:
         raise TypeError(f"unknown honest policy {honest!r}")
     if attack is None:
-        return LinearLaws(n, lags, offset, np.zeros(0, dtype=int))
+        return LinearLaws(gains, offset, gains, offset, np.zeros(0, dtype=int))
     cfg, corrupt = attack
+    mal = cfg.malicious_indices
     if isinstance(corrupt, Fdi):
-        parts = {"fdi": corrupt.offsets}
-    elif isinstance(corrupt, Mimic):
-        parts = {"keep": False, "own": corrupt.self_excitation}
-    elif isinstance(corrupt, DoS):
-        parts = {"keep": False, "follow": 0.0}
-    elif isinstance(corrupt, Replacement):
-        parts = {"keep": False, "follow": -1.0 if corrupt.mode == "sign_flip" else 0.0}
-        if corrupt.mode == "constant":
-            parts["corrupt_offset"] = corrupt.values
-        elif corrupt.mode == "scaled_state":
-            parts["self_gain"] = corrupt.values
-    else:
+        return LinearLaws(gains, offset, gains, offset, mal, fdi=corrupt.offsets)
+    if isinstance(corrupt, Mimic):
+        return LinearLaws(gains, offset, gains, offset, mal, keep=False,
+                          own=corrupt.self_excitation)
+    if not isinstance(corrupt, (DoS, Replacement)):
         raise TypeError(f"unknown corrupt policy {corrupt!r}")
-    return LinearLaws(n, lags, offset, cfg.malicious_indices, **parts)
+    mode = corrupt.mode if isinstance(corrupt, Replacement) else "dos"
+    corrupt_gains = gains.copy()
+    corrupt_offset = None if offset is None else offset.copy()
+    if mode == "sign_flip":
+        corrupt_gains[:, mal] *= -1.0
+        if corrupt_offset is not None:
+            corrupt_offset[mal] *= -1.0
+    else:
+        corrupt_gains[:, mal] = 0.0
+        if corrupt_offset is not None:
+            corrupt_offset[mal] = 0.0
+    if mode == "scaled_state":
+        corrupt_gains[0, mal, mal] = corrupt.values
+    elif mode == "constant":
+        if corrupt_offset is None:
+            corrupt_offset = np.zeros(n)
+        corrupt_offset[mal] = corrupt.values
+    return LinearLaws(gains, offset, corrupt_gains, corrupt_offset, mal, keep=False)
+
+
+def _means(gains: np.ndarray, offset: np.ndarray | None, states: np.ndarray,
+           lo: int, hi: int) -> np.ndarray:
+    """Means of one law at steps lo..hi-1 along ``states``, shape (..., hi - lo, N)."""
+    out = matvec(gains[0], states[..., lo:hi, :])
+    for k in range(1, len(gains)):
+        first = max(lo, k)
+        if first < hi:
+            out[..., first - lo:, :] += matvec(gains[k], states[..., first - k:hi - k, :])
+    return out if offset is None else out + offset
 
 
 def control_means(laws: LinearLaws, states: np.ndarray,
@@ -274,7 +232,7 @@ def control_means(laws: LinearLaws, states: np.ndarray,
 
     The corrupt mean includes any FDI offset; excitation is randomness,
     not mean, so it never appears here. When the laws agree the corrupt
-    mean is the honest array itself.
+    mean is the honest array itself. No mean is ever ``-0.0``.
     """
     states = np.asarray(states, dtype=float)
     if t is None:
@@ -283,8 +241,13 @@ def control_means(laws: LinearLaws, states: np.ndarray,
         raise ValueError(f"history must hold states x_0..x_{t}, got shape {states.shape}")
     else:
         lo, hi = t, t + 1
-    g = laws.honest_means(states, lo, hi)
-    c = laws.corrupt_means(g, states, lo, hi)
+    g = _means(laws.gains, laws.offset, states, lo, hi)
+    if laws.corrupt_gains is laws.gains and laws.corrupt_offset is laws.offset:
+        c = g if laws.fdi is None else g.copy()
+    else:
+        c = _means(laws.corrupt_gains, laws.corrupt_offset, states, lo, hi)
+    if laws.fdi is not None:
+        c[..., laws.mal] += laws.fdi_offsets(lo, hi)
     if t is None:
         return g, c
     return g[..., 0, :], c[..., 0, :]

@@ -399,9 +399,9 @@ def stable_scenarios(draw, honest_kind, attack_kind):
     corrupt = ATTACK_BUILDERS[attack_kind](vec(-1.0, 1.0), cfg.malicious_count)
     # keep the corrupt closed loop well inside the unit circle, so that a
     # burn-in of 100 steps reaches the stationary law
-    gains, gain_gap, _, _ = lift(honest, (cfg, corrupt), n).gain_gaps()
-    f = np.eye(n * len(gains), k=-n)
-    f[:n] = m.actuator_gains[:, None] * np.hstack(gains + gain_gap)
+    corrupt_gains = lift(honest, (cfg, corrupt), n).corrupt_gains
+    f = np.eye(n * len(corrupt_gains), k=-n)
+    f[:n] = m.actuator_gains[:, None] * np.hstack(corrupt_gains)
     f[:n, :n] += m.dynamics
     assume(np.abs(np.linalg.eigvals(f)).max() < 0.8)
     return m, honest, corrupt, cfg

@@ -15,6 +15,7 @@ from cps_sentinel.numerics import (
     log_gaussian_density,
     logdet,
     make_spd,
+    matvec,
     quad_form_inv,
     quad_forms_inv,
     sample_gaussian,
@@ -261,6 +262,18 @@ def test_kahan_cumsum_matches_fsum(values):
     out = kahan_cumsum(values)
     for i in range(len(values)):
         assert out[i] == pytest.approx(math.fsum(values[: i + 1]), abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_matvec_never_returns_negative_zero(n):
+    # every product is -0.0: a zero gain times negative states, a -0.0 gain
+    # times positive ones, and positive gains times -0.0 states
+    x = np.random.default_rng(27).uniform(0.5, 2.0, (3, 4, n))
+    for a, v in ((np.zeros((n, n)), -x), (np.full((n, n), -0.0), x),
+                 (np.ones((n, n)), np.full_like(x, -0.0))):
+        out = matvec(a, v)
+        assert out.shape == v.shape
+        assert (out == 0).all() and not np.signbit(out).any()
 
 
 def test_split_seed_is_stable_and_spread():

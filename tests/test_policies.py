@@ -165,7 +165,7 @@ HONEST_KINDS = [
 CORRUPT_KINDS = [
     None, DoS(), Fdi(np.array([0.7])), Fdi(np.arange(6.0)[:, None]), Mimic(DiagonalPsd([1.0])),
     Replacement.constant([2.0]), Replacement.scaled_state([-0.5]), Replacement.sign_flip(),
-    Replacement.scaled_state([1.25]),
+    Replacement.scaled_state([1.25]), Replacement.constant([-0.0]),
 ]
 
 
@@ -210,17 +210,43 @@ def test_fdi_schedule_too_short_for_the_path():
 
 
 @pytest.mark.parametrize("honest", HONEST_KINDS)
-@pytest.mark.parametrize("corrupt", [c for c in CORRUPT_KINDS
-                                     if not (isinstance(c, Fdi) and c.offsets.ndim == 2)])
+@pytest.mark.parametrize("corrupt", CORRUPT_KINDS)
 def test_gain_matrices_reproduce_the_means(honest, corrupt):
     # the dense gains the drift reads give the means the engine evaluates
     states = np.random.default_rng(24).standard_normal((4, 6, 3))
     laws = lift(honest, None if corrupt is None else (AttackConfig((2,)), corrupt), 3)
     g, c = control_means(laws, states)
-    gains, gain_gap, offset, offset_gap = laws.gain_gaps()
-    for t in range(len(gains) - 1, 6):
-        lagged = states[:, t - np.arange(len(gains))]  # (seeds, lag, N)
-        honest_t = np.einsum("kij,skj->si", gains, lagged) + offset
-        corrupt_t = np.einsum("kij,skj->si", gains + gain_gap, lagged) + offset + offset_gap
+    offset = np.zeros(3) if laws.offset is None else laws.offset
+    corrupt_offset = np.zeros(3) if laws.corrupt_offset is None else laws.corrupt_offset
+    for t in range(len(laws.gains) - 1, 6):
+        lagged = states[:, t - np.arange(len(laws.gains))]  # (seeds, lag, N)
+        honest_t = np.einsum("kij,skj->si", laws.gains, lagged) + offset
+        corrupt_t = np.einsum("kij,skj->si", laws.corrupt_gains, lagged) + corrupt_offset
+        if isinstance(corrupt, Fdi):
+            fdi = corrupt.offsets
+            corrupt_t[:, laws.mal] += fdi if fdi.ndim == 1 else fdi[t]
         np.testing.assert_allclose(g[:, t], honest_t, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(c[:, t], corrupt_t, rtol=1e-12, atol=1e-12)
+
+
+def negative_zeros(a):
+    return np.signbit(a) & (a == 0)
+
+
+@pytest.mark.parametrize("honest", HONEST_KINDS)
+@pytest.mark.parametrize("corrupt", CORRUPT_KINDS)
+def test_no_control_is_negative_zero(honest, corrupt):
+    # zero states and zero-variance excitation make zero controls, and a
+    # sign flip, a negative scale or a -0.0 constant must not make them -0.0
+    attack = None if corrupt is None else (AttackConfig((2,)), corrupt)
+    laws = lift(honest, attack, 3)
+    states = np.random.default_rng(25).standard_normal((4, 6, 3))
+    states[:, 0] = 0.0
+    for a in control_means(laws, states):
+        assert not negative_zeros(a).any()
+    m = CpsModel(n_agents=3, dynamics=0.5 * np.eye(3), actuator_gains=np.ones(3),
+                 process_noise=np.eye(3), excitation=np.array([0.0, 0.0, 1.0]),
+                 initial_law=Dirac(np.zeros(3)))
+    seeds = [split_seed(26, i) for i in range(4)]
+    controls = simulate_ensemble(m, honest, attack, 6, seeds, keep_controls=True).controls
+    assert not negative_zeros(controls).any()

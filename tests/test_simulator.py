@@ -250,8 +250,8 @@ class TestTrajectoryCsv:
         assert float(last[1]) == traj.states[2, 0]
 
     def test_columns_match_a_per_cell_writer(self):
-        # signed zeros included: a DoS channel emits 0.0, a sign flip of a
-        # zero mean -0.0, and a scaled state from x_0 = 0 as well
+        # zero controls included: a DoS channel, a sign flip of a zero mean
+        # and a scaled state from x_0 = 0 all emit 0.0, never -0.0
         for pol in (DoS(), Replacement.sign_flip(), Replacement.scaled_state([-0.2])):
             traj = simulate(model(), LinearFeedback(-0.2 * np.eye(2)),
                             (AttackConfig((1,)), pol), 30, seed=10)
