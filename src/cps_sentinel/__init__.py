@@ -72,7 +72,6 @@ from .policies import (
     Mimic,
     Replacement,
     Zero,
-    admit_controls,
     control_means,
     lift,
 )

@@ -46,6 +46,7 @@ from .policies import (
     HonestPolicy,
     LinearFeedback,
     Zero,
+    closed_loop,
     control_means,
     lift,
 )
@@ -305,17 +306,14 @@ def expected_step_drift(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolic
     d = b[:, None] * np.hstack(laws.corrupt_gains - laws.gains)
     quad, method = 0.0, "closed_form"
     if d.any():
-        lags = laws.gains.shape[0]
-        f = np.eye(n * lags, k=-n)  # shifts each lag block one block down
-        f[:n] = b[:, None] * np.hstack(laws.corrupt_gains)
-        f[:n, :n] += m.dynamics
-        if np.abs(np.linalg.eigvals(f)).max() >= 1.0:
+        f, stable = closed_loop(m.dynamics, b, laws.corrupt_gains)
+        if not stable:
             return DriftEstimate(value=None, method="unstable")
         q = np.zeros_like(f)
         q[:n, :n] = c_cov.mat
-        drive = np.zeros(n * lags)
+        drive = np.zeros(len(f))
         drive[:n] = b * (offset + offset_gap)
-        delta = d @ np.linalg.solve(np.eye(n * lags) - f, drive) + delta
+        delta = d @ np.linalg.solve(np.eye(len(f)) - f, drive) + delta
         cov = solve_discrete_lyapunov(f, q)
         quad, method = float(np.trace(d.T @ np.linalg.solve(h_cov.mat, d) @ cov)), "lyapunov"
     solve = np.linalg.solve(h_cov.mat, c_cov.mat)

@@ -128,11 +128,11 @@ class LinearLaws:
     step) on the attacked channels ``mal``. Both gain arrays have shape
     (L, N, N), L >= 1, and lags that reach before x_0 are dropped; the
     zero law is one zero matrix. An absent offset is None, not zeros, so
-    the step loop adds nothing for it. When the corrupt law reuses the
-    honest gains and offset (no attack, FDI, mimicry) they are the same
-    objects. ``keep`` tells whether the attacked channels keep their
-    private excitation (FDI) or lose it; ``own`` is the mimic's
-    self-excitation covariance on them.
+    nothing is added for it. When the corrupt law reuses the honest gains
+    and offset (no attack, FDI, mimicry) they are the same objects.
+    ``keep`` tells whether the attacked channels keep their private
+    excitation (FDI) or lose it; ``own`` is the mimic's self-excitation
+    covariance on them.
     """
 
     gains: np.ndarray
@@ -144,14 +144,14 @@ class LinearLaws:
     keep: bool = True
     own: DiagonalPsd | None = None
 
-    def fdi_offsets(self, lo: int, hi: int) -> np.ndarray:
-        """FDI offsets of steps lo..hi-1, or the constant offset vector."""
+    def fdi_offsets(self, steps: int) -> np.ndarray:
+        """FDI offsets of steps 0..steps-1, or the constant offset vector."""
         if self.fdi.ndim == 1:
             return self.fdi
-        if self.fdi.shape[0] < hi:
+        if self.fdi.shape[0] < steps:
             raise ValueError(f"fdi offset schedule has {self.fdi.shape[0]} steps, "
-                             f"step {hi - 1} requested")
-        return self.fdi[lo:hi]
+                             f"step {steps - 1} requested")
+        return self.fdi[:steps]
 
     def excitation(self, honest: np.ndarray) -> np.ndarray:
         """Excitation variances the corrupt law admits, given the honest ones."""
@@ -209,67 +209,65 @@ def lift(honest: HonestPolicy, attack: Attack | None, n: int) -> LinearLaws:
     return LinearLaws(gains, offset, corrupt_gains, corrupt_offset, mal, keep=False)
 
 
-def _means(gains: np.ndarray, offset: np.ndarray | None, states: np.ndarray,
-           lo: int, hi: int) -> np.ndarray:
-    """Means of one law at steps lo..hi-1 along ``states``, shape (..., hi - lo, N)."""
-    out = matvec(gains[0], states[..., lo:hi, :])
-    for k in range(1, len(gains)):
-        first = max(lo, k)
-        if first < hi:
-            out[..., first - lo:, :] += matvec(gains[k], states[..., first - k:hi - k, :])
+def _means(gains: np.ndarray, offset: np.ndarray | None, states: np.ndarray) -> np.ndarray:
+    """Means of one law at every step along ``states``, in the shape of ``states``."""
+    out = matvec(gains[0], states)
+    for k in range(1, min(len(gains), states.shape[-2])):
+        out[..., k:, :] += matvec(gains[k], states[..., :-k, :])
     return out if offset is None else out + offset
 
 
-def control_means(laws: LinearLaws, states: np.ndarray,
-                  t: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def control_means(laws: LinearLaws, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conditional control means under the honest and the corrupt hypothesis.
 
     ``states`` holds observed states x_0, x_1, ... along its
-    second-to-last axis, with any leading batch axes (one per seed). With
-    ``t`` given it must hold x_0..x_t and the means at step t come back
-    with shape (..., N); with ``t=None`` the means at every step of the
-    path come back with the shape of ``states``.
+    second-to-last axis, with any leading batch axes (one per seed); the
+    means at every step of the path come back with the shape of
+    ``states``, row t being the means given x_0..x_t.
 
     The corrupt mean includes any FDI offset; excitation is randomness,
     not mean, so it never appears here. When the laws agree the corrupt
     mean is the honest array itself. No mean is ever ``-0.0``.
     """
     states = np.asarray(states, dtype=float)
-    if t is None:
-        lo, hi = 0, states.shape[-2]
-    elif states.ndim < 2 or states.shape[-2] != t + 1:
-        raise ValueError(f"history must hold states x_0..x_{t}, got shape {states.shape}")
-    else:
-        lo, hi = t, t + 1
-    g = _means(laws.gains, laws.offset, states, lo, hi)
+    g = _means(laws.gains, laws.offset, states)
     if laws.corrupt_gains is laws.gains and laws.corrupt_offset is laws.offset:
         c = g if laws.fdi is None else g.copy()
     else:
-        c = _means(laws.corrupt_gains, laws.corrupt_offset, states, lo, hi)
+        c = _means(laws.corrupt_gains, laws.corrupt_offset, states)
     if laws.fdi is not None:
-        c[..., laws.mal] += laws.fdi_offsets(lo, hi)
-    if t is None:
-        return g, c
-    return g[..., 0, :], c[..., 0, :]
+        c[..., laws.mal] += laws.fdi_offsets(states.shape[-2])
+    return g, c
 
 
-def admit_controls(laws: LinearLaws, t: int, honest_vec: np.ndarray,
-                   corrupt_vec: np.ndarray, excitation: np.ndarray,
-                   own: np.ndarray | None = None) -> np.ndarray:
-    """Control vectors actually admitted at step t, given both means.
+def admit_excitation(laws: LinearLaws, excitation: np.ndarray,
+                     own: np.ndarray | None = None) -> np.ndarray:
+    """Turn drawn private excitations into the ones the actuators admit, in place.
 
     A channel that keeps its private excitation (every honest one, and
-    FDI's, whose mean before the offset is the honest one) emits honest
-    mean plus excitation plus any FDI offset. An attacked channel that
-    loses it emits the corrupt mean plus the mimic's own excitation
-    ``own``, if any. Works on any leading batch axes.
+    FDI's) admits it; an attacked channel that loses it admits the mimic's
+    own excitation ``own`` instead, or nothing. The admitted control is
+    the corrupt mean of :func:`control_means` plus this. ``excitation``
+    holds one vector per step along its last axis, with any leading axes;
+    it is overwritten and returned.
     """
-    u = honest_vec + excitation
-    mal = laws.mal
     if not laws.keep:
-        u[..., mal] = corrupt_vec[..., mal]
-        if laws.own is not None:
-            u[..., mal] += own
-    elif laws.fdi is not None:
-        u[..., mal] += laws.fdi_offsets(t, t + 1).reshape(-1)
-    return u
+        excitation[..., laws.mal] = 0.0 if own is None else own
+    return excitation
+
+
+def closed_loop(dynamics: np.ndarray, actuator_gains: np.ndarray,
+                gains: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The lag-stacked closed loop of a law, and whether it is stable.
+
+    On z_t = (x_t, x_{t-1}, ..., x_{t-L+1}) the loop under the law
+    ``gains`` (shape (L, N, N)) is z' = F z + (input, 0, ..., 0): the top
+    block row of F is ``dynamics + diag(actuator_gains) hstack(gains)``
+    and identity blocks below shift each lag one block down. Stable means
+    a spectral radius below 1.
+    """
+    n, lags = len(actuator_gains), len(gains)
+    f = np.eye(n * lags, k=-n)
+    f[:n] = actuator_gains[:, None] * np.hstack(gains)
+    f[:n, :n] += dynamics
+    return f, bool(np.abs(np.linalg.eigvals(f)).max() < 1.0)

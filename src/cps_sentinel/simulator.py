@@ -6,10 +6,22 @@ block ``standard_normal((horizon, 2N + M))``: per step the excitation (N
 values), any mimic self-excitation (M values, M = number of attacked
 channels), then the process noise (N values). That is the order a
 step-by-step draw would take, and every seed reproduces bit for bit however
-many seeds run beside it. :func:`simulate_ensemble` runs the state
-recursion once over time on (seeds, agents) arrays; :func:`simulate` is the
-same engine with a single seed. Batches derive disjoint streams with
+many seeds run beside it. Each law then scales the normals of the whole
+batch at once. Batches derive disjoint streams with
 :func:`cps_sentinel.numerics.split_seed`.
+
+Every scenario is a linear closed loop on the lag-stacked state,
+z' = F z + d (:func:`cps_sentinel.policies.closed_loop` of the corrupt
+law's gains), whose drive d_t = diag(b) (corrupt offset + FDI offset +
+admitted excitation) + w_t is known before the path is. So
+:func:`simulate_ensemble` advances every seed B steps per array call from
+precomputed powers of F: x_{lo+1..lo+B} = P z_lo + T d_{lo..lo+B-1}, where
+P stacks the top rows of F^1..F^B and T is block lower-triangular
+Toeplitz in the top-left blocks of F^0..F^(B-1). B = max(1, 64 // N), so
+no contraction reaches OpenBLAS's threading size, and B = 1 when F is not
+stable, since its powers would amplify roundoff. Both contractions go
+through :func:`cps_sentinel.numerics.matvec`, so a row's bits never depend
+on the batch; :func:`simulate` is the same engine with a single seed.
 """
 
 from __future__ import annotations
@@ -29,7 +41,20 @@ from .numerics import (
     normals_to_gaussian,
     sample_gaussian,
 )
-from .policies import Attack, HonestPolicy, LinearLaws, admit_controls, control_means, lift
+from .policies import (
+    Attack,
+    HonestPolicy,
+    LinearLaws,
+    admit_excitation,
+    closed_loop,
+    control_means,
+    lift,
+)
+
+
+# Rows of the block operators P and T: T is at most 64 x 64, far below the
+# size at which OpenBLAS starts threads.
+_BLOCK_ROWS = 64
 
 
 class NonFiniteState(RuntimeError):
@@ -111,42 +136,81 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     seeds = tuple(int(seed) for seed in seeds)
-    n = m.n_agents
+    n_seeds, n = len(seeds), m.n_agents
     laws = lift(honest, attack, n)
     own_law = None if laws.own is None else GaussianLaw(np.zeros(laws.own.dim), laws.own)
     k = 0 if own_law is None else own_law.dim
+    b = m.actuator_gains
 
-    # Each seed's noise block is drawn and scaled in place, one seed at a time.
-    states = np.empty((len(seeds), horizon + 1, n))
-    noise = np.empty((len(seeds), horizon, 2 * n + k))
+    initial = np.empty((n_seeds, n))
+    noise = np.empty((n_seeds, horizon, 2 * n + k))
     init = m.initial_law
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        states[i, 0] = init.point if isinstance(init, Dirac) else sample_gaussian(rng, init)
-        z = rng.standard_normal(out=noise[i])
-        normals_to_gaussian(m.excitation_law, z[:, :n])
-        if own_law is not None:
-            normals_to_gaussian(own_law, z[:, n:n + k])
-        normals_to_gaussian(m.noise_law, z[:, n + k:])
-    excitations, own, process = noise[..., :n], noise[..., n:n + k], noise[..., n + k:]
+        initial[i] = init.point if isinstance(init, Dirac) else sample_gaussian(rng, init)
+        rng.standard_normal(out=noise[i])
+    excitations, drive = noise[..., :n], noise[..., n + k:]
+    normals_to_gaussian(m.excitation_law, excitations)
+    own = None if own_law is None else normals_to_gaussian(own_law, noise[..., n:n + k])
+    normals_to_gaussian(m.noise_law, drive)
 
-    controls = np.empty((len(seeds), horizon, n)) if keep_controls else None
-    failed_at = np.zeros(len(seeds), dtype=int)
-    a = m.dynamics
-    b = m.actuator_gains
+    # d_t = diag(b) (corrupt offset + FDI offset + admitted excitation) + w_t,
+    # built in place over the excitations and the process noise
+    drawn = excitations.copy() if keep_controls else None
+    inputs = admit_excitation(laws, excitations, own)
+    controls = inputs.copy() if keep_controls else None
+    if laws.corrupt_offset is not None:
+        inputs += laws.corrupt_offset
+    if laws.fdi is not None:
+        inputs[..., laws.mal] += laws.fdi_offsets(horizon)
+    inputs *= b
+    drive += inputs
+
+    # path holds L - 1 zero states before x_0, so every block starts from
+    # the lag window path[:, lo:lo + L] (lags before x_0 are dropped); it is
+    # made only now, so that no (seeds, steps, agents) temporary of the
+    # noise scaling coexists with it
+    lags = laws.corrupt_gains.shape[0]
+    path = np.zeros((n_seeds, lags + horizon, n))
+    states = path[:, lags - 1:]
+    states[:, 0] = initial
+    f, stable = closed_loop(m.dynamics, b, laws.corrupt_gains)
+    steps = max(1, _BLOCK_ROWS // n) if stable else 1
+    p, t = _block_operators(f, n, min(steps, horizon))
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(horizon):
-            g, c = control_means(laws, states[:, : t + 1], t)
-            u = admit_controls(laws, t, g, c, excitations[:, t], own[:, t])
-            x_next = states[:, t + 1]
-            np.add(matvec(a, states[:, t]) + b * u, process[:, t], out=x_next)
-            bad = ~np.isfinite(x_next.sum(axis=1))
-            if bad.any():
-                failed_at[bad & (failed_at == 0)] = t + 1
-            if controls is not None:
-                controls[:, t] = u
-    return Ensemble(states, controls, excitations if keep_controls else None, seeds,
-                    attack is not None, failed_at)
+        for lo in range(0, horizon, steps):
+            hi = min(lo + steps, horizon)
+            rows = (hi - lo) * n
+            window = path[:, lo:lo + lags].reshape(n_seeds, lags * n)
+            forced = matvec(t[:rows, :rows], drive[:, lo:hi].reshape(n_seeds, rows))
+            states[:, lo + 1:hi + 1] = (matvec(p[:rows], window)
+                                        + forced).reshape(n_seeds, hi - lo, n)
+        # a state is bad when its entries do not sum to a finite number
+        bad = ~np.isfinite(np.einsum("stn->st", states[:, 1:]))
+        if controls is not None:
+            controls += control_means(laws, states[:, :-1])[1]
+    failed_at = np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, 0)
+    return Ensemble(states, controls, drawn, seeds, attack is not None, failed_at)
+
+
+def _block_operators(f: np.ndarray, n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """P and T of a block of ``steps`` steps of the lag-stacked loop ``f``.
+
+    Row block j of P (shape (steps N, L N)) is the top rows of F^(j+1),
+    with its column blocks in time order x_{t-L+1}, ..., x_t to match the
+    lag window of the path. Block (j, i) of T (shape (steps N, steps N))
+    is the top-left block of F^(j-i) for i <= j, zero above.
+    """
+    lags = f.shape[0] // n
+    powers = [f[:n]]
+    for _ in range(1, steps):
+        powers.append(powers[-1] @ f)
+    heads = np.array([np.eye(n)] + [q[:, :n] for q in powers[:-1]])
+    gap = np.subtract.outer(np.arange(steps), np.arange(steps))
+    blocks = np.where((gap >= 0)[..., None, None], heads[np.maximum(gap, 0)], 0.0)
+    t = blocks.transpose(0, 2, 1, 3).reshape(steps * n, steps * n)
+    p = np.vstack(powers).reshape(steps * n, lags, n)[:, ::-1].reshape(steps * n, lags * n)
+    return p, t
 
 
 def simulate(m: CpsModel, honest: HonestPolicy, attack: Attack | None,

@@ -105,7 +105,7 @@ class TestRnSeries:
         h_cov, _ = conditional_covariances(m, laws)
         lo, hi = eig_extremes(h_cov)
         for t in (0, 10, 99):
-            g = control_means(laws, traj.states[: t + 1], t)[0]
+            g = control_means(laws, traj.states[: t + 1])[0][t]
             z = traj.states[t + 1] - (m.dynamics @ traj.states[t] + m.actuator_gains * g)
             q = quad_form_inv(h_cov, z)
             norm2 = float(z @ z)

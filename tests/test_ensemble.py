@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from cps_sentinel.detection import detect_ensemble, rn_series
 from cps_sentinel.model import AttackConfig, CpsModel
-from cps_sentinel.numerics import DiagonalPsd, Dirac, GaussianLaw, make_spd
+from cps_sentinel import simulator
+from cps_sentinel.numerics import DiagonalPsd, Dirac, GaussianLaw, make_spd, sample_gaussian
 from cps_sentinel.policies import (
     Affine,
     DoS,
@@ -25,6 +26,7 @@ from cps_sentinel.policies import (
     Mimic,
     Replacement,
     Zero,
+    closed_loop,
     lift,
 )
 from cps_sentinel.simulator import (
@@ -124,6 +126,116 @@ def test_an_overflowing_seed_fails_alone_with_its_own_message():
             assert np.array_equal(ens.states[i], alone.states)
 
 
+def lag_stacked_loop(m, honest, attack, horizon, seed):
+    """One seed's states by the plain step loop z' = F z + d on the lag-stacked state.
+
+    F is built here from the corrupt gains, and the drive d_t from the
+    seed's own draws: diag(b) (corrupt offset + FDI offset + admitted
+    excitation) + w_t.
+    """
+    n, b = m.n_agents, m.actuator_gains
+    laws = lift(honest, attack, n)
+    lags = len(laws.corrupt_gains)
+    f = np.eye(n * lags, k=-n)
+    f[:n] = np.hstack([b[:, None] * g for g in laws.corrupt_gains])
+    f[:n, :n] += m.dynamics
+    rng = np.random.default_rng(seed)
+    init = m.initial_law
+    x0 = init.point if isinstance(init, Dirac) else sample_gaussian(rng, init)
+    k = 0 if laws.own is None else laws.own.dim
+    z = rng.standard_normal((horizon, 2 * n + k))
+    u = z[:, :n] * np.sqrt(m.excitation)
+    if not laws.keep:
+        u[:, laws.mal] = z[:, n:n + k] * np.sqrt(laws.own.diag) if k else 0.0
+    if laws.corrupt_offset is not None:
+        u += laws.corrupt_offset
+    if laws.fdi is not None:
+        u[:, laws.mal] += laws.fdi if laws.fdi.ndim == 1 else laws.fdi[:horizon]
+    d = b * u + z[:, n + k:] @ np.linalg.cholesky(m.process_noise).T
+    z_t = np.zeros(n * lags)
+    z_t[:n] = x0
+    x = [x0]
+    for t in range(horizon):
+        z_t = f @ z_t
+        z_t[:n] += d[t]
+        x.append(z_t[:n].copy())
+    return np.array(x)
+
+
+WIDE = 32
+BLOCK_CASES = {
+    **CASES,
+    # 32 agents give blocks of 64 // 32 = 2 steps, fewer than the 3 lags
+    "wide-window-mimic": (chain(WIDE), HistoryWindow((-0.2 * np.eye(WIDE), -0.05 * np.eye(WIDE),
+                                                       0.02 * np.eye(WIDE))),
+                          (AttackConfig((5, 17, 30)), Mimic(DiagonalPsd([0.3, 0.2, 0.1])))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(BLOCK_CASES)), which=st.integers(0, 4),
+       base=st.integers(0, 2 ** 63))
+def test_blocked_recursion_matches_the_lag_stacked_step_loop(case, which, base):
+    m, honest, attack = BLOCK_CASES[case]
+    laws = lift(honest, attack, m.n_agents)
+    _, stable = closed_loop(m.dynamics, m.actuator_gains, laws.corrupt_gains)
+    block = 64 // m.n_agents if stable else 1
+    horizon = max(1, [1, block - 1, block, block + 1, 3 * block + 2][which])
+    seeds = [base, (base + 7919) % 2 ** 64]
+    if laws.fdi is not None and laws.fdi.ndim == 2 and len(laws.fdi) < horizon:
+        with pytest.raises(ValueError, match="fdi offset schedule has 40 steps"):
+            simulate_ensemble(m, honest, attack, horizon, seeds)
+        return
+    ens = simulate_ensemble(m, honest, attack, horizon, seeds)
+    assert not ens.failed_at.any()
+    for i, seed in enumerate(seeds):
+        x = lag_stacked_loop(m, honest, attack, horizon, seed)
+        assert np.abs(ens.states[i] - x).max() <= 1e-13 * np.abs(x).max()
+
+
+def test_an_unstable_loop_steps_one_at_a_time_and_each_seed_fails_alone(monkeypatch):
+    # the replaced channel's loop gain is about 3.2, so F is unstable and
+    # its powers would amplify roundoff; the engine must take B = 1
+    m = chain(2, initial=GaussianLaw(np.zeros(2), DiagonalPsd([1e300, 1.0])))
+    honest = LinearFeedback(-0.2 * np.eye(2))
+    attack = (AttackConfig((1,)), Replacement.scaled_state([2.66]))
+    laws = lift(honest, attack, 2)
+    assert not closed_loop(m.dynamics, m.actuator_gains, laws.corrupt_gains)[1]
+    block_sizes = []
+    operators = simulator._block_operators
+
+    def spy(f, n, steps):
+        block_sizes.append(steps)
+        return operators(f, n, steps)
+
+    monkeypatch.setattr(simulator, "_block_operators", spy)
+    seeds = list(range(12))
+    whole = simulate_ensemble(m, honest, attack, 318, seeds)
+    chunks = [simulate_ensemble(m, honest, attack, 318, part)
+              for part in (seeds[:5], seeds[5:7], seeds[7:])]
+    assert set(block_sizes) == {1}
+    chunk_rows = [(c, k) for c in chunks for k in range(len(c.seeds))]
+    failed = whole.failed_at > 0
+    assert failed.any() and not failed.all()
+    assert len(set(whole.failed_at[failed].tolist())) > 1
+    for i, seed in enumerate(seeds):
+        chunk, k = chunk_rows[i]
+        alone = simulate_ensemble(m, honest, attack, 318, [seed])
+        for other, row in ((chunk, k), (alone, 0)):
+            assert other.failed_at[row] == whole.failed_at[i]
+            assert np.array_equal(other.states[row], whole.states[i], equal_nan=True)
+        step = int(whole.failed_at[i])
+        finite = np.isfinite(whole.states[i]).all(axis=1)
+        if step:
+            # its own first non-finite state, the step the plain loop overflows at
+            assert finite[:step].all() and not finite[step]
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = lag_stacked_loop(m, honest, attack, 318, seed)
+            assert np.isfinite(x[:step]).all() and not np.isfinite(x[step]).all()
+        else:
+            assert finite.all()
+
+
 def test_draw_order_is_excitation_then_mimic_then_noise():
     m = chain(2, noise=np.diag([0.25, 4.0]))
     attack = (AttackConfig((1,)), Mimic(DiagonalPsd([9.0])))
@@ -181,7 +293,7 @@ def test_engine_matches_a_hand_written_loop(corrupt):
     h_cov, c_cov = conditional_covariances(m, lift(Zero(), attack, N))
     for i, seed in enumerate(seeds):
         x = reference_path(m, gain, attack, 40, seed)
-        assert np.array_equal(ens.states[i], x)
+        assert np.abs(ens.states[i] - x).max() <= 1e-13 * np.abs(x).max()
         # log ratio by the joint-density route, one Gaussian density per step
         steps = []
         for t in range(40):

@@ -12,7 +12,7 @@ from cps_sentinel.policies import (
     Mimic,
     Replacement,
     Zero,
-    admit_controls,
+    admit_excitation,
     control_means,
     lift,
 )
@@ -24,14 +24,17 @@ def hist(*states):
 
 
 def means(honest, attack, states, t=None):
-    return control_means(lift(honest, attack, np.shape(states)[-1]), states, t)
+    # with t given, row t of the whole-path means
+    g, c = control_means(lift(honest, attack, np.shape(states)[-1]), states)
+    return (g, c) if t is None else (g[..., t, :], c[..., t, :])
 
 
 def admitted(honest, attack, history, t, excitation):
-    # the control the simulator admits at step t when mimicry draws nothing
+    # the control the simulator admits at step t when mimicry draws nothing:
+    # the corrupt mean plus the admitted excitation
     laws = lift(honest, attack, history.shape[-1])
-    g, c = control_means(laws, history, t)
-    return admit_controls(laws, t, g, c, np.asarray(excitation, dtype=float))
+    c = control_means(laws, history)[1][..., t, :]
+    return c + admit_excitation(laws, np.array(excitation, dtype=float))
 
 
 class TestHonestMean:
@@ -66,10 +69,6 @@ class TestHonestMean:
         assert np.array_equal(
             means(p, None, hist([0.0, 0.0], [1.0, 1.0]), 1)[0], [2.0, 2.0])
 
-    def test_history_length_checked(self):
-        with pytest.raises(ValueError):
-            means(Zero(), None, hist([1.0, 1.0]), 1)
-
     def test_markov_ignores_all_but_last_state(self):
         p = LinearFeedback(np.array([[0.3, -0.1], [0.2, 0.5]]))
         h1 = hist([5.0, 5.0], [1.0, 2.0])
@@ -78,7 +77,7 @@ class TestHonestMean:
 
 
 class TestComposeControl:
-    """The admitted control: both means from control_means, then admit_controls."""
+    """The admitted control: the corrupt mean plus the admitted excitation."""
 
     def test_no_attack_is_mean_plus_excitation(self):
         e = np.array([0.1, -0.1])

@@ -157,7 +157,8 @@ class TestConditionalCovariances:
 def predicted_means(m, honest, corrupt, cfg, traj, t):
     """Honest and corrupt one-step predictor means of x_{t+1} along ``traj``."""
     attack = None if corrupt is None else (cfg, corrupt)
-    g, c = control_means(lift(honest, attack, m.n_agents), traj.states[: t + 1], t)
+    g, c = control_means(lift(honest, attack, m.n_agents), traj.states[: t + 1])
+    g, c = g[t], c[t]
     drive = m.dynamics @ traj.states[t]
     return drive + m.actuator_gains * g, drive + m.actuator_gains * c
 
