@@ -148,8 +148,8 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
         z_c = x[:, 1:] - (drive + m.actuator_gains * c)
         dens[0, lo:lo + width] = const - 0.5 * ld_h - 0.5 * quad_forms_inv(h_cov, z_h)
         dens[1, lo:lo + width] = const - 0.5 * ld_c - 0.5 * quad_forms_inv(c_cov, z_c)
-        steps[1, lo:lo + width] = np.sum(z_h * z_h, axis=-1) / lam_min_h
-        steps[2, lo:lo + width] = np.sum(z_c * z_c, axis=-1) / lam_max_c
+        steps[1, lo:lo + width] = np.einsum("stn,stn->st", z_h, z_h) / lam_min_h
+        steps[2, lo:lo + width] = np.einsum("stn,stn->st", z_c, z_c) / lam_max_c
     np.subtract(dens[0], dens[1], out=steps[0])
 
     cum_log_l, cum_s, cum_s_breve, cum_logdet = kahan_cumsum(steps)

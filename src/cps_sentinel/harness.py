@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -23,13 +24,11 @@ import numpy as np
 
 from .detection import Decision, classify, detect_ensemble, write_series_csv
 from .mdp import (
-    _CHUNK_CELLS,
     FiniteMdp,
     StochasticPolicy,
     analytic_drift,
     induced_kernel,
-    path_log_ratio,
-    simulate_paths,
+    log_ratio_groups,
 )
 from .model import (
     AttackConfig,
@@ -531,11 +530,13 @@ def mdp_scenario_from_dict(data: dict) -> MdpScenario:
 def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
     """Simulate corrupt-policy paths and track the kernel log ratio series.
 
-    The seeds run in chunks of about ``_CHUNK_CELLS`` path entries: one
-    :func:`simulate_paths` and one :func:`path_log_ratio` call per chunk,
-    and only the final values outlive it. Each seed's series is its own
-    CSV, ``t,log_ratio``; every distinct value of a chunk is formatted
-    once, with ``repr``, and shared by the rows that hold it.
+    One lockstep pass over the batch (:func:`log_ratio_groups`): the seeds
+    advance together, in groups of at most ``mdp._GROUP_SEEDS``, in time
+    tiles of about ``mdp._CHUNK_CELLS`` cells, so memory stays per tile and
+    only the final values outlive the pass. Each seed's series is its own
+    CSV, ``t,log_ratio``, opened once per group and appended tile by tile;
+    every distinct value of a tile is formatted once, with ``repr``, and
+    shared by the rows that hold it.
     """
     start = time.perf_counter()
     k_h = induced_kernel(s.mdp, s.honest_policy)
@@ -543,18 +544,20 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
     drift = analytic_drift(k_h, k_c, s.mdp.initial)
     finals = np.empty(s.seed_count)
     out_path = _out_path(out_dir, s.outputs)
-    if out_path is not None:
-        layout = [""] * (2 * (s.horizon + 1))
-        layout[0::2] = ["t,log_ratio\n0,"] + [f"\n{t}," for t in range(1, s.horizon + 1)]
-    width = max(1, _CHUNK_CELLS // (s.horizon + 1))
-    for lo in range(0, s.seed_count, width):
-        hi = min(lo + width, s.seed_count)
-        paths = simulate_paths(s.mdp, s.corrupt_policy, s.horizon,
-                               [split_seed(s.seed_base, i) for i in range(lo, hi)])
-        series = path_log_ratio(paths, k_h, k_c, s.mdp.initial, s.mdp.initial)
-        finals[lo:hi] = series[:, -1]
-        if out_path is not None:
-            _write_log_ratio_csvs(out_path, lo, series, layout)
+    # line prefixes: entry t of a series follows prefixes[t]; a file ends in "\n"
+    prefixes = ["t,log_ratio\n0,"] + [f"\n{t}," for t in range(1, s.horizon + 1)]
+    seeds = [split_seed(s.seed_base, i) for i in range(s.seed_count)]
+    for rows, tiles in log_ratio_groups(s.mdp, s.corrupt_policy, k_h, k_c, s.horizon, seeds):
+        with ExitStack() as stack:
+            files = [stack.enter_context(open(out_path / f"run_{i:05d}.csv", "w"))
+                     for i in rows] if out_path is not None else []
+            lo = 0
+            for series in tiles:
+                _append_log_ratio_lines(files, prefixes[lo:lo + series.shape[1]], series)
+                lo += series.shape[1]
+            for fp in files:
+                fp.write("\n")
+        finals[rows] = series[:, -1]
     mean_drift, drift_stderr = _drift_stats(finals / s.horizon)
     summary = {
         "scenario": s.name,
@@ -570,24 +573,24 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
     return summary
 
 
-def _write_log_ratio_csvs(out_path: Path, first: int, series: np.ndarray,
-                          layout: list[str]) -> None:
-    """Write row k of ``series`` to ``run_{first + k}.csv`` as ``t,log_ratio`` lines.
+def _append_log_ratio_lines(files: list, prefixes: list[str], series: np.ndarray) -> None:
+    """Append row k of ``series`` to ``files[k]``, each value after its prefix.
 
-    ``layout`` holds the line prefixes at its even positions; a file is
-    its join with the row's values at the odd ones, plus a newline. Every
-    distinct value (bit pattern, so -0.0 and 0.0 keep their own text) is
-    formatted once, with ``repr``; no string outlives the call.
+    Every distinct value of the tile (bit pattern, so -0.0 and 0.0 keep
+    their own text) is formatted once, with ``repr``; no string outlives
+    the call.
     """
+    if not files:
+        return
     bits, inverse = np.unique(series.view(np.int64), return_inverse=True)
     # np.float64 is a float, so its repr is the float's; iterating the
     # array keeps no list of Python floats alive beside the strings
     texts = np.array(list(map(float.__repr__, bits.view(np.float64))), dtype=object)
-    lines = list(layout)
-    for k, row in enumerate(inverse.reshape(series.shape)):
+    lines = [""] * (2 * len(prefixes))
+    lines[0::2] = prefixes
+    for fp, row in zip(files, inverse.reshape(series.shape)):
         lines[1::2] = texts[row].tolist()
-        with open(out_path / f"run_{first + k:05d}.csv", "w") as fp:
-            fp.write("".join(lines) + "\n")
+        fp.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,14 @@ A finite MDP plus a stochastic policy induces a Markov chain on states;
 two policies induce two chains, and the cumulative log ratio of their
 transition probabilities along one observed path is the discrete analog
 of the path likelihood ratio tracked in the linear-Gaussian modules.
+
+A batch runs as one lockstep pass (:func:`log_ratio_groups`): groups of
+seeds advance together in time tiles of about ``_CHUNK_CELLS`` cells, each
+seed continuing its own uniform stream and its own running log ratio from
+tile to tile, so memory stays per tile whatever the batch size and the
+horizon, and a writer can format each distinct value of a tile once.
+:func:`simulate_paths` and :func:`path_log_ratio` are the same sampler and
+log ratio run as one tile.
 """
 
 from __future__ import annotations
@@ -15,10 +23,13 @@ import numpy as np
 _ROW_TOL = 1e-12
 STATE_ACTION_CAP = 64
 
-# Entries per block of the batch stages: the (seeds, steps) float arrays of
-# one chunk of seeds and each (steps, seeds, states) block of the
-# candidate-successor table of simulate_paths stay near this size.
+# Cells per tile of the batch engine: a tile advances every seed of a group
+# by about _CHUNK_CELLS / seeds steps, and each block of the sampler's
+# candidate-successor table holds about _CHUNK_CELLS entries too.
 _CHUNK_CELLS = 1 << 14
+# Seeds per group of the batch engine; a writer keeps one file open per seed
+# of the group it is writing.
+_GROUP_SEEDS = 256
 
 
 class NotAbsolutelyContinuous(RuntimeError):
@@ -96,58 +107,150 @@ def _last_positive(probs: np.ndarray) -> np.ndarray:
     return probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
 
 
-def simulate_paths(mdp: FiniteMdp, policy: StochasticPolicy, n: int,
-                   seeds) -> np.ndarray:
-    """Sample x_0..x_n for every seed by inverse-CDF draws; shape (S, n+1).
+def _uniforms(gens, width: int) -> np.ndarray:
+    """The next ``width`` uniforms of every generator, one row each."""
+    u = np.empty((len(gens), width))
+    for row, gen in zip(u, gens):
+        gen.random(out=row)
+    return u
 
-    Seed s draws ``default_rng(s).random(2n+1)``: the first uniform picks
-    x_0, and step t uses the next two, one for the action and one for the
-    successor state, in that order (see :func:`_draw`). For every state x
-    the successor each seed would take from x is computed for a block of
-    steps at once, in a table of at most about ``_CHUNK_CELLS`` entries
-    whatever the state count; the time recursion is then one gather per
-    step across the seeds. Row s depends on seed s alone, not on the
-    other seeds.
+
+def _path_tiles(mdp: FiniteMdp, policy: StochasticPolicy, n: int, seeds, steps: int):
+    """Sample x_0..x_n of every seed in lockstep, ``steps`` steps per tile.
+
+    Yields (S, m + 1) arrays x_lo..x_lo+m: the first tile starts at x_0
+    and each later one at the last state of the tile before. Seed s draws
+    from its own ``default_rng(s)``: one uniform for x_0, then two per
+    step, one for the action and one for the successor state, in that
+    order (see :func:`_draw`), each tile continuing the stream where the
+    one before stopped. For every state x the successor each seed would
+    take from x is computed for a block of steps at once, in a table of
+    about ``_CHUNK_CELLS`` entries whatever the state count; the time
+    recursion is then one gather per step across the seeds. Row s
+    depends on seed s alone, not on the other seeds.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    seeds = [int(seed) for seed in seeds]
-    n_seeds, n_states = len(seeds), mdp.n_states
-    u = np.empty((n_seeds, 2 * n + 1))
-    for row, seed in zip(u, seeds):
-        row[:] = np.random.default_rng(seed).random(2 * n + 1)
+    gens = [np.random.default_rng(int(seed)) for seed in seeds]
+    n_seeds, n_states = len(gens), mdp.n_states
     pol_cum = np.cumsum(policy.probs, axis=1)
     pol_last = _last_positive(policy.probs)
     ker_cum = np.cumsum(mdp.kernel, axis=2)
     ker_last = _last_positive(mdp.kernel)
+    block = max(1, _CHUNK_CELLS // max(1, n_seeds * n_states))
 
-    x0 = _draw(np.cumsum(mdp.initial), _last_positive(mdp.initial), u[:, 0])
+    x0 = _draw(np.cumsum(mdp.initial), _last_positive(mdp.initial), _uniforms(gens, 1)[:, 0])
     # states are flat positions seed * n_states + state, so that one step of
     # every seed is a single take from one row of the candidate table
     base = np.arange(n_seeds) * n_states
     x = x0 + base
-    moves = np.empty((n, n_seeds), dtype=np.int64)
-    block = max(1, _CHUNK_CELLS // max(1, n_seeds * n_states))
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        u_act = u[:, 2 * lo + 1:2 * hi + 1:2].T
-        u_next = u[:, 2 * lo + 2:2 * hi + 2:2].T
-        # cand[t, s, y]: where seed s goes at step lo + t if it is in state y
-        cand = np.empty((hi - lo, n_seeds, n_states), dtype=np.int64)
-        for state in range(n_states):
-            act = _draw(pol_cum[state], pol_last[state], u_act)
-            succ = cand[:, :, state]
-            for a in np.unique(act):
-                taken = act == a
-                succ[taken] = _draw(ker_cum[a, state], ker_last[a, state], u_next[taken])
-        cand += base[:, None]
-        for t, row in enumerate(cand.reshape(hi - lo, -1), start=lo):
-            x = moves[t] = row.take(x)
+    for lo in range(0, max(n, 1), steps):
+        m = min(steps, n - lo)
+        u = _uniforms(gens, 2 * m)
+        tile = np.empty((n_seeds, m + 1), dtype=np.int64)
+        tile[:, 0] = x - base
+        moves = np.empty((m, n_seeds), dtype=np.int64)
+        for b_lo in range(0, m, block):
+            b_hi = min(m, b_lo + block)
+            u_act = u[:, 2 * b_lo:2 * b_hi:2].T
+            u_next = u[:, 2 * b_lo + 1:2 * b_hi:2].T
+            # cand[t, s, y]: where seed s goes at step b_lo + t if it is in state y
+            cand = np.empty((b_hi - b_lo, n_seeds, n_states), dtype=np.int64)
+            for state in range(n_states):
+                act = _draw(pol_cum[state], pol_last[state], u_act)
+                succ = cand[:, :, state]
+                for a in np.unique(act):
+                    taken = act == a
+                    succ[taken] = _draw(ker_cum[a, state], ker_last[a, state], u_next[taken])
+            cand += base[:, None]
+            for t, row in enumerate(cand.reshape(b_hi - b_lo, -1), start=b_lo):
+                x = moves[t] = row.take(x)
+        np.subtract(moves.T, base[:, None], out=tile[:, 1:])
+        yield tile
 
-    paths = np.empty((n_seeds, n + 1), dtype=np.int64)
-    paths[:, 0] = x0
-    np.subtract(moves.T, base[:, None], out=paths[:, 1:])
+
+def simulate_paths(mdp: FiniteMdp, policy: StochasticPolicy, n: int,
+                   seeds) -> np.ndarray:
+    """Sample x_0..x_n for every seed by inverse-CDF draws; shape (S, n+1).
+
+    The batch engine's sampler run as one tile: seed s draws
+    ``default_rng(s).random(2n+1)``, the first uniform for x_0 and two per
+    step after it (see :func:`_path_tiles`). Row s depends on seed s
+    alone, not on the other seeds.
+    """
+    (paths,) = _path_tiles(mdp, policy, n, seeds, max(n, 1))
     return paths
+
+
+def _log_ratio_tiles(tiles, k_honest, k_corrupt, init_honest, init_corrupt):
+    """Cumulative log ratio of honest to corrupt path probability, tile by tile.
+
+    ``tiles`` are path tiles x_lo..x_hi with any leading axes, as
+    :func:`_path_tiles` yields them: the first starts at x_0, each later
+    one at the last state of the one before. Yields the series at the
+    tile's new times: x_0's tile gives entries 0..hi, a later one
+    entries lo+1..hi. Entry 0 is the initial-law log ratio; entry t adds
+    the first t transitions, looked up by transition code
+    ``x * states + y`` in one table of increments. Each path's running sum
+    carries across tiles (``steps[..., 0] += carry`` before the cumulative
+    sum, the initial-law term added after), so any tiling gives the bits
+    of one cumulative sum over the whole path.
+
+    After the last tile, raises :class:`NotAbsolutelyContinuous` if a path
+    used a move the corrupt law forbids but the honest law allows, naming
+    the first such path in row-major order with the message that path
+    gives alone; the reverse case legitimately sends the ratio to -inf.
+    """
+    k_honest = np.asarray(k_honest, dtype=float)
+    k_corrupt = np.asarray(k_corrupt, dtype=float)
+    init_honest = np.asarray(init_honest, dtype=float)
+    init_corrupt = np.asarray(init_corrupt, dtype=float)
+    n_states = k_honest.shape[1]
+    h, c = k_honest.reshape(-1), k_corrupt.reshape(-1)
+    bad_init = (init_corrupt == 0.0) & (init_honest > 0.0)
+    bad_move = (c == 0.0) & (h > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        init_terms = np.where(init_corrupt > 0.0, np.log(init_honest) - np.log(init_corrupt), 0.0)
+        inc = np.where(h > 0.0, np.log(np.where(h > 0.0, h, 1.0)) - np.log(c), -np.inf)
+
+    first_bad, message = None, None
+    lo = 0  # step index of the tile's first transition
+    for tile in tiles:
+        tile = np.asarray(tile, dtype=np.int64)
+        codes = tile[..., :-1] * n_states
+        codes += tile[..., 1:]
+        moved_bad = bad_move[codes]
+        bad = moved_bad.any(axis=-1)
+        if lo == 0:
+            init_term = init_terms[tile[..., 0]]
+            bad |= bad_init[tile[..., 0]]
+        # a path's first offending tile names its first offending move
+        k = int(np.argmax(bad.reshape(-1)))
+        if bad.reshape(-1)[k] and (first_bad is None or k < first_bad):
+            first_bad, row = k, tile.reshape(-1, tile.shape[-1])[k]
+            if lo == 0 and bad_init[row[0]]:
+                message = f"initial state {row[0]} impossible under the corrupt law"
+            else:
+                t = int(np.argmax(moved_bad.reshape(-1, codes.shape[-1])[k]))
+                message = (f"transition {row[t]}->{row[t + 1]} at step {lo + t} "
+                           "impossible under the corrupt law")
+
+        if lo == 0:
+            out = np.empty(tile.shape)
+            out[..., 0] = init_term
+            steps = out[..., 1:]
+        else:
+            out = steps = np.empty(codes.shape)
+        np.take(inc, codes, out=steps)
+        if lo > 0:
+            steps[..., :1] += carry
+        np.cumsum(steps, axis=-1, out=steps)
+        carry = steps[..., -1:].copy()
+        steps += init_term[..., None]
+        lo += codes.shape[-1]
+        yield out
+    if first_bad is not None:
+        raise NotAbsolutelyContinuous(message)
 
 
 def path_log_ratio(path: np.ndarray, k_honest: np.ndarray, k_corrupt: np.ndarray,
@@ -155,47 +258,37 @@ def path_log_ratio(path: np.ndarray, k_honest: np.ndarray, k_corrupt: np.ndarray
     """Cumulative log ratio of honest to corrupt path probability.
 
     ``path`` holds x_0..x_n on its last axis, with any leading axes (one
-    path per row). Entry 0 is the initial-law log ratio; entry t adds the
-    first t transitions, looked up by transition code ``x * states + y``
-    in one table of increments and summed along time. Raises
+    path per row): the batch engine's log ratio run as one tile (see
+    :func:`_log_ratio_tiles`). Entry 0 is the initial-law log ratio; entry
+    t adds the first t transitions. Raises
     :class:`NotAbsolutelyContinuous` whenever a path uses a move the
     corrupt law forbids but the honest law allows, naming the first such
     path in row-major order with the message that path gives alone; the
     reverse case legitimately sends the ratio to -inf.
     """
-    path = np.asarray(path, dtype=np.int64)
-    k_honest = np.asarray(k_honest, dtype=float)
-    k_corrupt = np.asarray(k_corrupt, dtype=float)
-    init_honest = np.asarray(init_honest, dtype=float)
-    init_corrupt = np.asarray(init_corrupt, dtype=float)
-
-    x0 = path[..., 0]
-    codes = path[..., :-1] * k_honest.shape[1]
-    codes += path[..., 1:]
-    h, c = k_honest.reshape(-1), k_corrupt.reshape(-1)
-    bad_init = (init_corrupt == 0.0) & (init_honest > 0.0)
-    bad_move = ((c == 0.0) & (h > 0.0))[codes]
-    bad = bad_init[x0] | bad_move.any(axis=-1)
-    if bad.any():
-        first = np.argmax(bad.reshape(-1))
-        row = path.reshape(-1, path.shape[-1])[first]
-        if bad_init[row[0]]:
-            raise NotAbsolutelyContinuous(
-                f"initial state {row[0]} impossible under the corrupt law")
-        t = int(np.argmax(bad_move.reshape(-1, codes.shape[-1])[first]))
-        raise NotAbsolutelyContinuous(
-            f"transition {row[t]}->{row[t + 1]} at step {t} impossible under the corrupt law")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        init_term = np.where(init_corrupt > 0.0,
-                             np.log(init_honest) - np.log(init_corrupt), 0.0)[x0]
-        inc = np.where(h > 0.0, np.log(np.where(h > 0.0, h, 1.0)) - np.log(c), -np.inf)
-    out = np.empty(path.shape)
-    out[..., 0] = init_term
-    steps = out[..., 1:]
-    np.take(inc, codes, out=steps)
-    np.cumsum(steps, axis=-1, out=steps)
-    steps += init_term[..., None]
+    (out,) = _log_ratio_tiles([path], k_honest, k_corrupt, init_honest, init_corrupt)
     return out
+
+
+def log_ratio_groups(mdp: FiniteMdp, policy: StochasticPolicy, k_honest: np.ndarray,
+                     k_corrupt: np.ndarray, n: int, seeds):
+    """The batch engine: every seed's log-ratio series in one lockstep pass.
+
+    The seeds run in groups of at most ``_GROUP_SEEDS``, in order; each
+    group is sampled under ``policy`` (:func:`_path_tiles`) and its log
+    ratio of ``k_honest`` to ``k_corrupt`` from ``mdp.initial`` tracked
+    (:func:`_log_ratio_tiles`) in time tiles of about ``_CHUNK_CELLS``
+    cells, so memory stays per tile whatever the batch. Yields
+    ``(rows, tiles)`` per group: ``rows`` is the range of the group's
+    positions in ``seeds`` and ``tiles`` gives its (rows, steps) series
+    tiles in time order, to be consumed before the next group.
+    """
+    seeds = list(seeds)
+    for first in range(0, len(seeds), _GROUP_SEEDS):
+        group = seeds[first:first + _GROUP_SEEDS]
+        paths = _path_tiles(mdp, policy, n, group, max(1, _CHUNK_CELLS // len(group)))
+        yield (range(first, first + len(group)),
+               _log_ratio_tiles(paths, k_honest, k_corrupt, mdp.initial, mdp.initial))
 
 
 def stationary_distribution(k: np.ndarray, initial: np.ndarray) -> np.ndarray:

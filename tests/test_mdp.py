@@ -16,6 +16,7 @@ from cps_sentinel.mdp import (
     StochasticPolicy,
     analytic_drift,
     induced_kernel,
+    log_ratio_groups,
     path_log_ratio,
     simulate_paths,
     stationary_distribution,
@@ -126,14 +127,18 @@ def mdp_scenario(mdp, honest, corrupt, horizon, base, count):
 
 
 class FixedUniforms:
-    """Stands in for a seeded generator and hands out the given uniforms."""
+    """Stands in for a seeded generator: hands out the given uniforms in
+    order, across calls, as one stream."""
 
     def __init__(self, u):
         self.u = np.array(u, dtype=float)
+        self.used = 0
 
-    def random(self, size):
-        assert size == self.u.size
-        return self.u.copy()
+    def random(self, *, out):
+        assert self.used + out.size <= self.u.size
+        out[...] = self.u[self.used:self.used + out.size]
+        self.used += out.size
+        return out
 
 
 class TestFiniteMdpValidation:
@@ -209,13 +214,15 @@ class TestSimulatePath:
         policy = StochasticPolicy(np.array([short, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         near_one = 0.9999999999998
 
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: FixedUniforms([0.1, near_one, near_one]))
+        stream = FixedUniforms([0.1, near_one, near_one])
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: stream)
         # action 1 (not 2, whose probability is 0), then state 1 (not 2)
         np.testing.assert_array_equal(simulate_paths(mdp, policy, 1, [0])[0], [0, 1])
+        assert stream.used == stream.u.size
 
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedUniforms([near_one]))
+        stream = FixedUniforms([near_one])
         np.testing.assert_array_equal(simulate_paths(mdp, policy, 0, [0])[0], [1])
+        assert stream.used == stream.u.size
 
     def test_batch_rows_are_the_per_seed_paths(self):
         mdp = two_action_mdp(initial=(0.3, 0.7))
@@ -228,17 +235,57 @@ class TestSimulatePath:
             np.testing.assert_array_equal(row, simulate_paths(mdp, pol, 300, [seed])[0])
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+@pytest.mark.parametrize("parts", [(0, 5), (1, 1), (1, 400), (1, 326, 326, 17), (3, 2, 2, 2),
+                                   (1001, 999)])
+def test_a_stream_drawn_in_pieces_is_the_stream_drawn_at_once(seed, parts):
+    # the batch engine draws x_0's uniform and then each tile's uniforms
+    # by separate calls on one generator per seed
+    whole = np.random.default_rng(seed).random(sum(parts))
+    gen = np.random.default_rng(seed)
+    pieces = [gen.random(parts[0])]
+    for size in parts[1:]:
+        pieces.append(np.empty(size))
+        gen.random(out=pieces[-1])
+    assert np.concatenate(pieces).view(np.uint64).tolist() == whole.view(np.uint64).tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=finite_mdps(), n=st.integers(0, 40), count=st.integers(1, 6),
-       base=st.integers(0, 2**63), cells=st.sampled_from([1, 7, 64, 1 << 15]))
-def test_engine_paths_are_the_per_seed_loop_whatever_the_batch(case, n, count, base, cells):
-    mdp, _, corrupt = case
+       base=st.integers(0, 2**63), cells=st.sampled_from([1, 7, 40, 1 << 15]),
+       group=st.sampled_from([1, 2, 256]))
+def test_engine_paths_are_the_per_seed_loop_whatever_the_batch(case, n, count, base, cells,
+                                                                group):
+    mdp, honest, corrupt = case
+    k_h, k_c = induced_kernel(mdp, honest), induced_kernel(mdp, corrupt)
     seeds = [base + i for i in range(count)]
+    references = np.array([reference_path(mdp, corrupt, n, seed) for seed in seeds])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mdp_module, "_CHUNK_CELLS", cells)
+        mp.setattr(mdp_module, "_GROUP_SEEDS", group)
         paths = simulate_paths(mdp, corrupt, n, seeds)
-    for row, seed in zip(paths, seeds):
-        assert row.tolist() == reference_path(mdp, corrupt, n, seed)
+        tiles = list(mdp_module._path_tiles(mdp, corrupt, n, seeds, max(1, cells // count)))
+        groups = [(rows, list(series)) for rows, series
+                  in log_ratio_groups(mdp, corrupt, k_h, k_c, n, seeds)]
+    np.testing.assert_array_equal(paths, references)
+    # each tile starts where the one before stopped, and together they are the paths
+    for before, tile in zip(tiles, tiles[1:]):
+        np.testing.assert_array_equal(tile[:, 0], before[:, -1])
+    np.testing.assert_array_equal(
+        np.concatenate([tiles[0]] + [tile[:, 1:] for tile in tiles[1:]], axis=1), paths)
+    # the log ratio carried across those tiles is the whole-path one bit for
+    # bit, with a nonzero initial-law term too
+    uniform = np.full(mdp.n_states, 1.0 / mdp.n_states)
+    tiled = mdp_module._log_ratio_tiles(iter(tiles), k_h, k_c, mdp.initial, uniform)
+    assert np.concatenate(list(tiled), axis=1).tobytes() \
+        == path_log_ratio(paths, k_h, k_c, mdp.initial, uniform).tobytes()
+    # the batch engine's groups cover the seeds in order, and their series
+    # tiles are the whole-path log ratio bit for bit
+    assert [i for rows, _ in groups for i in rows] == list(range(count))
+    for rows, series in groups:
+        assert len(rows) <= group
+        whole = path_log_ratio(references[rows], k_h, k_c, mdp.initial, mdp.initial)
+        assert np.concatenate(series, axis=1).tobytes() == whole.tobytes()
     # one seed alone, and the batch minus its first seed, give the same rows
     np.testing.assert_array_equal(simulate_paths(mdp, corrupt, n, [seeds[-1]])[0], paths[-1])
     np.testing.assert_array_equal(simulate_paths(mdp, corrupt, n, seeds[1:]), paths[1:])
@@ -247,14 +294,16 @@ def test_engine_paths_are_the_per_seed_loop_whatever_the_batch(case, n, count, b
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=finite_mdps(), n=st.integers(1, 30), count=st.integers(1, 6),
-       base=st.integers(0, 2**63), cells=st.sampled_from([1, 40, 1 << 15]))
+       base=st.integers(0, 2**63), cells=st.sampled_from([1, 7, 40, 1 << 15]),
+       group=st.sampled_from([1, 2, 256]))
 def test_batch_files_are_plain_repr_rows_whatever_the_batch(tmp_path_factory, case, n, count,
-                                                            base, cells):
+                                                            base, cells, group):
     mdp, honest, corrupt = case
     k_h, k_c = induced_kernel(mdp, honest), induced_kernel(mdp, corrupt)
     out = tmp_path_factory.mktemp("mdp")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_CHUNK_CELLS", cells)
+        mp.setattr(mdp_module, "_CHUNK_CELLS", cells)
+        mp.setattr(mdp_module, "_GROUP_SEEDS", group)
         summary = run_mdp_batch(mdp_scenario(mdp, honest, corrupt, n, base, count), out_dir=out)
     finals = []
     for i in range(count):
@@ -265,12 +314,55 @@ def test_batch_files_are_plain_repr_rows_whatever_the_batch(tmp_path_factory, ca
     assert summary["mean_drift"] == pytest.approx(float(np.mean(finals)) / n, nan_ok=True)
 
 
+# the 2-state MDP of the -inf tests: the honest policy never takes action 1,
+# the only way from state 0 to state 1
+FORBIDDEN_MOVE = (np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.2, 0.8], [0.5, 0.5]]]),
+                  np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([[0.5, 0.5], [0.5, 0.5]]))
+
+
+def assert_plain_files(out, mdp, honest, corrupt, n, base, count):
+    """Every per-seed file of the batch is the per-seed loop's series, written cell by cell."""
+    k_h, k_c = induced_kernel(mdp, honest), induced_kernel(mdp, corrupt)
+    texts = []
+    for i in range(count):
+        path = reference_path(mdp, corrupt, n, split_seed(base, i))
+        series = path_log_ratio(np.array(path), k_h, k_c, mdp.initial, mdp.initial)
+        texts.append((out / f"run_{i:05d}.csv").read_text())
+        assert texts[-1] == plain_csv(series)
+    return texts
+
+
+@pytest.mark.parametrize("horizon", [3, 4, 5])
+def test_batch_files_at_a_tile_boundary(tmp_path, monkeypatch, horizon):
+    # 3 seeds and 12 cells: tiles of 4 steps, so the horizon ends one step
+    # before, at and one step after the first tile boundary
+    monkeypatch.setattr(mdp_module, "_CHUNK_CELLS", 12)
+    monkeypatch.setattr(mdp_module, "_GROUP_SEEDS", 3)
+    mdp = two_action_mdp(initial=(0.3, 0.7))
+    honest = StochasticPolicy(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    corrupt = StochasticPolicy(np.array([[0.1, 0.9], [0.8, 0.2]]))
+    run_mdp_batch(mdp_scenario(mdp, honest, corrupt, horizon, 5, 3), out_dir=tmp_path)
+    assert_plain_files(tmp_path, mdp, honest, corrupt, horizon, 5, 3)
+
+
+def test_minus_inf_is_carried_across_tile_boundaries(tmp_path, monkeypatch):
+    # 4 seeds in groups of 2 and 6 cells: tiles of 3 steps
+    monkeypatch.setattr(mdp_module, "_CHUNK_CELLS", 6)
+    monkeypatch.setattr(mdp_module, "_GROUP_SEEDS", 2)
+    kernel, honest, corrupt = FORBIDDEN_MOVE
+    mdp = FiniteMdp(kernel, np.array([1.0, 0.0]))
+    honest, corrupt = StochasticPolicy(honest), StochasticPolicy(corrupt)
+    run_mdp_batch(mdp_scenario(mdp, honest, corrupt, 20, 11, 4), out_dir=tmp_path)
+    texts = assert_plain_files(tmp_path, mdp, honest, corrupt, 20, 11, 4)
+    # some seed meets -inf in its first tile (t <= 3) and keeps it to t = 20
+    assert any(text.splitlines()[4].endswith(",-inf") and text.endswith("20,-inf\n")
+               for text in texts)
+
+
 def test_batch_files_carry_minus_inf_cells(tmp_path):
-    # the honest policy never takes action 1, the only way from state 0 to 1
-    mdp = FiniteMdp(np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.2, 0.8], [0.5, 0.5]]]),
-                    np.array([1.0, 0.0]))
-    honest = StochasticPolicy(np.array([[1.0, 0.0], [0.5, 0.5]]))
-    corrupt = StochasticPolicy(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    kernel, honest, corrupt = FORBIDDEN_MOVE
+    mdp = FiniteMdp(kernel, np.array([1.0, 0.0]))
+    honest, corrupt = StochasticPolicy(honest), StochasticPolicy(corrupt)
     k_h, k_c = induced_kernel(mdp, honest), induced_kernel(mdp, corrupt)
     summary = run_mdp_batch(mdp_scenario(mdp, honest, corrupt, 40, 11, 5), out_dir=tmp_path)
     assert summary["analytic_drift"] == -np.inf
@@ -340,6 +432,14 @@ class TestPathLogRatio:
 
         assert message([fine, late_move, bad_start, early_move]) == message(late_move) \
             == "transition 0->1 at step 1 impossible under the corrupt law"
+        # in tiles, a later path that goes wrong in an earlier tile does not
+        # take the place of the first offending path
+        paths = np.array([fine, late_move, bad_start, early_move])
+        for split in range(1, 4):
+            tiles = [paths[:, :split + 1], paths[:, split:]]
+            with pytest.raises(NotAbsolutelyContinuous) as info:
+                list(mdp_module._log_ratio_tiles(tiles, kh, kc, nu_h, nu_c))
+            assert str(info.value) == message(late_move)
         assert message([[fine, bad_start], [early_move, late_move]]) == message(bad_start) \
             == "initial state 1 impossible under the corrupt law"
         assert message([[fine, fine], [early_move, bad_start]]) == message(early_move)
