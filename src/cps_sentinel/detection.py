@@ -14,6 +14,12 @@ batch of paths, one row per seed; :func:`rn_series` is the same function
 on a batch of one. All cumulative series use compensated summation, run
 across the seed axis in one pass, so that horizons up to 1e5 steps of
 small increments stay exact to roundoff.
+
+:func:`series_csv_texts` writes a batch's detection CSVs: the columns
+every seed shares (the step and the log-determinant sum) are formatted
+once per batch into a line template, and each seed's text is one ``%``
+format of its own four columns. :func:`write_series_csv` is that writer
+on one seed.
 """
 
 from __future__ import annotations
@@ -323,20 +329,41 @@ def expected_step_drift(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolic
     return DriftEstimate(value=value, method=method)
 
 
-def write_series_csv(series: DetectionSeries, fp) -> None:
-    """Write columns t, logL, r_n, s_sum, sbreve_sum, logdet_ratio_sum.
+_CSV_HEADER = "t,logL,r_n,s_sum,sbreve_sum,logdet_ratio_sum\n"
 
-    Undefined ratio entries are left empty rather than written as inf/nan.
+
+def series_csv_texts(series: DetectionSeries):
+    """Each seed's CSV text, columns t, logL, r_n, s_sum, sbreve_sum, logdet_ratio_sum.
+
+    ``series`` is a batch from :func:`detect_ensemble` or one seed's
+    series; the texts come one seed at a time, in row order, so a caller
+    that writes each before taking the next keeps one alive at a time.
+    The columns every seed shares are formatted once per call into a line
+    template: ``t`` and ``logdet_ratio_sum``, the compensated sum of one
+    scalar increment and so the same bits in every row (taken from row 0).
+    A seed's text is then one ``%`` format of its other four columns;
+    ``%r`` and ``%s`` of a float are its ``repr``. Undefined ratio entries
+    are left empty rather than written as inf/nan.
     """
-    cols = [map(str, range(1, series.horizon + 1)),
-            map(repr, series.cum_log_l.tolist()),
-            [repr(r) if ok else "" for r, ok in zip(series.r_n.tolist(),
-                                                    series.r_defined.tolist())],
-            map(repr, series.cum_s.tolist()),
-            map(repr, series.cum_s_breve.tolist()),
-            map(repr, series.cum_logdet_ratio.tolist())]
-    fp.write("t,logL,r_n,s_sum,sbreve_sum,logdet_ratio_sum\n")
-    fp.write("\n".join(map(",".join, zip(*cols))) + "\n")
+    n = series.horizon
+    logdet = series.cum_logdet_ratio.reshape(-1, n)[0].tolist()
+    template = _CSV_HEADER + "".join([f"{t},%r,%s,%r,%r,{ld!r}\n"
+                                      for t, ld in enumerate(logdet, start=1)])
+    cells = np.stack([series.cum_log_l, series.r_n, series.cum_s, series.cum_s_breve],
+                     axis=-1).reshape(-1, 4 * n)
+    # flat positions of each seed's undefined r_n cells, written as ""
+    undefined = ~series.r_defined.reshape(-1, n)
+    for row, missing in zip(cells, undefined):
+        values = row.tolist()
+        for i in np.flatnonzero(missing).tolist():
+            values[4 * i + 1] = ""
+        yield template % tuple(values)
+
+
+def write_series_csv(series: DetectionSeries, fp) -> None:
+    """Write one seed's CSV (see :func:`series_csv_texts`) to ``fp``."""
+    (text,) = series_csv_texts(series)
+    fp.write(text)
 
 
 def series_csv_text(series: DetectionSeries) -> str:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import Decision, classify, detect_ensemble, write_series_csv
+from .detection import Decision, classify, detect_ensemble, series_csv_texts
 from .mdp import (
     FiniteMdp,
     StochasticPolicy,
@@ -197,6 +197,25 @@ def _out_path(out_dir, outputs: str | None) -> Path | None:
     path = Path(out_dir if out_dir is not None else outputs)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _create(path: Path, newline: str | None = None):
+    """Open ``path`` for writing as a new file, never truncating one in place.
+
+    An existing file is unlinked and created again: truncating a file whose
+    old contents still await writeback can stall for seconds.
+    """
+    try:
+        return open(path, "x", newline=newline)
+    except FileExistsError:
+        path.unlink()
+        return open(path, "x", newline=newline)
+
+
+def _write_fresh(path: Path, text: str) -> None:
+    """Write ``text`` as the whole of a new file at ``path`` (see :func:`_create`)."""
+    with _create(path) as fp:
+        fp.write(text)
 
 
 def load_scenario(path) -> Scenario:
@@ -419,10 +438,11 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
         ens = simulate_ensemble(s.model, s.honest, s.attack, s.horizon,
                                 [split_seed(s.seed_base, i) for i in indices])
         done = ens.failed_at == 0  # failed runs have no meaningful path to detect on
-        batch = None
+        batch = texts = None
         if done.any():
             batch = detect_ensemble(ens.states if done.all() else ens.states[done],
                                     s.model, s.honest, corrupt, cfg)
+            texts = series_csv_texts(batch) if out_path is not None else None
         position = np.cumsum(done) - 1
         for k, index in enumerate(indices):
             row = {"run_index": index, "seed": ens.seeds[k], "log_l": None, "r_n": None,
@@ -437,9 +457,8 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
                 row["log_l"] = series.log_l_at(s.horizon)
                 row["r_n"] = float(series.r_n[-1]) if series.r_defined[-1] else None
                 row["decision"] = classify(series, s.horizon, s.threshold).value
-                if out_path is not None:
-                    with open(out_path / f"run_{index:05d}.csv", "w") as fp:
-                        write_series_csv(series, fp)
+                if texts is not None:
+                    _write_fresh(out_path / f"run_{index:05d}.csv", next(texts))
             rows.append(row)
     if out_path is not None:
         _write_runs_table(out_path / "runs.csv", rows)
@@ -457,7 +476,7 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
         rows=rows,
     )
     if out_path is not None:
-        (out_path / "summary.json").write_text(json_text(summary.summary_dict()))
+        _write_fresh(out_path / "summary.json", json_text(summary.summary_dict()))
     return summary
 
 
@@ -472,7 +491,7 @@ def _drift_stats(drifts) -> tuple[float | None, float | None]:
 
 def _write_runs_table(path: Path, rows: list[dict]) -> None:
     """One line per seed; cells that need it (an error message) are quoted."""
-    with open(path, "w", newline="") as fp:
+    with _create(path, newline="") as fp:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(["run_index", "seed", "logL", "r_n", "decision", "error"])
         for r in rows:
@@ -549,7 +568,7 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
     seeds = [split_seed(s.seed_base, i) for i in range(s.seed_count)]
     for rows, tiles in log_ratio_groups(s.mdp, s.corrupt_policy, k_h, k_c, s.horizon, seeds):
         with ExitStack() as stack:
-            files = [stack.enter_context(open(out_path / f"run_{i:05d}.csv", "w"))
+            files = [stack.enter_context(_create(out_path / f"run_{i:05d}.csv"))
                      for i in rows] if out_path is not None else []
             lo = 0
             for series in tiles:
@@ -569,7 +588,7 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
         "runtime_seconds": time.perf_counter() - start,
     }
     if out_path is not None:
-        (out_path / "summary.json").write_text(json_text(summary))
+        _write_fresh(out_path / "summary.json", json_text(summary))
     return summary
 
 

@@ -134,7 +134,8 @@ def _path_tiles(mdp: FiniteMdp, policy: StochasticPolicy, n: int, seeds, steps: 
     gens = [np.random.default_rng(int(seed)) for seed in seeds]
     n_seeds, n_states = len(gens), mdp.n_states
     pol_cum = np.cumsum(policy.probs, axis=1)
-    pol_last = _last_positive(policy.probs)
+    # the actions each state can draw: an index of probability zero never is
+    support = [np.flatnonzero(row > 0.0) for row in policy.probs]
     ker_cum = np.cumsum(mdp.kernel, axis=2)
     ker_last = _last_positive(mdp.kernel)
     block = max(1, _CHUNK_CELLS // max(1, n_seeds * n_states))
@@ -156,12 +157,14 @@ def _path_tiles(mdp: FiniteMdp, policy: StochasticPolicy, n: int, seeds, steps: 
             u_next = u[:, 2 * b_lo + 1:2 * b_hi:2].T
             # cand[t, s, y]: where seed s goes at step b_lo + t if it is in state y
             cand = np.empty((b_hi - b_lo, n_seeds, n_states), dtype=np.int64)
-            for state in range(n_states):
-                act = _draw(pol_cum[state], pol_last[state], u_act)
-                succ = cand[:, :, state]
-                for a in np.unique(act):
-                    taken = act == a
-                    succ[taken] = _draw(ker_cum[a, state], ker_last[a, state], u_next[taken])
+            for state, acts in enumerate(support):
+                # the draw against the whole cumulative row, as a position in
+                # acts: a zero-probability step adds nothing to the row, so
+                # its values at acts alone give the same draw
+                pos = _draw(pol_cum[state, acts], len(acts) - 1, u_act)
+                succ = np.stack([_draw(ker_cum[a, state], ker_last[a, state], u_next)
+                                 for a in acts.tolist()])
+                cand[:, :, state] = np.take_along_axis(succ, pos[None], axis=0)[0]
             cand += base[:, None]
             for t, row in enumerate(cand.reshape(b_hi - b_lo, -1), start=b_lo):
                 x = moves[t] = row.take(x)

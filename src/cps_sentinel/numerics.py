@@ -285,18 +285,25 @@ def kahan_cumsum(values) -> np.ndarray:
 
     Leading axes are independent series summed in lockstep, so one call
     covers a whole batch; each series gets the same operations as alone.
+    The sums run on a time-major copy, so that each step reads and writes
+    one contiguous row, and the result is a view with time last again.
     """
     values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    total = np.zeros(values.shape[:-1])
-    comp = np.zeros(values.shape[:-1])
-    for i in range(values.shape[-1]):
-        y = values[..., i] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out[..., i] = total
-    return out
+    n, lead = values.shape[-1], values.shape[:-1]
+    # one contiguous (n, series) block; reshape copies when axes moved
+    steps = np.moveaxis(values, -1, 0).reshape(n, math.prod(lead))
+    out = np.empty_like(steps)
+    total = np.zeros(steps.shape[1])
+    comp = np.zeros(steps.shape[1])
+    y = np.empty(steps.shape[1])
+    # the last argument of each ufunc is its output array
+    for step, row in zip(steps, out):
+        np.subtract(step, comp, y)
+        np.add(total, y, row)
+        np.subtract(row, total, comp)
+        np.subtract(comp, y, comp)
+        total = row
+    return np.moveaxis(out.reshape(n, *lead), 0, -1)
 
 
 def split_seed(base: int, index: int) -> int:

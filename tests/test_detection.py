@@ -1,3 +1,4 @@
+import io
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from cps_sentinel.detection import (
     Decision,
+    DetectionSeries,
     classify,
     det_ratio_bound,
     detect_ensemble,
@@ -15,7 +17,9 @@ from cps_sentinel.detection import (
     joint_log_density_oracle,
     rn_series,
     series_csv_text,
+    series_csv_texts,
     series_summary,
+    write_series_csv,
 )
 from cps_sentinel.harness import preset, scenario_from_dict
 from cps_sentinel.model import AttackConfig, CpsModel
@@ -430,3 +434,93 @@ def test_series_summary_round_trip():
     assert set(summary) == {"n", "logL", "r_n", "decision", "threshold", "drift_estimate"}
     assert summary["n"] == 20
     assert summary["decision"] in ("honest", "attack")
+
+
+def plain_series_csv(series):
+    """Test-only oracle of one seed's CSV: every cell formatted on its own and joined."""
+    cols = [map(str, range(1, series.horizon + 1)),
+            map(repr, series.cum_log_l.tolist()),
+            [repr(r) if ok else "" for r, ok in zip(series.r_n.tolist(),
+                                                    series.r_defined.tolist())],
+            map(repr, series.cum_s.tolist()),
+            map(repr, series.cum_s_breve.tolist()),
+            map(repr, series.cum_logdet_ratio.tolist())]
+    return ("t,logL,r_n,s_sum,sbreve_sum,logdet_ratio_sum\n"
+            + "\n".join(map(",".join, zip(*cols))) + "\n")
+
+
+CELLS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                  st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 0.1]))
+
+
+@st.composite
+def series_batches(draw):
+    """Batches of 1-5 seeds whose cells are any floats, with undefined r_n cells.
+
+    The logdet column is one row shared by every seed, as
+    :func:`detect_ensemble` gives it; its steps differ from one another.
+    """
+    seeds, n = draw(st.integers(1, 5)), draw(st.integers(1, 30))
+
+    def cells(shape):
+        return np.array(draw(st.lists(CELLS, min_size=seeds * n, max_size=seeds * n)),
+                        dtype=float).reshape(shape)
+
+    r_defined = np.array(draw(st.lists(st.booleans(), min_size=seeds * n,
+                                       max_size=seeds * n))).reshape(seeds, n)
+    logdet = np.array(draw(st.lists(CELLS, min_size=n, max_size=n)), dtype=float)
+    zeros = np.zeros((seeds, n))
+    return DetectionSeries(
+        step_log_ratio=zeros, honest_logdens=zeros, corrupt_logdens=zeros, s=zeros,
+        s_breve=zeros, half_logdet_ratio=zeros, cum_log_l=cells((seeds, n)),
+        cum_s=cells((seeds, n)), cum_s_breve=cells((seeds, n)),
+        cum_logdet_ratio=np.tile(logdet, (seeds, 1)), r_n=cells((seeds, n)),
+        r_defined=r_defined)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=series_batches())
+def test_every_batch_file_is_the_per_cell_oracle(batch):
+    texts = list(series_csv_texts(batch))
+    assert len(texts) == batch.cum_log_l.shape[0]
+    for k, text in enumerate(texts):
+        assert text == plain_series_csv(batch.row(k))
+    # a single seed's series, not a batch of one, gives the same text
+    assert list(series_csv_texts(batch.row(0))) == texts[:1]
+
+
+def test_undefined_and_special_cells_by_hand():
+    one = np.array([[1.0, 2.0]])
+    batch = DetectionSeries(
+        step_log_ratio=one, honest_logdens=one, corrupt_logdens=one, s=one, s_breve=one,
+        half_logdet_ratio=one, cum_log_l=np.array([[-0.0, math.inf]]),
+        cum_s=np.array([[0.5, math.nan]]), cum_s_breve=np.array([[0.0, -math.inf]]),
+        cum_logdet_ratio=np.array([[0.25, 0.5]]), r_n=np.array([[math.nan, 3.0]]),
+        r_defined=np.array([[False, True]]))
+    assert list(series_csv_texts(batch)) == [
+        "t,logL,r_n,s_sum,sbreve_sum,logdet_ratio_sum\n"
+        "1,-0.0,,0.5,0.0,0.25\n"
+        "2,inf,3.0,nan,-inf,0.5\n"]
+
+
+@pytest.mark.parametrize("name", ["identity", "replacement", "fdi", "dos", "mimic",
+                                  "example1", "example2"])
+def test_preset_batches_share_the_logdet_column_and_match_the_one_seed_writer(name):
+    s = scenario_from_dict(preset(name))
+    cfg, corrupt = s.attack if s.attack is not None else (None, None)
+    ens = simulate_ensemble(s.model, s.honest, s.attack, s.horizon,
+                            [split_seed(s.seed_base, i) for i in range(4)])
+    batch = detect_ensemble(ens.states, s.model, s.honest, corrupt, cfg)
+    logdet = batch.cum_logdet_ratio
+    assert (logdet.view(np.int64) == logdet[:1].view(np.int64)).all()
+    for k, text in enumerate(series_csv_texts(batch)):
+        assert series_csv_text(batch.row(k)) == text == plain_series_csv(batch.row(k))
+
+
+def test_write_series_csv_takes_one_seed():
+    batch = detect_ensemble(np.zeros((2, 3, 2)), model(), Zero(), None, None)
+    buf = io.StringIO()
+    write_series_csv(batch.row(1), buf)
+    assert buf.getvalue() == plain_series_csv(batch.row(1))
+    with pytest.raises(ValueError):
+        write_series_csv(batch, io.StringIO())

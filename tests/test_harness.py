@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -273,6 +274,38 @@ class TestRunMontecarlo:
         assert table[1] == ["0", "11", "-1.5", "", "attack", ""]
         assert table[2] == ["1", "12", "", "", "", 'Boom: a, b\nsecond "line"']
         assert len(table) == 3
+
+
+@pytest.mark.parametrize("kind", ["montecarlo", "mdp"])
+def test_a_rerun_over_longer_stale_files_writes_a_fresh_runs_bytes(tmp_path, kind):
+    if kind == "montecarlo":
+        def run(out):
+            run_montecarlo(small("replacement", count=3, horizon=30), out_dir=out)
+    else:
+        data = preset("mdp-detect")
+        data["seeds"]["count"], data["horizon"] = 3, 50
+
+        def run(out):
+            run_mdp_batch(mdp_scenario_from_dict(data), out_dir=out)
+    fresh, rerun, old = tmp_path / "fresh", tmp_path / "rerun", tmp_path / "old"
+    run(fresh)
+    names = sorted(p.name for p in fresh.iterdir())
+    assert "summary.json" in names and "run_00002.csv" in names
+    rerun.mkdir()
+    old.mkdir()
+    stale = "x" * 100_000
+    for name in names:
+        (rerun / name).write_text(stale)
+        os.link(rerun / name, old / name)
+    run(rerun)
+    for name in names:
+        got, want = (rerun / name).read_text(), (fresh / name).read_text()
+        if name == "summary.json":
+            got, want = json.loads(got), json.loads(want)
+            got.pop("runtime_seconds"), want.pop("runtime_seconds")
+        assert got == want
+        # replaced by a new file, not truncated in place: the old one is intact
+        assert (old / name).read_text() == stale
 
 
 @settings(max_examples=25, deadline=None,

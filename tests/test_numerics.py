@@ -264,6 +264,35 @@ def test_kahan_cumsum_matches_fsum(values):
         assert out[i] == pytest.approx(math.fsum(values[: i + 1]), abs=1e-9)
 
 
+def step_loop_kahan(values):
+    """Test-only oracle: compensated prefix sums one step at a time, on the input's layout."""
+    values = np.asarray(values, dtype=float)
+    out = np.empty_like(values)
+    total = np.zeros(values.shape[:-1])
+    comp = np.zeros(values.shape[:-1])
+    for i in range(values.shape[-1]):
+        y = values[..., i] - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        out[..., i] = total
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 1), (2, 5, 9), (4, 40, 500)])
+def test_kahan_cumsum_is_the_step_loop_bit_for_bit(shape):
+    rng = np.random.default_rng(31)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+    values.reshape(-1)[::7] = -0.0
+    out = kahan_cumsum(values)
+    assert out.shape == values.shape
+    assert (out.view(np.int64) == step_loop_kahan(values).view(np.int64)).all()
+    # a strided view of the same numbers sums alike
+    wide = np.zeros(shape[:-1] + (2 * shape[-1],))
+    wide[..., ::2] = values
+    assert (kahan_cumsum(wide[..., ::2]).view(np.int64) == out.view(np.int64)).all()
+
+
 @pytest.mark.parametrize("n", [1, 2, 16])
 def test_matvec_never_returns_negative_zero(n):
     # every product is -0.0: a zero gain times negative states, a -0.0 gain
