@@ -1,11 +1,13 @@
 """Alternating benchmark pairs of a parent revision and the working tree.
 
-    python3 scripts/bench_pairs.py --parent HEAD --first-seed 41 --out BENCH_11.json \
+    python3 scripts/bench_pairs.py --parent REV --first-seed 41 --out BENCH_11.json \
         --what "one batch writer for the detection CSVs"
 
-Exports the parent revision with ``git archive`` into a temporary directory,
-then runs ``python3 bench/run.py --workload all --seed S --seconds N --trace 0``
-once there and once in the working tree for each of ``--pairs`` seeds
+Exports the parent revision (required: the commit the change is measured
+against, which is ``HEAD`` only while the change is uncommitted) with
+``git archive`` into a temporary directory, then runs
+``python3 bench/run.py --workload all --seed S --seconds 30 --trace 0``
+once there and once in the working tree for each of ten seeds
 (``--first-seed``, ``--first-seed + 1``, ...), alternating which side runs
 first. Both sides run the same benchmark code and settings: the working
 tree's ``bench/`` and the parent's must agree, or the script stops before
@@ -29,9 +31,11 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from statistics import median, quantiles
+from statistics import quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # alternating pairs per record
+SECONDS = 30  # bench/run.py --seconds of every run
 
 
 def _git(*args: str) -> bytes:
@@ -53,10 +57,10 @@ def _bench_files(tree: Path) -> dict:
     return files | {Path("BENCHMARK.json"): (tree / "BENCHMARK.json").read_bytes()}
 
 
-def run_side(tree: Path, seed: int, seconds: int) -> list[dict]:
+def run_side(tree: Path, seed: int) -> list[dict]:
     """One ``bench/run.py --workload all`` run in ``tree``: its per-workload records."""
     cmd = [sys.executable, "bench/run.py", "--workload", "all", "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode not in (0, 1):  # 1: ran, but a correctness check failed
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
@@ -104,15 +108,11 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", default="HEAD", help="git revision to compare against")
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--parent", required=True, help="git revision to compare against")
     p.add_argument("--first-seed", type=int, required=True)
-    p.add_argument("--seconds", type=int, default=30)
     p.add_argument("--what", required=True, help="one line: the change being measured")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be at least 1")
 
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -125,12 +125,12 @@ def main(argv=None) -> int:
             return 2
         trees = {"parent": tmp, "change": ROOT}
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.first_seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_side(trees[side], seed, args.seconds)
+                pair[side] = run_side(trees[side], seed)
                 print(f"seed {seed} {side}: " + ", ".join(
                     f"{r['workload']} {r['metrics']['seed_steps_per_calib']['value']:.5g}"
                     for r in pair[side]), file=sys.stderr)
@@ -142,10 +142,11 @@ def main(argv=None) -> int:
             if k not in ("git_commit", "source_sha256")}
     result = {
         "what": args.what,
-        "command": f"python3 bench/run.py --workload all --seed S --seconds {args.seconds} "
+        "command": f"python3 bench/run.py --workload all --seed S --seconds {SECONDS} "
                    "--trace 0",
-        "produced_by": shlex.join(["python3", "scripts/bench_pairs.py",
-                                   *(sys.argv[1:] if argv is None else argv)]),
+        "produced_by": shlex.join(["python3", "scripts/bench_pairs.py", "--parent", commit,
+                                   "--first-seed", str(args.first_seed), "--out",
+                                   str(args.out), "--what", args.what]),
         "pairs": [{"seed": pair["seed"], "first": pair["first"],
                    "correct": all(r["correct"] for side in ("parent", "change")
                                   for r in pair[side])} for pair in pairs],

@@ -18,14 +18,13 @@ small increments stay exact to roundoff.
 :func:`series_csv_texts` writes a batch's detection CSVs: the columns
 every seed shares (the step and the log-determinant sum) are formatted
 once per batch into a line template, and each seed's text is one ``%``
-format of its own four columns. :func:`write_series_csv` is that writer
-on one seed.
+format of its own four columns. :func:`series_csv_text` is that writer
+on one seed, and :func:`write_series_csv` writes its text to a file.
 """
 
 from __future__ import annotations
 
 import enum
-import io
 import math
 from dataclasses import dataclass, fields
 
@@ -360,16 +359,15 @@ def series_csv_texts(series: DetectionSeries):
         yield template % tuple(values)
 
 
-def write_series_csv(series: DetectionSeries, fp) -> None:
-    """Write one seed's CSV (see :func:`series_csv_texts`) to ``fp``."""
-    (text,) = series_csv_texts(series)
-    fp.write(text)
-
-
 def series_csv_text(series: DetectionSeries) -> str:
-    buf = io.StringIO()
-    write_series_csv(series, buf)
-    return buf.getvalue()
+    """One seed's CSV text (see :func:`series_csv_texts`)."""
+    (text,) = series_csv_texts(series)
+    return text
+
+
+def write_series_csv(series: DetectionSeries, fp) -> None:
+    """Write one seed's CSV to ``fp`` (a layer by name in ``bench/tracer.py``)."""
+    fp.write(series_csv_text(series))
 
 
 def series_summary(series: DetectionSeries, n: int, log_threshold: float,

@@ -102,6 +102,22 @@ def _draw(cum: np.ndarray, last: int, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, u, side="right"), last)
 
 
+def _draw_rows(cum: np.ndarray, last: np.ndarray, rows: np.ndarray,
+               u: np.ndarray) -> np.ndarray:
+    """:func:`_draw` of each uniform against a row of its own.
+
+    ``cum[k, r]`` is entry k of cumulative row r and ``last[r]`` its last
+    index of positive probability; ``rows`` picks a row per cell and ``u``
+    broadcasts against it. A running sum of nonnegative terms never
+    decreases, so the count of its entries at or below the uniform is the
+    ``bisect_right`` index: the draws are :func:`_draw`'s.
+    """
+    count = np.zeros(rows.shape, dtype=np.uint8)  # at most STATE_ACTION_CAP entries
+    for entry in cum:
+        count += entry.take(rows) <= u
+    return np.minimum(count, last.take(rows))
+
+
 def _last_positive(probs: np.ndarray) -> np.ndarray:
     """Index of the last positive entry of each row along the last axis."""
     return probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
@@ -134,11 +150,12 @@ def _path_tiles(mdp: FiniteMdp, policy: StochasticPolicy, n: int, seeds, steps: 
     gens = [np.random.default_rng(int(seed)) for seed in seeds]
     n_seeds, n_states = len(gens), mdp.n_states
     pol_cum = np.cumsum(policy.probs, axis=1)
-    # the actions each state can draw: an index of probability zero never is
-    support = [np.flatnonzero(row > 0.0) for row in policy.probs]
-    ker_cum = np.cumsum(mdp.kernel, axis=2)
-    ker_last = _last_positive(mdp.kernel)
+    pol_last = _last_positive(policy.probs)
+    # ker_cum[x', a * n_states + y]: the kernel's running sum from state y under action a
+    ker_cum = np.cumsum(mdp.kernel, axis=2).transpose(2, 0, 1).reshape(n_states, -1)
+    ker_last = _last_positive(mdp.kernel).ravel()
     block = max(1, _CHUNK_CELLS // max(1, n_seeds * n_states))
+    states = np.arange(n_states)
 
     x0 = _draw(np.cumsum(mdp.initial), _last_positive(mdp.initial), _uniforms(gens, 1)[:, 0])
     # states are flat positions seed * n_states + state, so that one step of
@@ -155,16 +172,10 @@ def _path_tiles(mdp: FiniteMdp, policy: StochasticPolicy, n: int, seeds, steps: 
             b_hi = min(m, b_lo + block)
             u_act = u[:, 2 * b_lo:2 * b_hi:2].T
             u_next = u[:, 2 * b_lo + 1:2 * b_hi:2].T
-            # cand[t, s, y]: where seed s goes at step b_lo + t if it is in state y
-            cand = np.empty((b_hi - b_lo, n_seeds, n_states), dtype=np.int64)
-            for state, acts in enumerate(support):
-                # the draw against the whole cumulative row, as a position in
-                # acts: a zero-probability step adds nothing to the row, so
-                # its values at acts alone give the same draw
-                pos = _draw(pol_cum[state, acts], len(acts) - 1, u_act)
-                succ = np.stack([_draw(ker_cum[a, state], ker_last[a, state], u_next)
-                                 for a in acts.tolist()])
-                cand[:, :, state] = np.take_along_axis(succ, pos[None], axis=0)[0]
+            # act[t, s, y], cand[t, s, y]: the action seed s takes at step
+            # b_lo + t if it is in state y, and where that action takes it
+            act = np.stack([_draw(pol_cum[y], pol_last[y], u_act) for y in states], axis=-1)
+            cand = _draw_rows(ker_cum, ker_last, act * n_states + states, u_next[:, :, None])
             cand += base[:, None]
             for t, row in enumerate(cand.reshape(b_hi - b_lo, -1), start=b_lo):
                 x = moves[t] = row.take(x)

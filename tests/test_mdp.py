@@ -11,6 +11,7 @@ from cps_sentinel import harness
 from cps_sentinel import mdp as mdp_module
 from cps_sentinel.harness import mdp_scenario_from_dict, run_mdp_batch
 from cps_sentinel.mdp import (
+    STATE_ACTION_CAP,
     FiniteMdp,
     NotAbsolutelyContinuous,
     StochasticPolicy,
@@ -223,6 +224,34 @@ class TestSimulatePath:
         stream = FixedUniforms([near_one])
         np.testing.assert_array_equal(simulate_paths(mdp, policy, 0, [0])[0], [1])
         assert stream.used == stream.u.size
+
+    def test_a_uniform_equal_to_a_running_sum_takes_the_next_index(self, monkeypatch):
+        # bisect_right: a uniform of exactly 0.5 against the policy rows and
+        # of exactly 0.25 or 0.5 against the kernel rows of action 1 lies
+        # past those entries; action 0 would go back to state 0
+        kernel = np.full((2, 3, 3), [0.25, 0.25, 0.5])
+        kernel[0] = [1.0, 0.0, 0.0]
+        mdp = FiniteMdp(kernel, np.array([1.0, 0.0, 0.0]))
+        policy = StochasticPolicy(np.full((3, 2), 0.5))
+        stream = FixedUniforms([0.0, 0.5, 0.25, 0.5, 0.5])
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: stream)
+        np.testing.assert_array_equal(simulate_paths(mdp, policy, 2, [0])[0], [0, 1, 2])
+        assert stream.used == stream.u.size
+
+    def test_paths_at_the_state_and_action_cap_are_the_per_seed_loop(self):
+        # successor draws count up to 64 entries of a running sum; about
+        # half of every row is zero, so the last positive index varies
+        rng = np.random.default_rng(3)
+        cap = STATE_ACTION_CAP
+        kernel, policy = rng.random((cap, cap, cap)), rng.random((cap, cap))
+        kernel[kernel < 0.5] = 0.0
+        policy[policy < 0.5] = 0.0
+        mdp = FiniteMdp(kernel / kernel.sum(axis=2, keepdims=True), np.full(cap, 1.0 / cap))
+        pol = StochasticPolicy(policy / policy.sum(axis=1, keepdims=True))
+        seeds = [0, 9, 2**40 + 1]
+        paths = simulate_paths(mdp, pol, 80, seeds)
+        for row, seed in zip(paths, seeds):
+            np.testing.assert_array_equal(row, reference_path(mdp, pol, 80, seed))
 
     def test_batch_rows_are_the_per_seed_paths(self):
         mdp = two_action_mdp(initial=(0.3, 0.7))
