@@ -85,7 +85,7 @@ def _scenario_data(args) -> dict:
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        harness._write_fresh(Path(out), text)
     else:
         sys.stdout.write(text)
 

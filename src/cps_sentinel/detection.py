@@ -11,15 +11,18 @@ running product of conditional-covariance determinant ratios.
 
 :func:`detect_ensemble` computes every statistic as arrays for a whole
 batch of paths, one row per seed; :func:`rn_series` is the same function
-on a batch of one. All cumulative series use compensated summation, run
-across the seed axis in one pass, so that horizons up to 1e5 steps of
-small increments stay exact to roundoff.
+on a batch of one. Both laws are linear in the observed states, so both
+residuals and both whitened residuals at a step are one stacked linear
+map of the step's lag window, applied in one matrix-vector product. All
+cumulative series use compensated summation, run across the seed axis in
+one pass, so that horizons up to 1e5 steps of small increments stay exact
+to roundoff.
 
 :func:`series_csv_texts` writes a batch's detection CSVs: the columns
 every seed shares (the step and the log-determinant sum) are formatted
 once per batch into a line template, and each seed's text is one ``%``
 format of its own four columns. :func:`series_csv_text` is that writer
-on one seed, and :func:`write_series_csv` writes its text to a file.
+on one seed.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_discrete_lyapunov
 
 from .model import AttackConfig, CpsModel
@@ -43,17 +47,18 @@ from .numerics import (
     logdet,
     make_spd,
     matvec,
-    quad_forms_inv,
 )
 from .policies import (
     Affine,
     CorruptPolicy,
     HonestPolicy,
     LinearFeedback,
+    LinearLaws,
     Zero,
     closed_loop,
-    control_means,
     lift,
+    loop_rows,
+    time_ordered,
 )
 from .simulator import Trajectory, conditional_covariances
 
@@ -104,9 +109,10 @@ class DetectionSeries:
         return float(self.cum_log_l[n - 1])
 
 
-# Seeds per slice of detect_ensemble, chosen so that each (seeds, steps,
-# agents) temporary stays near this many doubles.
-_SLICE_DOUBLES = 1 << 14
+# Seeds per slice of detect_ensemble, chosen so that each of its temporaries
+# (the lag windows, (seeds, steps, (L+1) N), and the stacked residuals,
+# (seeds, steps, K N)) stays near this many doubles.
+_SLICE_DOUBLES = 3 << 14
 
 
 def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
@@ -121,40 +127,50 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
     * s_breve_t = ||x_t - corrupt mean||^2 / lambda_max(corrupt covariance),
     * half logdet ratio = (logdet corrupt cov - logdet honest cov) / 2.
 
-    Both predictors are evaluated along the same given path. The
-    predictor means, residuals and quadratic forms (an elementwise forward
-    substitution, no threaded BLAS call) are computed for a slice of seeds
-    at a time with arithmetic that treats every row alike, and the prefix
-    sums of all four per-step series of the whole batch in one compensated
-    pass. Every seed's result is therefore the same alone or in any batch.
+    Both predictors are evaluated along the same given path. Each law's
+    residual, and its whitened residual (the inverse Cholesky factor of its
+    covariance times the residual, whose squared norm is the quadratic
+    form), is a fixed linear map of the lag window (x_{t-L}, ..., x_t) less
+    a shift (:func:`_residual_operator`). All of them come from one stacked
+    matrix-vector product per window, for a slice of seeds at a time, and
+    the prefix sums of all four per-step series of the whole batch from one
+    compensated pass. Every seed's result is therefore the same alone or
+    in any batch.
     """
     states = np.asarray(states, dtype=float)
     n_seeds, n = states.shape[0], states.shape[1] - 1
     if n < 1:
         raise ValueError("trajectory must contain at least one step")
-    laws = lift(honest, None if corrupt is None or cfg is None else (cfg, corrupt), m.n_agents)
+    n_agents = m.n_agents
+    laws = lift(honest, None if corrupt is None or cfg is None else (cfg, corrupt), n_agents)
     h_cov, c_cov = conditional_covariances(m, laws)
     ld_h = logdet(h_cov)
     ld_c = logdet(c_cov)
     lam_min_h, _ = eig_extremes(h_cov)
     _, lam_max_c = eig_extremes(c_cov)
-    const = -0.5 * m.n_agents * LOG_TWO_PI
+    const = -0.5 * n_agents * LOG_TWO_PI
+    rows, shift, where = _residual_operator(m, laws, (h_cov, c_cov), n)
+    lags = laws.gains.shape[0]
 
     # steps[0..3]: step log ratio, s, s_breve, half logdet ratio
     steps = np.empty((4, n_seeds, n))
     dens = np.empty((2, n_seeds, n))
     steps[3] = 0.5 * (ld_c - ld_h)
-    width = max(1, _SLICE_DOUBLES // (n * m.n_agents))
+    width = max(1, _SLICE_DOUBLES // (n * max(rows.shape)))
     for lo in range(0, n_seeds, width):
         x = states[lo:lo + width]
-        g, c = control_means(laws, x[:, :-1])
-        drive = matvec(m.dynamics, x[:, :-1])
-        z_h = x[:, 1:] - (drive + m.actuator_gains * g)
-        z_c = x[:, 1:] - (drive + m.actuator_gains * c)
-        dens[0, lo:lo + width] = const - 0.5 * ld_h - 0.5 * quad_forms_inv(h_cov, z_h)
-        dens[1, lo:lo + width] = const - 0.5 * ld_c - 0.5 * quad_forms_inv(c_cov, z_c)
-        steps[1, lo:lo + width] = np.einsum("stn,stn->st", z_h, z_h) / lam_min_h
-        steps[2, lo:lo + width] = np.einsum("stn,stn->st", z_c, z_c) / lam_max_c
+        if lags > 1:  # L - 1 zero states before x_0, for the lags the law drops
+            x = np.concatenate([np.zeros((len(x), lags - 1, n_agents)), x], axis=1)
+        windows = sliding_window_view(x, lags + 1, axis=1).swapaxes(-1, -2)
+        z = matvec(rows, windows.reshape(len(x), n, (lags + 1) * n_agents))
+        if shift is not None:
+            z -= shift
+        z = z.reshape(len(x), n, -1, n_agents)
+        energy = np.einsum("stbn,stbn->bst", z, z)
+        steps[1, lo:lo + width] = energy[where[0]] / lam_min_h
+        dens[0, lo:lo + width] = const - 0.5 * ld_h - 0.5 * energy[where[1]]
+        steps[2, lo:lo + width] = energy[where[2]] / lam_max_c
+        dens[1, lo:lo + width] = const - 0.5 * ld_c - 0.5 * energy[where[3]]
     np.subtract(dens[0], dens[1], out=steps[0])
 
     cum_log_l, cum_s, cum_s_breve, cum_logdet = kahan_cumsum(steps)
@@ -168,19 +184,66 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
                            r_n=r_n, r_defined=r_defined)
 
 
+def _residual_operator(m: CpsModel, laws: LinearLaws, covs: tuple, n: int):
+    """Stacked rows and shifts giving both laws' residuals from a lag window.
+
+    On the lag window w_t = (x_{t-L+1}, ..., x_t, x_{t+1}), zero before
+    x_0, a law's residual x_{t+1} - A x_t - b * (its control mean) is
+    R w_t - b * (its offset), with R = [-(top block row of the law's closed
+    loop) in time order | I]; its whitened residual is C^-1 times that, C
+    the Cholesky factor of the law's covariance. The four blocks (honest
+    residual, honest whitened, corrupt residual, corrupt whitened) are
+    stacked without repeats: a block whose rows and shift equal an earlier
+    one's is that block, so laws that agree give the same bits. Returns
+    the rows (K N, (L+1) N), the shift (one row, or one per step for a
+    per-step FDI schedule; None when every shift is zero) and the block
+    index of each of the four.
+    """
+    b, n_agents = m.actuator_gains, m.n_agents
+    honest_offset = np.zeros(n_agents) if laws.offset is None else laws.offset
+    corrupt_offset = (np.zeros(n_agents) if laws.corrupt_offset is None
+                      else laws.corrupt_offset)[None]
+    if laws.fdi is not None:
+        fdi = np.atleast_2d(laws.fdi_offsets(n))
+        corrupt_offset = np.repeat(corrupt_offset, len(fdi), axis=0)
+        corrupt_offset[:, laws.mal] += fdi
+    blocks = []
+    for gains, offset, cov in ((laws.gains, honest_offset[None], covs[0]),
+                               (laws.corrupt_gains, corrupt_offset, covs[1])):
+        top = time_ordered(loop_rows(m.dynamics, b, gains), n_agents)
+        residual, shift = np.hstack([-top, np.eye(n_agents)]), b * offset
+        whiten = np.linalg.inv(cov.chol)
+        blocks += [(residual, shift), (whiten @ residual, shift @ whiten.T)]
+    rows, shifts, where = [], [], []
+    for block, shift in blocks:
+        same = next((j for j, (r, s) in enumerate(zip(rows, shifts))
+                     if np.array_equal(r, block) and np.array_equal(s, shift)), None)
+        if same is None:
+            same = len(rows)
+            rows.append(block)
+            shifts.append(shift)
+        where.append(same)
+    shift = np.hstack(np.broadcast_arrays(*shifts)) if any(s.any() for s in shifts) else None
+    return np.vstack(rows), shift, where
+
+
 def rn_series(traj: Trajectory, m: CpsModel, honest: HonestPolicy,
               corrupt: CorruptPolicy | None, cfg: AttackConfig | None) -> DetectionSeries:
     """Detection series along one observed path: :func:`detect_ensemble` of one."""
     return detect_ensemble(traj.states[None], m, honest, corrupt, cfg).row(0)
 
 
-def classify(series: DetectionSeries, n: int, log_threshold: float) -> Decision:
-    """Threshold the cumulative log likelihood ratio after n steps.
+def decide(log_l: float, log_threshold: float) -> Decision:
+    """Attack iff the log likelihood ratio is strictly below the threshold.
 
-    Attack iff the statistic is strictly below the threshold; exact
-    equality stays honest (conservative tie-break).
+    Exact equality stays honest (conservative tie-break).
     """
-    return Decision.ATTACK if series.log_l_at(n) < log_threshold else Decision.HONEST
+    return Decision.ATTACK if log_l < log_threshold else Decision.HONEST
+
+
+def classify(series: DetectionSeries, n: int, log_threshold: float) -> Decision:
+    """Threshold the cumulative log likelihood ratio after n steps (see :func:`decide`)."""
+    return decide(series.log_l_at(n), log_threshold)
 
 
 def det_ratio_bound(series: DetectionSeries, n: int) -> float:
@@ -363,11 +426,6 @@ def series_csv_text(series: DetectionSeries) -> str:
     """One seed's CSV text (see :func:`series_csv_texts`)."""
     (text,) = series_csv_texts(series)
     return text
-
-
-def write_series_csv(series: DetectionSeries, fp) -> None:
-    """Write one seed's CSV to ``fp`` (a layer by name in ``bench/tracer.py``)."""
-    fp.write(series_csv_text(series))
 
 
 def series_summary(series: DetectionSeries, n: int, log_threshold: float,

@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import stat
 import sys
 import time
 from contextlib import ExitStack
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import Decision, classify, detect_ensemble, series_csv_texts
+from .detection import Decision, decide, detect_ensemble, series_csv_texts
 from .mdp import (
     FiniteMdp,
     StochasticPolicy,
@@ -202,12 +204,16 @@ def _out_path(out_dir, outputs: str | None) -> Path | None:
 def _create(path: Path, newline: str | None = None):
     """Open ``path`` for writing as a new file, never truncating one in place.
 
-    An existing file is unlinked and created again: truncating a file whose
-    old contents still await writeback can stall for seconds.
+    An existing regular file is unlinked and created again: truncating a
+    file whose old contents still await writeback can stall for seconds.
+    Anything else at ``path`` (a symlink, a FIFO, a device) is opened for
+    writing as it is, so that output goes through it.
     """
     try:
         return open(path, "x", newline=newline)
     except FileExistsError:
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            return open(path, "w", newline=newline)
         path.unlink()
         return open(path, "x", newline=newline)
 
@@ -438,12 +444,16 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
         ens = simulate_ensemble(s.model, s.honest, s.attack, s.horizon,
                                 [split_seed(s.seed_base, i) for i in indices])
         done = ens.failed_at == 0  # failed runs have no meaningful path to detect on
-        batch = texts = None
+        texts = None
         if done.any():
             batch = detect_ensemble(ens.states if done.all() else ens.states[done],
                                     s.model, s.honest, corrupt, cfg)
             texts = series_csv_texts(batch) if out_path is not None else None
-        position = np.cumsum(done) - 1
+            # each completed seed's logL and r_n after the last step
+            log_l = batch.cum_log_l[:, -1].tolist()
+            r_n = [r if defined else None for r, defined
+                   in zip(batch.r_n[:, -1].tolist(), batch.r_defined[:, -1].tolist())]
+        position = (np.cumsum(done) - 1).tolist()
         for k, index in enumerate(indices):
             row = {"run_index": index, "seed": ens.seeds[k], "log_l": None, "r_n": None,
                    "decision": None, "error": None}
@@ -453,10 +463,9 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
                 row["error"] = f"{code}: {error}"
                 failure_codes[code] = failure_codes.get(code, 0) + 1
             else:
-                series = batch.row(position[k])
-                row["log_l"] = series.log_l_at(s.horizon)
-                row["r_n"] = float(series.r_n[-1]) if series.r_defined[-1] else None
-                row["decision"] = classify(series, s.horizon, s.threshold).value
+                j = position[k]
+                row["log_l"], row["r_n"] = log_l[j], r_n[j]
+                row["decision"] = decide(log_l[j], s.threshold).value
                 if texts is not None:
                     _write_fresh(out_path / f"run_{index:05d}.csv", next(texts))
             rows.append(row)

@@ -204,30 +204,6 @@ def quad_form_inv(v: Covariance, z) -> float:
     return float(y @ y)
 
 
-def quad_forms_inv(v: Covariance, rows) -> np.ndarray:
-    """z^T V^{-1} z for every vector z along the last axis of ``rows``.
-
-    Forward substitution against the cached factor, one column at a time,
-    as elementwise arithmetic over all leading axes at once (no BLAS call):
-    every vector gets the same operations alone or in any stack.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.shape[-1:] != (v.dim,):
-        raise ValueError(f"last axis of shape {rows.shape} does not match dim {v.dim}")
-    y = np.moveaxis(rows, -1, 0).copy()
-    q = np.zeros(rows.shape[:-1])
-    if isinstance(v, DiagonalPsd):
-        for i, d in enumerate(_positive_diag(v)):
-            q += y[i] * y[i] / d
-        return q
-    chol = v.chol
-    for j in range(v.dim):
-        y[j] /= chol[j, j]
-        y[j + 1:] -= np.multiply.outer(chol[j + 1:, j], y[j])
-        q += y[j] * y[j]
-    return q
-
-
 def log_gaussian_density(x, law: GaussianLaw) -> float:
     """Log density of ``x`` under ``law``.
 
@@ -255,21 +231,6 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x[..., None])[..., 0]
 
 
-def normals_to_gaussian(law: GaussianLaw, z: np.ndarray) -> np.ndarray:
-    """Turn standard normals into draws from ``law``, in place.
-
-    ``z`` holds one vector of ``law.dim`` normals along its last axis, with
-    any leading axes; it is overwritten and returned. Each vector gets
-    exactly the arithmetic of :func:`sample_gaussian`.
-    """
-    if isinstance(law.cov, DiagonalPsd):
-        z *= np.sqrt(law.cov.diag)
-    else:
-        z[...] = matvec(law.cov.chol, z)
-    z += law.mean
-    return z
-
-
 def sample_gaussian(rng: np.random.Generator, law: GaussianLaw) -> np.ndarray:
     """One draw from ``law`` using the caller's stream.
 
@@ -277,7 +238,13 @@ def sample_gaussian(rng: np.random.Generator, law: GaussianLaw) -> np.ndarray:
     regardless of degenerate covariance entries, so stream positions stay
     aligned across model variants. Bit-reproducible given the stream state.
     """
-    return normals_to_gaussian(law, rng.standard_normal(law.dim))
+    z = rng.standard_normal(law.dim)
+    if isinstance(law.cov, DiagonalPsd):
+        z *= np.sqrt(law.cov.diag)
+    else:
+        z = matvec(law.cov.chol, z)
+    z += law.mean
+    return z
 
 
 def kahan_cumsum(values) -> np.ndarray:

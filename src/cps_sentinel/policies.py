@@ -268,6 +268,23 @@ def closed_loop(dynamics: np.ndarray, actuator_gains: np.ndarray,
     """
     n, lags = len(actuator_gains), len(gains)
     f = np.eye(n * lags, k=-n)
-    f[:n] = actuator_gains[:, None] * np.hstack(gains)
-    f[:n, :n] += dynamics
+    f[:n] = loop_rows(dynamics, actuator_gains, gains)
     return f, bool(np.abs(np.linalg.eigvals(f)).max() < 1.0)
+
+
+def loop_rows(dynamics: np.ndarray, actuator_gains: np.ndarray,
+              gains: np.ndarray) -> np.ndarray:
+    """The top block row of :func:`closed_loop`: x_{t+1}'s mean given z_t, less the offset."""
+    top = actuator_gains[:, None] * np.hstack(gains)
+    top[:, :len(actuator_gains)] += dynamics
+    return top
+
+
+def time_ordered(rows: np.ndarray, n: int) -> np.ndarray:
+    """``rows`` of a lag-stacked matrix with its column blocks in time order.
+
+    The lag-stacked state z_t lists x_t, x_{t-1}, ..., x_{t-L+1}; a path's
+    lag window lists the same states oldest first, x_{t-L+1}, ..., x_t.
+    """
+    lags = rows.shape[1] // n
+    return rows.reshape(len(rows), lags, n)[:, ::-1].reshape(len(rows), lags * n)

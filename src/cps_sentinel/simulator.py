@@ -6,9 +6,12 @@ block ``standard_normal((horizon, 2N + M))``: per step the excitation (N
 values), any mimic self-excitation (M values, M = number of attacked
 channels), then the process noise (N values). That is the order a
 step-by-step draw would take, and every seed reproduces bit for bit however
-many seeds run beside it. Each law then scales the normals of the whole
-batch at once. Batches derive disjoint streams with
-:func:`cps_sentinel.numerics.split_seed`.
+many seeds run beside it. The normals then become the drive in a few
+passes over the whole contiguous block, each broadcasting one row of
+values (or one row per step, for an FDI schedule): the laws' scales, their
+means, the offsets, the actuator gains, with the arithmetic a step-by-step
+draw would do. Batches derive disjoint
+streams with :func:`cps_sentinel.numerics.split_seed`.
 
 Every scenario is a linear closed loop on the lag-stacked state,
 z' = F z + d (:func:`cps_sentinel.policies.closed_loop` of the corrupt
@@ -33,12 +36,12 @@ import numpy as np
 
 from .model import CpsModel
 from .numerics import (
+    DiagonalPsd,
     Dirac,
     GaussianLaw,
     SpdMatrix,
     make_spd,
     matvec,
-    normals_to_gaussian,
     sample_gaussian,
 )
 from .policies import (
@@ -49,6 +52,7 @@ from .policies import (
     closed_loop,
     control_means,
     lift,
+    time_ordered,
 )
 
 
@@ -127,8 +131,10 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
                       horizon: int, seeds, *, keep_controls: bool = False) -> Ensemble:
     """Simulate ``horizon`` steps of the closed loop for every seed at once.
 
-    ``keep_controls`` keeps the controls and excitations of every step;
-    detection needs only the states. A run whose state overflows is marked
+    Each seed's noise block is turned into the drive of every step in
+    place (see the module docstring), then the states advance in blocks of
+    steps. ``keep_controls`` keeps the controls and excitations of every
+    step; detection needs only the states. A run whose state overflows is marked
     in ``failed_at`` at its own first bad step, and the other runs go on.
     States are never clamped, since clamping would corrupt every
     downstream statistic.
@@ -150,21 +156,36 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
         initial[i] = init.point if isinstance(init, Dirac) else sample_gaussian(rng, init)
         rng.standard_normal(out=noise[i])
     excitations, drive = noise[..., :n], noise[..., n + k:]
-    normals_to_gaussian(m.excitation_law, excitations)
-    own = None if own_law is None else normals_to_gaussian(own_law, noise[..., n:n + k])
-    normals_to_gaussian(m.noise_law, drive)
+
+    # each pass broadcasts one row of values over the whole contiguous block
+    # [excitation | mimic own | process noise]: first the diagonal laws'
+    # scales (1 on a dense noise law, whose factor follows, as in
+    # sample_gaussian), then the means
+    parts = [m.excitation_law] + ([] if own_law is None else [own_law]) + [m.noise_law]
+    noise *= np.concatenate([
+        np.sqrt(law.cov.diag) if isinstance(law.cov, DiagonalPsd) else np.ones(law.dim)
+        for law in parts])
+    if not isinstance(m.noise_law.cov, DiagonalPsd):
+        drive[...] = matvec(m.noise_law.cov.chol, drive)
+    noise += np.concatenate([law.mean for law in parts])
 
     # d_t = diag(b) (corrupt offset + FDI offset + admitted excitation) + w_t,
-    # built in place over the excitations and the process noise
+    # built in place over the excitations and the process noise. The offset
+    # and diag(b) rows add 0.0 to and multiply by 1.0 the other columns,
+    # which leaves them as they are: after the means no entry is -0.0, and
+    # the mimic's own columns are not read again once admitted.
     drawn = excitations.copy() if keep_controls else None
-    inputs = admit_excitation(laws, excitations, own)
-    controls = inputs.copy() if keep_controls else None
-    if laws.corrupt_offset is not None:
-        inputs += laws.corrupt_offset
+    admit_excitation(laws, excitations, None if own_law is None else noise[..., n:n + k])
+    controls = excitations.copy() if keep_controls else None
+    offsets = [] if laws.corrupt_offset is None else [laws.corrupt_offset[None]]
     if laws.fdi is not None:
-        inputs[..., laws.mal] += laws.fdi_offsets(horizon)
-    inputs *= b
-    drive += inputs
+        fdi = np.atleast_2d(laws.fdi_offsets(horizon))
+        offsets.append(np.zeros((len(fdi), n)))
+        offsets[-1][:, laws.mal] = fdi
+    for rows in offsets:
+        noise += np.pad(rows, ((0, 0), (0, n + k)))
+    noise *= np.concatenate([b, np.ones(n + k)])
+    drive += excitations
 
     # path holds L - 1 zero states before x_0, so every block starts from
     # the lag window path[:, lo:lo + L] (lags before x_0 are dropped); it is
@@ -201,7 +222,6 @@ def _block_operators(f: np.ndarray, n: int, steps: int) -> tuple[np.ndarray, np.
     lag window of the path. Block (j, i) of T (shape (steps N, steps N))
     is the top-left block of F^(j-i) for i <= j, zero above.
     """
-    lags = f.shape[0] // n
     powers = [f[:n]]
     for _ in range(1, steps):
         powers.append(powers[-1] @ f)
@@ -209,7 +229,7 @@ def _block_operators(f: np.ndarray, n: int, steps: int) -> tuple[np.ndarray, np.
     gap = np.subtract.outer(np.arange(steps), np.arange(steps))
     blocks = np.where((gap >= 0)[..., None, None], heads[np.maximum(gap, 0)], 0.0)
     t = blocks.transpose(0, 2, 1, 3).reshape(steps * n, steps * n)
-    p = np.vstack(powers).reshape(steps * n, lags, n)[:, ::-1].reshape(steps * n, lags * n)
+    p = time_ordered(np.vstack(powers), n)
     return p, t
 
 

@@ -1,4 +1,3 @@
-import io
 import math
 import warnings
 
@@ -19,7 +18,6 @@ from cps_sentinel.detection import (
     series_csv_text,
     series_csv_texts,
     series_summary,
-    write_series_csv,
 )
 from cps_sentinel.harness import preset, scenario_from_dict
 from cps_sentinel.model import AttackConfig, CpsModel
@@ -515,12 +513,65 @@ def test_preset_batches_share_the_logdet_column_and_match_the_one_seed_writer(na
     assert (logdet.view(np.int64) == logdet[:1].view(np.int64)).all()
     for k, text in enumerate(series_csv_texts(batch)):
         assert series_csv_text(batch.row(k)) == text == plain_series_csv(batch.row(k))
-
-
-def test_write_series_csv_takes_one_seed():
-    batch = detect_ensemble(np.zeros((2, 3, 2)), model(), Zero(), None, None)
-    buf = io.StringIO()
-    write_series_csv(batch.row(1), buf)
-    assert buf.getvalue() == plain_series_csv(batch.row(1))
     with pytest.raises(ValueError):
-        write_series_csv(batch, io.StringIO())
+        series_csv_text(batch)
+
+
+
+GATE_HONEST = {
+    "zero": (Zero(), 40),
+    "linear": (LinearFeedback([[-0.2, 0.05, 0.0], [0.0, -0.1, 0.02], [0.03, 0.0, -0.15]]), 40),
+    "affine": (Affine([[-0.2, 0.05, 0.0], [0.0, -0.1, 0.02], [0.03, 0.0, -0.15]],
+                      [0.3, -0.2, 0.1]), 40),
+    "window": (HistoryWindow((-0.2 * np.eye(3), 0.1 * np.ones((3, 3)), -0.05 * np.eye(3))), 40),
+    # more lags than steps: every window reaches before x_0
+    "window-short": (HistoryWindow(tuple((-0.1) ** k * np.eye(3) for k in range(1, 7))), 4),
+}
+GATE_ATTACKS = {
+    "none": None,
+    "constant": Replacement.constant([0.4, -0.3]),
+    "scaled-state": Replacement.scaled_state([-0.3, 0.2]),
+    "sign-flip": Replacement.sign_flip(),
+    "fdi": Fdi([0.5, -0.25]),
+    "fdi-steps": Fdi(np.linspace(-1.0, 1.0, 80).reshape(40, 2)),
+    "dos": DoS(),
+    "mimic": Mimic(DiagonalPsd([0.3, 0.8])),
+    "mimic-honest": Mimic(DiagonalPsd([1.0, 0.5])),  # the attacked channels' own excitation
+}
+
+
+@pytest.mark.parametrize("attack_kind", sorted(GATE_ATTACKS))
+@pytest.mark.parametrize("honest_kind", sorted(GATE_HONEST))
+def test_detect_ensemble_matches_the_per_law_oracle(honest_kind, attack_kind):
+    """Every field of the stacked-residual detector against the per-law route.
+
+    The oracle computes each law's means, the drift A x and the residuals
+    separately, and the quadratic forms by forward substitution. Each
+    field agrees at rtol 1e-12; the log ratios are differences of log
+    densities, so theirs is relative to the densities that cancel. Where
+    the laws agree, the log ratio is exactly 0.
+    """
+    from oracles import detect_per_law
+    honest, horizon = GATE_HONEST[honest_kind]
+    corrupt = GATE_ATTACKS[attack_kind]
+    cfg = AttackConfig((1, 3))
+    m = model(n=3, dynamics=np.array([[0.5, 0.2, 0.0], [0.1, 0.4, 0.1], [0.0, 0.2, 0.3]]),
+              gains=np.array([1.0, 0.8, 1.2]),
+              noise=np.array([[0.5, 0.1, 0.0], [0.1, 0.6, 0.05], [0.0, 0.05, 0.7]]),
+              excitation=np.array([1.0, 0.7, 0.5]),
+              initial=GaussianLaw(np.ones(3), DiagonalPsd([1.0, 0.5, 2.0])))
+    attack = None if corrupt is None else (cfg, corrupt)
+    ens = simulate_ensemble(m, honest, attack, horizon, [split_seed(31, i) for i in range(5)])
+    got = detect_ensemble(ens.states, m, honest, corrupt, cfg)
+    want = detect_per_law(ens.states, m, honest, corrupt, cfg)
+    assert np.array_equal(got.r_defined, want.r_defined)
+    for name in ("honest_logdens", "corrupt_logdens", "s", "s_breve", "half_logdet_ratio",
+                 "cum_s", "cum_s_breve", "cum_logdet_ratio", "r_n"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12,
+                                   atol=0.0, err_msg=name)
+    scale = np.abs(want.honest_logdens) + np.abs(want.corrupt_logdens)
+    for name, tol in (("step_log_ratio", scale), ("cum_log_l", np.cumsum(scale, axis=-1))):
+        error = np.abs(getattr(got, name) - getattr(want, name))
+        assert (error <= 1e-12 * tol).all(), (name, float((error / tol).max()))
+    if attack_kind in ("none", "mimic-honest"):
+        assert (got.step_log_ratio == 0.0).all() and (got.cum_log_l == 0.0).all()

@@ -1,10 +1,12 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -59,6 +61,7 @@ def assert_batch_matches_chunks_and_per_seed(s, chunk, tmp_path):
         assert (tmp_path / "whole" / name).read_bytes() == \
             (tmp_path / "chunked" / name).read_bytes() == series_csv_text(series).encode()
         assert row["log_l"] == series.log_l_at(s.horizon)
+        assert row["r_n"] == (float(series.r_n[-1]) if series.r_defined[-1] else None)
         assert row["decision"] == classify(series, s.horizon, s.threshold).value
 
 
@@ -204,6 +207,16 @@ class TestRunMontecarlo:
         summary = run_montecarlo(s)
         assert summary.detection_fraction == 0.0
         assert all(row["log_l"] == 0.0 for row in summary.rows)
+
+    def test_a_tie_with_the_threshold_stays_honest(self):
+        # every logL of an unattacked batch is exactly 0.0
+        s = small("identity", count=4, horizon=50)
+        at = run_montecarlo(dataclasses.replace(s, threshold=0.0))
+        assert [row["decision"] for row in at.rows] == ["honest"] * 4
+        assert at.detection_fraction == 0.0
+        above = run_montecarlo(dataclasses.replace(s, threshold=5e-324))
+        assert [row["decision"] for row in above.rows] == ["attack"] * 4
+        assert above.detection_fraction == 1.0
 
     def test_mimic_never_detected(self):
         s = small("mimic", count=4, horizon=50)
@@ -356,6 +369,55 @@ class TestCli:
         assert cli.main(["preset", "replacement", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["name"] == "replacement"
+
+    @pytest.mark.parametrize("command", ["preset", "simulate", "detect"])
+    def test_out_is_written_fresh_not_truncated_in_place(self, tmp_path, capsys, command):
+        out, link = tmp_path / "out", tmp_path / "link"
+        out.write_text("old bytes\n")
+        os.link(out, link)
+        argv = self.out_argv(tmp_path, command)
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert link.read_text() == "old bytes\n"
+        assert out.read_text() != "old bytes\n"
+        assert not os.path.samefile(out, link)
+
+    def out_argv(self, tmp_path, command):
+        if command == "preset":
+            return ["preset", "replacement"]
+        return [command, str(self.write_preset(tmp_path, "replacement")), "--horizon", "5"]
+
+    def plain_out(self, tmp_path, argv):
+        """What ``argv --out`` writes to a new regular file."""
+        plain = tmp_path / "plain"
+        assert cli.main(argv + ["--out", str(plain)]) == 0
+        return plain.read_text()
+
+    @pytest.mark.parametrize("command", ["preset", "simulate", "detect"])
+    def test_out_writes_through_a_symlink(self, tmp_path, capsys, command):
+        target, out = tmp_path / "target", tmp_path / "out"
+        target.write_text("old bytes\n")
+        out.symlink_to(target)
+        argv = self.out_argv(tmp_path, command)
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert out.is_symlink()
+        assert target.read_text() == self.plain_out(tmp_path, argv)
+
+    @pytest.mark.parametrize("command", ["preset", "simulate", "detect"])
+    def test_out_writes_into_a_fifo(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        os.mkfifo(out)
+        # a reader that does not wait for the writer; each output fits the pipe buffer
+        reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            argv = self.out_argv(tmp_path, command)
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            assert stat.S_ISFIFO(os.lstat(out).st_mode)
+            chunks = []
+            while chunk := os.read(reader, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(reader)
+        assert b"".join(chunks).decode() == self.plain_out(tmp_path, argv)
 
     def test_check_valid_scenario(self, tmp_path, capsys):
         path = self.write_preset(tmp_path, "example2")
