@@ -6,10 +6,8 @@ from .detection import (
     DetectionSeries,
     DriftEstimate,
     classify,
-    det_ratio_bound,
     detect_ensemble,
     expected_step_drift,
-    joint_log_density_oracle,
     rn_series,
 )
 from .harness import (
@@ -55,10 +53,8 @@ from .numerics import (
     NotSymmetric,
     SpdMatrix,
     eig_extremes,
-    log_gaussian_density,
     logdet,
     make_spd,
-    quad_form_inv,
     sample_gaussian,
     split_seed,
 )

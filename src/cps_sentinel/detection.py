@@ -28,7 +28,6 @@ on one seed.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -36,25 +35,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_discrete_lyapunov
 
 from .model import AttackConfig, CpsModel
-from .numerics import (
-    DiagonalPsd,
-    Dirac,
-    GaussianLaw,
-    LOG_TWO_PI,
-    eig_extremes,
-    kahan_cumsum,
-    log_gaussian_density,
-    logdet,
-    make_spd,
-    matvec,
-)
+from .numerics import LOG_TWO_PI, eig_extremes, kahan_cumsum, logdet, matvec
 from .policies import (
-    Affine,
     CorruptPolicy,
     HonestPolicy,
-    LinearFeedback,
     LinearLaws,
-    Zero,
     closed_loop,
     lift,
     loop_rows,
@@ -200,18 +185,12 @@ def _residual_operator(m: CpsModel, laws: LinearLaws, covs: tuple, n: int):
     index of each of the four.
     """
     b, n_agents = m.actuator_gains, m.n_agents
-    honest_offset = np.zeros(n_agents) if laws.offset is None else laws.offset
-    corrupt_offset = (np.zeros(n_agents) if laws.corrupt_offset is None
-                      else laws.corrupt_offset)[None]
-    if laws.fdi is not None:
-        fdi = np.atleast_2d(laws.fdi_offsets(n))
-        corrupt_offset = np.repeat(corrupt_offset, len(fdi), axis=0)
-        corrupt_offset[:, laws.mal] += fdi
     blocks = []
-    for gains, offset, cov in ((laws.gains, honest_offset[None], covs[0]),
-                               (laws.corrupt_gains, corrupt_offset, covs[1])):
+    for gains, offset, cov in ((laws.gains, laws.offset, covs[0]),
+                               (laws.corrupt_gains, laws.corrupt_offsets(n), covs[1])):
         top = time_ordered(loop_rows(m.dynamics, b, gains), n_agents)
-        residual, shift = np.hstack([-top, np.eye(n_agents)]), b * offset
+        shift = b * np.atleast_2d(np.zeros(n_agents) if offset is None else offset)
+        residual = np.hstack([-top, np.eye(n_agents)])
         whiten = np.linalg.inv(cov.chol)
         blocks += [(residual, shift), (whiten @ residual, shift @ whiten.T)]
     rows, shifts, where = [], [], []
@@ -246,93 +225,6 @@ def classify(series: DetectionSeries, n: int, log_threshold: float) -> Decision:
     return decide(series.log_l_at(n), log_threshold)
 
 
-def det_ratio_bound(series: DetectionSeries, n: int) -> float:
-    """Running product of sqrt determinant ratios (corrupt over honest)."""
-    if not 1 <= n <= series.horizon:
-        raise ValueError(f"n must lie in [1, {series.horizon}], got {n}")
-    return float(math.exp(series.cum_logdet_ratio[n - 1]))
-
-
-def joint_log_density_oracle(traj: Trajectory, m: CpsModel,
-                             honest: HonestPolicy) -> float:
-    """Joint log density of the whole path under the honest closed loop.
-
-    Independent cross-check of the chain-rule factorization: the closed
-    loop x_{t+1} = (A + diag(b) K) x_t + diag(b) e_t + w_t is a linear map
-    from the stacked independent noises to the stacked trajectory, so the
-    path is one big Gaussian evaluated with a single Cholesky
-    factorization. Shares nothing with the per-step predictive route
-    beyond the numerics primitives.
-
-    Requires a stationary linear Markov policy (zero, linear, or affine
-    feedback). For a point-mass initial law the x_0 block carries no
-    density and is excluded.
-    """
-    gain, offset = _stationary_linear_gain(honest, m.n_agents)
-    n = traj.horizon
-    n_agents = m.n_agents
-    a = m.dynamics
-    b = m.actuator_gains
-    f = a + b[:, None] * gain
-
-    init = m.initial_law
-    gaussian_init = isinstance(init, GaussianLaw)
-    if not gaussian_init and not isinstance(init, Dirac):
-        raise TypeError(f"unsupported initial law {init!r}")
-    if n == 0 and not gaussian_init:
-        raise ValueError("a zero-step path from a point mass carries no density")
-
-    mean = np.empty((n + 1, n_agents))
-    mean[0] = init.mean if gaussian_init else init.point
-    for t in range(n):
-        mean[t + 1] = f @ mean[t] + b * offset
-
-    init_cols = n_agents if gaussian_init else 0
-    n_cols = init_cols + 2 * n * n_agents
-    lin = np.zeros(((n + 1) * n_agents, n_cols))
-    if gaussian_init:
-        lin[0:n_agents, 0:n_agents] = np.eye(n_agents)
-    for t in range(n):
-        rows = slice((t + 1) * n_agents, (t + 2) * n_agents)
-        prev = slice(t * n_agents, (t + 1) * n_agents)
-        lin[rows] = f @ lin[prev]
-        e_cols = slice(init_cols + t * n_agents, init_cols + (t + 1) * n_agents)
-        w_cols = slice(init_cols + (n + t) * n_agents, init_cols + (n + t + 1) * n_agents)
-        lin[rows, e_cols] += np.diag(b)
-        lin[rows, w_cols] += np.eye(n_agents)
-
-    noise_cov = np.zeros((n_cols, n_cols))
-    if gaussian_init:
-        noise_cov[0:n_agents, 0:n_agents] = _dense_cov(init.cov)
-    for t in range(n):
-        e = slice(init_cols + t * n_agents, init_cols + (t + 1) * n_agents)
-        w = slice(init_cols + (n + t) * n_agents, init_cols + (n + t + 1) * n_agents)
-        noise_cov[e, e] = np.diag(m.excitation)
-        noise_cov[w, w] = m.process_noise
-
-    joint_cov = lin @ noise_cov @ lin.T
-    if gaussian_init:
-        law = GaussianLaw(mean.ravel(), make_spd(joint_cov, dim_cap=None))
-        return log_gaussian_density(traj.states.ravel(), law)
-    law = GaussianLaw(mean[1:].ravel(),
-                      make_spd(joint_cov[n_agents:, n_agents:], dim_cap=None))
-    return log_gaussian_density(traj.states[1:].ravel(), law)
-
-
-def _dense_cov(cov) -> np.ndarray:
-    return np.diag(cov.diag) if isinstance(cov, DiagonalPsd) else cov.mat
-
-
-def _stationary_linear_gain(policy: HonestPolicy, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(policy, Zero):
-        return np.zeros((n, n)), np.zeros(n)
-    if isinstance(policy, LinearFeedback):
-        return np.asarray(policy.gain, dtype=float), np.zeros(n)
-    if isinstance(policy, Affine):
-        return np.asarray(policy.gain, dtype=float), np.asarray(policy.offset, dtype=float)
-    raise ValueError("the joint-density oracle needs a stationary linear Markov policy")
-
-
 @dataclass(frozen=True)
 class DriftEstimate:
     """Expected per-step log-ratio drift under the corrupt law.
@@ -362,14 +254,12 @@ def expected_step_drift(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolic
     V^-1 (D mu + delta) + tr(D^T V^-1 D P) ("lyapunov").
     """
     laws = lift(honest, (cfg, corrupt), m.n_agents)
-    if laws.fdi is not None and laws.fdi.ndim == 2:
+    if laws.corrupt_offset is not None and laws.corrupt_offset.ndim == 2:
         return DriftEstimate(value=None, method="time_varying")
     h_cov, c_cov = conditional_covariances(m, laws)
     n, b = m.n_agents, m.actuator_gains
     offset = np.zeros(n) if laws.offset is None else laws.offset
     offset_gap = (np.zeros(n) if laws.corrupt_offset is None else laws.corrupt_offset) - offset
-    if laws.fdi is not None:
-        offset_gap[laws.mal] += laws.fdi
     delta = b * offset_gap
     d = b[:, None] * np.hstack(laws.corrupt_gains - laws.gains)
     quad, method = 0.0, "closed_form"

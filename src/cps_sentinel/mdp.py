@@ -196,19 +196,19 @@ def simulate_paths(mdp: FiniteMdp, policy: StochasticPolicy, n: int,
     return paths
 
 
-def _log_ratio_tiles(tiles, k_honest, k_corrupt, init_honest, init_corrupt):
+def _log_ratio_tiles(tiles, k_honest, k_corrupt):
     """Cumulative log ratio of honest to corrupt path probability, tile by tile.
 
-    ``tiles`` are path tiles x_lo..x_hi with any leading axes, as
+    Both hypotheses share the initial law, so the ratio is the kernels'
+    alone. ``tiles`` are path tiles x_lo..x_hi with any leading axes, as
     :func:`_path_tiles` yields them: the first starts at x_0, each later
     one at the last state of the one before. Yields the series at the
-    tile's new times: x_0's tile gives entries 0..hi, a later one
-    entries lo+1..hi. Entry 0 is the initial-law log ratio; entry t adds
-    the first t transitions, looked up by transition code
-    ``x * states + y`` in one table of increments. Each path's running sum
-    carries across tiles (``steps[..., 0] += carry`` before the cumulative
-    sum, the initial-law term added after), so any tiling gives the bits
-    of one cumulative sum over the whole path.
+    tile's new times: x_0's tile gives entries 0..hi, a later one entries
+    lo+1..hi. Entry 0 is +0.0; entry t is the sum of the first t
+    transitions' increments, looked up by transition code ``x * states +
+    y`` in one table. Each path's running sum carries across tiles
+    (``steps[..., 0] += carry`` before the cumulative sum), so any tiling
+    gives the bits of one cumulative sum over the whole path.
 
     After the last tile, raises :class:`NotAbsolutelyContinuous` if a path
     used a move the corrupt law forbids but the honest law allows, naming
@@ -217,14 +217,10 @@ def _log_ratio_tiles(tiles, k_honest, k_corrupt, init_honest, init_corrupt):
     """
     k_honest = np.asarray(k_honest, dtype=float)
     k_corrupt = np.asarray(k_corrupt, dtype=float)
-    init_honest = np.asarray(init_honest, dtype=float)
-    init_corrupt = np.asarray(init_corrupt, dtype=float)
     n_states = k_honest.shape[1]
     h, c = k_honest.reshape(-1), k_corrupt.reshape(-1)
-    bad_init = (init_corrupt == 0.0) & (init_honest > 0.0)
     bad_move = (c == 0.0) & (h > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        init_terms = np.where(init_corrupt > 0.0, np.log(init_honest) - np.log(init_corrupt), 0.0)
         inc = np.where(h > 0.0, np.log(np.where(h > 0.0, h, 1.0)) - np.log(c), -np.inf)
 
     first_bad, message = None, None
@@ -235,23 +231,17 @@ def _log_ratio_tiles(tiles, k_honest, k_corrupt, init_honest, init_corrupt):
         codes += tile[..., 1:]
         moved_bad = bad_move[codes]
         bad = moved_bad.any(axis=-1)
-        if lo == 0:
-            init_term = init_terms[tile[..., 0]]
-            bad |= bad_init[tile[..., 0]]
         # a path's first offending tile names its first offending move
         k = int(np.argmax(bad.reshape(-1)))
         if bad.reshape(-1)[k] and (first_bad is None or k < first_bad):
             first_bad, row = k, tile.reshape(-1, tile.shape[-1])[k]
-            if lo == 0 and bad_init[row[0]]:
-                message = f"initial state {row[0]} impossible under the corrupt law"
-            else:
-                t = int(np.argmax(moved_bad.reshape(-1, codes.shape[-1])[k]))
-                message = (f"transition {row[t]}->{row[t + 1]} at step {lo + t} "
-                           "impossible under the corrupt law")
+            t = int(np.argmax(moved_bad.reshape(-1, codes.shape[-1])[k]))
+            message = (f"transition {row[t]}->{row[t + 1]} at step {lo + t} "
+                       "impossible under the corrupt law")
 
         if lo == 0:
             out = np.empty(tile.shape)
-            out[..., 0] = init_term
+            out[..., 0] = 0.0
             steps = out[..., 1:]
         else:
             out = steps = np.empty(codes.shape)
@@ -260,27 +250,25 @@ def _log_ratio_tiles(tiles, k_honest, k_corrupt, init_honest, init_corrupt):
             steps[..., :1] += carry
         np.cumsum(steps, axis=-1, out=steps)
         carry = steps[..., -1:].copy()
-        steps += init_term[..., None]
         lo += codes.shape[-1]
         yield out
     if first_bad is not None:
         raise NotAbsolutelyContinuous(message)
 
 
-def path_log_ratio(path: np.ndarray, k_honest: np.ndarray, k_corrupt: np.ndarray,
-                   init_honest: np.ndarray, init_corrupt: np.ndarray) -> np.ndarray:
+def path_log_ratio(path: np.ndarray, k_honest: np.ndarray, k_corrupt: np.ndarray) -> np.ndarray:
     """Cumulative log ratio of honest to corrupt path probability.
 
     ``path`` holds x_0..x_n on its last axis, with any leading axes (one
     path per row): the batch engine's log ratio run as one tile (see
-    :func:`_log_ratio_tiles`). Entry 0 is the initial-law log ratio; entry
-    t adds the first t transitions. Raises
+    :func:`_log_ratio_tiles`). Both hypotheses share the initial law, so
+    entry 0 is +0.0 and entry t sums the first t transitions. Raises
     :class:`NotAbsolutelyContinuous` whenever a path uses a move the
     corrupt law forbids but the honest law allows, naming the first such
     path in row-major order with the message that path gives alone; the
     reverse case legitimately sends the ratio to -inf.
     """
-    (out,) = _log_ratio_tiles([path], k_honest, k_corrupt, init_honest, init_corrupt)
+    (out,) = _log_ratio_tiles([path], k_honest, k_corrupt)
     return out
 
 
@@ -290,7 +278,7 @@ def log_ratio_groups(mdp: FiniteMdp, policy: StochasticPolicy, k_honest: np.ndar
 
     The seeds run in groups of at most ``_GROUP_SEEDS``, in order; each
     group is sampled under ``policy`` (:func:`_path_tiles`) and its log
-    ratio of ``k_honest`` to ``k_corrupt`` from ``mdp.initial`` tracked
+    ratio of ``k_honest`` to ``k_corrupt`` tracked
     (:func:`_log_ratio_tiles`) in time tiles of about ``_CHUNK_CELLS``
     cells, so memory stays per tile whatever the batch. Yields
     ``(rows, tiles)`` per group: ``rows`` is the range of the group's
@@ -302,7 +290,7 @@ def log_ratio_groups(mdp: FiniteMdp, policy: StochasticPolicy, k_honest: np.ndar
         group = seeds[first:first + _GROUP_SEEDS]
         paths = _path_tiles(mdp, policy, n, group, max(1, _CHUNK_CELLS // len(group)))
         yield (range(first, first + len(group)),
-               _log_ratio_tiles(paths, k_honest, k_corrupt, mdp.initial, mdp.initial))
+               _log_ratio_tiles(paths, k_honest, k_corrupt))
 
 
 def stationary_distribution(k: np.ndarray, initial: np.ndarray) -> np.ndarray:

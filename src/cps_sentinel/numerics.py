@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 DEFAULT_DIM_CAP = 32
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -191,32 +190,6 @@ def eig_extremes(v: SpdMatrix) -> tuple[float, float]:
         raise NotPositiveDefinite(
             f"eigenvalue {lo:.3e} nonpositive for a matrix that passed Cholesky")
     return lo, hi
-
-
-def quad_form_inv(v: Covariance, z) -> float:
-    """z^T V^{-1} z via two triangular solves against the cached factor."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.size != v.dim:
-        raise ValueError(f"vector length {z.size} does not match dim {v.dim}")
-    if isinstance(v, DiagonalPsd):
-        return float(np.sum(z * z / _positive_diag(v)))
-    y = solve_triangular(v.chol, z, lower=True, check_finite=False)
-    return float(y @ y)
-
-
-def log_gaussian_density(x, law: GaussianLaw) -> float:
-    """Log density of ``x`` under ``law``.
-
-    Evaluates ``-(N/2) log(2 pi) - (1/2) logdet(cov) - (1/2) q`` where ``q``
-    is the inverse-covariance quadratic form of the residual.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != law.dim:
-        raise ValueError(f"point length {x.size} does not match law dim {law.dim}")
-    resid = x - law.mean
-    return (-0.5 * law.dim * LOG_TWO_PI
-            - 0.5 * logdet(law.cov)
-            - 0.5 * quad_form_inv(law.cov, resid))
 
 
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:

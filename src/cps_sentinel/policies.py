@@ -123,16 +123,16 @@ class LinearLaws:
     """The honest and the corrupt control law of a scenario as gain matrices.
 
     Honest mean at step t: ``sum_k gains[k] @ x_{t-k} + offset``, and the
-    corrupt mean the same with ``corrupt_gains`` and ``corrupt_offset``,
-    plus the FDI offset ``fdi`` (a vector, or a table with one row per
-    step) on the attacked channels ``mal``. Both gain arrays have shape
-    (L, N, N), L >= 1, and lags that reach before x_0 are dropped; the
-    zero law is one zero matrix. An absent offset is None, not zeros, so
-    nothing is added for it. When the corrupt law reuses the honest gains
-    and offset (no attack, FDI, mimicry) they are the same objects.
-    ``keep`` tells whether the attacked channels keep their private
-    excitation (FDI) or lose it; ``own`` is the mimic's self-excitation
-    covariance on them.
+    corrupt mean the same with ``corrupt_gains`` and ``corrupt_offset``.
+    Both gain arrays have shape (L, N, N), L >= 1, and lags that reach
+    before x_0 are dropped; the zero law is one zero matrix. An offset is
+    a vector, or for the corrupt law of an FDI schedule a table with one
+    row per step (the honest offset plus the schedule on the attacked
+    channels ``mal``); an absent offset is None, not zeros, so nothing is
+    added for it. When the corrupt law reuses the honest gains and offset
+    (no attack, mimicry) they are the same objects. ``keep`` tells whether
+    the attacked channels keep their private excitation (FDI) or lose it;
+    ``own`` is the mimic's self-excitation covariance on them.
     """
 
     gains: np.ndarray
@@ -140,25 +140,18 @@ class LinearLaws:
     corrupt_gains: np.ndarray
     corrupt_offset: np.ndarray | None
     mal: np.ndarray
-    fdi: np.ndarray | None = None
     keep: bool = True
     own: DiagonalPsd | None = None
 
-    def fdi_offsets(self, steps: int) -> np.ndarray:
-        """FDI offsets of steps 0..steps-1, or the constant offset vector."""
-        if self.fdi.ndim == 1:
-            return self.fdi
-        if self.fdi.shape[0] < steps:
-            raise ValueError(f"fdi offset schedule has {self.fdi.shape[0]} steps, "
+    def corrupt_offsets(self, steps: int) -> np.ndarray | None:
+        """The corrupt offset of steps 0..steps-1: a vector, a table, or None."""
+        offset = self.corrupt_offset
+        if offset is None or offset.ndim == 1:
+            return offset
+        if len(offset) < steps:
+            raise ValueError(f"fdi offset schedule has {len(offset)} steps, "
                              f"step {steps - 1} requested")
-        return self.fdi[:steps]
-
-    def excitation(self, honest: np.ndarray) -> np.ndarray:
-        """Excitation variances the corrupt law admits, given the honest ones."""
-        v = np.array(honest, dtype=float)
-        if not self.keep:
-            v[self.mal] = 0.0 if self.own is None else self.own.diag
-        return v
+        return offset[:steps]
 
 
 def lift(honest: HonestPolicy, attack: Attack | None, n: int) -> LinearLaws:
@@ -183,7 +176,10 @@ def lift(honest: HonestPolicy, attack: Attack | None, n: int) -> LinearLaws:
     cfg, corrupt = attack
     mal = cfg.malicious_indices
     if isinstance(corrupt, Fdi):
-        return LinearLaws(gains, offset, gains, offset, mal, fdi=corrupt.offsets)
+        shape = corrupt.offsets.shape[:-1] + (n,)
+        total = np.zeros(shape) if offset is None else np.broadcast_to(offset, shape).copy()
+        total[..., mal] += corrupt.offsets
+        return LinearLaws(gains, offset, gains, total, mal)
     if isinstance(corrupt, Mimic):
         return LinearLaws(gains, offset, gains, offset, mal, keep=False,
                           own=corrupt.self_excitation)
@@ -225,19 +221,15 @@ def control_means(laws: LinearLaws, states: np.ndarray) -> tuple[np.ndarray, np.
     means at every step of the path come back with the shape of
     ``states``, row t being the means given x_0..x_t.
 
-    The corrupt mean includes any FDI offset; excitation is randomness,
-    not mean, so it never appears here. When the laws agree the corrupt
-    mean is the honest array itself. No mean is ever ``-0.0``.
+    Excitation is randomness, not mean, so it never appears here. When
+    the laws agree the corrupt mean is the honest array itself. No mean
+    is ever ``-0.0``.
     """
     states = np.asarray(states, dtype=float)
     g = _means(laws.gains, laws.offset, states)
     if laws.corrupt_gains is laws.gains and laws.corrupt_offset is laws.offset:
-        c = g if laws.fdi is None else g.copy()
-    else:
-        c = _means(laws.corrupt_gains, laws.corrupt_offset, states)
-    if laws.fdi is not None:
-        c[..., laws.mal] += laws.fdi_offsets(states.shape[-2])
-    return g, c
+        return g, g
+    return g, _means(laws.corrupt_gains, laws.corrupt_offsets(states.shape[-2]), states)
 
 
 def admit_excitation(laws: LinearLaws, excitation: np.ndarray,

@@ -9,14 +9,15 @@ step-by-step draw would take, and every seed reproduces bit for bit however
 many seeds run beside it. The normals then become the drive in a few
 passes over the whole contiguous block, each broadcasting one row of
 values (or one row per step, for an FDI schedule): the laws' scales, their
-means, the offsets, the actuator gains, with the arithmetic a step-by-step
-draw would do. Batches derive disjoint
-streams with :func:`cps_sentinel.numerics.split_seed`.
+means, the corrupt offset, the actuator gains, with the arithmetic a
+step-by-step draw would do. Batches derive disjoint streams with
+:func:`cps_sentinel.numerics.split_seed`.
 
 Every scenario is a linear closed loop on the lag-stacked state,
 z' = F z + d (:func:`cps_sentinel.policies.closed_loop` of the corrupt
-law's gains), whose drive d_t = diag(b) (corrupt offset + FDI offset +
-admitted excitation) + w_t is known before the path is. So
+law's gains), whose drive d_t = diag(b) (corrupt offset + admitted
+excitation) + w_t is known before the path is; an FDI attack is part of
+the corrupt offset (:func:`cps_sentinel.policies.lift`). So
 :func:`simulate_ensemble` advances every seed B steps per array call from
 precomputed powers of F: x_{lo+1..lo+B} = P z_lo + T d_{lo..lo+B-1}, where
 P stacks the top rows of F^1..F^B and T is block lower-triangular
@@ -169,7 +170,7 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
         drive[...] = matvec(m.noise_law.cov.chol, drive)
     noise += np.concatenate([law.mean for law in parts])
 
-    # d_t = diag(b) (corrupt offset + FDI offset + admitted excitation) + w_t,
+    # d_t = diag(b) (corrupt offset + admitted excitation) + w_t,
     # built in place over the excitations and the process noise. The offset
     # and diag(b) rows add 0.0 to and multiply by 1.0 the other columns,
     # which leaves them as they are: after the means no entry is -0.0, and
@@ -177,13 +178,9 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
     drawn = excitations.copy() if keep_controls else None
     admit_excitation(laws, excitations, None if own_law is None else noise[..., n:n + k])
     controls = excitations.copy() if keep_controls else None
-    offsets = [] if laws.corrupt_offset is None else [laws.corrupt_offset[None]]
-    if laws.fdi is not None:
-        fdi = np.atleast_2d(laws.fdi_offsets(horizon))
-        offsets.append(np.zeros((len(fdi), n)))
-        offsets[-1][:, laws.mal] = fdi
-    for rows in offsets:
-        noise += np.pad(rows, ((0, 0), (0, n + k)))
+    offset = laws.corrupt_offsets(horizon)
+    if offset is not None:
+        noise += np.pad(np.atleast_2d(offset), ((0, 0), (0, n + k)))
     noise *= np.concatenate([b, np.ones(n + k)])
     drive += excitations
 
@@ -250,16 +247,17 @@ def conditional_covariances(m: CpsModel, laws: LinearLaws) -> tuple[SpdMatrix, S
     """Time-invariant conditional covariances under both hypotheses.
 
     Honest: diag(b) V_e diag(b) + V_w. Corrupt: the same with the
-    excitation variances the corrupt law admits (the attacked channels'
-    are zeroed, kept, or swapped for the mimic's own). When the attacked
-    channels keep their excitation both sides are the same object, so
-    downstream log ratios cancel exactly.
+    excitation variances the corrupt law admits, by the rule the
+    simulator applies to the draws (:func:`admit_excitation`: the
+    attacked channels' are zeroed, kept, or swapped for the mimic's own).
+    When the attacked channels keep their excitation both sides are the
+    same object, so downstream log ratios cancel exactly.
     """
     b = m.actuator_gains
     honest_cov = make_spd(m.process_noise + np.diag(b * b * m.excitation))
     if laws.keep:
         return honest_cov, honest_cov
-    v = laws.excitation(m.excitation)
+    v = admit_excitation(laws, m.excitation.copy(), None if laws.own is None else laws.own.diag)
     return honest_cov, make_spd(m.process_noise + np.diag(b * b * v))
 
 

@@ -1,4 +1,4 @@
-"""Test-only oracles: the detector's statistics by the per-law route.
+"""Test-only oracles: reference routes the package's statistics are checked against.
 
 :func:`detect_per_law` computes every :class:`DetectionSeries` field the
 way the package once did: each law's control means from
@@ -8,23 +8,43 @@ covariance's Cholesky factor (:func:`quad_forms_inv`). The package builds
 the same residuals from one stacked linear map of the lag window, so the
 two routes share the law lift and the covariances but no residual
 arithmetic.
+
+:func:`log_gaussian_density` (with :func:`quad_form_inv`) evaluates one
+Gaussian density by triangular solves, :func:`joint_log_density_oracle`
+a whole honest path as one big Gaussian, and :func:`det_ratio_bound` the
+running determinant-ratio product of a series.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from cps_sentinel.detection import DetectionSeries
+from cps_sentinel.model import CpsModel
 from cps_sentinel.numerics import (
     LOG_TWO_PI,
+    Covariance,
     DiagonalPsd,
+    Dirac,
+    GaussianLaw,
     _positive_diag,
     eig_extremes,
     kahan_cumsum,
     logdet,
+    make_spd,
 )
-from cps_sentinel.policies import control_means, lift
-from cps_sentinel.simulator import conditional_covariances
+from cps_sentinel.policies import (
+    Affine,
+    HonestPolicy,
+    LinearFeedback,
+    Zero,
+    control_means,
+    lift,
+)
+from cps_sentinel.simulator import Trajectory, conditional_covariances
 
 
 def quad_forms_inv(v, rows) -> np.ndarray:
@@ -77,3 +97,116 @@ def detect_per_law(states, m, honest, corrupt, cfg) -> DetectionSeries:
                            half_logdet_ratio=steps[3], cum_log_l=cum_log_l, cum_s=cum_s,
                            cum_s_breve=cum_s_breve, cum_logdet_ratio=cum_logdet,
                            r_n=r_n, r_defined=r_defined)
+
+
+def quad_form_inv(v: Covariance, z) -> float:
+    """z^T V^{-1} z via two triangular solves against the cached factor."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    if z.size != v.dim:
+        raise ValueError(f"vector length {z.size} does not match dim {v.dim}")
+    if isinstance(v, DiagonalPsd):
+        return float(np.sum(z * z / _positive_diag(v)))
+    y = solve_triangular(v.chol, z, lower=True, check_finite=False)
+    return float(y @ y)
+
+
+def log_gaussian_density(x, law: GaussianLaw) -> float:
+    """Log density of ``x`` under ``law``.
+
+    Evaluates ``-(N/2) log(2 pi) - (1/2) logdet(cov) - (1/2) q`` where ``q``
+    is the inverse-covariance quadratic form of the residual.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != law.dim:
+        raise ValueError(f"point length {x.size} does not match law dim {law.dim}")
+    resid = x - law.mean
+    return (-0.5 * law.dim * LOG_TWO_PI
+            - 0.5 * logdet(law.cov)
+            - 0.5 * quad_form_inv(law.cov, resid))
+
+
+def det_ratio_bound(series: DetectionSeries, n: int) -> float:
+    """Running product of sqrt determinant ratios (corrupt over honest)."""
+    if not 1 <= n <= series.horizon:
+        raise ValueError(f"n must lie in [1, {series.horizon}], got {n}")
+    return float(math.exp(series.cum_logdet_ratio[n - 1]))
+
+
+def joint_log_density_oracle(traj: Trajectory, m: CpsModel,
+                             honest: HonestPolicy) -> float:
+    """Joint log density of the whole path under the honest closed loop.
+
+    Independent cross-check of the chain-rule factorization: the closed
+    loop x_{t+1} = (A + diag(b) K) x_t + diag(b) e_t + w_t is a linear map
+    from the stacked independent noises to the stacked trajectory, so the
+    path is one big Gaussian evaluated with a single Cholesky
+    factorization. Shares nothing with the per-step predictive route
+    beyond the numerics primitives.
+
+    Requires a stationary linear Markov policy (zero, linear, or affine
+    feedback). For a point-mass initial law the x_0 block carries no
+    density and is excluded.
+    """
+    gain, offset = _stationary_linear_gain(honest, m.n_agents)
+    n = traj.horizon
+    n_agents = m.n_agents
+    a = m.dynamics
+    b = m.actuator_gains
+    f = a + b[:, None] * gain
+
+    init = m.initial_law
+    gaussian_init = isinstance(init, GaussianLaw)
+    if not gaussian_init and not isinstance(init, Dirac):
+        raise TypeError(f"unsupported initial law {init!r}")
+    if n == 0 and not gaussian_init:
+        raise ValueError("a zero-step path from a point mass carries no density")
+
+    mean = np.empty((n + 1, n_agents))
+    mean[0] = init.mean if gaussian_init else init.point
+    for t in range(n):
+        mean[t + 1] = f @ mean[t] + b * offset
+
+    init_cols = n_agents if gaussian_init else 0
+    n_cols = init_cols + 2 * n * n_agents
+    lin = np.zeros(((n + 1) * n_agents, n_cols))
+    if gaussian_init:
+        lin[0:n_agents, 0:n_agents] = np.eye(n_agents)
+    for t in range(n):
+        rows = slice((t + 1) * n_agents, (t + 2) * n_agents)
+        prev = slice(t * n_agents, (t + 1) * n_agents)
+        lin[rows] = f @ lin[prev]
+        e_cols = slice(init_cols + t * n_agents, init_cols + (t + 1) * n_agents)
+        w_cols = slice(init_cols + (n + t) * n_agents, init_cols + (n + t + 1) * n_agents)
+        lin[rows, e_cols] += np.diag(b)
+        lin[rows, w_cols] += np.eye(n_agents)
+
+    noise_cov = np.zeros((n_cols, n_cols))
+    if gaussian_init:
+        noise_cov[0:n_agents, 0:n_agents] = _dense_cov(init.cov)
+    for t in range(n):
+        e = slice(init_cols + t * n_agents, init_cols + (t + 1) * n_agents)
+        w = slice(init_cols + (n + t) * n_agents, init_cols + (n + t + 1) * n_agents)
+        noise_cov[e, e] = np.diag(m.excitation)
+        noise_cov[w, w] = m.process_noise
+
+    joint_cov = lin @ noise_cov @ lin.T
+    if gaussian_init:
+        law = GaussianLaw(mean.ravel(), make_spd(joint_cov, dim_cap=None))
+        return log_gaussian_density(traj.states.ravel(), law)
+    law = GaussianLaw(mean[1:].ravel(),
+                      make_spd(joint_cov[n_agents:, n_agents:], dim_cap=None))
+    return log_gaussian_density(traj.states[1:].ravel(), law)
+
+
+def _dense_cov(cov) -> np.ndarray:
+    return np.diag(cov.diag) if isinstance(cov, DiagonalPsd) else cov.mat
+
+
+def _stationary_linear_gain(policy: HonestPolicy, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(policy, Zero):
+        return np.zeros((n, n)), np.zeros(n)
+    if isinstance(policy, LinearFeedback):
+        return np.asarray(policy.gain, dtype=float), np.zeros(n)
+    if isinstance(policy, Affine):
+        return np.asarray(policy.gain, dtype=float), np.asarray(policy.offset, dtype=float)
+    raise ValueError("the joint-density oracle needs a stationary linear Markov policy")

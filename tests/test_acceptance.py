@@ -16,10 +16,8 @@ from cps_sentinel import cli, harness
 from cps_sentinel.detection import (
     Decision,
     classify,
-    det_ratio_bound,
     detect_ensemble,
     expected_step_drift,
-    joint_log_density_oracle,
     rn_series,
     series_csv_text,
 )
@@ -37,13 +35,13 @@ from cps_sentinel.numerics import (
     Dirac,
     GaussianLaw,
     eig_extremes,
-    log_gaussian_density,
     logdet,
     make_spd,
     split_seed,
 )
 from cps_sentinel.policies import DoS, LinearFeedback, Replacement, lift
 from cps_sentinel.simulator import conditional_covariances, simulate, simulate_ensemble
+from oracles import det_ratio_bound, joint_log_density_oracle, log_gaussian_density
 
 
 def run_batch(s, horizon, n_seeds):
@@ -224,19 +222,18 @@ def test_criterion_8_mdp_testbed():
     k_c = induced_kernel(s.mdp, s.corrupt_policy)
     drift = analytic_drift(k_h, k_c, s.mdp.initial)
 
-    def log_ratios(mdp, policy, n, base, count, k_h, k_c, nu_h, nu_c, chunk=10):
+    def log_ratios(mdp, policy, n, base, count, k_h, k_c, chunk=10):
         """Series of seeds split_seed(base, 0..count-1), ``chunk`` seeds per engine call."""
         return np.concatenate([
             path_log_ratio(simulate_paths(mdp, policy, n,
                                           [split_seed(base, i)
                                            for i in range(lo, min(lo + chunk, count))]),
-                           k_h, k_c, nu_h, nu_c)
+                           k_h, k_c)
             for lo in range(0, count, chunk)])
 
     # ergodic drift over 100 seeds at n = 1e5
     n_long = 100_000
-    finals = log_ratios(s.mdp, s.corrupt_policy, n_long, s.seed_base, 100,
-                        k_h, k_c, s.mdp.initial, s.mdp.initial)[:, -1]
+    finals = log_ratios(s.mdp, s.corrupt_policy, n_long, s.seed_base, 100, k_h, k_c)[:, -1]
     emp = float(finals.mean()) / n_long
     drift_ok = abs(emp - drift) <= 0.05 * abs(drift)
 
@@ -244,29 +241,28 @@ def test_criterion_8_mdp_testbed():
     n_star = math.ceil(20.0 / abs(drift))
     n_decay_seeds = 400
     series = log_ratios(s.mdp, s.corrupt_policy, n_star, s.seed_base + 1, n_decay_seeds,
-                        k_h, k_c, s.mdp.initial, s.mdp.initial, chunk=n_decay_seeds)
+                        k_h, k_c, chunk=n_decay_seeds)
     below = int(np.sum(np.exp(series[:, n_star]) < 1e-6))
     decay_ok = below / n_decay_seeds >= 0.95
 
-    # kernel-level mimicry pins the series at the initial-law ratio
+    # kernel-level mimicry pins the series at zero, from +0.0 at x_0
     sm = mdp_scenario_from_dict(preset("mdp-mimic"))
     k_h2 = induced_kernel(sm.mdp, sm.honest_policy)
     k_c2 = induced_kernel(sm.mdp, sm.corrupt_policy)
-    nu_h, nu_c = np.array([0.6, 0.4]), np.array([0.5, 0.5])
-    series = log_ratios(sm.mdp, sm.corrupt_policy, 2000, 9, 5, k_h2, k_c2, nu_h, nu_c)
-    mimic_ok = bool(np.all(series[:, 0] == pytest.approx(math.log(0.6 / 0.5))))
-    mimic_ok &= float(np.abs(series - series[:, :1]).max()) <= 1e-12
+    series = log_ratios(sm.mdp, sm.corrupt_policy, 2000, 9, 5, k_h2, k_c2)
+    mimic_ok = series[:, 0].tobytes() == np.zeros(5).tobytes()
+    mimic_ok &= float(np.abs(series).max()) <= 1e-12
 
     # discrete martingale mean at n = 10 over 1e4 seeds
     series = log_ratios(s.mdp, s.corrupt_policy, 10, s.seed_base + 2, 10_000,
-                        k_h, k_c, s.mdp.initial, s.mdp.initial, chunk=10_000)
+                        k_h, k_c, chunk=10_000)
     mart = math.fsum(np.exp(series[:, -1]).tolist()) / 10_000
     mart_ok = 0.9 <= mart <= 1.1
 
     gate(8, drift_ok and decay_ok and mimic_ok and mart_ok,
          f"finite testbed: empirical drift {emp:.5f} vs analytic {drift:.5f} "
          f"(within 5%), ratio < 1e-6 on {below}/{n_decay_seeds} seeds at n={n_star}, "
-         f"mimic series flat at the initial ratio, martingale mean {mart:.4f}")
+         f"mimic series flat at zero, martingale mean {mart:.4f}")
 
 
 def test_criterion_9_reproducibility(tmp_path):

@@ -10,10 +10,8 @@ from cps_sentinel.detection import (
     Decision,
     DetectionSeries,
     classify,
-    det_ratio_bound,
     detect_ensemble,
     expected_step_drift,
-    joint_log_density_oracle,
     rn_series,
     series_csv_text,
     series_csv_texts,
@@ -25,7 +23,6 @@ from cps_sentinel.numerics import (
     DiagonalPsd,
     Dirac,
     GaussianLaw,
-    log_gaussian_density,
     make_spd,
     split_seed,
 )
@@ -42,6 +39,7 @@ from cps_sentinel.policies import (
     lift,
 )
 from cps_sentinel.simulator import Trajectory, conditional_covariances, simulate, simulate_ensemble
+from oracles import det_ratio_bound, joint_log_density_oracle, log_gaussian_density
 
 
 def model(n=2, dynamics=None, gains=None, noise=None, excitation=None, initial=None):
@@ -102,7 +100,8 @@ class TestRnSeries:
         pol = DoS()
         traj = simulate(m, LinearFeedback(-0.2 * np.eye(2)), (cfg, pol), 100, seed=3)
         series = rn_series(traj, m, LinearFeedback(-0.2 * np.eye(2)), pol, cfg)
-        from cps_sentinel.numerics import eig_extremes, quad_form_inv
+        from cps_sentinel.numerics import eig_extremes
+        from oracles import quad_form_inv
         laws = lift(LinearFeedback(-0.2 * np.eye(2)), (cfg, pol), 2)
         h_cov, _ = conditional_covariances(m, laws)
         lo, hi = eig_extremes(h_cov)

@@ -60,6 +60,8 @@ CASES = {
                      (AttackConfig((2, 3)), Mimic(DiagonalPsd([0.3, 0.2])))),
     "window-fdi-schedule": (chain(N), HistoryWindow((-0.2 * np.eye(N), 0.1 * np.eye(N))),
                             (AttackConfig((1,)), Fdi(np.linspace(0, 1, 40)[:, None]))),
+    "affine-fdi-schedule": (chain(N), Affine(-0.1 * np.eye(N), np.array([0.3, -0.7, 0.2])),
+                            (AttackConfig((1, 3)), Fdi(np.linspace(-1, 1, 80).reshape(40, 2)))),
     "gaussian-init-dos": (chain(N, initial=GaussianLaw(np.ones(N),
                                                        make_spd(0.5 * np.eye(N) + 0.1))),
                           Zero(), (AttackConfig((2,)), DoS())),
@@ -130,8 +132,9 @@ def lag_stacked_loop(m, honest, attack, horizon, seed):
     """One seed's states by the plain step loop z' = F z + d on the lag-stacked state.
 
     F is built here from the corrupt gains, and the drive d_t from the
-    seed's own draws: diag(b) (corrupt offset + FDI offset + admitted
-    excitation) + w_t.
+    seed's own draws: diag(b) (corrupt offset + admitted excitation) + w_t.
+    Under FDI the corrupt offset is built from the attack: the honest
+    offset plus the attack's offsets on the attacked channels.
     """
     n, b = m.n_agents, m.actuator_gains
     laws = lift(honest, attack, n)
@@ -147,10 +150,13 @@ def lag_stacked_loop(m, honest, attack, horizon, seed):
     u = z[:, :n] * np.sqrt(m.excitation)
     if not laws.keep:
         u[:, laws.mal] = z[:, n:n + k] * np.sqrt(laws.own.diag) if k else 0.0
-    if laws.corrupt_offset is not None:
+    if attack is not None and isinstance(attack[1], Fdi):
+        if isinstance(honest, Affine):
+            u += honest.offset
+        fdi = attack[1].offsets
+        u[:, attack[0].malicious_indices] += fdi if fdi.ndim == 1 else fdi[:horizon]
+    elif laws.corrupt_offset is not None:
         u += laws.corrupt_offset
-    if laws.fdi is not None:
-        u[:, laws.mal] += laws.fdi if laws.fdi.ndim == 1 else laws.fdi[:horizon]
     d = b * u + z[:, n + k:] @ np.linalg.cholesky(m.process_noise).T
     z_t = np.zeros(n * lags)
     z_t[:n] = x0
@@ -182,7 +188,8 @@ def test_blocked_recursion_matches_the_lag_stacked_step_loop(case, which, base):
     block = 64 // m.n_agents if stable else 1
     horizon = max(1, [1, block - 1, block, block + 1, 3 * block + 2][which])
     seeds = [base, (base + 7919) % 2 ** 64]
-    if laws.fdi is not None and laws.fdi.ndim == 2 and len(laws.fdi) < horizon:
+    fdi = attack[1].offsets if attack is not None and isinstance(attack[1], Fdi) else None
+    if fdi is not None and fdi.ndim == 2 and len(fdi) < horizon:
         with pytest.raises(ValueError, match="fdi offset schedule has 40 steps"):
             simulate_ensemble(m, honest, attack, horizon, seeds)
         return
@@ -283,7 +290,7 @@ def reference_path(m, honest_gain, attack, horizon, seed):
 @pytest.mark.parametrize("corrupt", [Replacement.scaled_state([-0.3]), Fdi(np.array([0.4])),
                                      Mimic(DiagonalPsd([0.3]))])
 def test_engine_matches_a_hand_written_loop(corrupt):
-    from cps_sentinel.numerics import log_gaussian_density
+    from oracles import log_gaussian_density
     m = chain(N)
     gain = -0.2 * np.eye(N) + 0.05 * np.eye(N, k=1)
     attack = (AttackConfig((2,)), corrupt)
@@ -319,7 +326,7 @@ def test_dense_quadratic_forms_do_not_depend_on_the_batch():
     slice, so seed 3 opens a slice of the whole batch and closes a chunk,
     at a row offset that is not a multiple of any vector width.
     """
-    from cps_sentinel.numerics import log_gaussian_density
+    from oracles import log_gaussian_density
 
     n = 8
     m = chain(n)

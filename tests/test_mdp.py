@@ -303,18 +303,19 @@ def test_engine_paths_are_the_per_seed_loop_whatever_the_batch(case, n, count, b
     np.testing.assert_array_equal(
         np.concatenate([tiles[0]] + [tile[:, 1:] for tile in tiles[1:]], axis=1), paths)
     # the log ratio carried across those tiles is the whole-path one bit for
-    # bit, with a nonzero initial-law term too
-    uniform = np.full(mdp.n_states, 1.0 / mdp.n_states)
-    tiled = mdp_module._log_ratio_tiles(iter(tiles), k_h, k_c, mdp.initial, uniform)
-    assert np.concatenate(list(tiled), axis=1).tobytes() \
-        == path_log_ratio(paths, k_h, k_c, mdp.initial, uniform).tobytes()
+    # bit, and entry 0 is +0.0, which the batch files' "0,0.0" line relies on
+    tiled = list(mdp_module._log_ratio_tiles(iter(tiles), k_h, k_c))
+    whole = path_log_ratio(paths, k_h, k_c)
+    assert np.concatenate(tiled, axis=1).tobytes() == whole.tobytes()
+    assert whole[:, 0].tobytes() == np.zeros(count).tobytes()
     # the batch engine's groups cover the seeds in order, and their series
     # tiles are the whole-path log ratio bit for bit
     assert [i for rows, _ in groups for i in rows] == list(range(count))
     for rows, series in groups:
         assert len(rows) <= group
-        whole = path_log_ratio(references[rows], k_h, k_c, mdp.initial, mdp.initial)
+        whole = path_log_ratio(references[rows], k_h, k_c)
         assert np.concatenate(series, axis=1).tobytes() == whole.tobytes()
+        assert series[0][:, 0].tobytes() == np.zeros(len(rows)).tobytes()
     # one seed alone, and the batch minus its first seed, give the same rows
     np.testing.assert_array_equal(simulate_paths(mdp, corrupt, n, [seeds[-1]])[0], paths[-1])
     np.testing.assert_array_equal(simulate_paths(mdp, corrupt, n, seeds[1:]), paths[1:])
@@ -337,7 +338,7 @@ def test_batch_files_are_plain_repr_rows_whatever_the_batch(tmp_path_factory, ca
     finals = []
     for i in range(count):
         path = reference_path(mdp, corrupt, n, split_seed(base, i))
-        series = path_log_ratio(np.array(path), k_h, k_c, mdp.initial, mdp.initial)
+        series = path_log_ratio(np.array(path), k_h, k_c)
         assert (out / f"run_{i:05d}.csv").read_text() == plain_csv(series)
         finals.append(series[-1])
     assert summary["mean_drift"] == pytest.approx(float(np.mean(finals)) / n, nan_ok=True)
@@ -355,7 +356,7 @@ def assert_plain_files(out, mdp, honest, corrupt, n, base, count):
     texts = []
     for i in range(count):
         path = reference_path(mdp, corrupt, n, split_seed(base, i))
-        series = path_log_ratio(np.array(path), k_h, k_c, mdp.initial, mdp.initial)
+        series = path_log_ratio(np.array(path), k_h, k_c)
         texts.append((out / f"run_{i:05d}.csv").read_text())
         assert texts[-1] == plain_csv(series)
     return texts
@@ -399,7 +400,7 @@ def test_batch_files_carry_minus_inf_cells(tmp_path):
     assert any("-inf" in text for text in texts)
     for i, text in enumerate(texts):
         series = path_log_ratio(simulate_paths(mdp, corrupt, 40, [split_seed(11, i)])[0],
-                                k_h, k_c, mdp.initial, mdp.initial)
+                                k_h, k_c)
         assert text == plain_csv(series)
 
 
@@ -422,75 +423,67 @@ def test_summary_json_is_strict_when_the_drift_is_minus_inf(tmp_path):
 
 
 class TestPathLogRatio:
-    def test_identical_kernels_give_initial_ratio_only(self):
+    def test_identical_kernels_give_plus_zero_throughout(self):
         k = np.array([[0.8, 0.2], [0.6, 0.4]])
-        path = np.array([0, 1, 0, 0, 1])
-        series = path_log_ratio(path, k, k, np.array([0.6, 0.4]), np.array([0.5, 0.5]))
-        expected = math.log(0.6 / 0.5)
-        np.testing.assert_allclose(series, expected)
+        series = path_log_ratio(np.array([0, 1, 0, 0, 1]), k, k)
+        assert series.tobytes() == np.zeros(5).tobytes()
 
     def test_single_transition_value(self):
         # honest P(2|1)=0.5 versus corrupt P(2|1)=0.9
         kh = np.array([[0.5, 0.5], [0.5, 0.5]])
         kc = np.array([[0.1, 0.9], [0.5, 0.5]])
-        series = path_log_ratio(np.array([0, 1]), kh, kc,
-                                np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        assert series[0] == 0.0
+        series = path_log_ratio(np.array([0, 1]), kh, kc)
+        assert series[:1].tobytes() == np.zeros(1).tobytes()
         assert series[1] == pytest.approx(math.log(0.5 / 0.9))
 
     def test_forbidden_transition_raises(self):
         kh = np.array([[0.5, 0.5], [0.5, 0.5]])
         kc = np.array([[1.0, 0.0], [0.5, 0.5]])  # corrupt forbids 0 -> 1
         with pytest.raises(NotAbsolutelyContinuous):
-            path_log_ratio(np.array([0, 1]), kh, kc,
-                           np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+            path_log_ratio(np.array([0, 1]), kh, kc)
 
     def test_stack_raises_for_the_first_offending_row_with_its_own_message(self):
         kh = np.array([[0.5, 0.5], [0.5, 0.5]])
         kc = np.array([[1.0, 0.0], [0.5, 0.5]])  # corrupt forbids 0 -> 1
-        nu_h, nu_c = np.array([0.5, 0.5]), np.array([1.0, 0.0])  # and starting in 1
         fine = [0, 0, 0, 0]
         late_move = [0, 0, 1, 1]
-        bad_start = [1, 0, 0, 0]
+        from_one = [1, 0, 0, 0]
         early_move = [0, 1, 1, 1]
 
         def message(paths):
             with pytest.raises(NotAbsolutelyContinuous) as info:
-                path_log_ratio(np.array(paths), kh, kc, nu_h, nu_c)
+                path_log_ratio(np.array(paths), kh, kc)
             return str(info.value)
 
-        assert message([fine, late_move, bad_start, early_move]) == message(late_move) \
+        assert message([fine, late_move, from_one, early_move]) == message(late_move) \
             == "transition 0->1 at step 1 impossible under the corrupt law"
         # in tiles, a later path that goes wrong in an earlier tile does not
         # take the place of the first offending path
-        paths = np.array([fine, late_move, bad_start, early_move])
+        paths = np.array([fine, late_move, from_one, early_move])
         for split in range(1, 4):
             tiles = [paths[:, :split + 1], paths[:, split:]]
             with pytest.raises(NotAbsolutelyContinuous) as info:
-                list(mdp_module._log_ratio_tiles(tiles, kh, kc, nu_h, nu_c))
+                list(mdp_module._log_ratio_tiles(tiles, kh, kc))
             assert str(info.value) == message(late_move)
-        assert message([[fine, bad_start], [early_move, late_move]]) == message(bad_start) \
-            == "initial state 1 impossible under the corrupt law"
-        assert message([[fine, fine], [early_move, bad_start]]) == message(early_move)
+        assert message([[fine, from_one], [late_move, early_move]]) == message(late_move)
+        assert message([[fine, fine], [early_move, from_one]]) == message(early_move)
 
     def test_stack_rows_are_the_rows_alone(self):
         kh = np.array([[1.0, 0.0], [0.5, 0.5]])
         kc = np.array([[0.5, 0.5], [0.3, 0.7]])
-        nu_h, nu_c = np.array([0.6, 0.4]), np.array([0.5, 0.5])
-        paths = simulate_paths(FiniteMdp(kc[None], nu_c), StochasticPolicy(np.ones((2, 1))),
-                               50, range(6)).reshape(2, 3, 51)
-        stacked = path_log_ratio(paths, kh, kc, nu_h, nu_c)
+        paths = simulate_paths(FiniteMdp(kc[None], np.array([0.5, 0.5])),
+                               StochasticPolicy(np.ones((2, 1))), 50, range(6)).reshape(2, 3, 51)
+        stacked = path_log_ratio(paths, kh, kc)
         assert stacked.shape == (2, 3, 51)
         assert np.isneginf(stacked).any()
+        assert stacked[..., 0].tobytes() == np.zeros((2, 3)).tobytes()
         for i in np.ndindex(2, 3):
-            np.testing.assert_array_equal(stacked[i], path_log_ratio(paths[i], kh, kc,
-                                                                     nu_h, nu_c))
+            np.testing.assert_array_equal(stacked[i], path_log_ratio(paths[i], kh, kc))
 
     def test_honest_zero_sends_ratio_to_minus_inf(self):
         kh = np.array([[1.0, 0.0], [0.5, 0.5]])
         kc = np.array([[0.5, 0.5], [0.5, 0.5]])
-        series = path_log_ratio(np.array([0, 1, 0]), kh, kc,
-                                np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        series = path_log_ratio(np.array([0, 1, 0]), kh, kc)
         assert series[1] == -np.inf and series[2] == -np.inf
 
 
@@ -597,6 +590,6 @@ class TestAnalyticDrift:
         mdp = FiniteMdp(np.stack([kh, kc]), np.array([0.5, 0.5]))
         corrupt = StochasticPolicy(np.array([[0.0, 1.0], [0.0, 1.0]]))
         path = simulate_paths(mdp, corrupt, 100_000, [9])[0]
-        series = path_log_ratio(path, kh, kc, mdp.initial, mdp.initial)
+        series = path_log_ratio(path, kh, kc)
         drift = analytic_drift(kh, kc)
         assert abs(series[-1] / 100_000 - drift) < 0.05 * abs(drift)

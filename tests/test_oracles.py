@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from cps_sentinel.numerics import DiagonalPsd, NotPositiveDefinite, make_spd, quad_form_inv
-from oracles import quad_forms_inv
+from cps_sentinel.numerics import DiagonalPsd, NotPositiveDefinite, make_spd
+from oracles import quad_form_inv, quad_forms_inv
 
 
 def test_batched_matches_single():

@@ -220,10 +220,12 @@ def test_gain_matrices_reproduce_the_means(honest, corrupt):
     for t in range(len(laws.gains) - 1, 6):
         lagged = states[:, t - np.arange(len(laws.gains))]  # (seeds, lag, N)
         honest_t = np.einsum("kij,skj->si", laws.gains, lagged) + offset
-        corrupt_t = np.einsum("kij,skj->si", laws.corrupt_gains, lagged) + corrupt_offset
         if isinstance(corrupt, Fdi):
-            fdi = corrupt.offsets
-            corrupt_t[:, laws.mal] += fdi if fdi.ndim == 1 else fdi[t]
+            # from the attack: the honest mean plus its offsets on channel 2
+            corrupt_t = honest_t.copy()
+            corrupt_t[:, 1] += corrupt.offsets if corrupt.offsets.ndim == 1 else corrupt.offsets[t]
+        else:
+            corrupt_t = np.einsum("kij,skj->si", laws.corrupt_gains, lagged) + corrupt_offset
         np.testing.assert_allclose(g[:, t], honest_t, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(c[:, t], corrupt_t, rtol=1e-12, atol=1e-12)
 
