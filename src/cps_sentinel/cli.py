@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: check, simulate, detect, montecarlo, mdp, preset. Exit codes:
-0 success, 1 validation or parse failure, 2 runtime numeric failure. The
-environment variable CPS_SENTINEL_SEED overrides seeds.base when set.
+0 success, 1 validation or parse failure or an output that cannot be
+written, 2 runtime numeric failure. The environment variable
+CPS_SENTINEL_SEED overrides seeds.base when set.
 """
 
 from __future__ import annotations
@@ -97,6 +98,10 @@ def main(argv=None) -> int:
     except (harness.ParseError, harness.ValidationError,
             harness.AssumptionViolation, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # reads are ParseErrors, so this is an output write
+        where = exc.filename if exc.filename is not None else "output"
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except _NUMERIC_ERRORS as exc:
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_discrete_lyapunov
 
 from .model import AttackConfig, CpsModel
 from .numerics import LOG_TWO_PI, eig_extremes, kahan_cumsum, logdet, matvec
@@ -251,7 +250,8 @@ def expected_step_drift(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolic
     the constant delta ("closed_form"). Otherwise z follows the corrupt
     closed loop z' = F z + f + noise, and with its stationary mean mu and
     covariance P (a discrete Lyapunov equation), E q = (D mu + delta)^T
-    V^-1 (D mu + delta) + tr(D^T V^-1 D P) ("lyapunov").
+    V^-1 (D mu + delta) + tr(D^T V^-1 D P) ("lyapunov"). Only that branch
+    imports scipy, so nothing else in the package loads it.
     """
     laws = lift(honest, (cfg, corrupt), m.n_agents)
     if laws.corrupt_offset is not None and laws.corrupt_offset.ndim == 2:
@@ -264,6 +264,9 @@ def expected_step_drift(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolic
     d = b[:, None] * np.hstack(laws.corrupt_gains - laws.gains)
     quad, method = 0.0, "closed_form"
     if d.any():
+        # imported here, the one use of scipy: loading it costs about 300 ms
+        from scipy.linalg import solve_discrete_lyapunov
+
         f, stable = closed_loop(m.dynamics, b, laws.corrupt_gains)
         if not stable:
             return DriftEstimate(value=None, method="unstable")

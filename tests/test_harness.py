@@ -419,6 +419,33 @@ class TestCli:
             os.close(reader)
         assert b"".join(chunks).decode() == self.plain_out(tmp_path, argv)
 
+    @pytest.mark.parametrize("command", ["preset", "simulate", "detect"])
+    def test_out_naming_a_directory_is_an_error_line(self, tmp_path, capsys, command):
+        out = tmp_path / "dir"
+        out.mkdir()
+        assert cli.main(self.out_argv(tmp_path, command) + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("via", ["--out", "outputs"])
+    @pytest.mark.parametrize("command", ["montecarlo", "mdp"])
+    def test_batch_outputs_under_a_file_are_an_error_line(self, tmp_path, capsys, command, via):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        out = str(blocker / "o")
+        name = "replacement" if command == "montecarlo" else "mdp-detect"
+        tweak = {"horizon": 5, "seeds": {"base": 1, "count": 2}}
+        if via == "outputs":
+            tweak["outputs"] = out
+        argv = [command, str(self.write_preset(tmp_path, name, **tweak))]
+        if via == "--out":
+            argv += ["--out", out]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.out == ""
+
     def test_check_valid_scenario(self, tmp_path, capsys):
         path = self.write_preset(tmp_path, "example2")
         assert cli.main(["check", str(path)]) == 0
