@@ -14,8 +14,10 @@ tree's ``bench/`` and the parent's must agree, or the script stops before
 running anything. The output JSON holds every run's per-workload record
 (metrics, checks, provenance) and, per workload and end-to-end metric, each
 side's median and quartiles, the ratio of the medians, the pairs the change
-won (ties count for neither) and whether the medians differ by more than the
-parent's interquartile range. The temporary tree is removed at the end, and
+won (ties count for neither), whether the medians differ by more than the
+parent's interquartile range, and the no-regression verdict against the
+metric's bound in ``BENCHMARK.json`` (``within_bound``, ``unresolved``; see
+:func:`summarize`). The temporary tree is removed at the end, and
 every benchmark process has ended when the script returns.
 """
 
@@ -84,24 +86,41 @@ def _stats(values: list[float]) -> dict:
     return {"q1": q1, "median": q2, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: both sides' quartiles, the median ratio and the wins."""
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload and end-to-end metric: both sides' quartiles, the wins and the verdict.
+
+    ``end_to_end`` is ``BENCHMARK.json``'s list of metrics, each with its
+    ``name``, ``better`` direction and relative ``bound``. ``within_bound``:
+    the change's median is worse than the parent's by no more than the
+    bound times the parent's median. ``unresolved``: the parent's
+    interquartile spread is wider than that same bound, so a regression of
+    the bound's size could hide in it, unless every change run is better
+    than every parent run.
+    """
     summary: dict[str, dict] = {}
     for k, parent_rec in enumerate(pairs[0]["parent"]):
         workload = parent_rec["workload"]
         summary[workload] = {}
-        for metric, direction in better.items():
-            sides = {side: [pair[side][k]["metrics"][metric]["value"] for pair in pairs]
+        for metric in end_to_end:
+            name, direction, bound = metric["name"], metric["better"], metric["bound"]
+            sides = {side: [pair[side][k]["metrics"][name]["value"] for pair in pairs]
                      for side in ("parent", "change")}
             sign = 1.0 if direction == "higher" else -1.0
             wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
             parent, change = _stats(sides["parent"]), _stats(sides["change"])
-            summary[workload][metric] = {
+            worse_by = sign * (parent["median"] - change["median"])
+            beats_every = (min(sign * c for c in sides["change"])
+                           > max(sign * p for p in sides["parent"]))
+            summary[workload][name] = {
                 "better": direction, "parent": parent, "change": change,
                 "ratio_change_over_parent": change["median"] / parent["median"],
                 "change_wins": f"{wins}/{len(pairs)}",
                 "median_gap_over_parent_iqr": abs(change["median"] - parent["median"])
                 > parent["q3"] - parent["q1"],
+                "bound": bound,
+                "within_bound": worse_by <= bound * abs(parent["median"]),
+                "unresolved": parent["q3"] - parent["q1"] > bound * abs(parent["median"])
+                and not beats_every,
             }
     return summary
 
@@ -114,8 +133,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
         commit = export(args.parent, tmp)
@@ -159,7 +177,7 @@ def main(argv=None) -> int:
                    "note": "run from the working tree; source_sha256 is bench/run.py's hash "
                            "of src/cps_sentinel/*.py"},
         "host": host | {"note": "runs alternate which side goes first"},
-        "summary": summarize(pairs, better),
+        "summary": summarize(pairs, end_to_end),
         "records": [r | {"side": side} for pair in pairs for side in ("parent", "change")
                     for r in pair[side]],
     }

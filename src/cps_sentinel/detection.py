@@ -31,7 +31,6 @@ import enum
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import AttackConfig, CpsModel
 from .numerics import LOG_TWO_PI, eig_extremes, kahan_cumsum, logdet, matvec
@@ -40,9 +39,9 @@ from .policies import (
     HonestPolicy,
     LinearLaws,
     closed_loop,
+    lag_windows,
     lift,
     loop_rows,
-    time_ordered,
 )
 from .simulator import Trajectory, conditional_covariances
 
@@ -134,7 +133,6 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
     _, lam_max_c = eig_extremes(c_cov)
     const = -0.5 * n_agents * LOG_TWO_PI
     rows, shift, where = _residual_operator(m, laws, (h_cov, c_cov), n)
-    lags = laws.gains.shape[0]
 
     # steps[0..3]: step log ratio, s, s_breve, half logdet ratio
     steps = np.empty((4, n_seeds, n))
@@ -143,10 +141,8 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
     width = max(1, _SLICE_DOUBLES // (n * max(rows.shape)))
     for lo in range(0, n_seeds, width):
         x = states[lo:lo + width]
-        if lags > 1:  # L - 1 zero states before x_0, for the lags the law drops
-            x = np.concatenate([np.zeros((len(x), lags - 1, n_agents)), x], axis=1)
-        windows = sliding_window_view(x, lags + 1, axis=1).swapaxes(-1, -2)
-        z = matvec(rows, windows.reshape(len(x), n, (lags + 1) * n_agents))
+        # the window ending at x_t, for t = 1..n
+        z = matvec(rows, lag_windows(x, laws.lags + 1)[:, 1:])
         if shift is not None:
             z -= shift
         z = z.reshape(len(x), n, -1, n_agents)
@@ -173,12 +169,12 @@ def _residual_operator(m: CpsModel, laws: LinearLaws, covs: tuple, n: int):
 
     On the lag window w_t = (x_{t-L+1}, ..., x_t, x_{t+1}), zero before
     x_0, a law's residual x_{t+1} - A x_t - b * (its control mean) is
-    R w_t - b * (its offset), with R = [-(top block row of the law's closed
-    loop) in time order | I]; its whitened residual is C^-1 times that, C
-    the Cholesky factor of the law's covariance. The four blocks (honest
-    residual, honest whitened, corrupt residual, corrupt whitened) are
-    stacked without repeats: a block whose rows and shift equal an earlier
-    one's is that block, so laws that agree give the same bits. Returns
+    R w_t - b * (its offset), with R = [-(the law's loop rows) | I]; its
+    whitened residual is C^-1 times that, C the Cholesky factor of the
+    law's covariance. The four blocks (honest residual, honest whitened,
+    corrupt residual, corrupt whitened) are stacked without repeats: a
+    block whose rows and shift equal an earlier one's is that block, so
+    laws that agree give the same bits. Returns
     the rows (K N, (L+1) N), the shift (one row, or one per step for a
     per-step FDI schedule; None when every shift is zero) and the block
     index of each of the four.
@@ -187,9 +183,8 @@ def _residual_operator(m: CpsModel, laws: LinearLaws, covs: tuple, n: int):
     blocks = []
     for gains, offset, cov in ((laws.gains, laws.offset, covs[0]),
                                (laws.corrupt_gains, laws.corrupt_offsets(n), covs[1])):
-        top = time_ordered(loop_rows(m.dynamics, b, gains), n_agents)
-        shift = b * np.atleast_2d(np.zeros(n_agents) if offset is None else offset)
-        residual = np.hstack([-top, np.eye(n_agents)])
+        shift = b * np.atleast_2d(offset)
+        residual = np.hstack([-loop_rows(m.dynamics, b, gains), np.eye(n_agents)])
         whiten = np.linalg.inv(cov.chol)
         blocks += [(residual, shift), (whiten @ residual, shift @ whiten.T)]
     rows, shifts, where = [], [], []
@@ -245,23 +240,23 @@ def expected_step_drift(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolic
     Minus the Gaussian relative entropy of the corrupt one-step law from
     the honest one: -1/2 [tr(V^-1 Vb) - N + logdet V - logdet Vb + E q],
     with q = gap^T V^-1 gap and gap = D z + delta the corrupt-minus-honest
-    predictor mean, D = diag(b) (corrupt gains - honest gains) on the
-    lag-stacked state z_t = (x_t, ..., x_{t-L+1}). When D = 0 the gap is
-    the constant delta ("closed_form"). Otherwise z follows the corrupt
-    closed loop z' = F z + f + noise, and with its stationary mean mu and
+    predictor mean, D = diag(b) (corrupt window rows - honest window rows)
+    on the lag window z_t = (x_{t-L+1}, ..., x_t) and delta = diag(b)
+    (corrupt offset - honest offset). When D = 0 the gap is the constant
+    delta ("closed_form"). Otherwise z follows the corrupt closed loop
+    z' = F z + f + noise, and with its stationary mean mu and
     covariance P (a discrete Lyapunov equation), E q = (D mu + delta)^T
     V^-1 (D mu + delta) + tr(D^T V^-1 D P) ("lyapunov"). Only that branch
     imports scipy, so nothing else in the package loads it.
     """
     laws = lift(honest, (cfg, corrupt), m.n_agents)
-    if laws.corrupt_offset is not None and laws.corrupt_offset.ndim == 2:
+    if laws.corrupt_offset.ndim == 2:
         return DriftEstimate(value=None, method="time_varying")
     h_cov, c_cov = conditional_covariances(m, laws)
     n, b = m.n_agents, m.actuator_gains
-    offset = np.zeros(n) if laws.offset is None else laws.offset
-    offset_gap = (np.zeros(n) if laws.corrupt_offset is None else laws.corrupt_offset) - offset
+    offset_gap = laws.corrupt_offset - laws.offset
     delta = b * offset_gap
-    d = b[:, None] * np.hstack(laws.corrupt_gains - laws.gains)
+    d = b[:, None] * (laws.corrupt_gains - laws.gains)
     quad, method = 0.0, "closed_form"
     if d.any():
         # imported here, the one use of scipy: loading it costs about 300 ms
@@ -271,9 +266,9 @@ def expected_step_drift(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolic
         if not stable:
             return DriftEstimate(value=None, method="unstable")
         q = np.zeros_like(f)
-        q[:n, :n] = c_cov.mat
+        q[-n:, -n:] = c_cov.mat
         drive = np.zeros(len(f))
-        drive[:n] = b * (offset + offset_gap)
+        drive[-n:] = b * (laws.offset + offset_gap)
         delta = d @ np.linalg.solve(np.eye(len(f)) - f, drive) + delta
         cov = solve_discrete_lyapunov(f, q)
         quad, method = float(np.trace(d.T @ np.linalg.solve(h_cov.mat, d) @ cov)), "lyapunov"

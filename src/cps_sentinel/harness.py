@@ -11,6 +11,7 @@ requirement unless explicitly overridden.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -36,6 +37,7 @@ from .model import (
     AttackConfig,
     CpsModel,
     Violation,
+    check_arrays,
     honest_influence_check,
     validate_attack,
     validate_model,
@@ -369,7 +371,7 @@ def _check_honest_sizes(model: CpsModel, honest) -> list[Violation]:
         arrays = [("honest.gain", honest.gain, (n, n)), ("honest.offset", honest.offset, (n,))]
     elif isinstance(honest, HistoryWindow):
         arrays = [(f"honest.lag_gains[{k}]", g, (n, n)) for k, g in enumerate(honest.lag_gains)]
-    return _check_arrays(arrays)
+    return check_arrays(arrays)
 
 
 def _check_attack_sizes(model: CpsModel, attack, horizon) -> list[Violation]:
@@ -377,9 +379,9 @@ def _check_attack_sizes(model: CpsModel, attack, horizon) -> list[Violation]:
     m_count = cfg.malicious_count
     issues = []
     if isinstance(pol, Replacement) and pol.mode in ("constant", "scaled_state"):
-        issues.extend(_check_arrays([("attack.values", pol.values, (m_count,))]))
+        issues.extend(check_arrays([("attack.values", pol.values, (m_count,))]))
     if isinstance(pol, Mimic):
-        issues.extend(_check_arrays([("attack.self_excitation", pol.self_excitation.diag,
+        issues.extend(check_arrays([("attack.self_excitation", pol.self_excitation.diag,
                                       (m_count,))]))
     if isinstance(pol, Fdi):
         if pol.offsets.shape[-1] != m_count:
@@ -390,19 +392,6 @@ def _check_attack_sizes(model: CpsModel, attack, horizon) -> list[Violation]:
             issues.append(Violation("attack.offsets", "ScheduleTooShort",
                                     f"offset schedule covers {pol.offsets.shape[0]} "
                                     f"steps but the horizon is {horizon}"))
-    return issues
-
-
-def _check_arrays(arrays) -> list[Violation]:
-    """One violation per (path, array, shape) whose array has another shape or a
-    non-finite entry."""
-    issues = []
-    for path, a, shape in arrays:
-        if np.shape(a) != shape:
-            issues.append(Violation(path, "DimMismatch",
-                                    f"expected shape {shape}, got {np.shape(a)}"))
-        elif not np.isfinite(a).all():
-            issues.append(Violation(path, "NonFinite", "entries must be finite"))
     return issues
 
 
@@ -633,99 +622,38 @@ _BASE_MODEL = {
     "initial": {"kind": "dirac", "point": [0.0, 0.0]},
 }
 
+# the two examples replace agent 1 by zero; example2's coupling lets agent 2 reach agent 1
+_EXAMPLE_MODEL = dict(_BASE_MODEL, dynamics=[[0.5, 0.0], [0.0, 0.6]],
+                      process_noise=[[1.0, 0.0], [0.0, 1.0]], excitation=[1.0, 1.0])
+
 _FEEDBACK = {"kind": "linear", "gain": [[-0.2, 0.0], [0.0, -0.2]]}
 
-
-def _preset_identity() -> dict:
-    return {
-        "name": "identity",
-        "model": dict(_BASE_MODEL),
-        "honest": dict(_FEEDBACK),
-        "attack": None,
-        "horizon": 200,
-        "seeds": {"base": 2025, "count": 20},
-        "threshold": -10.0,
-    }
+# name: (attack, horizon, seed count) of the presets on _BASE_MODEL under _FEEDBACK
+_LINEAR_PRESETS = {
+    "identity": (None, 200, 20),
+    "replacement": ({"malicious_set": [1], "kind": "replacement",
+                     "mode": "scaled_state", "values": [-0.2]}, 2000, 200),
+    "fdi": ({"malicious_set": [1], "kind": "fdi", "offsets": [0.2]}, 400, 100),
+    "dos": ({"malicious_set": [1], "kind": "dos"}, 200, 100),
+    "mimic": ({"malicious_set": [1], "kind": "mimic", "self_excitation": [0.16]}, 2000, 50),
+}
 
 
-def _preset_replacement() -> dict:
-    return {
-        "name": "replacement",
-        "model": dict(_BASE_MODEL),
-        "honest": dict(_FEEDBACK),
-        "attack": {"malicious_set": [1], "kind": "replacement",
-                   "mode": "scaled_state", "values": [-0.2]},
-        "horizon": 2000,
-        "seeds": {"base": 2025, "count": 200},
-        "threshold": -10.0,
-    }
+def _linear_preset(name: str, attack: dict | None, horizon: int, count: int,
+                   model: dict = _BASE_MODEL) -> dict:
+    return {"name": name, "model": model, "honest": _FEEDBACK, "attack": attack,
+            "horizon": horizon, "seeds": {"base": 2025, "count": count}, "threshold": -10.0}
 
 
-def _preset_fdi() -> dict:
-    return {
-        "name": "fdi",
-        "model": dict(_BASE_MODEL),
-        "honest": dict(_FEEDBACK),
-        "attack": {"malicious_set": [1], "kind": "fdi", "offsets": [0.2]},
-        "horizon": 400,
-        "seeds": {"base": 2025, "count": 100},
-        "threshold": -10.0,
-    }
+_ZERO_REPLACEMENT = {"malicious_set": [1], "kind": "replacement",
+                     "mode": "constant", "values": [0.0]}
 
-
-def _preset_dos() -> dict:
-    return {
-        "name": "dos",
-        "model": dict(_BASE_MODEL),
-        "honest": dict(_FEEDBACK),
-        "attack": {"malicious_set": [1], "kind": "dos"},
-        "horizon": 200,
-        "seeds": {"base": 2025, "count": 100},
-        "threshold": -10.0,
-    }
-
-
-def _preset_mimic() -> dict:
-    return {
-        "name": "mimic",
-        "model": dict(_BASE_MODEL),
-        "honest": dict(_FEEDBACK),
-        "attack": {"malicious_set": [1], "kind": "mimic", "self_excitation": [0.16]},
-        "horizon": 2000,
-        "seeds": {"base": 2025, "count": 50},
-        "threshold": -10.0,
-    }
-
-
-def _preset_example1() -> dict:
-    return {
-        "name": "example1",
-        "model": {
-            "n_agents": 2,
-            "dynamics": [[0.5, 0.0], [0.0, 0.6]],
-            "actuator_gains": [1.0, 1.0],
-            "process_noise": [[1.0, 0.0], [0.0, 1.0]],
-            "excitation": [1.0, 1.0],
-            "initial": {"kind": "dirac", "point": [0.0, 0.0]},
-        },
-        "honest": dict(_FEEDBACK),
-        "attack": {"malicious_set": [1], "kind": "replacement",
-                   "mode": "constant", "values": [0.0]},
-        "horizon": 100,
-        "seeds": {"base": 2025, "count": 10},
-        "threshold": -10.0,
-    }
-
-
-def _preset_example2() -> dict:
-    preset = _preset_example1()
-    preset["name"] = "example2"
-    preset["model"]["dynamics"] = [[0.5, 0.3], [0.0, 0.6]]
-    return preset
-
-
-def _preset_mdp_detect() -> dict:
-    return {
+PRESETS = {
+    **{name: _linear_preset(name, *row) for name, row in _LINEAR_PRESETS.items()},
+    "example1": _linear_preset("example1", _ZERO_REPLACEMENT, 100, 10, _EXAMPLE_MODEL),
+    "example2": _linear_preset("example2", _ZERO_REPLACEMENT, 100, 10,
+                               dict(_EXAMPLE_MODEL, dynamics=[[0.5, 0.3], [0.0, 0.6]])),
+    "mdp-detect": {
         "name": "mdp-detect",
         "mdp": {
             "kernel": [
@@ -738,11 +666,8 @@ def _preset_mdp_detect() -> dict:
         "corrupt_policy": [[1.0 / 30.0, 29.0 / 30.0], [1.0 / 30.0, 29.0 / 30.0]],
         "horizon": 1000,
         "seeds": {"base": 2025, "count": 100},
-    }
-
-
-def _preset_mdp_mimic() -> dict:
-    return {
+    },
+    "mdp-mimic": {
         "name": "mdp-mimic",
         "mdp": {
             "kernel": [
@@ -756,23 +681,12 @@ def _preset_mdp_mimic() -> dict:
         "corrupt_policy": [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
         "horizon": 1000,
         "seeds": {"base": 2025, "count": 100},
-    }
-
-
-PRESETS = {
-    "identity": _preset_identity,
-    "replacement": _preset_replacement,
-    "fdi": _preset_fdi,
-    "dos": _preset_dos,
-    "mimic": _preset_mimic,
-    "example1": _preset_example1,
-    "example2": _preset_example2,
-    "mdp-detect": _preset_mdp_detect,
-    "mdp-mimic": _preset_mdp_mimic,
+    },
 }
 
 
 def preset(name: str) -> dict:
+    """A deep copy of the built-in scenario ``name``: the caller may edit any of it."""
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    return PRESETS[name]()
+    return copy.deepcopy(PRESETS[name])

@@ -89,6 +89,19 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
+def check_arrays(arrays) -> list[Violation]:
+    """One violation per (path, array, shape) whose array has another shape or a
+    non-finite entry."""
+    issues = []
+    for path, a, shape in arrays:
+        if np.shape(a) != shape:
+            issues.append(Violation(path, "DimMismatch",
+                                    f"expected shape {shape}, got {np.shape(a)}"))
+        elif not np.isfinite(a).all():
+            issues.append(Violation(path, "NonFinite", "entries must be finite"))
+    return issues
+
+
 def validate_model(m: CpsModel) -> list[Violation]:
     """Collect every defect of a model; an empty list means valid."""
     issues: list[Violation] = []
@@ -100,18 +113,8 @@ def validate_model(m: CpsModel) -> list[Violation]:
         issues.append(Violation("model.n_agents", "DimCap",
                                 f"n_agents {n} exceeds the configured cap {DEFAULT_DIM_CAP}"))
 
-    if m.dynamics.shape != (n, n):
-        issues.append(Violation("model.dynamics", "DimMismatch",
-                                f"expected shape {(n, n)}, got {m.dynamics.shape}"))
-    elif not np.isfinite(m.dynamics).all():
-        issues.append(Violation("model.dynamics", "NonFinite", "entries must be finite"))
-
-    if m.actuator_gains.shape != (n,):
-        issues.append(Violation("model.actuator_gains", "DimMismatch",
-                                f"expected length {n}, got {m.actuator_gains.shape}"))
-    elif not np.isfinite(m.actuator_gains).all():
-        issues.append(Violation("model.actuator_gains", "NonFinite",
-                                "entries must be finite"))
+    issues += check_arrays([("model.dynamics", m.dynamics, (n, n)),
+                            ("model.actuator_gains", m.actuator_gains, (n,))])
 
     if m.process_noise.shape != (n, n):
         issues.append(Violation("model.process_noise", "DimMismatch",
@@ -126,14 +129,11 @@ def validate_model(m: CpsModel) -> list[Violation]:
         except ValueError as exc:
             issues.append(Violation("model.process_noise", "Invalid", str(exc)))
 
-    if m.excitation.shape != (n,):
-        issues.append(Violation("model.excitation", "DimMismatch",
-                                f"expected length {n}, got {m.excitation.shape}"))
-    elif not np.isfinite(m.excitation).all():
-        issues.append(Violation("model.excitation", "NonFinite", "entries must be finite"))
-    elif (m.excitation < 0).any():
-        issues.append(Violation("model.excitation", "NegativeEntry",
-                                "excitation variances must be nonnegative"))
+    excitation = check_arrays([("model.excitation", m.excitation, (n,))])
+    if not excitation and (m.excitation < 0).any():
+        excitation.append(Violation("model.excitation", "NegativeEntry",
+                                    "excitation variances must be nonnegative"))
+    issues += excitation
 
     if m.initial_law.dim != n:
         issues.append(Violation("model.initial_law", "DimMismatch",

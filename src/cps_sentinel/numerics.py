@@ -1,7 +1,7 @@
 """Dense symmetric linear algebra and Gaussian sampling primitives.
 
-Everything here operates on small dense matrices (dimension capped by
-configuration, 32 by default). Positive definiteness is established once
+Everything here operates on small dense matrices (dimension at most
+``DEFAULT_DIM_CAP``, 32). Positive definiteness is established once
 via Cholesky and the factor is cached, so determinants, quadratic forms,
 and draws never refactorize. All density work happens in the log domain;
 nothing regularizes or repairs a bad input silently.
@@ -39,22 +39,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_square_matrix(entries, dim_cap: int | None = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Validate and return a finite square float matrix.
+def as_square_matrix(entries) -> np.ndarray:
+    """Validate and return a finite square float matrix of dimension at most 32.
 
-    Parameters
-    ----------
-    entries : array_like
-        Square matrix entries, row-major.
-    dim_cap : int or None
-        Maximum admissible dimension; ``None`` disables the cap
-        (used internally for stacked joint covariances).
+    ``entries`` are the matrix entries, row-major.
     """
     m = np.array(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
-    if dim_cap is not None and m.shape[0] > dim_cap:
-        raise ValueError(f"dimension {m.shape[0]} exceeds the configured cap {dim_cap}")
+    if m.shape[0] > DEFAULT_DIM_CAP:
+        raise ValueError(f"dimension {m.shape[0]} exceeds the configured cap {DEFAULT_DIM_CAP}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
@@ -76,7 +70,7 @@ class SpdMatrix:
         return self.mat.shape[0]
 
 
-def make_spd(entries, *, dim_cap: int | None = DEFAULT_DIM_CAP) -> SpdMatrix:
+def make_spd(entries) -> SpdMatrix:
     """Validate symmetry and positive definiteness, caching the Cholesky factor.
 
     Raises
@@ -86,7 +80,7 @@ def make_spd(entries, *, dim_cap: int | None = DEFAULT_DIM_CAP) -> SpdMatrix:
     NotPositiveDefinite
         If the Cholesky factorization fails (nonpositive pivot).
     """
-    m = as_square_matrix(entries, dim_cap)
+    m = as_square_matrix(entries)
     gap = float(np.abs(m - m.T).max())
     scale = float(np.abs(m).max())
     if gap > _SYM_RTOL * scale:

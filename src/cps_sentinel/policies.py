@@ -1,12 +1,13 @@
-"""Honest and corrupt control policies, and their lift into gain matrices.
+"""Honest and corrupt control policies, and their lift into window rows.
 
 Honest actuators apply their policy mean plus the private excitation.
 Corrupt actuators replace their component: replacement and denial-of-service
 drop the excitation outright, false data injection rides on top of the
 honest channel, and mimicry substitutes self-generated excitation. Every
 honest law and attack here is linear in the observed states, and
-:func:`lift` turns a pair of them into gain matrices once; the simulator,
-the detector, the covariances and the drift read only those.
+:func:`lift` turns a pair of them once into one linear map of the lag
+window per law, x_{t-L+1}, ..., x_t oldest first, plus an offset; the
+simulator, the detector, the covariances and the drift read only those.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import AttackConfig
 from .numerics import DiagonalPsd, matvec
@@ -120,33 +122,39 @@ Attack = tuple[AttackConfig, CorruptPolicy]
 
 @dataclass(frozen=True)
 class LinearLaws:
-    """The honest and the corrupt control law of a scenario as gain matrices.
+    """The honest and the corrupt control law of a scenario as window rows.
 
-    Honest mean at step t: ``sum_k gains[k] @ x_{t-k} + offset``, and the
-    corrupt mean the same with ``corrupt_gains`` and ``corrupt_offset``.
-    Both gain arrays have shape (L, N, N), L >= 1, and lags that reach
-    before x_0 are dropped; the zero law is one zero matrix. An offset is
-    a vector, or for the corrupt law of an FDI schedule a table with one
-    row per step (the honest offset plus the schedule on the attacked
-    channels ``mal``); an absent offset is None, not zeros, so nothing is
-    added for it. When the corrupt law reuses the honest gains and offset
-    (no attack, mimicry) they are the same objects. ``keep`` tells whether
-    the attacked channels keep their private excitation (FDI) or lose it;
-    ``own`` is the mimic's self-excitation covariance on them.
+    Honest mean at step t: ``gains @ z_t + offset``, on the lag window
+    z_t = (x_{t-L+1}, ..., x_t), oldest first and zero before x_0 (see
+    :func:`lag_windows`); the corrupt mean the same with ``corrupt_gains``
+    and ``corrupt_offset``. Both gain arrays have shape (N, L N), L >= 1,
+    and the zero law is one zero matrix. Every offset is an array, zeros
+    when the law has none: a vector, or for the corrupt law of an FDI
+    schedule a table with one row per step (the honest offset plus the
+    schedule on the attacked channels ``mal``). When the corrupt law
+    reuses the honest gains and offset (no attack, mimicry) they are the
+    same objects. ``keep`` tells whether the attacked channels keep their
+    private excitation (FDI) or lose it; ``own`` is the mimic's
+    self-excitation covariance on them.
     """
 
     gains: np.ndarray
-    offset: np.ndarray | None
+    offset: np.ndarray
     corrupt_gains: np.ndarray
-    corrupt_offset: np.ndarray | None
+    corrupt_offset: np.ndarray
     mal: np.ndarray
     keep: bool = True
     own: DiagonalPsd | None = None
 
-    def corrupt_offsets(self, steps: int) -> np.ndarray | None:
-        """The corrupt offset of steps 0..steps-1: a vector, a table, or None."""
+    @property
+    def lags(self) -> int:
+        """L, the number of states in the lag window."""
+        return self.gains.shape[1] // self.gains.shape[0]
+
+    def corrupt_offsets(self, steps: int) -> np.ndarray:
+        """The corrupt offset of steps 0..steps-1: a vector, or a table."""
         offset = self.corrupt_offset
-        if offset is None or offset.ndim == 1:
+        if offset.ndim == 1:
             return offset
         if len(offset) < steps:
             raise ValueError(f"fdi offset schedule has {len(offset)} steps, "
@@ -155,20 +163,22 @@ class LinearLaws:
 
 
 def lift(honest: HonestPolicy, attack: Attack | None, n: int) -> LinearLaws:
-    """The gain matrices of an honest law and an attack on ``n`` agents.
+    """The window rows and offsets of an honest law and an attack on ``n`` agents.
 
-    This is the one dispatch over policy kinds; everything downstream
-    reads the :class:`LinearLaws` it returns.
+    This is the one dispatch over policy kinds, and the one place that
+    puts a window law's ``lag_gains`` (most recent first) in window order;
+    everything downstream reads the :class:`LinearLaws` it returns.
     """
+    offset = np.zeros(n)
     if isinstance(honest, Zero):
-        gains, offset = np.zeros((1, n, n)), None
+        gains = np.zeros((n, n))
     elif isinstance(honest, LinearFeedback):
-        gains, offset = np.asarray(honest.gain, dtype=float)[None], None
+        gains = np.array(honest.gain, dtype=float)
     elif isinstance(honest, Affine):
-        gains = np.asarray(honest.gain, dtype=float)[None]
-        offset = np.asarray(honest.offset, dtype=float)
+        gains = np.array(honest.gain, dtype=float)
+        offset = np.array(honest.offset, dtype=float)
     elif isinstance(honest, HistoryWindow):
-        gains, offset = np.array(honest.lag_gains), None
+        gains = np.hstack(honest.lag_gains[::-1])
     else:
         raise TypeError(f"unknown honest policy {honest!r}")
     if attack is None:
@@ -176,8 +186,7 @@ def lift(honest: HonestPolicy, attack: Attack | None, n: int) -> LinearLaws:
     cfg, corrupt = attack
     mal = cfg.malicious_indices
     if isinstance(corrupt, Fdi):
-        shape = corrupt.offsets.shape[:-1] + (n,)
-        total = np.zeros(shape) if offset is None else np.broadcast_to(offset, shape).copy()
+        total = np.broadcast_to(offset, corrupt.offsets.shape[:-1] + (n,)).copy()
         total[..., mal] += corrupt.offsets
         return LinearLaws(gains, offset, gains, total, mal)
     if isinstance(corrupt, Mimic):
@@ -186,31 +195,31 @@ def lift(honest: HonestPolicy, attack: Attack | None, n: int) -> LinearLaws:
     if not isinstance(corrupt, (DoS, Replacement)):
         raise TypeError(f"unknown corrupt policy {corrupt!r}")
     mode = corrupt.mode if isinstance(corrupt, Replacement) else "dos"
-    corrupt_gains = gains.copy()
-    corrupt_offset = None if offset is None else offset.copy()
+    corrupt_gains, corrupt_offset = gains.copy(), offset.copy()
     if mode == "sign_flip":
-        corrupt_gains[:, mal] *= -1.0
-        if corrupt_offset is not None:
-            corrupt_offset[mal] *= -1.0
+        corrupt_gains[mal] *= -1.0
+        corrupt_offset[mal] *= -1.0
     else:
-        corrupt_gains[:, mal] = 0.0
-        if corrupt_offset is not None:
-            corrupt_offset[mal] = 0.0
+        corrupt_gains[mal] = 0.0
+        corrupt_offset[mal] = 0.0
     if mode == "scaled_state":
-        corrupt_gains[0, mal, mal] = corrupt.values
+        corrupt_gains[:, -n:][mal, mal] = corrupt.values  # on the x_t block
     elif mode == "constant":
-        if corrupt_offset is None:
-            corrupt_offset = np.zeros(n)
         corrupt_offset[mal] = corrupt.values
     return LinearLaws(gains, offset, corrupt_gains, corrupt_offset, mal, keep=False)
 
 
-def _means(gains: np.ndarray, offset: np.ndarray | None, states: np.ndarray) -> np.ndarray:
-    """Means of one law at every step along ``states``, in the shape of ``states``."""
-    out = matvec(gains[0], states)
-    for k in range(1, min(len(gains), states.shape[-2])):
-        out[..., k:, :] += matvec(gains[k], states[..., :-k, :])
-    return out if offset is None else out + offset
+def lag_windows(states: np.ndarray, lags: int) -> np.ndarray:
+    """The lag window of every step along ``states``, zero before x_0.
+
+    ``states`` holds x_0, x_1, ... along its second-to-last axis, with any
+    leading axes; row t of the result is (x_{t-L+1}, ..., x_t), oldest
+    first, of length ``lags`` N.
+    """
+    n = states.shape[-1]
+    padded = np.concatenate([np.zeros(states.shape[:-2] + (lags - 1, n)), states], axis=-2)
+    windows = sliding_window_view(padded, lags, axis=-2).swapaxes(-1, -2)
+    return windows.reshape(states.shape[:-1] + (lags * n,))
 
 
 def control_means(laws: LinearLaws, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,17 +228,20 @@ def control_means(laws: LinearLaws, states: np.ndarray) -> tuple[np.ndarray, np.
     ``states`` holds observed states x_0, x_1, ... along its
     second-to-last axis, with any leading batch axes (one per seed); the
     means at every step of the path come back with the shape of
-    ``states``, row t being the means given x_0..x_t.
+    ``states``, row t being the means given x_0..x_t: each law's window
+    rows times the lag window of that step (:func:`lag_windows`), plus its
+    offset.
 
     Excitation is randomness, not mean, so it never appears here. When
     the laws agree the corrupt mean is the honest array itself. No mean
     is ever ``-0.0``.
     """
     states = np.asarray(states, dtype=float)
-    g = _means(laws.gains, laws.offset, states)
+    windows = lag_windows(states, laws.lags)
+    g = matvec(laws.gains, windows) + laws.offset
     if laws.corrupt_gains is laws.gains and laws.corrupt_offset is laws.offset:
         return g, g
-    return g, _means(laws.corrupt_gains, laws.corrupt_offsets(states.shape[-2]), states)
+    return g, matvec(laws.corrupt_gains, windows) + laws.corrupt_offsets(states.shape[-2])
 
 
 def admit_excitation(laws: LinearLaws, excitation: np.ndarray,
@@ -250,33 +262,23 @@ def admit_excitation(laws: LinearLaws, excitation: np.ndarray,
 
 def closed_loop(dynamics: np.ndarray, actuator_gains: np.ndarray,
                 gains: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The lag-stacked closed loop of a law, and whether it is stable.
+    """The closed loop of a law on its lag window, and whether it is stable.
 
-    On z_t = (x_t, x_{t-1}, ..., x_{t-L+1}) the loop under the law
-    ``gains`` (shape (L, N, N)) is z' = F z + (input, 0, ..., 0): the top
-    block row of F is ``dynamics + diag(actuator_gains) hstack(gains)``
-    and identity blocks below shift each lag one block down. Stable means
-    a spectral radius below 1.
+    On z_t = (x_{t-L+1}, ..., x_t) the loop under the window rows
+    ``gains`` (shape (N, L N)) is z' = F z + (0, ..., 0, input), F the
+    companion matrix: identity blocks shift the window up one block, and
+    its bottom block row is :func:`loop_rows`. Stable means a spectral
+    radius below 1.
     """
-    n, lags = len(actuator_gains), len(gains)
-    f = np.eye(n * lags, k=-n)
-    f[:n] = loop_rows(dynamics, actuator_gains, gains)
+    n = len(actuator_gains)
+    f = np.eye(gains.shape[1], k=n)
+    f[-n:] = loop_rows(dynamics, actuator_gains, gains)
     return f, bool(np.abs(np.linalg.eigvals(f)).max() < 1.0)
 
 
 def loop_rows(dynamics: np.ndarray, actuator_gains: np.ndarray,
               gains: np.ndarray) -> np.ndarray:
-    """The top block row of :func:`closed_loop`: x_{t+1}'s mean given z_t, less the offset."""
-    top = actuator_gains[:, None] * np.hstack(gains)
-    top[:, :len(actuator_gains)] += dynamics
-    return top
-
-
-def time_ordered(rows: np.ndarray, n: int) -> np.ndarray:
-    """``rows`` of a lag-stacked matrix with its column blocks in time order.
-
-    The lag-stacked state z_t lists x_t, x_{t-1}, ..., x_{t-L+1}; a path's
-    lag window lists the same states oldest first, x_{t-L+1}, ..., x_t.
-    """
-    lags = rows.shape[1] // n
-    return rows.reshape(len(rows), lags, n)[:, ::-1].reshape(len(rows), lags * n)
+    """The bottom block row of :func:`closed_loop`: x_{t+1}'s mean given z_t, less the offset."""
+    rows = actuator_gains[:, None] * gains
+    rows[:, -len(actuator_gains):] += dynamics
+    return rows

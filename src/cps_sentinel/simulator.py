@@ -13,15 +13,16 @@ means, the corrupt offset, the actuator gains, with the arithmetic a
 step-by-step draw would do. Batches derive disjoint streams with
 :func:`cps_sentinel.numerics.split_seed`.
 
-Every scenario is a linear closed loop on the lag-stacked state,
-z' = F z + d (:func:`cps_sentinel.policies.closed_loop` of the corrupt
-law's gains), whose drive d_t = diag(b) (corrupt offset + admitted
-excitation) + w_t is known before the path is; an FDI attack is part of
-the corrupt offset (:func:`cps_sentinel.policies.lift`). So
-:func:`simulate_ensemble` advances every seed B steps per array call from
-precomputed powers of F: x_{lo+1..lo+B} = P z_lo + T d_{lo..lo+B-1}, where
-P stacks the top rows of F^1..F^B and T is block lower-triangular
-Toeplitz in the top-left blocks of F^0..F^(B-1). B = max(1, 64 // N), so
+Every scenario is a linear closed loop on the lag window
+z_t = (x_{t-L+1}, ..., x_t), z' = F z + (0, ..., 0, d)
+(:func:`cps_sentinel.policies.closed_loop` of the corrupt law's window
+rows), whose drive d_t = diag(b) (corrupt offset + admitted excitation) +
+w_t is known before the path is; an FDI attack is part of the corrupt
+offset (:func:`cps_sentinel.policies.lift`). So :func:`simulate_ensemble`
+advances every seed B steps per array call from precomputed powers of F:
+x_{lo+1..lo+B} = P z_lo + T d_{lo..lo+B-1}, where P stacks the bottom rows
+of F^1..F^B and T is block lower-triangular Toeplitz in the bottom-right
+blocks of F^0..F^(B-1). B = max(1, 64 // N), so
 no contraction reaches OpenBLAS's threading size, and B = 1 when F is not
 stable, since its powers would amplify roundoff. Both contractions go
 through :func:`cps_sentinel.numerics.matvec`, so a row's bits never depend
@@ -53,7 +54,6 @@ from .policies import (
     closed_loop,
     control_means,
     lift,
-    time_ordered,
 )
 
 
@@ -172,15 +172,15 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
 
     # d_t = diag(b) (corrupt offset + admitted excitation) + w_t,
     # built in place over the excitations and the process noise. The offset
-    # and diag(b) rows add 0.0 to and multiply by 1.0 the other columns,
-    # which leaves them as they are: after the means no entry is -0.0, and
-    # the mimic's own columns are not read again once admitted.
+    # row adds a zero of either sign to the other columns, and to every
+    # column of a law with no offset; diag(b) multiplies the other columns
+    # by 1.0. Both leave those entries as they are, since after the means
+    # no entry is -0.0, and the mimic's own columns are not read again once
+    # admitted.
     drawn = excitations.copy() if keep_controls else None
     admit_excitation(laws, excitations, None if own_law is None else noise[..., n:n + k])
     controls = excitations.copy() if keep_controls else None
-    offset = laws.corrupt_offsets(horizon)
-    if offset is not None:
-        noise += np.pad(np.atleast_2d(offset), ((0, 0), (0, n + k)))
+    noise += np.pad(np.atleast_2d(laws.corrupt_offsets(horizon)), ((0, 0), (0, n + k)))
     noise *= np.concatenate([b, np.ones(n + k)])
     drive += excitations
 
@@ -188,7 +188,7 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
     # the lag window path[:, lo:lo + L] (lags before x_0 are dropped); it is
     # made only now, so that no (seeds, steps, agents) temporary of the
     # noise scaling coexists with it
-    lags = laws.corrupt_gains.shape[0]
+    lags = laws.lags
     path = np.zeros((n_seeds, lags + horizon, n))
     states = path[:, lags - 1:]
     states[:, 0] = initial
@@ -212,22 +212,21 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
 
 
 def _block_operators(f: np.ndarray, n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """P and T of a block of ``steps`` steps of the lag-stacked loop ``f``.
+    """P and T of a block of ``steps`` steps of the window loop ``f``.
 
-    Row block j of P (shape (steps N, L N)) is the top rows of F^(j+1),
-    with its column blocks in time order x_{t-L+1}, ..., x_t to match the
-    lag window of the path. Block (j, i) of T (shape (steps N, steps N))
-    is the top-left block of F^(j-i) for i <= j, zero above.
+    Row block j of P (shape (steps N, L N)) is the bottom rows of F^(j+1),
+    which map the lag window of the path to x_{t+j+1}. Block (j, i) of T
+    (shape (steps N, steps N)) is the bottom-right block of F^(j-i) for
+    i <= j, zero above.
     """
-    powers = [f[:n]]
+    powers = [f[-n:]]
     for _ in range(1, steps):
         powers.append(powers[-1] @ f)
-    heads = np.array([np.eye(n)] + [q[:, :n] for q in powers[:-1]])
+    heads = np.array([np.eye(n)] + [q[:, -n:] for q in powers[:-1]])
     gap = np.subtract.outer(np.arange(steps), np.arange(steps))
     blocks = np.where((gap >= 0)[..., None, None], heads[np.maximum(gap, 0)], 0.0)
     t = blocks.transpose(0, 2, 1, 3).reshape(steps * n, steps * n)
-    p = time_ordered(np.vstack(powers), n)
-    return p, t
+    return np.vstack(powers), t
 
 
 def simulate(m: CpsModel, honest: HonestPolicy, attack: Attack | None,

@@ -30,11 +30,11 @@ from cps_sentinel.numerics import (
     DiagonalPsd,
     Dirac,
     GaussianLaw,
+    SpdMatrix,
     _positive_diag,
     eig_extremes,
     kahan_cumsum,
     logdet,
-    make_spd,
 )
 from cps_sentinel.policies import (
     Affine,
@@ -189,13 +189,12 @@ def joint_log_density_oracle(traj: Trajectory, m: CpsModel,
         noise_cov[e, e] = np.diag(m.excitation)
         noise_cov[w, w] = m.process_noise
 
-    joint_cov = lin @ noise_cov @ lin.T
-    if gaussian_init:
-        law = GaussianLaw(mean.ravel(), make_spd(joint_cov, dim_cap=None))
-        return log_gaussian_density(traj.states.ravel(), law)
-    law = GaussianLaw(mean[1:].ravel(),
-                      make_spd(joint_cov[n_agents:, n_agents:], dim_cap=None))
-    return log_gaussian_density(traj.states[1:].ravel(), law)
+    # a point-mass x_0 carries no density: its block is dropped
+    skip = 0 if gaussian_init else n_agents
+    joint_cov = (lin @ noise_cov @ lin.T)[skip:, skip:]
+    # the joint covariance may exceed the package's dimension cap, so it is factored here
+    law = GaussianLaw(mean.ravel()[skip:], SpdMatrix(joint_cov, np.linalg.cholesky(joint_cov)))
+    return log_gaussian_density(traj.states.ravel()[skip:], law)
 
 
 def _dense_cov(cov) -> np.ndarray:

@@ -1,0 +1,68 @@
+"""The no-regression verdict of ``scripts/bench_pairs.py`` on synthetic pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPEED = {"name": "speed", "better": "higher", "bound": 0.2}
+MEMORY = {"name": "memory", "better": "lower", "bound": 0.1}
+
+
+def pairs(metric, parent, change):
+    """Synthetic pairs of one workload: run i of each side reads the given value."""
+    def record(value):
+        return [{"workload": "w", "metrics": {metric: {"value": value}}}]
+
+    return [{"parent": record(p), "change": record(c)} for p, c in zip(parent, change)]
+
+
+def verdict(metric, parent, change):
+    return bench_pairs.summarize(pairs(metric["name"], parent, change), [metric])["w"][
+        metric["name"]]
+
+
+TIGHT = [99.0, 100.0, 100.0, 100.0, 101.0]
+
+
+@pytest.mark.parametrize("change, within", [
+    ([85.0] * 5, True),     # 15% slower: inside the 20% bound
+    ([80.0] * 5, True),     # exactly at the bound
+    ([75.0] * 5, False),    # 25% slower
+    ([130.0] * 5, True),    # faster
+])
+def test_higher_is_better_bound(change, within):
+    v = verdict(SPEED, TIGHT, change)
+    assert v["bound"] == 0.2
+    assert v["within_bound"] is within
+    assert v["unresolved"] is False
+
+
+@pytest.mark.parametrize("change, within", [
+    ([105.0] * 5, True),    # 5% more memory: inside the 10% bound
+    ([115.0] * 5, False),   # 15% more
+    ([60.0] * 5, True),     # less
+])
+def test_lower_is_better_bound(change, within):
+    assert verdict(MEMORY, TIGHT, change)["within_bound"] is within
+
+
+def test_parent_spread_wider_than_the_bound_is_unresolved():
+    wide = [60.0, 80.0, 100.0, 120.0, 140.0]  # IQR 40, 40% of the median
+    v = verdict(SPEED, wide, [100.0] * 5)
+    assert v["within_bound"] is True and v["unresolved"] is True
+    # unless every change run beats every parent run
+    assert verdict(SPEED, wide, [141.0] * 5)["unresolved"] is False
+    assert verdict(MEMORY, wide, [59.0] * 5)["unresolved"] is False
+    assert verdict(MEMORY, wide, [61.0] * 5)["unresolved"] is True
+
+
+def test_wins_and_ratio_are_kept():
+    v = verdict(SPEED, TIGHT, [100.5, 99.5, 101.0, 100.0, 102.0])
+    assert v["change_wins"] == "3/5"
+    assert v["ratio_change_over_parent"] == pytest.approx(100.5 / 100.0)

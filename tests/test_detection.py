@@ -400,10 +400,11 @@ def stable_scenarios(draw, honest_kind, attack_kind):
     corrupt = ATTACK_BUILDERS[attack_kind](vec(-1.0, 1.0), cfg.malicious_count)
     # keep the corrupt closed loop well inside the unit circle, so that a
     # burn-in of 100 steps reaches the stationary law
-    corrupt_gains = lift(honest, (cfg, corrupt), n).corrupt_gains
-    f = np.eye(n * len(corrupt_gains), k=-n)
-    f[:n] = m.actuator_gains[:, None] * np.hstack(corrupt_gains)
-    f[:n, :n] += m.dynamics
+    # F on the lag window (x_{t-L+1}, ..., x_t): shift up, loop rows last
+    corrupt_rows = lift(honest, (cfg, corrupt), n).corrupt_gains
+    f = np.eye(corrupt_rows.shape[1], k=n)
+    f[-n:] = m.actuator_gains[:, None] * corrupt_rows
+    f[-n:, -n:] += m.dynamics
     assume(np.abs(np.linalg.eigvals(f)).max() < 0.8)
     return m, honest, corrupt, cfg
 

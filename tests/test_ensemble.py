@@ -138,9 +138,11 @@ def lag_stacked_loop(m, honest, attack, horizon, seed):
     """
     n, b = m.n_agents, m.actuator_gains
     laws = lift(honest, attack, n)
-    lags = len(laws.corrupt_gains)
+    lags = laws.corrupt_gains.shape[1] // n
+    # the window rows' column blocks run oldest first; z_t runs newest first
+    lag_gains = laws.corrupt_gains.reshape(n, lags, n)[:, ::-1]
     f = np.eye(n * lags, k=-n)
-    f[:n] = np.hstack([b[:, None] * g for g in laws.corrupt_gains])
+    f[:n] = (b[:, None, None] * lag_gains).reshape(n, lags * n)
     f[:n, :n] += m.dynamics
     rng = np.random.default_rng(seed)
     init = m.initial_law
@@ -155,7 +157,7 @@ def lag_stacked_loop(m, honest, attack, horizon, seed):
             u += honest.offset
         fdi = attack[1].offsets
         u[:, attack[0].malicious_indices] += fdi if fdi.ndim == 1 else fdi[:horizon]
-    elif laws.corrupt_offset is not None:
+    else:
         u += laws.corrupt_offset
     d = b * u + z[:, n + k:] @ np.linalg.cholesky(m.process_noise).T
     z_t = np.zeros(n * lags)

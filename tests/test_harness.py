@@ -20,6 +20,7 @@ from cps_sentinel.harness import (
     AssumptionViolation,
     PRESETS,
     ValidationError,
+    json_text,
     load_scenario,
     mdp_scenario_from_dict,
     preset,
@@ -96,6 +97,23 @@ class TestPresets:
         s = scenario_from_dict(preset("example2"))
         holds, unreachable = honest_influence_check(s.model, s.attack[0])
         assert holds and not unreachable
+
+    def test_editing_a_preset_leaves_every_later_preset_unchanged(self):
+        before = {name: json_text(preset(name)) for name in PRESETS}
+        for name in PRESETS:
+            data = preset(name)
+            if "model" in data:
+                data["model"]["initial"]["point"][0] = 5.0
+                data["model"]["dynamics"][0][0] = 9.0
+                data["honest"]["gain"][1][1] = 9.0
+                data["seeds"]["count"] = 1
+                if data["attack"] is not None:
+                    data["attack"]["malicious_set"].append(2)
+            else:
+                data["mdp"]["kernel"][0][0][0] = 0.0
+                data["honest_policy"][0][0] = 0.0
+        assert {name: json_text(preset(name)) for name in PRESETS} == before
+        assert preset("replacement")["model"]["initial"]["point"] == [0.0, 0.0]
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(KeyError):

@@ -54,6 +54,28 @@ class TestValidateModel:
         assert {"model.dynamics", "model.actuator_gains", "model.process_noise",
                 "model.excitation", "model.initial_law"} <= paths
 
+    def test_violations_keep_their_codes_paths_and_order(self):
+        m = CpsModel(n_agents=2, dynamics=np.eye(3), actuator_gains=[1.0],
+                     process_noise=[[1.0, 2.0], [2.0, 1.0]], excitation=[-1.0, 1.0],
+                     initial_law=Dirac([0.0, 0.0, 0.0]))
+        issues = validate_model(m)
+        assert [(v.path, v.code) for v in issues] == [
+            ("model.dynamics", "DimMismatch"), ("model.actuator_gains", "DimMismatch"),
+            ("model.process_noise", "NotPositiveDefinite"),
+            ("model.excitation", "NegativeEntry"), ("model.initial_law", "DimMismatch")]
+        assert [v.message for v in issues[:2]] == ["expected shape (2, 2), got (3, 3)",
+                                                   "expected shape (2,), got (1,)"]
+        m = CpsModel(n_agents=2, dynamics=[[np.nan, 0.0], [0.0, 1.0]],
+                     actuator_gains=[1.0, np.inf], process_noise=np.eye(2),
+                     excitation=[np.nan, -1.0], initial_law=Dirac([0.0, 0.0]))
+        assert [(v.path, v.code, v.message) for v in validate_model(m)] == [
+            ("model.dynamics", "NonFinite", "entries must be finite"),
+            ("model.actuator_gains", "NonFinite", "entries must be finite"),
+            ("model.excitation", "NonFinite", "entries must be finite")]
+        m = two_agent_model(np.eye(2), excitation=(1.0, 1.0, 1.0))
+        assert [(v.code, v.message) for v in validate_model(m)] == [
+            ("DimMismatch", "expected shape (2,), got (3,)")]
+
     def test_gaussian_initial_law_accepted(self):
         m = CpsModel(n_agents=2, dynamics=np.eye(2), actuator_gains=[1.0, 1.0],
                      process_noise=np.eye(2), excitation=[1.0, 1.0],

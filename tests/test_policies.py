@@ -13,6 +13,7 @@ from cps_sentinel.policies import (
     Replacement,
     Zero,
     admit_excitation,
+    closed_loop,
     control_means,
     lift,
 )
@@ -215,19 +216,66 @@ def test_gain_matrices_reproduce_the_means(honest, corrupt):
     states = np.random.default_rng(24).standard_normal((4, 6, 3))
     laws = lift(honest, None if corrupt is None else (AttackConfig((2,)), corrupt), 3)
     g, c = control_means(laws, states)
-    offset = np.zeros(3) if laws.offset is None else laws.offset
-    corrupt_offset = np.zeros(3) if laws.corrupt_offset is None else laws.corrupt_offset
-    for t in range(len(laws.gains) - 1, 6):
-        lagged = states[:, t - np.arange(len(laws.gains))]  # (seeds, lag, N)
-        honest_t = np.einsum("kij,skj->si", laws.gains, lagged) + offset
+    lags = laws.gains.shape[1] // 3
+    # column block k of the window rows reads x_{t-L+1+k}; lags before x_0 read zeros
+    padded = np.concatenate([np.zeros((4, lags - 1, 3)), states], axis=1)
+    for t in range(6):
+        lagged = padded[:, t:t + lags]  # (seeds, lag, N), oldest first
+        honest_t = np.einsum("ikj,skj->si", laws.gains.reshape(3, lags, 3), lagged) + laws.offset
         if isinstance(corrupt, Fdi):
             # from the attack: the honest mean plus its offsets on channel 2
             corrupt_t = honest_t.copy()
             corrupt_t[:, 1] += corrupt.offsets if corrupt.offsets.ndim == 1 else corrupt.offsets[t]
         else:
-            corrupt_t = np.einsum("kij,skj->si", laws.corrupt_gains, lagged) + corrupt_offset
+            corrupt_t = (np.einsum("ikj,skj->si", laws.corrupt_gains.reshape(3, lags, 3), lagged)
+                         + laws.corrupt_offset)
         np.testing.assert_allclose(g[:, t], honest_t, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(c[:, t], corrupt_t, rtol=1e-12, atol=1e-12)
+
+
+def test_lift_returns_window_rows_and_dense_offsets():
+    # column block k of the rows reads x_{t-L+1+k}: lag_gains (most recent
+    # first) reversed, so the last block reads x_t
+    lag_gains = [np.arange(9.0).reshape(3, 3) + 10 * k for k in range(3)]
+    honest = HistoryWindow(tuple(lag_gains))
+    laws = lift(honest, None, 3)
+    assert np.array_equal(laws.gains, np.hstack(lag_gains[::-1]))
+    assert laws.gains.shape == (3, 9)
+    assert np.array_equal(laws.offset, np.zeros(3)) and laws.corrupt_offset is laws.offset
+    cfg = AttackConfig((2,))
+    # scaled_state writes the x_t block of the attacked row, and only it
+    scaled = lift(honest, (cfg, Replacement.scaled_state([-0.5])), 3)
+    expect = np.zeros(9)
+    expect[6 + 1] = -0.5
+    assert np.array_equal(scaled.corrupt_gains[1], expect)
+    assert np.array_equal(np.delete(scaled.corrupt_gains, 1, axis=0),
+                          np.delete(laws.gains, 1, axis=0))
+    # sign flip and DoS act on the attacked row across every lag
+    flip = lift(honest, (cfg, Replacement.sign_flip()), 3)
+    assert np.array_equal(flip.corrupt_gains[1], -laws.gains[1])
+    dos = lift(honest, (cfg, DoS()), 3)
+    assert not dos.corrupt_gains[1].any()
+    for corrupt in (flip, dos, scaled):
+        assert np.array_equal(corrupt.corrupt_offset, np.zeros(3))
+    # an FDI schedule stays a per-step table on the attacked channel
+    fdi = lift(Affine(np.eye(3), np.array([1.0, 2.0, 3.0])),
+               (cfg, Fdi(np.array([[0.5], [0.25]]))), 3)
+    assert np.array_equal(fdi.corrupt_offset, [[1.0, 2.5, 3.0], [1.0, 2.25, 3.0]])
+
+
+def test_closed_loop_has_the_spectrum_of_the_lag_order_companion():
+    rng = np.random.default_rng(27)
+    n, lags = 3, 3
+    dynamics, b = 0.3 * rng.standard_normal((n, n)), rng.uniform(0.5, 1.5, n)
+    lag_gains = [0.2 * rng.standard_normal((n, n)) for _ in range(lags)]
+    f, stable = closed_loop(dynamics, b, lift(HistoryWindow(tuple(lag_gains)), None, n).gains)
+    # on (x_t, x_{t-1}, x_{t-2}): the loop rows on top, identity blocks below
+    companion = np.eye(n * lags, k=-n)
+    companion[:n] = np.hstack([b[:, None] * g for g in lag_gains])
+    companion[:n, :n] += dynamics
+    # the same characteristic polynomial
+    np.testing.assert_allclose(np.poly(f), np.poly(companion), atol=1e-12)
+    assert stable == (np.abs(np.linalg.eigvals(companion)).max() < 1.0)
 
 
 def negative_zeros(a):
