@@ -15,8 +15,9 @@ running anything. The output JSON holds every run's per-workload record
 (metrics, checks, provenance) and, per workload and end-to-end metric, each
 side's median and quartiles, the ratio of the medians, the pairs the change
 won (ties count for neither), whether the medians differ by more than the
-parent's interquartile range, and the no-regression verdict against the
-metric's bound in ``BENCHMARK.json`` (``within_bound``, ``unresolved``; see
+parent's interquartile range, whether that shows a gain (``gain_shown``),
+and the no-regression verdict against the metric's bound in
+``BENCHMARK.json`` (``within_bound``, ``unresolved``; see
 :func:`summarize`). The temporary tree is removed at the end, and
 every benchmark process has ended when the script returns.
 """
@@ -90,7 +91,10 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload and end-to-end metric: both sides' quartiles, the wins and the verdict.
 
     ``end_to_end`` is ``BENCHMARK.json``'s list of metrics, each with its
-    ``name``, ``better`` direction and relative ``bound``. ``within_bound``:
+    ``name``, ``better`` direction and relative ``bound``. ``gain_shown``:
+    the change won at least 9 in 10 of the pairs, and its median is better
+    than the parent's by more than the parent's interquartile range, both
+    in the metric's ``better`` direction. ``within_bound``:
     the change's median is worse than the parent's by no more than the
     bound times the parent's median. ``unresolved``: the parent's
     interquartile spread is wider than that same bound, so a regression of
@@ -109,18 +113,18 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
             parent, change = _stats(sides["parent"]), _stats(sides["change"])
             worse_by = sign * (parent["median"] - change["median"])
+            parent_iqr = parent["q3"] - parent["q1"]
             beats_every = (min(sign * c for c in sides["change"])
                            > max(sign * p for p in sides["parent"]))
             summary[workload][name] = {
                 "better": direction, "parent": parent, "change": change,
                 "ratio_change_over_parent": change["median"] / parent["median"],
                 "change_wins": f"{wins}/{len(pairs)}",
-                "median_gap_over_parent_iqr": abs(change["median"] - parent["median"])
-                > parent["q3"] - parent["q1"],
+                "median_gap_over_parent_iqr": abs(worse_by) > parent_iqr,
+                "gain_shown": 10 * wins >= 9 * len(pairs) and -worse_by > parent_iqr,
                 "bound": bound,
                 "within_bound": worse_by <= bound * abs(parent["median"]),
-                "unresolved": parent["q3"] - parent["q1"] > bound * abs(parent["median"])
-                and not beats_every,
+                "unresolved": parent_iqr > bound * abs(parent["median"]) and not beats_every,
             }
     return summary
 

@@ -13,10 +13,12 @@ running product of conditional-covariance determinant ratios.
 batch of paths, one row per seed; :func:`rn_series` is the same function
 on a batch of one. Both laws are linear in the observed states, so both
 residuals and both whitened residuals at a step are one stacked linear
-map of the step's lag window, applied in one matrix-vector product. All
-cumulative series use compensated summation, run across the seed axis in
-one pass, so that horizons up to 1e5 steps of small increments stay exact
-to roundoff.
+map of the stretch of path the step reads, and the maps of B consecutive
+steps are one banded operator, applied in one matrix-vector product per
+block of B steps. All cumulative series use Sum2 compensated summation
+(:func:`cps_sentinel.numerics.compensated_cumsum`), run across the seed
+axis with no step loop, so that horizons up to 1e5 steps of small
+increments stay exact to roundoff.
 
 :func:`series_csv_texts` writes a batch's detection CSVs: the columns
 every seed shares (the step and the log-determinant sum) are formatted
@@ -28,18 +30,19 @@ on one seed.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .model import AttackConfig, CpsModel
-from .numerics import LOG_TWO_PI, eig_extremes, kahan_cumsum, logdet, matvec
+from .numerics import LOG_TWO_PI, compensated_cumsum, eig_extremes, logdet, matvec
 from .policies import (
     CorruptPolicy,
     HonestPolicy,
     LinearLaws,
     closed_loop,
-    lag_windows,
     lift,
     loop_rows,
 )
@@ -61,7 +64,9 @@ class DetectionSeries:
     the log likelihood ratio after k+1 steps; ``r_n`` is the ratio of
     cumulative weighted residual energies, carried as NaN wherever its
     denominator is zero (flagged, never infinite). The scalar accessors
-    apply to a single seed's series.
+    apply to a single seed's series. In a batch from
+    :func:`detect_ensemble` the two log-determinant fields are one
+    read-only row that every seed shares.
     """
 
     step_log_ratio: np.ndarray
@@ -92,9 +97,13 @@ class DetectionSeries:
         return float(self.cum_log_l[n - 1])
 
 
+# Entries of the banded operator: at most 64 x 64, the bound the simulator's
+# block operator T keeps, far below the size at which OpenBLAS starts threads.
+_BAND_ENTRIES = 64 * 64
+
 # Seeds per slice of detect_ensemble, chosen so that each of its temporaries
-# (the lag windows, (seeds, steps, (L+1) N), and the stacked residuals,
-# (seeds, steps, K N)) stays near this many doubles.
+# (the padded path, (seeds, steps, N), and the banded product, (seeds,
+# steps, K N) with K the stacked blocks) stays near this many doubles.
 _SLICE_DOUBLES = 3 << 14
 
 
@@ -114,16 +123,26 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
     residual, and its whitened residual (the inverse Cholesky factor of its
     covariance times the residual, whose squared norm is the quadratic
     form), is a fixed linear map of the lag window (x_{t-L}, ..., x_t) less
-    a shift (:func:`_residual_operator`). All of them come from one stacked
-    matrix-vector product per window, for a slice of seeds at a time, and
-    the prefix sums of all four per-step series of the whole batch from one
-    compensated pass. Every seed's result is therefore the same alone or
-    in any batch.
+    a shift (:func:`_residual_operator`). A block of B consecutive windows
+    is one stretch of L + B states of the path, so the stacked maps of B
+    steps are one banded operator (:func:`_banded_operator`), applied by
+    one matrix-vector product per block to an overlapping view of the
+    path, for a slice of seeds at a time (:func:`_block_energies`); the
+    prefix sums of each per-step series of the whole batch come from one
+    compensated pass. The log-determinant increment is one constant, so
+    both its columns are one row that every seed shares. Every seed's
+    result is therefore the same alone or in any batch.
+
+    Raises ``ValueError`` naming the seed row and the step of the first
+    non-finite state.
     """
     states = np.asarray(states, dtype=float)
     n_seeds, n = states.shape[0], states.shape[1] - 1
     if n < 1:
         raise ValueError("trajectory must contain at least one step")
+    if not np.isfinite(states).all():
+        row, step = np.argwhere(~np.isfinite(states).all(axis=-1))[0]
+        raise ValueError(f"state x_{step} of seed row {row} is not finite")
     n_agents = m.n_agents
     laws = lift(honest, None if corrupt is None or cfg is None else (cfg, corrupt), n_agents)
     h_cov, c_cov = conditional_covariances(m, laws)
@@ -134,34 +153,85 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
     const = -0.5 * n_agents * LOG_TWO_PI
     rows, shift, where = _residual_operator(m, laws, (h_cov, c_cov), n)
 
-    # steps[0..3]: step log ratio, s, s_breve, half logdet ratio
-    steps = np.empty((4, n_seeds, n))
+    # steps[0..2]: step log ratio, s, s_breve
+    steps = np.empty((3, n_seeds, n))
     dens = np.empty((2, n_seeds, n))
-    steps[3] = 0.5 * (ld_c - ld_h)
-    width = max(1, _SLICE_DOUBLES // (n * max(rows.shape)))
-    for lo in range(0, n_seeds, width):
-        x = states[lo:lo + width]
-        # the window ending at x_t, for t = 1..n
-        z = matvec(rows, lag_windows(x, laws.lags + 1)[:, 1:])
-        if shift is not None:
-            z -= shift
-        z = z.reshape(len(x), n, -1, n_agents)
-        energy = np.einsum("stbn,stbn->bst", z, z)
-        steps[1, lo:lo + width] = energy[where[0]] / lam_min_h
-        dens[0, lo:lo + width] = const - 0.5 * ld_h - 0.5 * energy[where[1]]
-        steps[2, lo:lo + width] = energy[where[2]] / lam_max_c
-        dens[1, lo:lo + width] = const - 0.5 * ld_c - 0.5 * energy[where[3]]
+    for lo, energy in _block_energies(states, rows, shift, laws.lags, n_agents):
+        hi = lo + energy.shape[1]
+        steps[1, lo:hi] = energy[where[0]] / lam_min_h
+        dens[0, lo:hi] = const - 0.5 * ld_h - 0.5 * energy[where[1]]
+        steps[2, lo:hi] = energy[where[2]] / lam_max_c
+        dens[1, lo:hi] = const - 0.5 * ld_c - 0.5 * energy[where[3]]
     np.subtract(dens[0], dens[1], out=steps[0])
 
-    cum_log_l, cum_s, cum_s_breve, cum_logdet = kahan_cumsum(steps)
+    # one compensated pass per series, so that its two (seeds, steps)
+    # temporaries are a third of what one pass over the stack would hold
+    cum_log_l, cum_s, cum_s_breve = map(compensated_cumsum, steps)
+    half_logdet = np.full(n, 0.5 * (ld_c - ld_h))
+    cum_logdet = np.broadcast_to(compensated_cumsum(half_logdet), (n_seeds, n))
     r_defined = cum_s_breve > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         r_n = np.where(r_defined, cum_s / np.where(r_defined, cum_s_breve, 1.0), np.nan)
     return DetectionSeries(step_log_ratio=steps[0], honest_logdens=dens[0],
                            corrupt_logdens=dens[1], s=steps[1], s_breve=steps[2],
-                           half_logdet_ratio=steps[3], cum_log_l=cum_log_l, cum_s=cum_s,
+                           half_logdet_ratio=np.broadcast_to(half_logdet, (n_seeds, n)),
+                           cum_log_l=cum_log_l, cum_s=cum_s,
                            cum_s_breve=cum_s_breve, cum_logdet_ratio=cum_logdet,
                            r_n=r_n, r_defined=r_defined)
+
+
+def _block_energies(states: np.ndarray, rows: np.ndarray, shift: np.ndarray | None,
+                    lags: int, n_agents: int):
+    """Squared norms of the stacked residual blocks of every seed and step.
+
+    Yields, per slice of seeds, the row of its first seed and an array
+    (K, seeds, n) whose entry (k, i, t) is the squared norm of block k of
+    ``rows`` times the lag window of seed i's step t, less ``shift``. The
+    path is padded with L - 1 zero states before x_0 and with zeros after
+    x_n up to whole blocks of B steps, so that block j of the path is the
+    stretch of L + B states from x_{jB-L+1} to x_{jB+B}, a view at stride
+    B N; one matrix-vector product of the banded operator per block gives
+    its B steps, and the padded steps are dropped.
+    """
+    n_seeds, n = states.shape[0], states.shape[1] - 1
+    band, block = _banded_operator(rows, n_agents, lags)
+    n_blocks = -(-n // block)
+    width = max(1, _SLICE_DOUBLES // (n * len(rows)))
+    padded = np.zeros((min(width, n_seeds), n_blocks * block + lags, n_agents))
+    view = as_strided(padded, (len(padded), n_blocks, band.shape[1]),
+                      (padded.strides[0], block * padded.strides[1], padded.strides[2]))
+    for lo in range(0, n_seeds, width):
+        x = states[lo:lo + width]
+        padded[:len(x), lags - 1:lags + n] = x
+        z = matvec(band, view[:len(x)]).reshape(len(x), n_blocks * block, -1)
+        if shift is not None:
+            z[:, :n] -= shift
+        z = z.reshape(len(x), n_blocks * block, -1, n_agents)
+        energy = np.einsum("stbn,stbn->bst", z, z)[..., :n]
+        del z  # so that no two slices' products are alive at once
+        yield lo, energy
+
+
+def _banded_operator(rows: np.ndarray, n_agents: int, lags: int) -> tuple[np.ndarray, int]:
+    """The stacked ``rows`` of B consecutive steps as one operator, and B.
+
+    ``rows`` (K N, (L+1) N) maps the lag window of one step to its stacked
+    residuals. The windows of steps t..t+B-1 are overlapping stretches of
+    the L + B states from x_{t-L+1} to x_{t+B}, so the operator
+    (B K N, (L+B) N) holds ``rows`` B times down its block diagonal, each
+    copy N columns right of the one above. B is the largest block count,
+    at least 1, whose operator has at most ``_BAND_ENTRIES`` entries: the
+    largest B with B (L+B) <= _BAND_ENTRIES // (K N N).
+    """
+    cells = _BAND_ENTRIES // (len(rows) * n_agents)
+    block = max(1, (math.isqrt(lags * lags + 4 * cells) - lags) // 2)
+    band = np.zeros((block * len(rows), (lags + block) * n_agents))
+    # copy j of rows: band[j K N:(j+1) K N, j N:(j+L+1) N]
+    diagonal = as_strided(band, (block,) + rows.shape,
+                          (len(rows) * band.strides[0] + n_agents * band.strides[1],)
+                          + band.strides)
+    diagonal[...] = rows
+    return band, block
 
 
 def _residual_operator(m: CpsModel, laws: LinearLaws, covs: tuple, n: int):

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .numerics import (
-    DEFAULT_DIM_CAP,
+    DIM_CAP,
     DiagonalPsd,
     Dirac,
     GaussianLaw,
@@ -109,9 +109,9 @@ def validate_model(m: CpsModel) -> list[Violation]:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         return [Violation("model.n_agents", "BadAgentCount",
                           f"n_agents must be a positive integer, got {n!r}")]
-    if n > DEFAULT_DIM_CAP:
+    if n > DIM_CAP:
         issues.append(Violation("model.n_agents", "DimCap",
-                                f"n_agents {n} exceeds the configured cap {DEFAULT_DIM_CAP}"))
+                                f"n_agents {n} exceeds the fixed limit {DIM_CAP}"))
 
     issues += check_arrays([("model.dynamics", m.dynamics, (n, n)),
                             ("model.actuator_gains", m.actuator_gains, (n,))])

@@ -33,7 +33,6 @@ from cps_sentinel.numerics import (
     SpdMatrix,
     _positive_diag,
     eig_extremes,
-    kahan_cumsum,
     logdet,
 )
 from cps_sentinel.policies import (
@@ -88,7 +87,7 @@ def detect_per_law(states, m, honest, corrupt, cfg) -> DetectionSeries:
                       np.sum(z_h * z_h, axis=-1) / eig_extremes(h_cov)[0],
                       np.sum(z_c * z_c, axis=-1) / eig_extremes(c_cov)[1],
                       np.full(z_h.shape[:-1], 0.5 * (logdet(c_cov) - logdet(h_cov)))])
-    cum_log_l, cum_s, cum_s_breve, cum_logdet = kahan_cumsum(steps)
+    cum_log_l, cum_s, cum_s_breve, cum_logdet = step_loop_sum2(steps)
     r_defined = cum_s_breve > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         r_n = np.where(r_defined, cum_s / cum_s_breve, np.nan)
@@ -97,6 +96,28 @@ def detect_per_law(states, m, honest, corrupt, cfg) -> DetectionSeries:
                            half_logdet_ratio=steps[3], cum_log_l=cum_log_l, cum_s=cum_s,
                            cum_s_breve=cum_s_breve, cum_logdet_ratio=cum_logdet,
                            r_n=r_n, r_defined=r_defined)
+
+
+def step_loop_sum2(values) -> np.ndarray:
+    """Sum2 prefix sums along the last axis, one step at a time.
+
+    Ogita, Rump and Oishi's Sum2 as written in their paper: the running
+    sum p, Knuth's TwoSum error q of each step, and p plus the running sum
+    of the errors.
+    """
+    values = np.asarray(values, dtype=float)
+    out = np.empty_like(values)
+    p = values[..., 0].copy()
+    sigma = np.zeros(values.shape[:-1])
+    out[..., 0] = p + sigma
+    for i in range(1, values.shape[-1]):
+        x = values[..., i]
+        s = p + x
+        d = s - p
+        sigma = sigma + ((p - (s - d)) + (x - d))
+        p = s
+        out[..., i] = p + sigma
+    return out
 
 
 def quad_form_inv(v: Covariance, z) -> float:

@@ -1,4 +1,4 @@
-"""The no-regression verdict of ``scripts/bench_pairs.py`` on synthetic pairs."""
+"""The gain and no-regression verdicts of ``scripts/bench_pairs.py`` on synthetic pairs."""
 
 import importlib.util
 from pathlib import Path
@@ -66,3 +66,24 @@ def test_wins_and_ratio_are_kept():
     v = verdict(SPEED, TIGHT, [100.5, 99.5, 101.0, 100.0, 102.0])
     assert v["change_wins"] == "3/5"
     assert v["ratio_change_over_parent"] == pytest.approx(100.5 / 100.0)
+
+
+TEN = [98.0, 99.0, 99.0, 100.0, 100.0, 100.0, 100.0, 101.0, 101.0, 102.0]  # IQR 1.5
+
+
+@pytest.mark.parametrize("metric, change, shown", [
+    (SPEED, [103.0] * 10, True),                # every pair won, median +3 > IQR 1.5
+    (SPEED, [103.0] * 9 + [90.0], True),        # 9 of 10 pairs is enough
+    (SPEED, [103.0] * 8 + [90.0] * 2, False),   # 8 of 10 is not
+    (SPEED, [101.2] * 10, False),               # 9 of 10 pairs won, but gap 1.2 < IQR
+    (SPEED, [97.0] * 10, False),                # a regression wider than the IQR
+    (MEMORY, [97.0] * 10, True),                # lower is better
+    (MEMORY, [103.0] * 10, False),              # a memory regression wider than the IQR
+])
+def test_a_gain_needs_nine_wins_in_ten_and_a_median_gap_wider_than_the_parent_iqr(
+        metric, change, shown):
+    v = verdict(metric, TEN, change)
+    assert v["parent"]["q3"] - v["parent"]["q1"] == 1.5
+    assert v["gain_shown"] is shown
+    # the gap alone has no direction
+    assert v["median_gap_over_parent_iqr"] is (abs(v["change"]["median"] - 100.0) > 1.5)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cps_sentinel import detection
 from cps_sentinel.detection import detect_ensemble, rn_series
 from cps_sentinel.model import AttackConfig, CpsModel
 from cps_sentinel import simulator
@@ -126,6 +127,72 @@ def test_an_overflowing_seed_fails_alone_with_its_own_message():
             assert ens.error(i) is None
             alone = simulate(m, honest, attack, 318, seed)
             assert np.array_equal(ens.states[i], alone.states)
+
+
+def test_a_non_finite_state_is_an_error_naming_its_seed_row_and_step():
+    m, honest, attack = CASES["linear-replacement"]
+    states = simulate_ensemble(m, honest, attack, 12, [1, 2, 3]).states.copy()
+    for bad in (math.nan, math.inf, -math.inf):
+        x = states.copy()
+        x[1, 7, 2] = bad
+        x[2, 3, 0] = bad
+        with pytest.raises(ValueError, match=r"^state x_7 of seed row 1 is not finite$"):
+            detect_ensemble(x, m, honest, attack[1], attack[0])
+
+
+def detection_block(m, honest, attack, horizon):
+    """B of the detector: the largest block count, at least 1, whose operator has at most
+    64 x 64 entries, B K N rows by (L + B) N columns."""
+    laws = lift(honest, attack, m.n_agents)
+    covs = conditional_covariances(m, laws)
+    stacked = len(detection._residual_operator(m, laws, covs, horizon)[0])
+    n = m.n_agents
+    return max([b for b in range(1, 4097) if b * stacked * (laws.lags + b) * n <= 64 * 64],
+               default=1)
+
+
+LAGS = 60
+BAND_CASES = {
+    **CASES,
+    # a window far longer than its block and than the first horizons
+    "long-window-mimic": (chain(2), HistoryWindow((-0.2 * np.eye(2),)
+                                                  + (0.002 * np.eye(2),) * (LAGS - 1)),
+                          (AttackConfig((2,)), Mimic(DiagonalPsd([0.3])))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAND_CASES))
+def test_horizons_around_the_band_block_keep_each_seed_alone_and_in_any_batch(case):
+    from oracles import detect_per_law
+    m, honest, attack = BAND_CASES[case]
+    corrupt, cfg = (attack[1], attack[0]) if attack else (None, None)
+    # the FDI schedules start at 0, so over their first step alone the laws'
+    # blocks merge; over all 40 steps they do not
+    block = detection_block(m, honest, attack, 40)
+    laws = lift(honest, attack, m.n_agents)
+    stable = closed_loop(m.dynamics, m.actuator_gains, laws.corrupt_gains)[1]
+    if case == "long-window-mimic":
+        assert 1 < block < LAGS
+    fdi = attack[1].offsets if attack is not None and isinstance(attack[1], Fdi) else None
+    seeds = [5, 1 << 40, 77, 12345]
+    for horizon in sorted({1, max(1, block - 1), block, block + 1, 7 * block + 3}):
+        if fdi is not None and fdi.ndim == 2 and len(fdi) < horizon:
+            continue  # the schedule ends first; simulate_ensemble refuses the horizon
+        ens = simulate_ensemble(m, honest, attack, horizon, seeds)
+        whole = detect_ensemble(ens.states, m, honest, corrupt, cfg)
+        chunk = detect_ensemble(ens.states[1:3], m, honest, corrupt, cfg)
+        for i in range(len(seeds)):
+            assert_series_equal(whole.row(i), detect_ensemble(ens.states[i:i + 1], m, honest,
+                                                              corrupt, cfg).row(0))
+        for k in range(2):
+            assert_series_equal(whole.row(k + 1), chunk.row(k))
+        if not stable:
+            continue  # growing states leave the residuals only as exact as |x| allows
+        want = detect_per_law(ens.states, m, honest, corrupt, cfg)
+        for name in ("honest_logdens", "corrupt_logdens", "s", "s_breve", "cum_s",
+                     "cum_s_breve"):
+            np.testing.assert_allclose(getattr(whole, name), getattr(want, name), rtol=1e-12,
+                                       atol=0.0, err_msg=f"{name} at horizon {horizon}")
 
 
 def lag_stacked_loop(m, honest, attack, horizon, seed):

@@ -41,6 +41,15 @@ class TestValidateModel:
         assert any(v.code == "DimMismatch" and v.path == "model.dynamics"
                    for v in issues)
 
+    def test_too_many_agents_name_the_fixed_limit(self):
+        n = 33
+        m = CpsModel(n_agents=n, dynamics=0.5 * np.eye(n), actuator_gains=np.ones(n),
+                     process_noise=np.eye(n), excitation=np.ones(n),
+                     initial_law=Dirac(np.zeros(n)))
+        caps = [v for v in validate_model(m) if v.code == "DimCap"]
+        assert [(v.path, v.message) for v in caps] == [
+            ("model.n_agents", "n_agents 33 exceeds the fixed limit 32")]
+
     def test_negative_excitation_reported(self):
         m = two_agent_model(np.eye(2), excitation=(1.0, -0.5))
         assert any(v.code == "NegativeEntry" for v in validate_model(m))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,19 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cps_sentinel.numerics import (
+    DIM_CAP,
     DiagonalPsd,
     GaussianLaw,
     NotPositiveDefinite,
     NotSymmetric,
+    as_square_matrix,
+    compensated_cumsum,
     eig_extremes,
-    kahan_cumsum,
     logdet,
     make_spd,
     matvec,
     sample_gaussian,
     split_seed,
 )
-from oracles import log_gaussian_density, quad_form_inv
+from oracles import log_gaussian_density, quad_form_inv, step_loop_sum2
 
 
 def det_cofactor(a):
@@ -205,18 +208,30 @@ class TestSampleGaussian:
         assert np.array_equal(rng1.standard_normal(4), rng2.standard_normal(4))
 
 
+EPS = Fraction(1, 2 ** 53)
+
+
+def sum2_bound(prefix: list, exact: Fraction) -> Fraction:
+    """Sum2's error bound on a prefix: eps |s| + gamma_{n-1}^2 sum |x|."""
+    k = len(prefix) - 1
+    gamma = k * EPS / (1 - k * EPS)
+    return EPS * abs(exact) + gamma * gamma * sum(abs(Fraction(v)) for v in prefix)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False),
                 min_size=1, max_size=40))
-def test_kahan_cumsum_matches_fsum(values):
-    out = kahan_cumsum(values)
-    for i in range(len(values)):
-        assert out[i] == pytest.approx(math.fsum(values[: i + 1]), abs=1e-9)
+def test_compensated_cumsum_within_the_sum2_bound(values):
+    out = compensated_cumsum(values)
+    exact = Fraction(0)
+    for i, v in enumerate(values):
+        exact += Fraction(v)
+        assert abs(Fraction(out[i]) - exact) <= sum2_bound(values[:i + 1], exact)
 
 
 def step_loop_kahan(values):
-    """Test-only oracle: compensated prefix sums one step at a time, on the input's layout."""
+    """Kahan's compensated prefix sums, one step at a time."""
     values = np.asarray(values, dtype=float)
     out = np.empty_like(values)
     total = np.zeros(values.shape[:-1])
@@ -230,18 +245,39 @@ def step_loop_kahan(values):
     return out
 
 
-@pytest.mark.parametrize("shape", [(1,), (7,), (3, 1), (2, 5, 9), (4, 40, 500)])
-def test_kahan_cumsum_is_the_step_loop_bit_for_bit(shape):
+def test_an_ill_conditioned_sum_is_the_rounded_exact_prefix_where_kahan_is_not():
+    values = [1.0, 1e100, 1.0, -1e100]
+    exact = [float(sum(map(Fraction, values[:i + 1]))) for i in range(len(values))]
+    assert compensated_cumsum(values).tolist() == exact == [1.0, 1e100, 1e100, 2.0]
+    # Kahan loses the first 1.0 inside 1e100 and ends at 0.0
+    assert step_loop_kahan(values).tolist()[-1] == 0.0
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 1), (2, 5, 9), (4, 40, 500), (3, 7),
+                                   (3, 5, 2)])
+def test_compensated_cumsum_is_the_step_loop_bit_for_bit(shape):
     rng = np.random.default_rng(31)
     values = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
     values.reshape(-1)[::7] = -0.0
-    out = kahan_cumsum(values)
+    given_values = values.copy()
+    out = compensated_cumsum(values)
     assert out.shape == values.shape
-    assert (out.view(np.int64) == step_loop_kahan(values).view(np.int64)).all()
+    assert (out.view(np.int64) == step_loop_sum2(values).view(np.int64)).all()
+    assert (values.view(np.int64) == given_values.view(np.int64)).all()
     # a strided view of the same numbers sums alike
     wide = np.zeros(shape[:-1] + (2 * shape[-1],))
     wide[..., ::2] = values
-    assert (kahan_cumsum(wide[..., ::2]).view(np.int64) == out.view(np.int64)).all()
+    assert (compensated_cumsum(wide[..., ::2]).view(np.int64) == out.view(np.int64)).all()
+    # and so does each series alone
+    for k in np.ndindex(shape[:-1]):
+        assert (compensated_cumsum(values[k]).view(np.int64) == out[k].view(np.int64)).all()
+
+
+def test_the_dimension_limit_is_fixed_and_named():
+    assert DIM_CAP == 32
+    as_square_matrix(np.eye(32))
+    with pytest.raises(ValueError, match=r"^dimension 33 exceeds the fixed limit 32$"):
+        as_square_matrix(np.eye(33))
 
 
 @pytest.mark.parametrize("n", [1, 2, 16])
