@@ -6,11 +6,17 @@ block ``standard_normal((horizon, 2N + M))``: per step the excitation (N
 values), any mimic self-excitation (M values, M = number of attacked
 channels), then the process noise (N values). That is the order a
 step-by-step draw would take, and every seed reproduces bit for bit however
-many seeds run beside it. The normals then become the drive in a few
-passes over the whole contiguous block, each broadcasting one row of
-values (or one row per step, for an FDI schedule): the laws' scales, their
-means, the corrupt offset, the actuator gains, with the arithmetic a
-step-by-step draw would do. Batches derive disjoint streams with
+many seeds run beside it. Each block is drawn into one reused buffer
+(a dense noise law's Cholesky factor is applied there, on the interleaved
+columns, as :func:`cps_sentinel.numerics.sample_gaussian` does) and copied
+transposed into column planes, one contiguous (seeds, steps) array per
+column. The normals then become the drive in a few passes over whole
+planes: the laws' scales, their means, the admitted excitation, the
+corrupt offset (one value per plane, or one per step for an FDI
+schedule), the actuator gains, and w + b (e + offset), with the
+arithmetic a step-by-step draw would do. One copy writes the drive back
+as (seeds, steps, N) into the slots of the states it forces.
+Batches derive disjoint streams with
 :func:`cps_sentinel.numerics.split_seed`.
 
 Every scenario is a linear closed loop on the lag window
@@ -132,9 +138,9 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
                       horizon: int, seeds, *, keep_controls: bool = False) -> Ensemble:
     """Simulate ``horizon`` steps of the closed loop for every seed at once.
 
-    Each seed's noise block is turned into the drive of every step in
-    place (see the module docstring), then the states advance in blocks of
-    steps. ``keep_controls`` keeps the controls and excitations of every
+    Each seed's noise block is turned into the drive of every step on
+    column planes (see the module docstring), then the states advance in
+    blocks of steps. ``keep_controls`` keeps the controls and excitations of every
     step; detection needs only the states. A run whose state overflows is marked
     in ``failed_at`` at its own first bad step, and the other runs go on.
     States are never clamped, since clamping would corrupt every
@@ -149,47 +155,46 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
     k = 0 if own_law is None else own_law.dim
     b = m.actuator_gains
 
+    # each seed's block [excitation | mimic own | process noise] goes
+    # through one reused buffer into a (seeds, steps) plane per column
+    parts = [m.excitation_law] + ([] if own_law is None else [own_law]) + [m.noise_law]
+    dense = not isinstance(m.noise_law.cov, DiagonalPsd)
     initial = np.empty((n_seeds, n))
-    noise = np.empty((n_seeds, horizon, 2 * n + k))
+    planes = np.empty((2 * n + k, n_seeds, horizon))
+    buffer = np.empty((horizon, 2 * n + k))
     init = m.initial_law
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         initial[i] = init.point if isinstance(init, Dirac) else sample_gaussian(rng, init)
-        rng.standard_normal(out=noise[i])
-    excitations, drive = noise[..., :n], noise[..., n + k:]
+        rng.standard_normal(out=buffer)
+        if dense:
+            buffer[:, n + k:] = matvec(m.noise_law.cov.chol, buffer[:, n + k:])
+        planes[:, i] = buffer.T
+    del buffer
+    excitations, own, w = planes[:n], planes[n:n + k], planes[n + k:]
 
-    # each pass broadcasts one row of values over the whole contiguous block
-    # [excitation | mimic own | process noise]: first the diagonal laws'
-    # scales (1 on a dense noise law, whose factor follows, as in
-    # sample_gaussian), then the means
-    parts = [m.excitation_law] + ([] if own_law is None else [own_law]) + [m.noise_law]
-    noise *= np.concatenate([
-        np.sqrt(law.cov.diag) if isinstance(law.cov, DiagonalPsd) else np.ones(law.dim)
-        for law in parts])
-    if not isinstance(m.noise_law.cov, DiagonalPsd):
-        drive[...] = matvec(m.noise_law.cov.chol, drive)
-    noise += np.concatenate([law.mean for law in parts])
+    # the diagonal laws' scales, then every law's means
+    scales = np.concatenate([np.sqrt(law.cov.diag) for law in parts[:len(parts) - dense]])
+    planes[:len(scales)] *= scales[:, None, None]
+    planes += np.concatenate([law.mean for law in parts])[:, None, None]
 
-    # d_t = diag(b) (corrupt offset + admitted excitation) + w_t,
-    # built in place over the excitations and the process noise. The offset
-    # row adds a zero of either sign to the other columns, and to every
-    # column of a law with no offset; diag(b) multiplies the other columns
-    # by 1.0. Both leave those entries as they are, since after the means
-    # no entry is -0.0, and the mimic's own columns are not read again once
-    # admitted.
-    drawn = excitations.copy() if keep_controls else None
-    admit_excitation(laws, excitations, None if own_law is None else noise[..., n:n + k])
-    controls = excitations.copy() if keep_controls else None
-    noise += np.pad(np.atleast_2d(laws.corrupt_offsets(horizon)), ((0, 0), (0, n + k)))
-    noise *= np.concatenate([b, np.ones(n + k)])
-    drive += excitations
+    # d_t = diag(b) (corrupt offset + admitted excitation) + w_t, built in
+    # place over the excitation and process-noise planes
+    drawn = excitations.transpose(1, 2, 0).copy() if keep_controls else None
+    admit_excitation(laws, excitations.transpose(1, 2, 0),
+                     None if own_law is None else own.transpose(1, 2, 0))
+    controls = excitations.transpose(1, 2, 0).copy() if keep_controls else None
+    excitations += np.atleast_2d(laws.corrupt_offsets(horizon)).T[:, None, :]
+    excitations *= b[:, None, None]
+    w += excitations
 
     # path holds L - 1 zero states before x_0, so every block starts from
-    # the lag window path[:, lo:lo + L] (lags before x_0 are dropped); it is
-    # made only now, so that no (seeds, steps, agents) temporary of the
-    # noise scaling coexists with it
+    # the lag window path[:, lo:lo + L] (lags before x_0 are dropped); the
+    # slot of x_{t+1} holds the drive d_t until its block overwrites it
     lags = laws.lags
     path = np.zeros((n_seeds, lags + horizon, n))
+    path[:, lags:] = w.transpose(1, 2, 0)
+    del planes, excitations, own, w
     states = path[:, lags - 1:]
     states[:, 0] = initial
     f, stable = closed_loop(m.dynamics, b, laws.corrupt_gains)
@@ -200,9 +205,8 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
             hi = min(lo + steps, horizon)
             rows = (hi - lo) * n
             window = path[:, lo:lo + lags].reshape(n_seeds, lags * n)
-            forced = matvec(t[:rows, :rows], drive[:, lo:hi].reshape(n_seeds, rows))
-            states[:, lo + 1:hi + 1] = (matvec(p[:rows], window)
-                                        + forced).reshape(n_seeds, hi - lo, n)
+            forced = path[:, lags + lo:lags + hi].reshape(n_seeds, rows)
+            forced[...] = matvec(p[:rows], window) + matvec(t[:rows, :rows], forced)
         # a state is bad when its entries do not sum to a finite number
         bad = ~np.isfinite(np.einsum("stn->st", states[:, 1:]))
         if controls is not None:
