@@ -30,9 +30,13 @@ x_{lo+1..lo+B} = P z_lo + T d_{lo..lo+B-1}, where P stacks the bottom rows
 of F^1..F^B and T is block lower-triangular Toeplitz in the bottom-right
 blocks of F^0..F^(B-1). B = max(1, 64 // N), so
 no contraction reaches OpenBLAS's threading size, and B = 1 when F is not
-stable, since its powers would amplify roundoff. Both contractions go
-through :func:`cps_sentinel.numerics.matvec`, so a row's bits never depend
-on the batch; :func:`simulate` is the same engine with a single seed.
+stable, since its powers would amplify roundoff. B is fixed by N alone,
+never by the horizon: the last block is padded with zero drive and takes
+the same full P and T, so every block is the same product and a run's
+states are bit for bit the first steps of any longer run of its seed.
+Both contractions go through :func:`cps_sentinel.numerics.matvec`, so a
+row's bits never depend on the batch; :func:`simulate` is the same engine
+with a single seed.
 """
 
 from __future__ import annotations
@@ -190,23 +194,22 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
 
     # path holds L - 1 zero states before x_0, so every block starts from
     # the lag window path[:, lo:lo + L] (lags before x_0 are dropped); the
-    # slot of x_{t+1} holds the drive d_t until its block overwrites it
-    lags = laws.lags
-    path = np.zeros((n_seeds, lags + horizon, n))
-    path[:, lags:] = w.transpose(1, 2, 0)
-    del planes, excitations, own, w
-    states = path[:, lags - 1:]
-    states[:, 0] = initial
+    # slot of x_{t+1} holds the drive d_t until its block overwrites it, and
+    # zero drive pads the last block to B steps
     f, stable = closed_loop(m.dynamics, b, laws.corrupt_gains)
     steps = max(1, _BLOCK_ROWS // n) if stable else 1
-    p, t = _block_operators(f, n, min(steps, horizon))
+    p, t = _block_operators(f, n, steps)
+    lags = laws.lags
+    path = np.zeros((n_seeds, lags + -(-horizon // steps) * steps, n))
+    path[:, lags:lags + horizon] = w.transpose(1, 2, 0)
+    del planes, excitations, own, w
+    states = path[:, lags - 1:lags + horizon]
+    states[:, 0] = initial
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, horizon, steps):
-            hi = min(lo + steps, horizon)
-            rows = (hi - lo) * n
             window = path[:, lo:lo + lags].reshape(n_seeds, lags * n)
-            forced = path[:, lags + lo:lags + hi].reshape(n_seeds, rows)
-            forced[...] = matvec(p[:rows], window) + matvec(t[:rows, :rows], forced)
+            forced = path[:, lags + lo:lags + lo + steps].reshape(n_seeds, steps * n)
+            forced[...] = matvec(p, window) + matvec(t, forced)
         # a state is bad when its entries do not sum to a finite number
         bad = ~np.isfinite(np.einsum("stn->st", states[:, 1:]))
         if controls is not None:

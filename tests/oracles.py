@@ -12,7 +12,9 @@ arithmetic.
 :func:`log_gaussian_density` (with :func:`quad_form_inv`) evaluates one
 Gaussian density by triangular solves, :func:`joint_log_density_oracle`
 a whole honest path as one big Gaussian, and :func:`det_ratio_bound` the
-running determinant-ratio product of a series.
+running determinant-ratio product of a series. :func:`step_drive` turns one
+seed's drawn normals into its excitations, controls and drive one entry at
+a time.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ from cps_sentinel.numerics import (
     _positive_diag,
     eig_extremes,
     logdet,
+    matvec,
 )
 from cps_sentinel.policies import (
     Affine,
     HonestPolicy,
     LinearFeedback,
+    LinearLaws,
     Zero,
     control_means,
     lift,
@@ -118,6 +122,52 @@ def step_loop_sum2(values) -> np.ndarray:
         p = s
         out[..., i] = p + sigma
     return out
+
+
+def step_drive(m: CpsModel, laws: LinearLaws, block, means):
+    """One seed's excitations, controls and drive, entry by entry.
+
+    ``block`` is the seed's (n, 2N + M) standard normals, step by step the
+    excitation, the mimic's own excitation and the process noise; ``means``
+    holds the corrupt control mean of every step. Each entry is a Python
+    float: e = z sqrt(v) + mean for a diagonal law; the admitted excitation
+    a is e, or the mimic's own on an attacked channel that loses its own,
+    or 0; the control is a plus its mean, and the drive
+    d = w + b (a + corrupt offset). Only a dense process noise goes through
+    its Cholesky factor with :func:`matvec`, one step at a time, since that
+    kernel's sum order is the sampler's contract. Returns the (n, N) arrays
+    of drawn excitations, controls and drives.
+    """
+    n = m.n_agents
+    k = 0 if laws.own is None else laws.own.dim
+    b = m.actuator_gains.tolist()
+    mal = laws.mal.tolist()
+    laws_by_column = [m.excitation_law] + ([GaussianLaw(np.zeros(k), laws.own)] if k else [])
+    scales = [math.sqrt(v) for law in laws_by_column for v in law.cov.diag.tolist()]
+    shifts = [v for law in laws_by_column for v in law.mean.tolist()]
+    noise = m.noise_law
+    dense = not isinstance(noise.cov, DiagonalPsd)
+    noise_scales = None if dense else [math.sqrt(v) for v in noise.cov.diag.tolist()]
+    noise_shifts = noise.mean.tolist()
+    offsets = laws.corrupt_offsets(len(block))
+    means = np.asarray(means, dtype=float).tolist()
+    excitations, controls, drives = [], [], []
+    for t, z in enumerate(np.asarray(block, dtype=float).tolist()):
+        e = [z[j] * scales[j] + shifts[j] for j in range(n + k)]
+        if dense:
+            w = [v + noise_shifts[j]
+                 for j, v in enumerate(matvec(noise.cov.chol, np.array(z[n + k:])).tolist())]
+        else:
+            w = [z[n + k + j] * noise_scales[j] + noise_shifts[j] for j in range(n)]
+        a = e[:n]
+        if not laws.keep:
+            for i, j in enumerate(mal):
+                a[j] = e[n + i] if k else 0.0
+        offset = (offsets if offsets.ndim == 1 else offsets[t]).tolist()
+        excitations.append(e[:n])
+        controls.append([a[j] + means[t][j] for j in range(n)])
+        drives.append([w[j] + b[j] * (a[j] + offset[j]) for j in range(n)])
+    return np.array(excitations), np.array(controls), np.array(drives)
 
 
 def quad_form_inv(v: Covariance, z) -> float:

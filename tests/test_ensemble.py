@@ -28,6 +28,7 @@ from cps_sentinel.policies import (
     Replacement,
     Zero,
     closed_loop,
+    control_means,
     lift,
 )
 from cps_sentinel.simulator import (
@@ -322,6 +323,101 @@ def test_draw_order_is_excitation_then_mimic_then_noise():
     u0 = np.array([3.0 * z[0, 2], z[0, 1] * np.sqrt(m.excitation[1])])
     w0 = z[0, 3:] * np.array([0.5, 2.0])
     np.testing.assert_allclose(ens.states[0, 1], m.actuator_gains * u0 + w0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("case", sorted(BAND_CASES))
+def test_a_run_is_the_first_steps_of_any_longer_run(case):
+    # every block is B steps whatever the horizon, the last one padded
+    # with zero drive, so a short run takes the same products as a long one
+    m, honest, attack = BAND_CASES[case]
+    laws = lift(honest, attack, m.n_agents)
+    stable = closed_loop(m.dynamics, m.actuator_gains, laws.corrupt_gains)[1]
+    block = max(1, 64 // m.n_agents) if stable else 1
+    longest = 9 * block
+    if laws.corrupt_offset.ndim == 2:
+        longest = min(longest, len(laws.corrupt_offset))  # the schedule ends first
+    seeds = [5, 1 << 40, 77, 12345]
+    whole = simulate_ensemble(m, honest, attack, longest, seeds, keep_controls=True)
+    for horizon in sorted({1, max(1, block - 1), block, block + 1, 7 * block + 3}):
+        if horizon > longest:
+            continue
+        ens = simulate_ensemble(m, honest, attack, horizon, seeds, keep_controls=True)
+        assert same_bits(ens.states, whole.states[:, :horizon + 1]), horizon
+        assert same_bits(ens.controls, whole.controls[:, :horizon]), horizon
+        assert same_bits(ens.excitations, whole.excitations[:, :horizon]), horizon
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def drive_scenarios(draw):
+    """A model on 1-6 agents, an affine honest law, any attack, a horizon.
+
+    Excitation and process-noise variances may be zero; the noise law is
+    dense or diagonal, the initial law a point or a Gaussian. On a zero
+    loop (zero dynamics and control gains) F = 0, so every state after x_0
+    is the drive of the step before it, bit for bit.
+    """
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zero_loop = draw(st.booleans())
+    mal = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=n)))
+    kind = draw(st.sampled_from(["none", "fdi", "fdi-schedule", "dos", "constant",
+                                 "scaled_state", "sign_flip", "mimic"]))
+    horizon = draw(st.integers(1, 50))
+    excitation = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.1, 2.0, n))
+    if draw(st.booleans()):
+        noise = np.diag(np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.1, 2.0, n)))
+    else:
+        g = rng.standard_normal((n, n))
+        noise = g @ g.T + 0.1 * np.eye(n)
+    dynamics = np.zeros((n, n)) if zero_loop else 0.5 * np.eye(n) + 0.1 * np.eye(n, k=-1)
+    initial = (Dirac(rng.standard_normal(n)) if draw(st.booleans())
+               else GaussianLaw(rng.standard_normal(n), make_spd(np.eye(n) + 0.2)))
+    m = CpsModel(n_agents=n, dynamics=dynamics,
+                 actuator_gains=np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.5, 2.0, n)),
+                 process_noise=noise, excitation=excitation, initial_law=initial)
+    honest = Affine(np.zeros((n, n)) if zero_loop else -0.2 * np.eye(n), rng.standard_normal(n))
+    count = len(mal)
+    corrupt = {
+        "none": None,
+        "fdi": lambda: Fdi(rng.standard_normal(count)),
+        "fdi-schedule": lambda: Fdi(rng.standard_normal((horizon + 3, count))),
+        "dos": DoS,
+        "constant": lambda: Replacement.constant(rng.standard_normal(count)),
+        "scaled_state": lambda: Replacement.scaled_state(
+            np.zeros(count) if zero_loop else rng.uniform(-0.3, 0.3, count)),
+        "sign_flip": Replacement.sign_flip,
+        "mimic": lambda: Mimic(DiagonalPsd(np.where(rng.random(count) < 0.2, 0.0,
+                                                    rng.uniform(0.1, 1.0, count)))),
+    }[kind]
+    attack = None if corrupt is None else (AttackConfig(tuple(mal)), corrupt())
+    return m, honest, attack, horizon, zero_loop
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenario=drive_scenarios(),
+       seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4))
+def test_the_plane_drive_matches_a_per_step_oracle_bit_for_bit(scenario, seeds):
+    from oracles import step_drive
+    m, honest, attack, horizon, zero_loop = scenario
+    laws = lift(honest, attack, m.n_agents)
+    k = 0 if laws.own is None else laws.own.dim
+    ens = simulate_ensemble(m, honest, attack, horizon, seeds, keep_controls=True)
+    for i, seed in enumerate(seeds):
+        # the seed contract: the initial state's normals first, then the block
+        rng = np.random.default_rng(seed)
+        if not isinstance(m.initial_law, Dirac):
+            rng.standard_normal(m.n_agents)
+        block = rng.standard_normal((horizon, 2 * m.n_agents + k))
+        means = control_means(laws, ens.states[i, :-1])[1]
+        excitations, controls, drive = step_drive(m, laws, block, means)
+        assert same_bits(ens.excitations[i], excitations)
+        assert same_bits(ens.controls[i], controls)
+        if zero_loop:
+            assert same_bits(ens.states[i, 1:], drive)
 
 
 def test_trajectory_needs_kept_controls():
