@@ -177,8 +177,10 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
     del buffer
     excitations, own, w = planes[:n], planes[n:n + k], planes[n + k:]
 
-    # the diagonal laws' scales, then every law's means
-    scales = np.concatenate([np.sqrt(law.cov.diag) for law in parts[:len(parts) - dense]])
+    # the diagonal laws' scales (the noise law comes last, and a dense one
+    # was factored in the draw loop), then every law's means
+    scales = np.concatenate([np.sqrt(law.cov.diag) for law in parts
+                             if isinstance(law.cov, DiagonalPsd)])
     planes[:len(scales)] *= scales[:, None, None]
     planes += np.concatenate([law.mean for law in parts])[:, None, None]
 
@@ -200,7 +202,8 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
     steps = max(1, _BLOCK_ROWS // n) if stable else 1
     p, t = _block_operators(f, n, steps)
     lags = laws.lags
-    path = np.zeros((n_seeds, lags + -(-horizon // steps) * steps, n))
+    padded = -(-horizon // steps) * steps
+    path = np.zeros((n_seeds, lags + padded, n))
     path[:, lags:lags + horizon] = w.transpose(1, 2, 0)
     del planes, excitations, own, w
     states = path[:, lags - 1:lags + horizon]
@@ -208,8 +211,8 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, horizon, steps):
             window = path[:, lo:lo + lags].reshape(n_seeds, lags * n)
-            forced = path[:, lags + lo:lags + lo + steps].reshape(n_seeds, steps * n)
-            forced[...] = matvec(p, window) + matvec(t, forced)
+            drive = path[:, lags + lo:lags + lo + steps].reshape(n_seeds, steps * n)
+            drive[...] = matvec(p, window) + matvec(t, drive)
         # a state is bad when its entries do not sum to a finite number
         bad = ~np.isfinite(np.einsum("stn->st", states[:, 1:]))
         if controls is not None:
