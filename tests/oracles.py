@@ -127,7 +127,7 @@ def step_loop_sum2(values) -> np.ndarray:
 def step_drive(m: CpsModel, laws: LinearLaws, block, means):
     """One seed's excitations, controls and drive, entry by entry.
 
-    ``block`` is the seed's (n, 2N + M) standard normals, step by step the
+    ``block`` is the seed's (horizon, 2N + M) standard normals, step by step the
     excitation, the mimic's own excitation and the process noise; ``means``
     holds the corrupt control mean of every step. Each entry is a Python
     float: e = z sqrt(v) + mean for a diagonal law; the admitted excitation
@@ -135,8 +135,8 @@ def step_drive(m: CpsModel, laws: LinearLaws, block, means):
     or 0; the control is a plus its mean, and the drive
     d = w + b (a + corrupt offset). Only a dense process noise goes through
     its Cholesky factor with :func:`matvec`, one step at a time, since that
-    kernel's sum order is the sampler's contract. Returns the (n, N) arrays
-    of drawn excitations, controls and drives.
+    kernel's sum order is the sampler's contract. Returns the (horizon, N)
+    arrays of drawn excitations, controls and drives.
     """
     n = m.n_agents
     k = 0 if laws.own is None else laws.own.dim
