@@ -37,7 +37,15 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .model import AttackConfig, CpsModel
-from .numerics import LOG_TWO_PI, compensated_cumsum, eig_extremes, logdet, matvec
+from .numerics import (
+    BAND_ENTRIES,
+    LOG_TWO_PI,
+    banded,
+    compensated_cumsum,
+    eig_extremes,
+    logdet,
+    matvec,
+)
 from .policies import (
     CorruptPolicy,
     HonestPolicy,
@@ -96,10 +104,6 @@ class DetectionSeries:
             raise ValueError(f"n must lie in [1, {self.horizon}], got {n}")
         return float(self.cum_log_l[n - 1])
 
-
-# Entries of the banded operator: at most 64 x 64, the bound the simulator's
-# block operator T keeps, far below the size at which OpenBLAS starts threads.
-_BAND_ENTRIES = 64 * 64
 
 # Seeds per slice of detect_ensemble, chosen so that each of its temporaries
 # (the padded path, (seeds, steps, N), and the banded product, (seeds,
@@ -220,18 +224,12 @@ def _banded_operator(rows: np.ndarray, n_agents: int, lags: int) -> tuple[np.nda
     the L + B states from x_{t-L+1} to x_{t+B}, so the operator
     (B K N, (L+B) N) holds ``rows`` B times down its block diagonal, each
     copy N columns right of the one above. B is the largest block count,
-    at least 1, whose operator has at most ``_BAND_ENTRIES`` entries: the
-    largest B with B (L+B) <= _BAND_ENTRIES // (K N N).
+    at least 1, whose operator has at most ``BAND_ENTRIES`` entries: the
+    largest B with B (L+B) <= BAND_ENTRIES // (K N N).
     """
-    cells = _BAND_ENTRIES // (len(rows) * n_agents)
+    cells = BAND_ENTRIES // (len(rows) * n_agents)
     block = max(1, (math.isqrt(lags * lags + 4 * cells) - lags) // 2)
-    band = np.zeros((block * len(rows), (lags + block) * n_agents))
-    # copy j of rows: band[j K N:(j+1) K N, j N:(j+L+1) N]
-    diagonal = as_strided(band, (block,) + rows.shape,
-                          (len(rows) * band.strides[0] + n_agents * band.strides[1],)
-                          + band.strides)
-    diagonal[...] = rows
-    return band, block
+    return banded(rows, n_agents, block), block
 
 
 def _residual_operator(m: CpsModel, laws: LinearLaws, covs: tuple, n: int):

@@ -561,8 +561,6 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
     drift = analytic_drift(k_h, k_c, s.mdp.initial)
     finals = np.empty(s.seed_count)
     out_path = _out_path(out_dir, s.outputs)
-    # line prefixes: entry t of a series follows prefixes[t]; a file ends in "\n"
-    prefixes = ["t,log_ratio\n0,"] + [f"\n{t}," for t in range(1, s.horizon + 1)]
     seeds = [split_seed(s.seed_base, i) for i in range(s.seed_count)]
     for rows, tiles in log_ratio_groups(s.mdp, s.corrupt_policy, k_h, k_c, s.horizon, seeds):
         with ExitStack() as stack:
@@ -570,7 +568,7 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
                      for i in rows] if out_path is not None else []
             lo = 0
             for series in tiles:
-                _append_log_ratio_lines(files, prefixes[lo:lo + series.shape[1]], series)
+                _append_log_ratio_lines(files, lo, series)
                 lo += series.shape[1]
             for fp in files:
                 fp.write("\n")
@@ -590,23 +588,25 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
     return summary
 
 
-def _append_log_ratio_lines(files: list, prefixes: list[str], series: np.ndarray) -> None:
-    """Append row k of ``series`` to ``files[k]``, each value after its prefix.
+def _append_log_ratio_lines(files: list, first: int, series: np.ndarray) -> None:
+    """Append row k of ``series`` to ``files[k]``, one ``t,value`` line per entry.
 
-    Every distinct value of the tile (bit pattern, so -0.0 and 0.0 keep
-    their own text) is formatted once, with ``repr``; no string outlives
-    the call.
+    The entries are steps ``first``, ``first`` + 1, ...; step 0 follows
+    the CSV header, and the caller ends each file with ``"\n"``. Every
+    distinct value of the tile (bit pattern, so -0.0 and 0.0 keep their own
+    text) is formatted once, with ``repr``, and the tile's texts are
+    gathered once; no string outlives the call.
     """
     if not files:
         return
+    lines = [""] * (2 * series.shape[1])
+    lines[0::2] = [f"\n{t}," for t in range(first, first + series.shape[1])]
+    if first == 0:
+        lines[0] = "t,log_ratio\n0,"
     bits, inverse = np.unique(series.view(np.int64), return_inverse=True)
-    # np.float64 is a float, so its repr is the float's; iterating the
-    # array keeps no list of Python floats alive beside the strings
-    texts = np.array(list(map(float.__repr__, bits.view(np.float64))), dtype=object)
-    lines = [""] * (2 * len(prefixes))
-    lines[0::2] = prefixes
-    for fp, row in zip(files, inverse.reshape(series.shape)):
-        lines[1::2] = texts[row].tolist()
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    for fp, row in zip(files, texts[inverse.reshape(series.shape)].tolist()):
+        lines[1::2] = row
         fp.write("".join(lines))
 
 

@@ -10,8 +10,13 @@ seeds advance together in time tiles of about ``_CHUNK_CELLS`` cells, each
 seed continuing its own uniform stream and its own running log ratio from
 tile to tile, so memory stays per tile whatever the batch size and the
 horizon, and a writer can format each distinct value of a tile once.
-:func:`simulate_paths` and :func:`path_log_ratio` are the same sampler and
-log ratio run as one tile.
+The sampler (:func:`_path_tiles`) fills, for a block of steps at a time,
+a state-major candidate table (steps, states, seeds) holding where each
+seed would move from each state, as the flat position ``state * seeds +
+seed``, so that a step of every seed is one ``take``; x_0, the actions
+and the successors are all drawn by one inverse-CDF rule
+(:func:`_draw_rows`). :func:`simulate_paths` and :func:`path_log_ratio`
+are the same sampler and log ratio run as one tile.
 """
 
 from __future__ import annotations
@@ -91,29 +96,20 @@ def induced_kernel(mdp: FiniteMdp, policy: StochasticPolicy) -> np.ndarray:
     return np.einsum("xu,uxy->xy", policy.probs, mdp.kernel)
 
 
-def _draw(cum: np.ndarray, last: int, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF indices of uniforms ``u`` against one cumulative row.
-
-    Picks the first index whose cumulative probability exceeds the
-    uniform (``bisect_right``); a uniform at or past the row's rounded
-    total picks ``last``, the last index of positive probability, so an
-    index of probability zero is never drawn.
-    """
-    return np.minimum(np.searchsorted(cum, u, side="right"), last)
-
-
 def _draw_rows(cum: np.ndarray, last: np.ndarray, rows: np.ndarray,
                u: np.ndarray) -> np.ndarray:
-    """:func:`_draw` of each uniform against a row of its own.
+    """Inverse-CDF indices of uniforms ``u``, each against a row of its own.
 
     ``cum[k, r]`` is entry k of cumulative row r and ``last[r]`` its last
-    index of positive probability; ``rows`` picks a row per cell and ``u``
-    broadcasts against it. A running sum of nonnegative terms never
-    decreases, so the count of its entries at or below the uniform is the
-    ``bisect_right`` index: the draws are :func:`_draw`'s.
+    index of positive probability; ``rows`` picks a row per cell and
+    broadcasts against ``u``. Picks the first index whose running sum
+    exceeds the uniform (``bisect_right``): a running sum of nonnegative
+    terms never decreases, so that index is the count of its entries at or
+    below the uniform. A uniform at or past the row's rounded total picks
+    ``last``, so an index of probability zero is never drawn.
     """
-    count = np.zeros(rows.shape, dtype=np.uint8)  # at most STATE_ACTION_CAP entries
-    for entry in cum:
+    count = np.zeros(np.broadcast_shapes(rows.shape, u.shape), dtype=np.uint8)
+    for entry in cum:  # at most STATE_ACTION_CAP entries
         count += entry.take(rows) <= u
     return np.minimum(count, last.take(rows))
 
@@ -138,48 +134,53 @@ def _path_tiles(mdp: FiniteMdp, policy: StochasticPolicy, n: int, seeds, steps: 
     and each later one at the last state of the tile before. Seed s draws
     from its own ``default_rng(s)``: one uniform for x_0, then two per
     step, one for the action and one for the successor state, in that
-    order (see :func:`_draw`), each tile continuing the stream where the
-    one before stopped. For every state x the successor each seed would
-    take from x is computed for a block of steps at once, in a table of
-    about ``_CHUNK_CELLS`` entries whatever the state count; the time
-    recursion is then one gather per step across the seeds. Row s
+    order, each tile continuing the stream where the one before stopped.
+    Every draw, x_0's, the actions' and the successors', is one rule
+    (:func:`_draw_rows`). A tile's uniforms are copied time-major once, and
+    for a block of steps at once the sampler fills a state-major candidate
+    table (steps, states, seeds) of about ``_CHUNK_CELLS`` entries: entry
+    (t, y, s) is where seed s moves at that step if it is in state y,
+    stored as the flat position ``state * seeds + s`` of a step's row. The
+    time recursion is then one ``take`` per step across the seeds. Row s
     depends on seed s alone, not on the other seeds.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     gens = [np.random.default_rng(int(seed)) for seed in seeds]
     n_seeds, n_states = len(gens), mdp.n_states
-    pol_cum = np.cumsum(policy.probs, axis=1)
+    pol_cum = np.cumsum(policy.probs, axis=1).T
     pol_last = _last_positive(policy.probs)
-    # ker_cum[x', a * n_states + y]: the kernel's running sum from state y under action a
-    ker_cum = np.cumsum(mdp.kernel, axis=2).transpose(2, 0, 1).reshape(n_states, -1)
-    ker_last = _last_positive(mdp.kernel).ravel()
+    # ker_cum[x', y * n_actions + a]: the kernel's running sum from state y
+    # under action a, state-major so that a state's rows share cache lines
+    ker_cum = np.cumsum(mdp.kernel, axis=2).transpose(2, 1, 0).reshape(n_states, -1)
+    ker_last = _last_positive(mdp.kernel).T.ravel()
     block = max(1, _CHUNK_CELLS // max(1, n_seeds * n_states))
-    states = np.arange(n_states)
+    states = np.arange(n_states)[:, None]
+    seed_at = np.arange(n_seeds)  # seed s is position s of each state's run
 
-    x0 = _draw(np.cumsum(mdp.initial), _last_positive(mdp.initial), _uniforms(gens, 1)[:, 0])
-    # states are flat positions seed * n_states + state, so that one step of
-    # every seed is a single take from one row of the candidate table
-    base = np.arange(n_seeds) * n_states
-    x = x0 + base
+    # x_0 is drawn against one row, the initial law's
+    x0 = _draw_rows(np.cumsum(mdp.initial)[:, None], _last_positive(mdp.initial[None]),
+                    np.zeros(1, dtype=np.intp), _uniforms(gens, 1)[:, 0])
+    x = x0 * n_seeds + seed_at
     for lo in range(0, max(n, 1), steps):
         m = min(steps, n - lo)
-        u = _uniforms(gens, 2 * m)
-        tile = np.empty((n_seeds, m + 1), dtype=np.int64)
-        tile[:, 0] = x - base
-        moves = np.empty((m, n_seeds), dtype=np.int64)
+        # row 2t: every seed's action uniform of step lo + t; row 2t + 1: its successor's
+        u = _uniforms(gens, 2 * m).T.copy()
+        moves = np.empty((m + 1, n_seeds), dtype=np.int64)  # flat positions
+        moves[0] = x
         for b_lo in range(0, m, block):
             b_hi = min(m, b_lo + block)
-            u_act = u[:, 2 * b_lo:2 * b_hi:2].T
-            u_next = u[:, 2 * b_lo + 1:2 * b_hi:2].T
-            # act[t, s, y], cand[t, s, y]: the action seed s takes at step
-            # b_lo + t if it is in state y, and where that action takes it
-            act = np.stack([_draw(pol_cum[y], pol_last[y], u_act) for y in states], axis=-1)
-            cand = _draw_rows(ker_cum, ker_last, act * n_states + states, u_next[:, :, None])
-            cand += base[:, None]
-            for t, row in enumerate(cand.reshape(b_hi - b_lo, -1), start=b_lo):
-                x = moves[t] = row.take(x)
-        np.subtract(moves.T, base[:, None], out=tile[:, 1:])
+            # act[t, y, s], cand[t, y, s]: the action seed s takes at step
+            # lo + b_lo + t if it is in state y, and where that action takes it
+            act = _draw_rows(pol_cum, pol_last, states, u[2 * b_lo:2 * b_hi:2, None])
+            cand = _draw_rows(ker_cum, ker_last, states * mdp.n_actions + act,
+                              u[2 * b_lo + 1:2 * b_hi:2, None])
+            cand *= n_seeds
+            cand += seed_at
+            for t, row in enumerate(cand.reshape(b_hi - b_lo, -1), start=b_lo + 1):
+                x = row.take(x, out=moves[t])
+        tile = np.empty((n_seeds, m + 1), dtype=np.int64)
+        np.floor_divide(moves.T, n_seeds, out=tile)
         yield tile
 
 
@@ -214,12 +215,16 @@ def _log_ratio_tiles(tiles, k_honest, k_corrupt):
     used a move the corrupt law forbids but the honest law allows, naming
     the first such path in row-major order with the message that path
     gives alone; the reverse case legitimately sends the ratio to -inf.
+    The moves are looked up in a table of such moves only when the kernel
+    pair has one; paths sampled under the corrupt kernel, as a batch's are,
+    never take one.
     """
     k_honest = np.asarray(k_honest, dtype=float)
     k_corrupt = np.asarray(k_corrupt, dtype=float)
     n_states = k_honest.shape[1]
     h, c = k_honest.reshape(-1), k_corrupt.reshape(-1)
     bad_move = (c == 0.0) & (h > 0.0)
+    check = bad_move.any()
     with np.errstate(divide="ignore", invalid="ignore"):
         inc = np.where(h > 0.0, np.log(np.where(h > 0.0, h, 1.0)) - np.log(c), -np.inf)
 
@@ -229,15 +234,16 @@ def _log_ratio_tiles(tiles, k_honest, k_corrupt):
         tile = np.asarray(tile, dtype=np.int64)
         codes = tile[..., :-1] * n_states
         codes += tile[..., 1:]
-        moved_bad = bad_move[codes]
-        bad = moved_bad.any(axis=-1)
-        # a path's first offending tile names its first offending move
-        k = int(np.argmax(bad.reshape(-1)))
-        if bad.reshape(-1)[k] and (first_bad is None or k < first_bad):
-            first_bad, row = k, tile.reshape(-1, tile.shape[-1])[k]
-            t = int(np.argmax(moved_bad.reshape(-1, codes.shape[-1])[k]))
-            message = (f"transition {row[t]}->{row[t + 1]} at step {lo + t} "
-                       "impossible under the corrupt law")
+        if check:
+            moved_bad = bad_move[codes]
+            bad = moved_bad.any(axis=-1)
+            # a path's first offending tile names its first offending move
+            k = int(np.argmax(bad.reshape(-1)))
+            if bad.reshape(-1)[k] and (first_bad is None or k < first_bad):
+                first_bad, row = k, tile.reshape(-1, tile.shape[-1])[k]
+                t = int(np.argmax(moved_bad.reshape(-1, codes.shape[-1])[k]))
+                message = (f"transition {row[t]}->{row[t + 1]} at step {lo + t} "
+                           "impossible under the corrupt law")
 
         if lo == 0:
             out = np.empty(tile.shape)

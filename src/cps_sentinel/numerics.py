@@ -14,8 +14,13 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 DIM_CAP = 32
+# Entries of a banded operator (:func:`banded`): the simulator's block
+# operator and the detector's stacked residual band hold at most 64 x 64,
+# far below the size at which OpenBLAS starts threads.
+BAND_ENTRIES = 64 * 64
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 _MASK64 = (1 << 64) - 1
@@ -196,6 +201,21 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     whose products are all zeros, of either sign, sums to +0.0.
     """
     return (a @ x[..., None])[..., 0]
+
+
+def banded(rows: np.ndarray, shift: int, copies: int) -> np.ndarray:
+    """``rows`` placed ``copies`` times down a block diagonal, zero elsewhere.
+
+    Copy j of ``rows`` (shape (R, C)) sits at rows jR..(j+1)R and columns
+    j ``shift``..j ``shift`` + C, so the result has shape
+    (``copies`` R, C + (``copies`` - 1) ``shift``).
+    """
+    band = np.zeros((copies * len(rows), rows.shape[1] + (copies - 1) * shift))
+    diagonal = as_strided(band, (copies,) + rows.shape,
+                          (len(rows) * band.strides[0] + shift * band.strides[1],)
+                          + band.strides)
+    diagonal[...] = rows
+    return band
 
 
 def sample_gaussian(rng: np.random.Generator, law: GaussianLaw) -> np.ndarray:

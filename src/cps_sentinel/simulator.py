@@ -42,16 +42,19 @@ with a single seed.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import CpsModel
 from .numerics import (
+    BAND_ENTRIES,
     DiagonalPsd,
     Dirac,
     GaussianLaw,
     SpdMatrix,
+    banded,
     make_spd,
     matvec,
     sample_gaussian,
@@ -65,11 +68,6 @@ from .policies import (
     control_means,
     lift,
 )
-
-
-# Rows of the block operators P and T: T is at most 64 x 64, far below the
-# size at which OpenBLAS starts threads.
-_BLOCK_ROWS = 64
 
 
 class NonFiniteState(RuntimeError):
@@ -199,7 +197,7 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
     # slot of x_{t+1} holds the drive d_t until its block overwrites it, and
     # zero drive pads the last block to B steps
     f, stable = closed_loop(m.dynamics, b, laws.corrupt_gains)
-    steps = max(1, _BLOCK_ROWS // n) if stable else 1
+    steps = max(1, math.isqrt(BAND_ENTRIES) // n) if stable else 1  # T: (B N)^2 entries
     p, t = _block_operators(f, n, steps)
     lags = laws.lags
     padded = -(-horizon // steps) * steps
@@ -227,16 +225,16 @@ def _block_operators(f: np.ndarray, n: int, steps: int) -> tuple[np.ndarray, np.
     Row block j of P (shape (steps N, L N)) is the bottom rows of F^(j+1),
     which map the lag window of the path to x_{t+j+1}. Block (j, i) of T
     (shape (steps N, steps N)) is the bottom-right block of F^(j-i) for
-    i <= j, zero above.
+    i <= j, zero above: T is the last ``steps`` N columns of the band
+    (:func:`cps_sentinel.numerics.banded`) of the row of those blocks
+    from F^(steps-1) down to F^0, one copy per step, each N columns right.
     """
     powers = [f[-n:]]
     for _ in range(1, steps):
         powers.append(powers[-1] @ f)
-    heads = np.array([np.eye(n)] + [q[:, -n:] for q in powers[:-1]])
-    gap = np.subtract.outer(np.arange(steps), np.arange(steps))
-    blocks = np.where((gap >= 0)[..., None, None], heads[np.maximum(gap, 0)], 0.0)
-    t = blocks.transpose(0, 2, 1, 3).reshape(steps * n, steps * n)
-    return np.vstack(powers), t
+    heads = [q[:, -n:] for q in powers[-2::-1]] + [np.eye(n)]
+    t = banded(np.hstack(heads), n, steps)[:, -steps * n:]
+    return np.vstack(powers), np.ascontiguousarray(t)
 
 
 def simulate(m: CpsModel, honest: HonestPolicy, attack: Attack | None,

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -239,8 +240,8 @@ class TestSimulatePath:
         assert stream.used == stream.u.size
 
     def test_paths_at_the_state_and_action_cap_are_the_per_seed_loop(self):
-        # successor draws count up to 64 entries of a running sum; about
-        # half of every row is zero, so the last positive index varies
+        # action and successor draws count up to 64 entries of a running sum;
+        # about half of every row is zero, so the last positive index varies
         rng = np.random.default_rng(3)
         cap = STATE_ACTION_CAP
         kernel, policy = rng.random((cap, cap, cap)), rng.random((cap, cap))
@@ -248,10 +249,13 @@ class TestSimulatePath:
         policy[policy < 0.5] = 0.0
         mdp = FiniteMdp(kernel / kernel.sum(axis=2, keepdims=True), np.full(cap, 1.0 / cap))
         pol = StochasticPolicy(policy / policy.sum(axis=1, keepdims=True))
-        seeds = [0, 9, 2**40 + 1]
-        paths = simulate_paths(mdp, pol, 80, seeds)
-        for row, seed in zip(paths, seeds):
-            np.testing.assert_array_equal(row, reference_path(mdp, pol, 80, seed))
+        # 3 seeds draw all 80 steps in one block of the candidate table; 130
+        # seeds of 64 states fill it with one step, so each step is a block
+        for seeds in ([0, 9, 2**40 + 1], [split_seed(11, i) for i in range(130)]):
+            paths = simulate_paths(mdp, pol, 80, seeds)
+            for row, seed in zip(paths, seeds):
+                np.testing.assert_array_equal(row, reference_path(mdp, pol, 80, seed))
+        assert mdp_module._CHUNK_CELLS // (len(seeds) * cap) == 1
 
     def test_batch_rows_are_the_per_seed_paths(self):
         mdp = two_action_mdp(initial=(0.3, 0.7))
@@ -342,6 +346,24 @@ def test_batch_files_are_plain_repr_rows_whatever_the_batch(tmp_path_factory, ca
         assert (out / f"run_{i:05d}.csv").read_text() == plain_csv(series)
         finals.append(series[-1])
     assert summary["mean_drift"] == pytest.approx(float(np.mean(finals)) / n, nan_ok=True)
+
+
+@pytest.mark.parametrize("files", [False, True], ids=["no-outputs", "outputs"])
+def test_batch_memory_stays_per_tile_whatever_the_horizon(tmp_path, files):
+    # a 4-seed batch runs tiles of 4096 steps, so a horizon of 20k steps
+    # already holds every tile-sized buffer; five times longer may hold no more
+    def peak(horizon):
+        s = mdp_scenario_from_dict(dict(harness.preset("mdp-detect"), horizon=horizon,
+                                        seeds={"base": 7, "count": 4}))
+        tracemalloc.start()
+        try:
+            run_mdp_batch(s, out_dir=tmp_path / str(horizon) if files else None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)  # whatever a first batch allocates once
+    assert peak(100_000) <= 1.1 * peak(20_000)
 
 
 # the 2-state MDP of the -inf tests: the honest policy never takes action 1,
