@@ -106,10 +106,12 @@ def _draw_rows(cum: np.ndarray, last: np.ndarray, rows: np.ndarray,
     exceeds the uniform (``bisect_right``): a running sum of nonnegative
     terms never decreases, so that index is the count of its entries at or
     below the uniform. A uniform at or past the row's rounded total picks
-    ``last``, so an index of probability zero is never drawn.
+    ``last``, so an index of probability zero is never drawn. The total
+    itself is not counted: a uniform at or past it has every entry before
+    it counted too, and a count of one less is clamped to ``last`` alike.
     """
     count = np.zeros(np.broadcast_shapes(rows.shape, u.shape), dtype=np.uint8)
-    for entry in cum:  # at most STATE_ACTION_CAP entries
+    for entry in cum[:-1]:  # fewer than STATE_ACTION_CAP entries
         count += entry.take(rows) <= u
     return np.minimum(count, last.take(rows))
 
