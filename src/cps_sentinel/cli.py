@@ -129,6 +129,8 @@ def _dispatch(args) -> int:
     s = harness.scenario_from_dict(_scenario_data(args))
 
     if args.command in ("simulate", "detect"):
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         seed = args.seed if args.seed is not None else split_seed(s.seed_base, 0)
         traj = simulate(s.model, s.honest, s.attack, s.horizon, seed)
         if args.command == "simulate":

@@ -7,7 +7,9 @@ prefix; under an attack whose conditional law differs from the honest one
 this drifts to minus infinity, which is what the finite-horizon classifier
 thresholds. Alongside it we track the eigenvalue-weighted residual
 energies whose ratio sorts detectable from undetectable regimes, and the
-running product of conditional-covariance determinant ratios.
+running product of conditional-covariance determinant ratios. Only the
+prefix sums of these per-step quantities are kept, since every output
+reads a cumulative value.
 
 :func:`detect_ensemble` computes every statistic as arrays for a whole
 batch of paths, one row per seed; :func:`rn_series` is the same function
@@ -20,11 +22,8 @@ block of B steps. All cumulative series use Sum2 compensated summation
 axis with no step loop, so that horizons up to 1e5 steps of small
 increments stay exact to roundoff.
 
-:func:`series_csv_texts` writes a batch's detection CSVs: the columns
-every seed shares (the step and the log-determinant sum) are formatted
-once per batch into a line template, and each seed's text is one ``%``
-format of its own four columns. :func:`series_csv_text` is that writer
-on one seed.
+:func:`series_csv_texts` writes a batch's detection CSVs and
+:func:`series_csv_text` one seed's.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .policies import (
     lift,
     loop_rows,
 )
-from .simulator import Trajectory, conditional_covariances
+from .simulator import NonFiniteState, Trajectory, conditional_covariances
 
 
 class Decision(enum.Enum):
@@ -62,27 +61,28 @@ class Decision(enum.Enum):
     ATTACK = "attack"
 
 
+class NonFiniteLogRatio(NonFiniteState):
+    """A seed's log likelihood ratio overflowed although its states are finite."""
+
+    def __init__(self, cum_log_l: np.ndarray, seed: int):
+        step = int(np.isfinite(cum_log_l).argmin()) + 1
+        super().__init__(f"log likelihood ratio is not finite from step {step} (seed {seed})")
+
+
 @dataclass(frozen=True)
 class DetectionSeries:
-    """Per-step and cumulative detection statistics, all arrays over steps.
+    """Cumulative detection statistics, all arrays over steps.
 
-    The last axis of every field is the step: entry k belongs to the
-    prediction of state x_{k+1}. A batch carries a leading seed axis, and
+    The last axis of every field is the step: entry k sums the predictions
+    of states x_1..x_{k+1}. A batch carries a leading seed axis, and
     :meth:`row` takes one seed's series out of it. ``cum_log_l[k]`` is
     the log likelihood ratio after k+1 steps; ``r_n`` is the ratio of
     cumulative weighted residual energies, carried as NaN wherever its
     denominator is zero (flagged, never infinite). The scalar accessors
-    apply to a single seed's series. In a batch from
-    :func:`detect_ensemble` the two log-determinant fields are one
-    read-only row that every seed shares.
+    apply to a single seed's series. In a batch from :func:`detect_ensemble`
+    the log-determinant sums are one read-only row that every seed shares.
     """
 
-    step_log_ratio: np.ndarray
-    honest_logdens: np.ndarray
-    corrupt_logdens: np.ndarray
-    s: np.ndarray
-    s_breve: np.ndarray
-    half_logdet_ratio: np.ndarray
     cum_log_l: np.ndarray
     cum_s: np.ndarray
     cum_s_breve: np.ndarray
@@ -94,8 +94,8 @@ class DetectionSeries:
     def horizon(self) -> int:
         return self.cum_log_l.shape[-1]
 
-    def row(self, i: int) -> "DetectionSeries":
-        """The series of seed ``i`` of a batch."""
+    def row(self, i) -> "DetectionSeries":
+        """The series of seed ``i`` of a batch, or the batch of the seeds a mask picks."""
         return DetectionSeries(*(getattr(self, f.name)[i] for f in fields(self)))
 
     def log_l_at(self, n: int) -> float:
@@ -112,11 +112,10 @@ _SLICE_DOUBLES = 3 << 14
 
 
 def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
-                    corrupt: CorruptPolicy | None,
-                    cfg: AttackConfig | None) -> DetectionSeries:
+                    corrupt: CorruptPolicy | None, cfg: AttackConfig | None) -> DetectionSeries:
     """Detection series of every path in ``states`` (shape (S, n+1, N)).
 
-    Per step t (predicting state x_t from the history up to t-1):
+    The prefix sums of, per step t (predicting x_t from the history up to t-1):
 
     * step log ratio = log N(x_t; honest law) - log N(x_t; corrupt law),
     * s_t = ||x_t - honest mean||^2 / lambda_min(honest covariance),
@@ -131,14 +130,16 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
     is one stretch of L + B states of the path, so the stacked maps of B
     steps are one banded operator (:func:`_banded_operator`), applied by
     one matrix-vector product per block to an overlapping view of the
-    path, for a slice of seeds at a time (:func:`_block_energies`); the
-    prefix sums of each per-step series of the whole batch come from one
-    compensated pass. The log-determinant increment is one constant, so
-    both its columns are one row that every seed shares. Every seed's
-    result is therefore the same alone or in any batch.
+    path, for a slice of seeds at a time (:func:`_block_energies`), whose
+    two log densities are temporaries; the prefix sums of each per-step
+    series of the whole batch come from one compensated pass, and only
+    they are returned. The log-determinant increment is one constant, so
+    its sums are one row that every seed shares. Every seed's result is
+    therefore the same alone or in any batch.
 
     Raises ``ValueError`` naming the seed row and the step of the first
-    non-finite state.
+    non-finite state. Residual energies that overflow give a non-finite
+    ``cum_log_l``, not a warning.
     """
     states = np.asarray(states, dtype=float)
     n_seeds, n = states.shape[0], states.shape[1] - 1
@@ -150,38 +151,28 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
     n_agents = m.n_agents
     laws = lift(honest, None if corrupt is None or cfg is None else (cfg, corrupt), n_agents)
     h_cov, c_cov = conditional_covariances(m, laws)
-    ld_h = logdet(h_cov)
-    ld_c = logdet(c_cov)
-    lam_min_h, _ = eig_extremes(h_cov)
-    _, lam_max_c = eig_extremes(c_cov)
+    ld_h, ld_c = logdet(h_cov), logdet(c_cov)
+    lam_min_h, lam_max_c = eig_extremes(h_cov)[0], eig_extremes(c_cov)[1]
     const = -0.5 * n_agents * LOG_TWO_PI
     rows, shift, where = _residual_operator(m, laws, (h_cov, c_cov), n)
 
     # steps[0..2]: step log ratio, s, s_breve
     steps = np.empty((3, n_seeds, n))
-    dens = np.empty((2, n_seeds, n))
-    for lo, energy in _block_energies(states, rows, shift, laws.lags, n_agents):
-        hi = lo + energy.shape[1]
-        steps[1, lo:hi] = energy[where[0]] / lam_min_h
-        dens[0, lo:hi] = const - 0.5 * ld_h - 0.5 * energy[where[1]]
-        steps[2, lo:hi] = energy[where[2]] / lam_max_c
-        dens[1, lo:hi] = const - 0.5 * ld_c - 0.5 * energy[where[3]]
-    np.subtract(dens[0], dens[1], out=steps[0])
-
-    # one compensated pass per series, so that its two (seeds, steps)
-    # temporaries are a third of what one pass over the stack would hold
-    cum_log_l, cum_s, cum_s_breve = map(compensated_cumsum, steps)
-    half_logdet = np.full(n, 0.5 * (ld_c - ld_h))
-    cum_logdet = np.broadcast_to(compensated_cumsum(half_logdet), (n_seeds, n))
-    r_defined = cum_s_breve > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo, energy in _block_energies(states, rows, shift, laws.lags, n_agents):
+            hi = lo + energy.shape[1]
+            steps[1, lo:hi] = energy[where[0]] / lam_min_h
+            steps[2, lo:hi] = energy[where[2]] / lam_max_c
+            np.subtract(const - 0.5 * ld_h - 0.5 * energy[where[1]],
+                        const - 0.5 * ld_c - 0.5 * energy[where[3]], out=steps[0, lo:hi])
+        # one compensated pass per series, so that its two (seeds, steps)
+        # temporaries are a third of what one pass over the stack would hold
+        cum_log_l, cum_s, cum_s_breve = map(compensated_cumsum, steps)
+        r_defined = cum_s_breve > 0.0
         r_n = np.where(r_defined, cum_s / np.where(r_defined, cum_s_breve, 1.0), np.nan)
-    return DetectionSeries(step_log_ratio=steps[0], honest_logdens=dens[0],
-                           corrupt_logdens=dens[1], s=steps[1], s_breve=steps[2],
-                           half_logdet_ratio=np.broadcast_to(half_logdet, (n_seeds, n)),
-                           cum_log_l=cum_log_l, cum_s=cum_s,
-                           cum_s_breve=cum_s_breve, cum_logdet_ratio=cum_logdet,
-                           r_n=r_n, r_defined=r_defined)
+    cum_logdet = compensated_cumsum(np.full(n, 0.5 * (ld_c - ld_h)))
+    return DetectionSeries(cum_log_l, cum_s, cum_s_breve,
+                           np.broadcast_to(cum_logdet, (n_seeds, n)), r_n, r_defined)
 
 
 def _block_energies(states: np.ndarray, rows: np.ndarray, shift: np.ndarray | None,
@@ -255,23 +246,24 @@ def _residual_operator(m: CpsModel, laws: LinearLaws, covs: tuple, n: int):
         residual = np.hstack([-loop_rows(m.dynamics, b, gains), np.eye(n_agents)])
         whiten = np.linalg.inv(cov.chol)
         blocks += [(residual, shift), (whiten @ residual, shift @ whiten.T)]
-    rows, shifts, where = [], [], []
-    for block, shift in blocks:
-        same = next((j for j, (r, s) in enumerate(zip(rows, shifts))
-                     if np.array_equal(r, block) and np.array_equal(s, shift)), None)
-        if same is None:
-            same = len(rows)
-            rows.append(block)
-            shifts.append(shift)
-        where.append(same)
+    unique, where = [], []
+    for block in blocks:
+        same = [j for j, u in enumerate(unique)
+                if np.array_equal(u[0], block[0]) and np.array_equal(u[1], block[1])]
+        where.append(same[0] if same else len(unique))
+        unique += [] if same else [block]
+    rows, shifts = zip(*unique)
     shift = np.hstack(np.broadcast_arrays(*shifts)) if any(s.any() for s in shifts) else None
     return np.vstack(rows), shift, where
 
 
 def rn_series(traj: Trajectory, m: CpsModel, honest: HonestPolicy,
               corrupt: CorruptPolicy | None, cfg: AttackConfig | None) -> DetectionSeries:
-    """Detection series along one observed path: :func:`detect_ensemble` of one."""
-    return detect_ensemble(traj.states[None], m, honest, corrupt, cfg).row(0)
+    """Detection series of one path; raises :class:`NonFiniteLogRatio` if its logL overflows."""
+    series = detect_ensemble(traj.states[None], m, honest, corrupt, cfg).row(0)
+    if not math.isfinite(series.cum_log_l[-1]):
+        raise NonFiniteLogRatio(series.cum_log_l, traj.seed)
+    return series
 
 
 def decide(log_l: float, log_threshold: float) -> Decision:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import Decision, decide, detect_ensemble, series_csv_texts
+from .detection import Decision, NonFiniteLogRatio, decide, detect_ensemble, series_csv_texts
 from .mdp import (
     FiniteMdp,
     StochasticPolicy,
@@ -410,9 +410,9 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
     ensemble engine (:func:`simulate_ensemble`, :func:`detect_ensemble`)
     in one call, or in chunks when one call's arrays would pass about
     32 MB; a seed's result does not depend on the chunking. A seed whose
-    state overflows is recorded with its ``NonFiniteState`` message and
-    counted in ``n_failed`` and, by exception name, in ``failure_codes``;
-    the others run on.
+    state (``NonFiniteState``) or final logL (``NonFiniteLogRatio``) is not
+    finite gets no decision and no CSV, and is counted in ``n_failed`` and,
+    by exception name, in ``failure_codes``; the others run on.
     """
     if s.attack is not None:
         holds, unreachable = honest_influence_check(s.model, s.attack[0])
@@ -433,11 +433,12 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
         ens = simulate_ensemble(s.model, s.honest, s.attack, s.horizon,
                                 [split_seed(s.seed_base, i) for i in indices])
         done = ens.failed_at == 0  # failed runs have no meaningful path to detect on
-        texts = None
         if done.any():
             batch = detect_ensemble(ens.states if done.all() else ens.states[done],
                                     s.model, s.honest, corrupt, cfg)
-            texts = series_csv_texts(batch) if out_path is not None else None
+            finite = np.isfinite(batch.cum_log_l[:, -1])  # the CSVs skip a non-finite logL
+            texts = (series_csv_texts(batch if finite.all() else batch.row(finite))
+                     if out_path is not None else None)
             # each completed seed's logL and r_n after the last step
             log_l = batch.cum_log_l[:, -1].tolist()
             r_n = [r if defined else None for r, defined
@@ -447,12 +448,14 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
             row = {"run_index": index, "seed": ens.seeds[k], "log_l": None, "r_n": None,
                    "decision": None, "error": None}
             error = ens.error(k)
+            j = position[k]
+            if error is None and not math.isfinite(log_l[j]):
+                error = NonFiniteLogRatio(batch.cum_log_l[j], ens.seeds[k])
             if error is not None:
                 code = type(error).__name__
                 row["error"] = f"{code}: {error}"
                 failure_codes[code] = failure_codes.get(code, 0) + 1
             else:
-                j = position[k]
                 row["log_l"], row["r_n"] = log_l[j], r_n[j]
                 row["decision"] = decide(log_l[j], s.threshold).value
                 if texts is not None:

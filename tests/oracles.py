@@ -1,31 +1,36 @@
 """Test-only oracles: reference routes the package's statistics are checked against.
 
-:func:`detect_per_law` computes every :class:`DetectionSeries` field the
-way the package once did: each law's control means from
+:func:`detect_per_law` computes every per-step detection quantity and
+every cumulative :class:`DetectionSeries` field the way the package once
+did: each law's control means from
 :func:`cps_sentinel.policies.control_means`, the drift ``A x``, the two
 residuals, and the quadratic forms by forward substitution against each
 covariance's Cholesky factor (:func:`quad_forms_inv`). The package builds
-the same residuals from one stacked linear map of the lag window, so the
-two routes share the law lift and the covariances but no residual
-arithmetic.
+the same residuals from one stacked linear map of the lag window and
+keeps only their prefix sums, so the two routes share the law lift and
+the covariances but no residual arithmetic.
 
 :func:`log_gaussian_density` (with :func:`quad_form_inv`) evaluates one
 Gaussian density by triangular solves, :func:`joint_log_density_oracle`
-a whole honest path as one big Gaussian, and :func:`det_ratio_bound` the
-running determinant-ratio product of a series. :func:`step_drive` turns one
+a whole path of a stationary linear law as one big Gaussian,
+:func:`joint_log_ratio_oracle` a path's log likelihood ratio as the
+difference of two such Gaussians, and :func:`det_ratio_bound` the
+running determinant-ratio product of a series. :func:`random_attack`
+draws an attack of one of the kinds in ``ATTACK_BUILDERS``. :func:`step_drive` turns one
 seed's drawn normals into its excitations, controls and drive one entry at
 a time.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from cps_sentinel.detection import DetectionSeries
-from cps_sentinel.model import CpsModel
+from cps_sentinel.model import AttackConfig, CpsModel
 from cps_sentinel.numerics import (
     LOG_TWO_PI,
     Covariance,
@@ -40,10 +45,15 @@ from cps_sentinel.numerics import (
 )
 from cps_sentinel.policies import (
     Affine,
+    DoS,
+    Fdi,
     HonestPolicy,
     LinearFeedback,
     LinearLaws,
+    Mimic,
+    Replacement,
     Zero,
+    admit_excitation,
     control_means,
     lift,
 )
@@ -74,8 +84,30 @@ def quad_forms_inv(v, rows) -> np.ndarray:
     return q
 
 
-def detect_per_law(states, m, honest, corrupt, cfg) -> DetectionSeries:
-    """Every detection field of the paths ``states`` (shape (S, n+1, N)), law by law."""
+@dataclasses.dataclass(frozen=True)
+class PerLawSeries:
+    """Per-step and cumulative detection quantities, arrays (seeds, steps).
+
+    Entry k of a per-step field belongs to the prediction of x_{k+1}; the
+    cumulative fields are named and defined as in :class:`DetectionSeries`.
+    """
+
+    step_log_ratio: np.ndarray
+    honest_logdens: np.ndarray
+    corrupt_logdens: np.ndarray
+    s: np.ndarray
+    s_breve: np.ndarray
+    half_logdet_ratio: np.ndarray
+    cum_log_l: np.ndarray
+    cum_s: np.ndarray
+    cum_s_breve: np.ndarray
+    cum_logdet_ratio: np.ndarray
+    r_n: np.ndarray
+    r_defined: np.ndarray
+
+
+def detect_per_law(states, m, honest, corrupt, cfg) -> PerLawSeries:
+    """Every detection quantity of the paths ``states`` (shape (S, n+1, N)), law by law."""
     states = np.asarray(states, dtype=float)
     laws = lift(honest, None if corrupt is None else (cfg, corrupt), m.n_agents)
     h_cov, c_cov = conditional_covariances(m, laws)
@@ -95,11 +127,11 @@ def detect_per_law(states, m, honest, corrupt, cfg) -> DetectionSeries:
     r_defined = cum_s_breve > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         r_n = np.where(r_defined, cum_s / cum_s_breve, np.nan)
-    return DetectionSeries(step_log_ratio=steps[0], honest_logdens=honest_logdens,
-                           corrupt_logdens=corrupt_logdens, s=steps[1], s_breve=steps[2],
-                           half_logdet_ratio=steps[3], cum_log_l=cum_log_l, cum_s=cum_s,
-                           cum_s_breve=cum_s_breve, cum_logdet_ratio=cum_logdet,
-                           r_n=r_n, r_defined=r_defined)
+    return PerLawSeries(step_log_ratio=steps[0], honest_logdens=honest_logdens,
+                        corrupt_logdens=corrupt_logdens, s=steps[1], s_breve=steps[2],
+                        half_logdet_ratio=steps[3], cum_log_l=cum_log_l, cum_s=cum_s,
+                        cum_s_breve=cum_s_breve, cum_logdet_ratio=cum_logdet,
+                        r_n=r_n, r_defined=r_defined)
 
 
 def step_loop_sum2(values) -> np.ndarray:
@@ -266,6 +298,46 @@ def joint_log_density_oracle(traj: Trajectory, m: CpsModel,
     # the joint covariance may exceed the package's dimension cap, so it is factored here
     law = GaussianLaw(mean.ravel()[skip:], SpdMatrix(joint_cov, np.linalg.cholesky(joint_cov)))
     return log_gaussian_density(traj.states.ravel()[skip:], law)
+
+
+ATTACK_BUILDERS = {
+    "dos": lambda v, m_count: DoS(),
+    "fdi": lambda v, m_count: Fdi(v[:m_count]),
+    "mimic": lambda v, m_count: Mimic(DiagonalPsd(np.abs(v[:m_count]) + 0.1)),
+    "constant": lambda v, m_count: Replacement.constant(v[:m_count]),
+    "scaled_state": lambda v, m_count: Replacement.scaled_state(0.8 * v[:m_count]),
+    "sign_flip": lambda v, m_count: Replacement.sign_flip(),
+}
+
+
+def random_attack(rng, n_agents: int, kind: str):
+    """A random non-empty malicious set of ``n_agents`` agents and an attack of ``kind`` on it.
+
+    The attack's values are drawn from [-1, 1], as the builders expect.
+    """
+    count = int(rng.integers(1, n_agents + 1))
+    agents = sorted(int(a) + 1 for a in rng.choice(n_agents, count, replace=False))
+    values = rng.uniform(-1.0, 1.0, n_agents)
+    return AttackConfig(tuple(agents)), ATTACK_BUILDERS[kind](values, count)
+
+
+def joint_log_ratio_oracle(traj: Trajectory, m: CpsModel, honest: HonestPolicy,
+                           corrupt, cfg) -> float:
+    """Log likelihood ratio of the whole path as the difference of two joint Gaussians.
+
+    Under a stationary linear honest law the corrupt closed loop is again
+    one: the affine law of the corrupt gains and offset, on the model whose
+    excitation is the one the corrupt actuators admit (none on a channel
+    that loses its own, the mimic's own on a mimicked one). Each law's path
+    is one big Gaussian (:func:`joint_log_density_oracle`); the initial law
+    is in both and cancels.
+    """
+    laws = lift(honest, (cfg, corrupt), m.n_agents)
+    own = None if laws.own is None else laws.own.diag
+    m_c = dataclasses.replace(m, excitation=admit_excitation(laws, m.excitation.copy(), own))
+    return (joint_log_density_oracle(traj, m, honest)
+            - joint_log_density_oracle(traj, m_c, Affine(laws.corrupt_gains,
+                                                         laws.corrupt_offset)))
 
 
 def _dense_cov(cov) -> np.ndarray:

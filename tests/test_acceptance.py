@@ -41,7 +41,12 @@ from cps_sentinel.numerics import (
 )
 from cps_sentinel.policies import DoS, LinearFeedback, Replacement, lift
 from cps_sentinel.simulator import conditional_covariances, simulate, simulate_ensemble
-from oracles import det_ratio_bound, joint_log_density_oracle, log_gaussian_density
+from oracles import (
+    ATTACK_BUILDERS,
+    det_ratio_bound,
+    joint_log_ratio_oracle,
+    random_attack,
+)
 
 
 def run_batch(s, horizon, n_seeds):
@@ -58,11 +63,13 @@ def gate(number: int, ok: bool, text: str) -> None:
 
 
 def test_criterion_1_factorization_oracle():
-    # chain rule of per-step predictive densities == one joint Gaussian
+    # chain rule of per-step predictive density ratios == the ratio of the two
+    # laws' joint path Gaussians, over every attack kind
     rng = np.random.default_rng(101)
+    kinds = sorted(ATTACK_BUILDERS)
     worst = 0.0
     for n_agents in (1, 2, 3):
-        for _ in range(100):
+        for i in range(100):
             a = rng.standard_normal((n_agents, n_agents)) * 0.4
             gains = rng.standard_normal(n_agents)
             g = rng.standard_normal((n_agents, n_agents))
@@ -77,15 +84,14 @@ def test_criterion_1_factorization_oracle():
                          process_noise=noise, excitation=rng.random(n_agents),
                          initial_law=initial)
             policy = LinearFeedback(rng.standard_normal((n_agents, n_agents)) * 0.2)
-            traj = simulate(m, policy, None, 10, seed=int(rng.integers(0, 2 ** 62)))
-            series = rn_series(traj, m, policy, None, None)
-            chain = math.fsum(series.honest_logdens)
-            if isinstance(initial, GaussianLaw):
-                chain += log_gaussian_density(traj.states[0], initial)
-            worst = max(worst, abs(chain - joint_log_density_oracle(traj, m, policy)))
+            cfg, corrupt = random_attack(rng, n_agents, kinds[i % len(kinds)])
+            traj = simulate(m, policy, (cfg, corrupt), 10, seed=int(rng.integers(0, 2 ** 62)))
+            log_l = rn_series(traj, m, policy, corrupt, cfg).cum_log_l[-1]
+            joint = joint_log_ratio_oracle(traj, m, policy, corrupt, cfg)
+            worst = max(worst, abs(log_l - joint))
     gate(1, worst < 1e-8,
-         f"factorization oracle: 300 random trajectories (N in 1..3, n=10), "
-         f"max |chain - joint| = {worst:.2e} < 1e-8")
+         f"factorization oracle: 300 random trajectories (N in 1..3, n=10, "
+         f"{len(kinds)} attack kinds), max |logL - joint ratio| = {worst:.2e} < 1e-8")
 
 
 def test_criterion_2_identity_attack():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cps_sentinel.detection import (
     Decision,
     DetectionSeries,
+    NonFiniteLogRatio,
     classify,
     detect_ensemble,
     expected_step_drift,
@@ -39,7 +40,15 @@ from cps_sentinel.policies import (
     lift,
 )
 from cps_sentinel.simulator import Trajectory, conditional_covariances, simulate, simulate_ensemble
-from oracles import det_ratio_bound, joint_log_density_oracle, log_gaussian_density
+from oracles import (
+    ATTACK_BUILDERS,
+    det_ratio_bound,
+    detect_per_law,
+    joint_log_density_oracle,
+    joint_log_ratio_oracle,
+    log_gaussian_density,
+    random_attack,
+)
 
 
 def model(n=2, dynamics=None, gains=None, noise=None, excitation=None, initial=None):
@@ -81,7 +90,7 @@ class TestRnSeries:
         pol = Replacement.constant([0.0])
         traj = manual_trajectory([[0.0, 0.0], [1.0, 0.0]], attacked=True)
         series = rn_series(traj, m, Zero(), pol, cfg)
-        assert series.step_log_ratio[0] == pytest.approx(0.25 - 0.5 * math.log(2.0))
+        assert series.cum_log_l[0] == pytest.approx(0.25 - 0.5 * math.log(2.0))
 
     def test_cumulative_matches_fsum(self):
         m = model(dynamics=np.array([[0.5, 0.2], [0.0, 0.4]]))
@@ -89,7 +98,7 @@ class TestRnSeries:
         pol = Replacement.constant([1.0])
         traj = simulate(m, Zero(), (cfg, pol), 200, seed=2)
         series = rn_series(traj, m, Zero(), pol, cfg)
-        ratios = series.step_log_ratio.tolist()
+        ratios = detect_per_law(traj.states[None], m, Zero(), pol, cfg).step_log_ratio[0].tolist()
         for n in (1, 50, 200):
             assert series.log_l_at(n) == pytest.approx(math.fsum(ratios[:n]), abs=1e-10)
 
@@ -105,14 +114,33 @@ class TestRnSeries:
         laws = lift(LinearFeedback(-0.2 * np.eye(2)), (cfg, pol), 2)
         h_cov, _ = conditional_covariances(m, laws)
         lo, hi = eig_extremes(h_cov)
-        for t in (0, 10, 99):
+        norms2 = []
+        for t in range(100):
             g = control_means(laws, traj.states[: t + 1])[0][t]
             z = traj.states[t + 1] - (m.dynamics @ traj.states[t] + m.actuator_gains * g)
-            q = quad_form_inv(h_cov, z)
-            norm2 = float(z @ z)
-            assert norm2 / hi * (1 - 1e-9) <= q <= norm2 / lo * (1 + 1e-9)
-            # s_t is the same residual energy over the smallest eigenvalue
-            assert series.s[t] == pytest.approx(norm2 / lo, rel=1e-12)
+            norms2.append(float(z @ z))
+            if t in (0, 10, 99):
+                q = quad_form_inv(h_cov, z)
+                assert norms2[t] / hi * (1 - 1e-9) <= q <= norms2[t] / lo * (1 + 1e-9)
+            # cum_s sums the same residual energies over the smallest eigenvalue
+            assert series.cum_s[t] == pytest.approx(math.fsum(norms2) / lo, rel=1e-12)
+
+    def test_an_overflowing_log_ratio_is_flagged_and_raises_naming_its_step(self):
+        # finite states near 2^1000 whose residual energies overflow
+        data = preset("replacement")
+        data["model"]["dynamics"] = [[2.0, 0.3], [0.0, 2.0]]
+        s = scenario_from_dict(data)
+        cfg, pol = s.attack
+        traj = simulate(s.model, s.honest, s.attack, 1000, seed=3)
+        assert np.isfinite(traj.states).all()
+        # no RuntimeWarning: pytest turns one into an error
+        batch = detect_ensemble(traj.states[None], s.model, s.honest, pol, cfg)
+        bad = ~np.isfinite(batch.cum_log_l[0])
+        step = int(bad.argmax()) + 1
+        assert 1 < step and bad[step - 1:].all() and not bad[:step - 1].any()
+        with pytest.raises(NonFiniteLogRatio, match=rf"^log likelihood ratio is not finite "
+                                                    rf"from step {step} \(seed 3\)$"):
+            rn_series(traj, s.model, s.honest, pol, cfg)
 
     def test_undefined_ratio_flagged_not_infinite(self):
         m = model()
@@ -191,8 +219,10 @@ class TestJointOracle:
         assert value == pytest.approx(log_gaussian_density([0.7, 0.1], init))
 
     def test_chain_rule_equivalence_random_models(self):
+        # the package's log ratio is the difference of the two laws' joint path densities
         rng = np.random.default_rng(7)
-        for _ in range(10):
+        kinds = sorted(ATTACK_BUILDERS)
+        for i in range(12):
             n_agents = int(rng.integers(1, 4))
             a = rng.standard_normal((n_agents, n_agents)) * 0.3
             gains = rng.standard_normal(n_agents)
@@ -207,20 +237,21 @@ class TestJointOracle:
             m = model(n=n_agents, dynamics=a, gains=gains, noise=noise,
                       excitation=rng.random(n_agents), initial=initial)
             policy = LinearFeedback(rng.standard_normal((n_agents, n_agents)) * 0.2)
-            traj = simulate(m, policy, None, 10, seed=int(rng.integers(0, 2 ** 32)))
-            series = rn_series(traj, m, policy, None, None)
-            chain = math.fsum(series.honest_logdens)
-            if isinstance(initial, GaussianLaw):
-                chain += log_gaussian_density(traj.states[0], initial)
-            assert abs(chain - joint_log_density_oracle(traj, m, policy)) < 1e-8
+            cfg, corrupt = random_attack(rng, n_agents, kinds[i % len(kinds)])
+            traj = simulate(m, policy, (cfg, corrupt), 10, seed=int(rng.integers(0, 2 ** 32)))
+            log_l = rn_series(traj, m, policy, corrupt, cfg).cum_log_l[-1]
+            assert abs(log_l - joint_log_ratio_oracle(traj, m, policy, corrupt, cfg)) < 1e-8
 
     def test_affine_policy_supported(self):
         m = model(dynamics=np.array([[0.4, 0.1], [0.0, 0.3]]))
         policy = Affine(-0.2 * np.eye(2), np.array([0.5, -0.5]))
-        traj = simulate(m, policy, None, 6, seed=8)
-        series = rn_series(traj, m, policy, None, None)
-        chain = math.fsum(series.honest_logdens)
-        assert abs(chain - joint_log_density_oracle(traj, m, policy)) < 1e-8
+        cfg = AttackConfig((2,))
+        for kind, build in ATTACK_BUILDERS.items():
+            corrupt = build(np.array([0.7]), 1)
+            traj = simulate(m, policy, (cfg, corrupt), 6, seed=8)
+            log_l = rn_series(traj, m, policy, corrupt, cfg).cum_log_l[-1]
+            joint = joint_log_ratio_oracle(traj, m, policy, corrupt, cfg)
+            assert abs(log_l - joint) < 1e-8, kind
 
     def test_history_policy_rejected(self):
         m = model()
@@ -290,9 +321,9 @@ class TestExpectedStepDrift:
         cfg = AttackConfig((1,))
         closed = expected_step_drift(m, Zero(), pol, cfg).value
         traj = simulate(m, Zero(), (cfg, pol), 20_000, seed=10)
-        series = rn_series(traj, m, Zero(), pol, cfg)
-        ratios = series.step_log_ratio
-        assert np.mean(ratios) == pytest.approx(closed, abs=4 * np.std(ratios) / 140)
+        mean = rn_series(traj, m, Zero(), pol, cfg).log_l_at(20_000) / 20_000
+        ratios = detect_per_law(traj.states[None], m, Zero(), pol, cfg).step_log_ratio
+        assert mean == pytest.approx(closed, abs=4 * np.std(ratios) / 140)
 
 
 def test_two_path_energy_ratio_limit_matches_trace_oracle():
@@ -341,15 +372,15 @@ def test_history_dependent_policy_end_to_end():
 def monte_carlo_drift(m, honest, corrupt, cfg, *, seeds=200, horizon=500, burn=100, base=0):
     """Test-only oracle of the stationary drift: simulate and average.
 
-    Each seed's step log ratios after ``burn`` steps are averaged, and
-    the standard error is taken across the independent seeds, not over
-    the autocorrelated steps of one path.
+    Each seed's step log ratios after ``burn`` steps are averaged, as the
+    difference of two prefix sums, and the standard error is taken across
+    the independent seeds, not over the autocorrelated steps of one path.
     """
     ens = simulate_ensemble(m, honest, (cfg, corrupt), horizon,
                             [split_seed(base, i) for i in range(seeds)])
     assert not ens.failed_at.any()
-    per_seed = detect_ensemble(ens.states, m, honest, corrupt, cfg).step_log_ratio[:, burn:]
-    per_seed = per_seed.mean(axis=1)
+    cum_log_l = detect_ensemble(ens.states, m, honest, corrupt, cfg).cum_log_l
+    per_seed = (cum_log_l[:, -1] - cum_log_l[:, burn - 1]) / (horizon - burn)
     return float(per_seed.mean()), float(per_seed.std(ddof=1) / math.sqrt(seeds))
 
 
@@ -368,14 +399,6 @@ HONEST_BUILDERS = {
     "linear": lambda gain, offset, lag2: LinearFeedback(gain),
     "affine": lambda gain, offset, lag2: Affine(gain, offset),
     "window": lambda gain, offset, lag2: HistoryWindow((gain, lag2)),
-}
-ATTACK_BUILDERS = {
-    "dos": lambda v, m_count: DoS(),
-    "fdi": lambda v, m_count: Fdi(v[:m_count]),
-    "mimic": lambda v, m_count: Mimic(DiagonalPsd(np.abs(v[:m_count]) + 0.1)),
-    "constant": lambda v, m_count: Replacement.constant(v[:m_count]),
-    "scaled_state": lambda v, m_count: Replacement.scaled_state(0.8 * v[:m_count]),
-    "sign_flip": lambda v, m_count: Replacement.sign_flip(),
 }
 
 
@@ -467,11 +490,8 @@ def series_batches(draw):
     r_defined = np.array(draw(st.lists(st.booleans(), min_size=seeds * n,
                                        max_size=seeds * n))).reshape(seeds, n)
     logdet = np.array(draw(st.lists(CELLS, min_size=n, max_size=n)), dtype=float)
-    zeros = np.zeros((seeds, n))
     return DetectionSeries(
-        step_log_ratio=zeros, honest_logdens=zeros, corrupt_logdens=zeros, s=zeros,
-        s_breve=zeros, half_logdet_ratio=zeros, cum_log_l=cells((seeds, n)),
-        cum_s=cells((seeds, n)), cum_s_breve=cells((seeds, n)),
+        cum_log_l=cells((seeds, n)), cum_s=cells((seeds, n)), cum_s_breve=cells((seeds, n)),
         cum_logdet_ratio=np.tile(logdet, (seeds, 1)), r_n=cells((seeds, n)),
         r_defined=r_defined)
 
@@ -488,10 +508,8 @@ def test_every_batch_file_is_the_per_cell_oracle(batch):
 
 
 def test_undefined_and_special_cells_by_hand():
-    one = np.array([[1.0, 2.0]])
     batch = DetectionSeries(
-        step_log_ratio=one, honest_logdens=one, corrupt_logdens=one, s=one, s_breve=one,
-        half_logdet_ratio=one, cum_log_l=np.array([[-0.0, math.inf]]),
+        cum_log_l=np.array([[-0.0, math.inf]]),
         cum_s=np.array([[0.5, math.nan]]), cum_s_breve=np.array([[0.0, -math.inf]]),
         cum_logdet_ratio=np.array([[0.25, 0.5]]), r_n=np.array([[math.nan, 3.0]]),
         r_defined=np.array([[False, True]]))
@@ -547,11 +565,11 @@ def test_detect_ensemble_matches_the_per_law_oracle(honest_kind, attack_kind):
 
     The oracle computes each law's means, the drift A x and the residuals
     separately, and the quadratic forms by forward substitution. Each
-    field agrees at rtol 1e-12; the log ratios are differences of log
-    densities, so theirs is relative to the densities that cancel. Where
-    the laws agree, the log ratio is exactly 0.
+    field agrees at rtol 1e-12; the log ratio's prefix sums are sums of
+    differences of log densities, so theirs is relative to the prefix sums
+    of the densities that cancel. Where the laws agree, the log ratio is
+    exactly 0.
     """
-    from oracles import detect_per_law
     honest, horizon = GATE_HONEST[honest_kind]
     corrupt = GATE_ATTACKS[attack_kind]
     cfg = AttackConfig((1, 3))
@@ -565,13 +583,11 @@ def test_detect_ensemble_matches_the_per_law_oracle(honest_kind, attack_kind):
     got = detect_ensemble(ens.states, m, honest, corrupt, cfg)
     want = detect_per_law(ens.states, m, honest, corrupt, cfg)
     assert np.array_equal(got.r_defined, want.r_defined)
-    for name in ("honest_logdens", "corrupt_logdens", "s", "s_breve", "half_logdet_ratio",
-                 "cum_s", "cum_s_breve", "cum_logdet_ratio", "r_n"):
+    for name in ("cum_s", "cum_s_breve", "cum_logdet_ratio", "r_n"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12,
                                    atol=0.0, err_msg=name)
-    scale = np.abs(want.honest_logdens) + np.abs(want.corrupt_logdens)
-    for name, tol in (("step_log_ratio", scale), ("cum_log_l", np.cumsum(scale, axis=-1))):
-        error = np.abs(getattr(got, name) - getattr(want, name))
-        assert (error <= 1e-12 * tol).all(), (name, float((error / tol).max()))
+    tol = np.cumsum(np.abs(want.honest_logdens) + np.abs(want.corrupt_logdens), axis=-1)
+    error = np.abs(got.cum_log_l - want.cum_log_l)
+    assert (error <= 1e-12 * tol).all(), float((error / tol).max())
     if attack_kind in ("none", "mimic-honest"):
-        assert (got.step_log_ratio == 0.0).all() and (got.cum_log_l == 0.0).all()
+        assert (got.cum_log_l == 0.0).all()

@@ -190,10 +190,13 @@ def test_horizons_around_the_band_block_keep_each_seed_alone_and_in_any_batch(ca
         if not stable:
             continue  # growing states leave the residuals only as exact as |x| allows
         want = detect_per_law(ens.states, m, honest, corrupt, cfg)
-        for name in ("honest_logdens", "corrupt_logdens", "s", "s_breve", "cum_s",
-                     "cum_s_breve"):
+        for name in ("cum_s", "cum_s_breve"):
             np.testing.assert_allclose(getattr(whole, name), getattr(want, name), rtol=1e-12,
                                        atol=0.0, err_msg=f"{name} at horizon {horizon}")
+        # the log densities' rtol 1e-12, summed over each prefix
+        tol = 1e-12 * np.cumsum(np.abs(want.honest_logdens) + np.abs(want.corrupt_logdens),
+                                axis=-1)
+        assert (np.abs(whole.cum_log_l - want.cum_log_l) <= tol).all(), horizon
 
 
 def lag_stacked_loop(m, honest, attack, horizon, seed):
@@ -480,8 +483,10 @@ def test_engine_matches_a_hand_written_loop(corrupt):
             corrupt_law = GaussianLaw(drive + m.actuator_gains * c, c_cov)
             steps.append(log_gaussian_density(x[t + 1], honest_law)
                          - log_gaussian_density(x[t + 1], corrupt_law))
-        np.testing.assert_allclose(batch.step_log_ratio[i], steps, rtol=1e-12, atol=1e-12)
-        assert batch.cum_log_l[i, -1] == pytest.approx(math.fsum(steps), abs=1e-9)
+        # each step's rtol 1e-12 and atol 1e-12, summed over the prefix
+        exact = [math.fsum(steps[:t + 1]) for t in range(40)]
+        tol = 1e-12 * (np.arange(1, 41) + np.cumsum(np.abs(steps)))
+        assert (np.abs(batch.cum_log_l[i] - exact) <= tol).all()
 
 
 def test_dense_quadratic_forms_do_not_depend_on_the_batch():
@@ -491,7 +496,7 @@ def test_dense_quadratic_forms_do_not_depend_on_the_batch():
     slice, so seed 3 opens a slice of the whole batch and closes a chunk,
     at a row offset that is not a multiple of any vector width.
     """
-    from oracles import log_gaussian_density
+    from oracles import log_gaussian_density, step_loop_sum2
 
     n = 8
     m = chain(n)
@@ -506,10 +511,14 @@ def test_dense_quadratic_forms_do_not_depend_on_the_batch():
     chunk = detect_ensemble(x[2:4], m, honest, corrupt, cfg)
     h_cov, c_cov = conditional_covariances(m, lift(honest, (cfg, corrupt), n))
     means = [m.dynamics @ xt + m.actuator_gains * (gain @ xt) for xt in x[3, :-1]]
-    for name, cov in (("honest_logdens", h_cov), ("corrupt_logdens", c_cov)):
+    for name in ("cum_log_l", "cum_s", "cum_s_breve"):
         row = getattr(whole, name)[3]
         assert np.array_equal(getattr(alone, name)[0], row), name
         assert np.array_equal(getattr(chunk, name)[1], row), name
-        oracle = [log_gaussian_density(x[3, t + 1], GaussianLaw(mu, cov))
-                  for t, mu in enumerate(means)]
-        np.testing.assert_allclose(row, oracle, rtol=1e-12)
+    honest_dens, corrupt_dens = np.array([[log_gaussian_density(x[3, t + 1], GaussianLaw(mu, cov))
+                                           for t, mu in enumerate(means)]
+                                          for cov in (h_cov, c_cov)])
+    # each log density's rtol 1e-12, summed over the prefix
+    tol = 1e-12 * np.cumsum(np.abs(honest_dens) + np.abs(corrupt_dens))
+    exact = step_loop_sum2(honest_dens - corrupt_dens)
+    assert (np.abs(whole.cum_log_l[3] - exact) <= tol).all()

@@ -69,6 +69,15 @@ def assert_batch_matches_chunks_and_per_seed(s, chunk, tmp_path):
 LINEAR_PRESETS = ["identity", "replacement", "fdi", "dos", "mimic", "example1", "example2"]
 
 
+def overflowing_replacement():
+    """The replacement preset on an unstable network whose log ratio overflows."""
+    data = preset("replacement")
+    data["model"]["dynamics"] = [[2.0, 0.3], [0.0, 2.0]]
+    data["horizon"] = 1000
+    data["seeds"]["count"] = 3
+    return data
+
+
 def small(name, count=3, horizon=40):
     data = preset(name)
     data["seeds"]["count"] = count
@@ -292,6 +301,47 @@ class TestRunMontecarlo:
         assert summary.n_failed == 2 and summary.n_ok == 0
         assert summary.failure_codes == {"NonFiniteState": 2}
         assert summary.detection_fraction is None  # no run, so no verdict
+
+    def test_an_overflowing_log_ratio_is_a_failed_seed(self, tmp_path):
+        # the states stay finite (about 2^1000) but their residual energies overflow
+        summary = run_montecarlo(scenario_from_dict(overflowing_replacement()),
+                                 out_dir=tmp_path)
+        assert summary.n_failed == 3 and summary.n_ok == 0
+        assert summary.failure_codes == {"NonFiniteLogRatio": 3}
+        assert summary.detection_fraction is None and summary.mean_drift is None
+        for r in summary.rows:
+            assert r["decision"] is None and r["log_l"] is None
+            assert r["error"].startswith("NonFiniteLogRatio: log likelihood ratio is not "
+                                         "finite from step ")
+            assert r["error"].endswith(f"(seed {r['seed']})")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.csv", "summary.json"]
+        with open(tmp_path / "runs.csv", newline="") as fp:
+            table = list(csv.reader(fp))
+        assert [row[2:5] for row in table[1:]] == [["", "", ""]] * 3
+
+    def test_a_failed_log_ratio_leaves_the_other_seeds_as_they_were(self, tmp_path,
+                                                                    monkeypatch):
+        s = small("replacement", count=4, horizon=30)
+        want = run_montecarlo(s, out_dir=tmp_path / "plain")
+        real = harness.detect_ensemble
+
+        def overflow_seed_2(*args):
+            batch = real(*args)
+            batch.cum_log_l[2, 17:] = math.nan
+            return batch
+
+        monkeypatch.setattr(harness, "detect_ensemble", overflow_seed_2)
+        got = run_montecarlo(s, out_dir=tmp_path / "failed")
+        assert got.failure_codes == {"NonFiniteLogRatio": 1}
+        assert got.rows[2]["error"] == ("NonFiniteLogRatio: log likelihood ratio is not "
+                                        f"finite from step 18 (seed {got.rows[2]['seed']})")
+        assert [r for k, r in enumerate(got.rows) if k != 2] == \
+            [r for k, r in enumerate(want.rows) if k != 2]
+        assert not (tmp_path / "failed" / "run_00002.csv").exists()
+        for k in (0, 1, 3):
+            name = f"run_{k:05d}.csv"
+            assert (tmp_path / "failed" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes()
 
     def test_error_cells_are_quoted_in_runs_table(self, tmp_path):
         rows = [{"run_index": 0, "seed": 11, "log_l": -1.5, "r_n": None,
@@ -535,6 +585,25 @@ class TestCli:
         path = tmp_path / "unstable.json"
         path.write_text(json.dumps(data))
         assert cli.main(["simulate", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["montecarlo", "detect"])
+    def test_an_overflowing_log_ratio_exits_two(self, tmp_path, capsys, command):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(overflowing_replacement()))
+        out = tmp_path / "o"
+        assert cli.main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and len(err.splitlines()) == 1
+        assert "NonFiniteLogRatio: log likelihood ratio is not finite from step " in err
+        if command == "detect":
+            assert not out.exists()  # no series of a failed run
+
+    @pytest.mark.parametrize("command", ["simulate", "detect"])
+    def test_a_negative_seed_names_the_option(self, tmp_path, capsys, command):
+        path = self.write_preset(tmp_path, "identity", horizon=10)
+        assert cli.main([command, str(path), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == \
+            "error: --seed must be a non-negative integer, got -1\n"
 
     def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
         path = self.write_preset(tmp_path, "identity", horizon=10)
