@@ -16,6 +16,7 @@ running anything. The output JSON holds every run's per-workload record
 side's median and quartiles, the ratio of the medians, the pairs the change
 won (ties count for neither), whether the medians differ by more than the
 parent's interquartile range, whether that shows a gain (``gain_shown``),
+how much going second in a pair moves each side (``second_over_first``),
 and the no-regression verdict against the metric's bound in
 ``BENCHMARK.json`` (``within_bound``, ``unresolved``; see
 :func:`summarize`). The temporary tree is removed at the end, and
@@ -34,7 +35,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from statistics import quantiles
+from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # alternating pairs per record
@@ -87,6 +88,15 @@ def _stats(values: list[float]) -> dict:
     return {"q1": q1, "median": q2, "q3": q3}
 
 
+def _second_over_first(pairs: list[dict], side: str, values: list[float]) -> float | None:
+    """Median of ``side``'s values from pairs it ran second in over those it ran first in."""
+    first = [v for pair, v in zip(pairs, values) if pair["first"] == side]
+    second = [v for pair, v in zip(pairs, values) if pair["first"] != side]
+    if not first or not second:
+        return None
+    return median(second) / median(first)
+
+
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload and end-to-end metric: both sides' quartiles, the wins and the verdict.
 
@@ -99,7 +109,9 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     bound times the parent's median. ``unresolved``: the parent's
     interquartile spread is wider than that same bound, so a regression of
     the bound's size could hide in it, unless every change run is better
-    than every parent run.
+    than every parent run. ``second_over_first``: per side, the median of
+    its runs that went second in their pair over the median of those that
+    went first, which shows how much the order of a pair moves the metric.
     """
     summary: dict[str, dict] = {}
     for k, parent_rec in enumerate(pairs[0]["parent"]):
@@ -116,8 +128,11 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             parent_iqr = parent["q3"] - parent["q1"]
             beats_every = (min(sign * c for c in sides["change"])
                            > max(sign * p for p in sides["parent"]))
+            order = {side: _second_over_first(pairs, side, sides[side])
+                     for side in ("parent", "change")}
             summary[workload][name] = {
                 "better": direction, "parent": parent, "change": change,
+                "second_over_first": order,
                 "ratio_change_over_parent": change["median"] / parent["median"],
                 "change_wins": f"{wins}/{len(pairs)}",
                 "median_gap_over_parent_iqr": abs(worse_by) > parent_iqr,

@@ -11,18 +11,23 @@ running product of conditional-covariance determinant ratios. Only the
 prefix sums of these per-step quantities are kept, since every output
 reads a cumulative value.
 
-:func:`detect_ensemble` computes every statistic as arrays for a whole
-batch of paths, one row per seed; :func:`rn_series` is the same function
-on a batch of one. Both laws are linear in the observed states, so both
-residuals and both whitened residuals at a step are one stacked linear
-map of the stretch of path the step reads, and the maps of B consecutive
-steps are one banded operator, applied in one matrix-vector product per
-block of B steps. All cumulative series use Sum2 compensated summation
+:func:`detect_tile` computes every statistic as arrays for a time tile
+of a batch of paths, one row per seed, and continues each seed's sums
+from the tile before; :func:`detect_ensemble` is the engine run as one
+tile over whole paths, and :func:`rn_series` the same on a batch of one.
+Both laws are linear in the observed states, so both residuals and both
+whitened residuals at a step are one stacked linear map of the stretch of
+path the step reads, and the maps of B consecutive steps are one banded
+operator, applied in one matrix-vector product per block of B steps.
+Everything the tiles share (the stacked maps, de-duplicated over the
+whole horizon, and the laws' constants) is one :class:`DetectionPlan` per
+batch. All cumulative series use Sum2 compensated summation
 (:func:`cps_sentinel.numerics.compensated_cumsum`), run across the seed
-axis with no step loop, so that horizons up to 1e5 steps of small
-increments stay exact to roundoff.
+axis with no step loop and carried from tile to tile, so that horizons up
+to 1e5 steps of small increments stay exact to roundoff.
 
-:func:`series_csv_texts` writes a batch's detection CSVs and
+:func:`series_csv_tile` writes the lines of a tile of a batch's detection
+CSVs, :func:`series_csv_texts` a batch's whole CSVs and
 :func:`series_csv_text` one seed's.
 """
 
@@ -64,9 +69,7 @@ class Decision(enum.Enum):
 class NonFiniteLogRatio(NonFiniteState):
     """A seed's log likelihood ratio overflowed although its states are finite."""
 
-    def __init__(self, cum_log_l: np.ndarray, seed: int):
-        step = int(np.isfinite(cum_log_l).argmin()) + 1
-        super().__init__(f"log likelihood ratio is not finite from step {step} (seed {seed})")
+    what = "log likelihood ratio is not finite from step"
 
 
 @dataclass(frozen=True)
@@ -105,17 +108,83 @@ class DetectionSeries:
         return float(self.cum_log_l[n - 1])
 
 
-# Seeds per slice of detect_ensemble, chosen so that each of its temporaries
-# (the padded path, (seeds, steps, N), and the banded product, (seeds,
-# steps, K N) with K the stacked blocks) stays near this many doubles.
-_SLICE_DOUBLES = 3 << 14
+@dataclass(frozen=True)
+class DetectionPlan:
+    """What every tile of a batch's detection shares (see :func:`detection_plan`).
+
+    ``band`` holds the stacked residual rows, ``columns`` = K N of them
+    per step, of ``block`` steps; ``shift`` is their shift (one row, one
+    per step of the horizon, or None) and ``where`` the block of each of
+    the four residuals (:func:`_residual_operator`). ``honest_const`` and
+    ``corrupt_const`` are each law's log density less half its quadratic
+    form.
+    """
+
+    band: np.ndarray
+    block: int
+    columns: int
+    shift: np.ndarray | None
+    where: list
+    lags: int
+    n_agents: int
+    lam_min_h: float
+    lam_max_c: float
+    honest_const: float
+    corrupt_const: float
+    step_logdet: float
+
+    def fresh_carry(self, n_seeds: int) -> np.ndarray:
+        """The carry of :func:`detect_tile` before the first tile of ``n_seeds`` paths."""
+        return np.zeros((2, 3 * n_seeds + 1))
+
+
+def detection_plan(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolicy | None,
+                   cfg: AttackConfig | None, horizon: int) -> DetectionPlan:
+    """The :class:`DetectionPlan` of ``horizon`` steps, computed once per batch.
+
+    The stacked residual blocks are de-duplicated over the whole horizon,
+    so a tile's bits never depend on where the tile falls.
+    """
+    n_agents = m.n_agents
+    laws = lift(honest, None if corrupt is None or cfg is None else (cfg, corrupt), n_agents)
+    h_cov, c_cov = conditional_covariances(m, laws)
+    ld_h, ld_c = logdet(h_cov), logdet(c_cov)
+    const = -0.5 * n_agents * LOG_TWO_PI
+    rows, shift, where = _residual_operator(m, laws, (h_cov, c_cov), horizon)
+    band, block = _banded_operator(rows, n_agents, laws.lags)
+    return DetectionPlan(band, block, len(rows), shift, where, laws.lags, n_agents,
+                         eig_extremes(h_cov)[0], eig_extremes(c_cov)[1],
+                         const - 0.5 * ld_h, const - 0.5 * ld_c, 0.5 * (ld_c - ld_h))
 
 
 def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
                     corrupt: CorruptPolicy | None, cfg: AttackConfig | None) -> DetectionSeries:
     """Detection series of every path in ``states`` (shape (S, n+1, N)).
 
-    The prefix sums of, per step t (predicting x_t from the history up to t-1):
+    The engine of :func:`detect_tile` run as one tile over the whole path.
+    Raises ``ValueError`` naming the seed row and the step of the first
+    non-finite state.
+    """
+    states = np.asarray(states, dtype=float)
+    n_seeds, n = states.shape[0], states.shape[1] - 1
+    if n < 1:
+        raise ValueError("trajectory must contain at least one step")
+    if not np.isfinite(states).all():
+        row, step = np.argwhere(~np.isfinite(states).all(axis=-1))[0]
+        raise ValueError(f"state x_{step} of seed row {row} is not finite")
+    plan = detection_plan(m, honest, corrupt, cfg, n)
+    path = np.zeros((n_seeds, plan.lags + n, m.n_agents))
+    path[:, plan.lags - 1:] = states
+    return detect_tile(plan, path, 0, plan.fresh_carry(n_seeds))
+
+
+def detect_tile(plan: DetectionPlan, path: np.ndarray, lo: int,
+                carry: np.ndarray) -> DetectionSeries:
+    """Detection series of steps lo+1..lo+h of every path of a tile.
+
+    ``path`` (S, L + h, N) holds x_{lo-L+1}, ..., x_{lo+h}, zero before
+    x_0, as :class:`cps_sentinel.simulator.PathTile` gives it. The prefix
+    sums of, per step t (predicting x_t from the history up to t-1):
 
     * step log ratio = log N(x_t; honest law) - log N(x_t; corrupt law),
     * s_t = ||x_t - honest mean||^2 / lambda_min(honest covariance),
@@ -130,81 +199,66 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
     is one stretch of L + B states of the path, so the stacked maps of B
     steps are one banded operator (:func:`_banded_operator`), applied by
     one matrix-vector product per block to an overlapping view of the
-    path, for a slice of seeds at a time (:func:`_block_energies`), whose
-    two log densities are temporaries; the prefix sums of each per-step
-    series of the whole batch come from one compensated pass, and only
-    they are returned. The log-determinant increment is one constant, so
-    its sums are one row that every seed shares. Every seed's result is
-    therefore the same alone or in any batch.
+    path (:func:`_block_energies`). Each of the three per-seed series and
+    the log-determinant increment, one constant whose sums are one row
+    that every seed shares, is summed in one compensated pass that
+    continues from its columns of ``carry`` and updates them: shape
+    (2, 3 S + 1), the Sum2 carries of every seed's log ratio, then of
+    every s, of every s_breve and of the shared row
+    (:meth:`DetectionPlan.fresh_carry` before the first tile). A tile that
+    starts at a multiple of B gets the bits of one tile over the whole
+    path, and every seed's result is the same alone or in any batch.
 
-    Raises ``ValueError`` naming the seed row and the step of the first
-    non-finite state. Residual energies that overflow give a non-finite
-    ``cum_log_l``, not a warning.
+    Residual energies that overflow, and states that are not finite, give
+    non-finite series, not a warning.
     """
-    states = np.asarray(states, dtype=float)
-    n_seeds, n = states.shape[0], states.shape[1] - 1
-    if n < 1:
-        raise ValueError("trajectory must contain at least one step")
-    if not np.isfinite(states).all():
-        row, step = np.argwhere(~np.isfinite(states).all(axis=-1))[0]
-        raise ValueError(f"state x_{step} of seed row {row} is not finite")
-    n_agents = m.n_agents
-    laws = lift(honest, None if corrupt is None or cfg is None else (cfg, corrupt), n_agents)
-    h_cov, c_cov = conditional_covariances(m, laws)
-    ld_h, ld_c = logdet(h_cov), logdet(c_cov)
-    lam_min_h, lam_max_c = eig_extremes(h_cov)[0], eig_extremes(c_cov)[1]
-    const = -0.5 * n_agents * LOG_TWO_PI
-    rows, shift, where = _residual_operator(m, laws, (h_cov, c_cov), n)
-
-    # steps[0..2]: step log ratio, s, s_breve
-    steps = np.empty((3, n_seeds, n))
+    n_seeds, h = len(path), path.shape[1] - plan.lags
+    where = plan.where
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for lo, energy in _block_energies(states, rows, shift, laws.lags, n_agents):
-            hi = lo + energy.shape[1]
-            steps[1, lo:hi] = energy[where[0]] / lam_min_h
-            steps[2, lo:hi] = energy[where[2]] / lam_max_c
-            np.subtract(const - 0.5 * ld_h - 0.5 * energy[where[1]],
-                        const - 0.5 * ld_c - 0.5 * energy[where[3]], out=steps[0, lo:hi])
-        # one compensated pass per series, so that its two (seeds, steps)
-        # temporaries are a third of what one pass over the stack would hold
-        cum_log_l, cum_s, cum_s_breve = map(compensated_cumsum, steps)
+        energy = _block_energies(plan, path, lo)
+        # steps[0..2]: step log ratio, s, s_breve
+        steps = np.empty((3, n_seeds, h))
+        np.divide(energy[where[0]], plan.lam_min_h, out=steps[1])
+        np.divide(energy[where[2]], plan.lam_max_c, out=steps[2])
+        np.subtract(plan.honest_const - 0.5 * energy[where[1]],
+                    plan.corrupt_const - 0.5 * energy[where[3]], out=steps[0])
+        del energy
+        # one compensated pass per series, so that its temporaries are a
+        # third of what one pass over the stack would hold
+        carries = carry[:, :-1].reshape(2, 3, n_seeds)
+        cum_log_l, cum_s, cum_s_breve = [compensated_cumsum(x, carries[:, k])
+                                         for k, x in enumerate(steps)]
         r_defined = cum_s_breve > 0.0
         r_n = np.where(r_defined, cum_s / np.where(r_defined, cum_s_breve, 1.0), np.nan)
-    cum_logdet = compensated_cumsum(np.full(n, 0.5 * (ld_c - ld_h)))
+    cum_logdet = compensated_cumsum(np.full(h, plan.step_logdet), carry[:, -1])
     return DetectionSeries(cum_log_l, cum_s, cum_s_breve,
-                           np.broadcast_to(cum_logdet, (n_seeds, n)), r_n, r_defined)
+                           np.broadcast_to(cum_logdet, (n_seeds, h)), r_n, r_defined)
 
 
-def _block_energies(states: np.ndarray, rows: np.ndarray, shift: np.ndarray | None,
-                    lags: int, n_agents: int):
-    """Squared norms of the stacked residual blocks of every seed and step.
+def _block_energies(plan: DetectionPlan, path: np.ndarray, lo: int) -> np.ndarray:
+    """Squared norms of the stacked residual blocks of every seed and step of a tile.
 
-    Yields, per slice of seeds, the row of its first seed and an array
-    (K, seeds, n) whose entry (k, i, t) is the squared norm of block k of
-    ``rows`` times the lag window of seed i's step t, less ``shift``. The
-    path is padded with L - 1 zero states before x_0 and with zeros after
-    x_n up to whole blocks of B steps, so that block j of the path is the
-    stretch of L + B states from x_{jB-L+1} to x_{jB+B}, a view at stride
-    B N; one matrix-vector product of the banded operator per block gives
-    its B steps, and the padded steps are dropped.
+    Returns an array (K, S, h) whose entry (k, i, t) is the squared norm
+    of block k of the stacked rows times the lag window of seed i's step
+    lo + t + 1, less the shift. The tile's path is copied and padded with
+    zeros up to whole blocks of B steps, so that block j of the copy is
+    the stretch of L + B states from x_{lo+jB-L+1} to x_{lo+jB+B}, a view
+    at stride B N; one matrix-vector product of the banded operator per
+    block gives its B steps, and the padded steps are dropped.
     """
-    n_seeds, n = states.shape[0], states.shape[1] - 1
-    band, block = _banded_operator(rows, n_agents, lags)
-    n_blocks = -(-n // block)
-    width = max(1, _SLICE_DOUBLES // (n * len(rows)))
-    padded = np.zeros((min(width, n_seeds), n_blocks * block + lags, n_agents))
-    view = as_strided(padded, (len(padded), n_blocks, band.shape[1]),
+    n_seeds, h = len(path), path.shape[1] - plan.lags
+    block, n_agents = plan.block, plan.n_agents
+    n_blocks = -(-h // block)
+    padded = np.zeros((n_seeds, n_blocks * block + plan.lags, n_agents))
+    padded[:, :plan.lags + h] = path
+    view = as_strided(padded, (n_seeds, n_blocks, plan.band.shape[1]),
                       (padded.strides[0], block * padded.strides[1], padded.strides[2]))
-    for lo in range(0, n_seeds, width):
-        x = states[lo:lo + width]
-        padded[:len(x), lags - 1:lags + n] = x
-        z = matvec(band, view[:len(x)]).reshape(len(x), n_blocks * block, -1)
-        if shift is not None:
-            z[:, :n] -= shift
-        z = z.reshape(len(x), n_blocks * block, -1, n_agents)
-        energy = np.einsum("stbn,stbn->bst", z, z)[..., :n]
-        del z  # so that no two slices' products are alive at once
-        yield lo, energy
+    z = matvec(plan.band, view).reshape(n_seeds, n_blocks * block, -1)
+    del padded, view  # so that the copy and the squared norms are never alive at once
+    if plan.shift is not None:
+        z[:, :h] -= plan.shift if len(plan.shift) == 1 else plan.shift[lo:lo + h]
+    z = z.reshape(n_seeds, n_blocks * block, -1, n_agents)
+    return np.einsum("stbn,stbn->bst", z, z)[..., :h]
 
 
 def _banded_operator(rows: np.ndarray, n_agents: int, lags: int) -> tuple[np.ndarray, int]:
@@ -262,7 +316,7 @@ def rn_series(traj: Trajectory, m: CpsModel, honest: HonestPolicy,
     """Detection series of one path; raises :class:`NonFiniteLogRatio` if its logL overflows."""
     series = detect_ensemble(traj.states[None], m, honest, corrupt, cfg).row(0)
     if not math.isfinite(series.cum_log_l[-1]):
-        raise NonFiniteLogRatio(series.cum_log_l, traj.seed)
+        raise NonFiniteLogRatio(int(np.isfinite(series.cum_log_l).argmin()) + 1, traj.seed)
     return series
 
 
@@ -346,27 +400,39 @@ def series_csv_texts(series: DetectionSeries):
     """Each seed's CSV text, columns t, logL, r_n, s_sum, sbreve_sum, logdet_ratio_sum.
 
     ``series`` is a batch from :func:`detect_ensemble` or one seed's
-    series; the texts come one seed at a time, in row order, so a caller
-    that writes each before taking the next keeps one alive at a time.
-    The columns every seed shares are formatted once per call into a line
-    template: ``t`` and ``logdet_ratio_sum``, the compensated sum of one
-    scalar increment and so the same bits in every row (taken from row 0).
-    A seed's text is then one ``%`` format of its other four columns;
-    ``%r`` and ``%s`` of a float are its ``repr``. Undefined ratio entries
-    are left empty rather than written as inf/nan.
+    series: the texts of :func:`series_csv_tile` with steps from 1.
+    """
+    return series_csv_tile(series, 0)
+
+
+def series_csv_tile(series: DetectionSeries, lo: int):
+    """Each seed's CSV lines of steps lo+1..lo+h, after the header when lo is 0.
+
+    ``series`` holds the h steps of a tile (:func:`detect_tile`), of a
+    batch or of one seed; appending each tile's lines in order gives the
+    seed's CSV. The texts come one seed at a time, in row order, so a
+    caller that writes each before taking the next keeps one alive at a
+    time. The columns every seed shares are formatted once per call into
+    a line template: ``t`` and ``logdet_ratio_sum``, the compensated sum
+    of one scalar increment and so the same bits in every row (taken from
+    row 0). A seed's text is then one ``%`` format of its other four
+    columns; ``%r`` and ``%s`` of a float are its ``repr``. Undefined ratio
+    entries are left empty rather than written as inf/nan.
     """
     n = series.horizon
     logdet = series.cum_logdet_ratio.reshape(-1, n)[0].tolist()
-    template = _CSV_HEADER + "".join([f"{t},%r,%s,%r,%r,{ld!r}\n"
-                                      for t, ld in enumerate(logdet, start=1)])
+    template = ("" if lo else _CSV_HEADER) + "".join(
+        [f"{t},%r,%s,%r,%r,{ld!r}\n" for t, ld in enumerate(logdet, start=lo + 1)])
     cells = np.stack([series.cum_log_l, series.r_n, series.cum_s, series.cum_s_breve],
                      axis=-1).reshape(-1, 4 * n)
-    # flat positions of each seed's undefined r_n cells, written as ""
-    undefined = ~series.r_defined.reshape(-1, n)
-    for row, missing in zip(cells, undefined):
+    # positions of each seed's undefined r_n cells, written as ""
+    missing: dict[int, list[int]] = {}
+    for k, t in np.argwhere(~series.r_defined.reshape(-1, n)).tolist():
+        missing.setdefault(k, []).append(4 * t + 1)
+    for k, row in enumerate(cells):
         values = row.tolist()
-        for i in np.flatnonzero(missing).tolist():
-            values[4 * i + 1] = ""
+        for i in missing.get(k, ()):
+            values[i] = ""
         yield template % tuple(values)
 
 

@@ -3,8 +3,8 @@
 Scenarios are JSON with explicit row-major matrices and string-tagged
 policy kinds; statistical parameters carry no defaults, so a file either
 states its covariances or fails validation. Batch runs derive one stream
-per run index, simulate and detect all seeds together on the ensemble
-engine, write one detection CSV per seed plus a deterministic summary,
+per run index, simulate, detect and write groups of seeds together in
+time tiles, write one detection CSV per seed plus a deterministic summary,
 and refuse attack scenarios that violate the honest-influence
 requirement unless explicitly overridden.
 """
@@ -25,8 +25,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import Decision, NonFiniteLogRatio, decide, detect_ensemble, series_csv_texts
+from .detection import (
+    Decision,
+    DetectionPlan,
+    NonFiniteLogRatio,
+    decide,
+    detect_tile,
+    detection_plan,
+    series_csv_tile,
+)
 from .mdp import (
+    _GROUP_SEEDS,
     FiniteMdp,
     StochasticPolicy,
     analytic_drift,
@@ -55,7 +64,7 @@ from .policies import (
     Replacement,
     Zero,
 )
-from .simulator import simulate_ensemble
+from .simulator import NonFiniteState, SimulationPlan, path_tiles, simulation_plan
 
 
 class ParseError(Exception):
@@ -218,6 +227,15 @@ def _create(path: Path, newline: str | None = None):
             return open(path, "w", newline=newline)
         path.unlink()
         return open(path, "x", newline=newline)
+
+
+def _discard(path: Path) -> None:
+    """Remove a regular file at ``path``; leave anything else there (see :func:`_create`)."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            path.unlink()
+    except FileNotFoundError:
+        pass
 
 
 def _write_fresh(path: Path, text: str) -> None:
@@ -395,9 +413,22 @@ def _check_attack_sizes(model: CpsModel, attack, horizon) -> list[Violation]:
     return issues
 
 
-def _chunk_seeds(s: Scenario) -> int:
-    """Seeds per engine call: the noise block and states of a call stay near 32 MB."""
-    return max(1, (1 << 22) // (s.horizon * 3 * s.model.n_agents))
+# Cells of the largest per-tile array of a linear batch: a tile of S seeds
+# runs about _TILE_CELLS // (S * widest columns per seed-step) steps.
+_TILE_CELLS = 1 << 16
+
+
+def _tile_steps(sim: SimulationPlan, det: DetectionPlan, n_seeds: int) -> int:
+    """Steps per tile of a group of ``n_seeds``: a whole number of both engines' blocks.
+
+    The largest of the simulator's noise planes (``sim.columns`` per seed
+    and step) and the detector's stacked residuals (``det.columns``) holds
+    about ``_TILE_CELLS`` cells, in at least one common block, so that every
+    tile starts on a block boundary of both engines.
+    """
+    common = math.lcm(sim.block, det.block)
+    width = n_seeds * max(sim.columns, det.columns) * common
+    return max(1, _TILE_CELLS // width) * common
 
 
 def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
@@ -406,13 +437,14 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
 
     Refuses attack scenarios whose network leaves some agent untouched by
     honest excitation (``override_assumption2`` runs them anyway, for
-    studying exactly that failure mode). All seeds run through the
-    ensemble engine (:func:`simulate_ensemble`, :func:`detect_ensemble`)
-    in one call, or in chunks when one call's arrays would pass about
-    32 MB; a seed's result does not depend on the chunking. A seed whose
-    state (``NonFiniteState``) or final logL (``NonFiniteLogRatio``) is not
-    finite gets no decision and no CSV, and is counted in ``n_failed`` and,
-    by exception name, in ``failure_codes``; the others run on.
+    studying exactly that failure mode). The seeds run in groups of at
+    most ``_GROUP_SEEDS``, each in time tiles of about ``_TILE_CELLS``
+    cells (:func:`_run_linear_group`), so memory stays per tile whatever
+    the horizon; a seed's result does not depend on its group or the
+    tiles. A seed whose state (``NonFiniteState``) or final logL
+    (``NonFiniteLogRatio``) is not finite gets no decision and no CSV, and
+    is counted in ``n_failed`` and, by exception name, in
+    ``failure_codes``; the others run on.
     """
     if s.attack is not None:
         holds, unreachable = honest_influence_check(s.model, s.attack[0])
@@ -423,48 +455,23 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
                 "(pass override_assumption2 to run anyway)")
     start = time.perf_counter()
     cfg, corrupt = s.attack if s.attack is not None else (None, None)
-    chunk_seeds = _chunk_seeds(s)
+    sim = simulation_plan(s.model, s.honest, s.attack)
+    det = detection_plan(s.model, s.honest, corrupt, cfg, s.horizon)
     out_path = _out_path(out_dir, s.outputs)
 
     rows = []
-    failure_codes: dict[str, int] = {}
-    for lo in range(0, s.seed_count, chunk_seeds):
-        indices = range(lo, min(lo + chunk_seeds, s.seed_count))
-        ens = simulate_ensemble(s.model, s.honest, s.attack, s.horizon,
-                                [split_seed(s.seed_base, i) for i in indices])
-        done = ens.failed_at == 0  # failed runs have no meaningful path to detect on
-        if done.any():
-            batch = detect_ensemble(ens.states if done.all() else ens.states[done],
-                                    s.model, s.honest, corrupt, cfg)
-            finite = np.isfinite(batch.cum_log_l[:, -1])  # the CSVs skip a non-finite logL
-            texts = (series_csv_texts(batch if finite.all() else batch.row(finite))
-                     if out_path is not None else None)
-            # each completed seed's logL and r_n after the last step
-            log_l = batch.cum_log_l[:, -1].tolist()
-            r_n = [r if defined else None for r, defined
-                   in zip(batch.r_n[:, -1].tolist(), batch.r_defined[:, -1].tolist())]
-        position = (np.cumsum(done) - 1).tolist()
-        for k, index in enumerate(indices):
-            row = {"run_index": index, "seed": ens.seeds[k], "log_l": None, "r_n": None,
-                   "decision": None, "error": None}
-            error = ens.error(k)
-            j = position[k]
-            if error is None and not math.isfinite(log_l[j]):
-                error = NonFiniteLogRatio(batch.cum_log_l[j], ens.seeds[k])
-            if error is not None:
-                code = type(error).__name__
-                row["error"] = f"{code}: {error}"
-                failure_codes[code] = failure_codes.get(code, 0) + 1
-            else:
-                row["log_l"], row["r_n"] = log_l[j], r_n[j]
-                row["decision"] = decide(log_l[j], s.threshold).value
-                if texts is not None:
-                    _write_fresh(out_path / f"run_{index:05d}.csv", next(texts))
-            rows.append(row)
+    for first in range(0, s.seed_count, _GROUP_SEEDS):
+        indices = range(first, min(first + _GROUP_SEEDS, s.seed_count))
+        rows += _run_linear_group(s, sim, det, indices, out_path)
     if out_path is not None:
         _write_runs_table(out_path / "runs.csv", rows)
 
     ok = [r for r in rows if r["error"] is None]
+    failure_codes: dict[str, int] = {}
+    for r in rows:
+        if r["error"] is not None:
+            code = r["error"].split(":", 1)[0]
+            failure_codes[code] = failure_codes.get(code, 0) + 1
     n_detect = sum(1 for r in ok if r["decision"] == Decision.ATTACK.value)
     mean_drift, drift_stderr = _drift_stats([r["log_l"] / s.horizon for r in ok])
     summary = RunSummary(
@@ -479,6 +486,51 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
     if out_path is not None:
         _write_fresh(out_path / "summary.json", json_text(summary.summary_dict()))
     return summary
+
+
+def _run_linear_group(s: Scenario, sim: SimulationPlan, det: DetectionPlan, indices: range,
+                      out_path: Path | None) -> list[dict]:
+    """The rows of the seeds of run ``indices``, simulated, detected and written per tile.
+
+    Each tile is simulated (:func:`path_tiles`), detected (:func:`detect_tile`,
+    whose carry continues each seed's sums) and appended to the seeds'
+    CSVs, opened once for the group; a seed stops being written at the
+    tile in which it fails, and its file is removed at the end.
+    """
+    seeds = [split_seed(s.seed_base, i) for i in indices]
+    carry = det.fresh_carry(len(seeds))
+    bad_log_l = np.zeros(len(seeds), dtype=int)  # first non-finite logL step, or 0
+    paths = [] if out_path is None else [out_path / f"run_{i:05d}.csv" for i in indices]
+    with ExitStack() as stack:
+        files = [stack.enter_context(_create(path)) for path in paths]
+        for tile in path_tiles(sim, s.horizon, seeds, _tile_steps(sim, det, len(seeds))):
+            series = detect_tile(det, tile.path, tile.lo, carry)
+            bad = ~np.isfinite(series.cum_log_l)
+            new = (bad_log_l == 0) & bad.any(axis=1)
+            bad_log_l[new] = tile.lo + bad[new].argmax(axis=1) + 1
+            alive = (tile.failed_at == 0) & (bad_log_l == 0)
+            if files and alive.any():
+                texts = series_csv_tile(series if alive.all() else series.row(alive), tile.lo)
+                for fp, text in zip([fp for fp, ok in zip(files, alive.tolist()) if ok], texts):
+                    fp.write(text)
+    log_l = series.cum_log_l[:, -1].tolist()
+    r_n = [r if defined else None for r, defined
+           in zip(series.r_n[:, -1].tolist(), series.r_defined[:, -1].tolist())]
+    rows = []
+    for k, index in enumerate(indices):
+        row = {"run_index": index, "seed": seeds[k], "log_l": None, "r_n": None,
+               "decision": None, "error": None}
+        error = (NonFiniteState(tile.failed_at[k], seeds[k]) if tile.failed_at[k]
+                 else NonFiniteLogRatio(bad_log_l[k], seeds[k]) if bad_log_l[k] else None)
+        if error is not None:
+            row["error"] = f"{type(error).__name__}: {error}"
+            if paths:
+                _discard(paths[k])
+        else:
+            row["log_l"], row["r_n"] = log_l[k], r_n[k]
+            row["decision"] = decide(log_l[k], s.threshold).value
+        rows.append(row)
+    return rows
 
 
 def _drift_stats(drifts) -> tuple[float | None, float | None]:

@@ -234,7 +234,7 @@ def sample_gaussian(rng: np.random.Generator, law: GaussianLaw) -> np.ndarray:
     return z
 
 
-def compensated_cumsum(values) -> np.ndarray:
+def compensated_cumsum(values, carry=None) -> np.ndarray:
     """Compensated (Sum2) prefix sums along the last axis.
 
     Ogita, Rump and Oishi's Sum2 ("Accurate sum and dot product", 2005)
@@ -243,9 +243,15 @@ def compensated_cumsum(values) -> np.ndarray:
     p plus the prefix sums of the errors. Every prefix lies within
     eps |s| + gamma_{n-1}^2 sum |x| of its exact sum s (eps = 2^-53,
     gamma_k = k eps / (1 - k eps)). Leading axes are independent series
-    summed in lockstep, and each gets the same operations as alone; a
-    series continues from a carry of two numbers, its last p and its last
-    error sum.
+    summed in lockstep, and each gets the same operations as alone.
+
+    A series continues from a carry of two numbers, its last p and its
+    last error sum: ``carry``, shape (2,) + the leading axes, is read and
+    then overwritten with the new last p and error sum, so consecutive
+    pieces of a series give the bits of one call over the whole. A carry
+    of zeros starts a series: every finite first value gets the bits it
+    gets without a carry (an infinite one gives nan, whose TwoSum error
+    is nan).
 
     The passes run on a time-major copy, one column per series, so that
     every step's operands are contiguous rows; the result is a view with
@@ -258,14 +264,18 @@ def compensated_cumsum(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     n, lead = values.shape[-1], values.shape[:-1]
     m = math.prod(lead)
-    x = np.empty((n, m + m % 2))
+    # with a carry, row 0 holds its p (and err's row 0 its error sum)
+    c = int(carry is not None)
+    x = np.empty((c + n, m + m % 2))
     x[:, m:] = 0.0
-    x[:, :m] = values.reshape(m, n).T
+    x[c:, :m] = values.reshape(m, n).T
+    err = np.empty_like(x)
+    err[0] = 0.0
+    if c:
+        x[0, :m], err[0, :m] = carry[0].reshape(m), carry[1].reshape(m)
     total = np.empty_like(x)
     np.cumsum(x.view(complex), axis=0, out=total.view(complex))
-    err = np.empty_like(x)
     a, s, q = total[:-1], total[1:], err[1:]
-    err[0] = 0.0
     # TwoSum(a, x) = (s, q): d = s - a, q = (a - (s - d)) + (x - d), with
     # x - d kept in the copy of x; the last argument of each ufunc is its
     # output array
@@ -275,8 +285,10 @@ def compensated_cumsum(values) -> np.ndarray:
     np.subtract(a, q, q)
     np.add(q, x[1:], q)
     np.cumsum(err.view(complex), axis=0, out=err.view(complex))
+    if c:
+        carry[0], carry[1] = total[-1, :m].reshape(lead), err[-1, :m].reshape(lead)
     total += err
-    return np.moveaxis(total[:, :m].reshape(n, *lead), 0, -1)
+    return np.moveaxis(total[c:, :m].reshape(n, *lead), 0, -1)
 
 
 def split_seed(base: int, index: int) -> int:

@@ -1,19 +1,21 @@
-"""Seeded sample paths, simulated as an ensemble of seeds in lockstep.
+"""Seeded sample paths, simulated as an ensemble of seeds in lockstep, in time tiles.
 
 Each seed owns one PCG64 stream, ``default_rng(seed)``. It first draws the
-initial state (when the initial law is Gaussian), then its whole noise
-block ``standard_normal((horizon, 2N + M))``: per step the excitation (N
-values), any mimic self-excitation (M values, M = number of attacked
-channels), then the process noise (N values). That is the order a
-step-by-step draw would take, and every seed reproduces bit for bit however
-many seeds run beside it. Each block is drawn into one reused buffer
-(a dense noise law's Cholesky factor is applied there, on the interleaved
-columns, as :func:`cps_sentinel.numerics.sample_gaussian` does) and copied
-transposed into column planes, one contiguous (seeds, steps) array per
-column. The normals then become the drive in a few passes over whole
-planes: the laws' scales, their means, the admitted excitation, the
-corrupt offset (one value per plane, or one per step for an FDI
-schedule), the actuator gains, and w + b (e + offset), with the
+initial state (when the initial law is Gaussian), then, tile by tile, the
+tile's noise block ``standard_normal((h, 2N + M))``: per step the
+excitation (N values), any mimic self-excitation (M values, M = number of
+attacked channels), then the process noise (N values). That is the order
+a step-by-step draw would take; the blocks of consecutive tiles continue
+one stream, so they are bit for bit the rows of one block over the whole
+horizon, and every seed reproduces bit for bit however many seeds run
+beside it. Each block is drawn into one reused buffer (a dense noise
+law's Cholesky factor is applied there, on the interleaved columns, as
+:func:`cps_sentinel.numerics.sample_gaussian` does) and copied
+transposed into the tile's column planes, one contiguous (seeds, steps)
+array per column. The normals then become the drive in a few passes over
+whole planes: the laws' scales, their means, the admitted excitation, the
+corrupt offset (one value per plane, or one per step of the tile for an
+FDI schedule), the actuator gains, and w + b (e + offset), with the
 arithmetic a step-by-step draw would do. One copy writes the drive back
 as (seeds, steps, N) into the slots of the states it forces.
 Batches derive disjoint streams with
@@ -24,7 +26,7 @@ z_t = (x_{t-L+1}, ..., x_t), z' = F z + (0, ..., 0, d)
 (:func:`cps_sentinel.policies.closed_loop` of the corrupt law's window
 rows), whose drive d_t = diag(b) (corrupt offset + admitted excitation) +
 w_t is known before the path is; an FDI attack is part of the corrupt
-offset (:func:`cps_sentinel.policies.lift`). So :func:`simulate_ensemble`
+offset (:func:`cps_sentinel.policies.lift`). So :func:`path_tiles`
 advances every seed B steps per array call from precomputed powers of F:
 x_{lo+1..lo+B} = P z_lo + T d_{lo..lo+B-1}, where P stacks the bottom rows
 of F^1..F^B and T is block lower-triangular Toeplitz in the bottom-right
@@ -34,9 +36,13 @@ stable, since its powers would amplify roundoff. B is fixed by N alone,
 never by the horizon: the last block is padded with zero drive and takes
 the same full P and T, so every block is the same product and a run's
 states are bit for bit the first steps of any longer run of its seed.
-Both contractions go through :func:`cps_sentinel.numerics.matvec`, so a
-row's bits never depend on the batch; :func:`simulate` is the same engine
-with a single seed.
+A tile of a whole number of blocks carries only each seed's stream and
+its last L states into the next, so tiles of any such length give the
+same bits. Both contractions go through
+:func:`cps_sentinel.numerics.matvec`, so a row's bits never depend on the
+batch. Everything the tiles share (the laws, the noise scales, P and T)
+is one :class:`SimulationPlan` per batch; :func:`simulate_ensemble` is the
+engine run as one tile, and :func:`simulate` the same with a single seed.
 """
 
 from __future__ import annotations
@@ -72,6 +78,11 @@ from .policies import (
 
 class NonFiniteState(RuntimeError):
     """A state entry overflowed; the closed loop is numerically unstable."""
+
+    what = "state overflowed at step"
+
+    def __init__(self, step: int, seed: int):
+        super().__init__(f"{self.what} {step} (seed {seed})")
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,7 @@ class Ensemble:
         step = int(self.failed_at[i])
         if step == 0:
             return None
-        return NonFiniteState(f"state overflowed at step {step} (seed {self.seeds[i]})")
+        return NonFiniteState(step, self.seeds[i])
 
     def trajectory(self, i: int) -> Trajectory:
         if self.controls is None:
@@ -136,87 +147,153 @@ class Ensemble:
                           seed=self.seeds[i], attacked=self.attacked)
 
 
+@dataclass(frozen=True)
+class SimulationPlan:
+    """What every tile of a batch shares: the laws, the noise scales and the block operators.
+
+    ``columns`` standard normals drive a step: excitation, mimic own and
+    process noise. ``chol`` is the dense noise law's Cholesky factor, or
+    None for a diagonal one. ``scales`` and ``means`` map the normals of
+    the diagonal columns (a dense noise law's come last) and of every
+    column to the laws' draws. ``p`` and ``t`` advance ``block`` steps.
+    """
+
+    model: CpsModel
+    laws: LinearLaws
+    columns: int
+    chol: np.ndarray | None
+    scales: np.ndarray
+    means: np.ndarray
+    p: np.ndarray
+    t: np.ndarray
+    block: int
+
+
+def simulation_plan(m: CpsModel, honest: HonestPolicy, attack: Attack | None) -> SimulationPlan:
+    """The :class:`SimulationPlan` of a scenario, computed once per batch."""
+    n = m.n_agents
+    laws = lift(honest, attack, n)
+    own_law = None if laws.own is None else GaussianLaw(np.zeros(laws.own.dim), laws.own)
+    parts = [m.excitation_law] + ([] if own_law is None else [own_law]) + [m.noise_law]
+    dense = not isinstance(m.noise_law.cov, DiagonalPsd)
+    scales = np.concatenate([np.sqrt(law.cov.diag) for law in parts
+                             if isinstance(law.cov, DiagonalPsd)])
+    f, stable = closed_loop(m.dynamics, m.actuator_gains, laws.corrupt_gains)
+    steps = max(1, math.isqrt(BAND_ENTRIES) // n) if stable else 1  # T: (B N)^2 entries
+    p, t = _block_operators(f, n, steps)
+    return SimulationPlan(m, laws, sum(law.dim for law in parts),
+                          m.noise_law.cov.chol if dense else None, scales,
+                          np.concatenate([law.mean for law in parts]), p, t, steps)
+
+
+@dataclass(frozen=True)
+class PathTile:
+    """Steps lo+1..lo+h of every seed of a group, as :func:`path_tiles` yields them.
+
+    ``path`` (S, L + h, N) holds x_{lo-L+1}, ..., x_{lo+h}, zero before
+    x_0: the lag window before the tile, then its states. ``failed_at`` is
+    each seed's first overflowed step so far, or 0. ``excitations`` and
+    ``controls`` (S, h, N), the drawn and the admitted excitations, are
+    kept only on request. Every array is overwritten by the next tile.
+    """
+
+    lo: int
+    path: np.ndarray
+    failed_at: np.ndarray
+    excitations: np.ndarray | None
+    controls: np.ndarray | None
+
+
+def path_tiles(plan: SimulationPlan, horizon: int, seeds, steps: int,
+               keep_controls: bool = False):
+    """Simulate ``horizon`` steps of every seed in tiles of ``steps`` steps.
+
+    Yields one :class:`PathTile` per tile. Each seed's stream draws its
+    initial state, then each tile's noise block; the tile's last L states
+    are the next tile's lag window. A tile of a whole number of
+    ``plan.block`` steps ends on a block boundary, so the states are the
+    bits of one tile over the whole horizon. A run whose state overflows
+    is marked in ``failed_at`` at its own first bad step, and the other
+    runs go on.
+    """
+    m, laws, k = plan.model, plan.laws, plan.columns - 2 * plan.model.n_agents
+    n_seeds, n, lags, b = len(seeds), m.n_agents, laws.lags, m.actuator_gains
+    steps = min(steps, horizon)
+    # path holds the lag window, L - 1 zero states and x_0 at first, then
+    # the tile's slots; the slot of x_{t+1} holds the drive d_t until its
+    # block overwrites it, and zero drive pads the last block to B steps
+    path = np.zeros((n_seeds, lags + -(-steps // plan.block) * plan.block, n))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    init = m.initial_law
+    for i, rng in enumerate(rngs):
+        path[i, lags - 1] = init.point if isinstance(init, Dirac) else sample_gaussian(rng, init)
+    # each seed's block [excitation | mimic own | process noise] goes
+    # through one reused buffer into a (seeds, steps) plane per column
+    buffer = np.empty((steps, plan.columns))
+    failed_at = np.zeros(n_seeds, dtype=int)
+    for lo in range(0, horizon, steps):
+        if lo:
+            path[:, :lags] = path[:, steps:steps + lags]
+        h = min(steps, horizon - lo)
+        planes = np.empty((plan.columns, n_seeds, h))
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=buffer[:h])
+            if plan.chol is not None:
+                buffer[:h, n + k:] = matvec(plan.chol, buffer[:h, n + k:])
+            planes[:, i] = buffer[:h].T
+        excitations, own, w = planes[:n], planes[n:n + k], planes[n + k:]
+        planes[:len(plan.scales)] *= plan.scales[:, None, None]
+        planes += plan.means[:, None, None]
+
+        # d_t = diag(b) (corrupt offset + admitted excitation) + w_t, built in
+        # place over the excitation and process-noise planes
+        drawn = excitations.transpose(1, 2, 0).copy() if keep_controls else None
+        admit_excitation(laws, excitations.transpose(1, 2, 0),
+                         None if k == 0 else own.transpose(1, 2, 0))
+        controls = excitations.transpose(1, 2, 0).copy() if keep_controls else None
+        offsets = laws.corrupt_offsets(lo + h)
+        excitations += np.atleast_2d(offsets if offsets.ndim == 1 else offsets[lo:]).T[:, None, :]
+        excitations *= b[:, None, None]
+        w += excitations
+
+        path[:, lags:lags + h] = w.transpose(1, 2, 0)
+        path[:, lags + h:] = 0.0
+        del planes, excitations, own, w
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(0, h, plan.block):
+                window = path[:, j:j + lags].reshape(n_seeds, lags * n)
+                drive = path[:, lags + j:lags + j + plan.block].reshape(n_seeds, -1)
+                drive[...] = matvec(plan.p, window) + matvec(plan.t, drive)
+            # a state is bad when its entries do not sum to a finite number
+            bad = ~np.isfinite(np.einsum("stn->st", path[:, lags:lags + h]))
+        new = (failed_at == 0) & bad.any(axis=1)
+        failed_at[new] = lo + bad[new].argmax(axis=1) + 1
+        yield PathTile(lo, path[:, :lags + h], failed_at, drawn, controls)
+
+
 def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
                       horizon: int, seeds, *, keep_controls: bool = False) -> Ensemble:
     """Simulate ``horizon`` steps of the closed loop for every seed at once.
 
-    Each seed's noise block is turned into the drive of every step on
-    column planes (see the module docstring), then the states advance in
-    blocks of steps. ``keep_controls`` keeps the controls and excitations of every
-    step; detection needs only the states. A run whose state overflows is marked
-    in ``failed_at`` at its own first bad step, and the other runs go on.
+    The engine of :func:`path_tiles` run as one tile. ``keep_controls``
+    keeps the controls and excitations of every step; detection needs
+    only the states. A run whose state overflows is marked in
+    ``failed_at`` at its own first bad step, and the other runs go on.
     States are never clamped, since clamping would corrupt every
     downstream statistic.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     seeds = tuple(int(seed) for seed in seeds)
-    n_seeds, n = len(seeds), m.n_agents
-    laws = lift(honest, attack, n)
-    own_law = None if laws.own is None else GaussianLaw(np.zeros(laws.own.dim), laws.own)
-    k = 0 if own_law is None else own_law.dim
-    b = m.actuator_gains
-
-    # each seed's block [excitation | mimic own | process noise] goes
-    # through one reused buffer into a (seeds, steps) plane per column
-    parts = [m.excitation_law] + ([] if own_law is None else [own_law]) + [m.noise_law]
-    dense = not isinstance(m.noise_law.cov, DiagonalPsd)
-    initial = np.empty((n_seeds, n))
-    planes = np.empty((2 * n + k, n_seeds, horizon))
-    buffer = np.empty((horizon, 2 * n + k))
-    init = m.initial_law
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        initial[i] = init.point if isinstance(init, Dirac) else sample_gaussian(rng, init)
-        rng.standard_normal(out=buffer)
-        if dense:
-            buffer[:, n + k:] = matvec(m.noise_law.cov.chol, buffer[:, n + k:])
-        planes[:, i] = buffer.T
-    del buffer
-    excitations, own, w = planes[:n], planes[n:n + k], planes[n + k:]
-
-    # the diagonal laws' scales (the noise law comes last, and a dense one
-    # was factored in the draw loop), then every law's means
-    scales = np.concatenate([np.sqrt(law.cov.diag) for law in parts
-                             if isinstance(law.cov, DiagonalPsd)])
-    planes[:len(scales)] *= scales[:, None, None]
-    planes += np.concatenate([law.mean for law in parts])[:, None, None]
-
-    # d_t = diag(b) (corrupt offset + admitted excitation) + w_t, built in
-    # place over the excitation and process-noise planes
-    drawn = excitations.transpose(1, 2, 0).copy() if keep_controls else None
-    admit_excitation(laws, excitations.transpose(1, 2, 0),
-                     None if own_law is None else own.transpose(1, 2, 0))
-    controls = excitations.transpose(1, 2, 0).copy() if keep_controls else None
-    excitations += np.atleast_2d(laws.corrupt_offsets(horizon)).T[:, None, :]
-    excitations *= b[:, None, None]
-    w += excitations
-
-    # path holds L - 1 zero states before x_0, so every block starts from
-    # the lag window path[:, lo:lo + L] (lags before x_0 are dropped); the
-    # slot of x_{t+1} holds the drive d_t until its block overwrites it, and
-    # zero drive pads the last block to B steps
-    f, stable = closed_loop(m.dynamics, b, laws.corrupt_gains)
-    steps = max(1, math.isqrt(BAND_ENTRIES) // n) if stable else 1  # T: (B N)^2 entries
-    p, t = _block_operators(f, n, steps)
-    lags = laws.lags
-    padded = -(-horizon // steps) * steps
-    path = np.zeros((n_seeds, lags + padded, n))
-    path[:, lags:lags + horizon] = w.transpose(1, 2, 0)
-    del planes, excitations, own, w
-    states = path[:, lags - 1:lags + horizon]
-    states[:, 0] = initial
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, horizon, steps):
-            window = path[:, lo:lo + lags].reshape(n_seeds, lags * n)
-            drive = path[:, lags + lo:lags + lo + steps].reshape(n_seeds, steps * n)
-            drive[...] = matvec(p, window) + matvec(t, drive)
-        # a state is bad when its entries do not sum to a finite number
-        bad = ~np.isfinite(np.einsum("stn->st", states[:, 1:]))
-        if controls is not None:
-            controls += control_means(laws, states[:, :-1])[1]
-    failed_at = np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, 0)
-    return Ensemble(states, controls, drawn, seeds, attack is not None, failed_at)
+    plan = simulation_plan(m, honest, attack)
+    (tile,) = path_tiles(plan, horizon, seeds, horizon, keep_controls)
+    states = tile.path[:, plan.laws.lags - 1:]
+    controls = tile.controls
+    if controls is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            controls += control_means(plan.laws, states[:, :-1])[1]
+    return Ensemble(states, controls, tile.excitations, seeds, attack is not None,
+                    tile.failed_at)
 
 
 def _block_operators(f: np.ndarray, n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:

@@ -294,11 +294,12 @@ def test_criterion_9_reproducibility(tmp_path):
     s1.pop("runtime_seconds"), s2.pop("runtime_seconds")
     ok &= s1 == s2
 
-    # one batch, the same seeds in two chunks, and each seed on its own
+    # one batch, the same seeds in two groups and short tiles, and each seed on its own
     s = scenario_from_dict(json.loads(scenario_path.read_text()))
     whole = run_montecarlo(s, out_dir=tmp_path / "whole")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_chunk_seeds", lambda _: 2)  # engine calls of 2 and 1 seeds
+        mp.setattr(harness, "_GROUP_SEEDS", 2)  # groups of 2 and 1 seeds
+        mp.setattr(harness, "_TILE_CELLS", 1)  # tiles of one common block
         chunked = run_montecarlo(s, out_dir=tmp_path / "chunked")
     a, b = whole.summary_dict(), chunked.summary_dict()
     a.pop("runtime_seconds"), b.pop("runtime_seconds")

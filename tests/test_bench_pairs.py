@@ -15,11 +15,16 @@ MEMORY = {"name": "memory", "better": "lower", "bound": 0.1}
 
 
 def pairs(metric, parent, change):
-    """Synthetic pairs of one workload: run i of each side reads the given value."""
+    """Synthetic pairs of one workload: run i of each side reads the given value.
+
+    Pairs alternate which side runs first, parent first in pair 0, as
+    ``main`` runs them.
+    """
     def record(value):
         return [{"workload": "w", "metrics": {metric: {"value": value}}}]
 
-    return [{"parent": record(p), "change": record(c)} for p, c in zip(parent, change)]
+    return [{"first": ("parent", "change")[i % 2], "parent": record(p), "change": record(c)}
+            for i, (p, c) in enumerate(zip(parent, change))]
 
 
 def verdict(metric, parent, change):
@@ -87,3 +92,16 @@ def test_a_gain_needs_nine_wins_in_ten_and_a_median_gap_wider_than_the_parent_iq
     assert v["gain_shown"] is shown
     # the gap alone has no direction
     assert v["median_gap_over_parent_iqr"] is (abs(v["change"]["median"] - 100.0) > 1.5)
+
+
+def test_second_over_first_is_each_side_s_order_effect():
+    # the parent runs first in even pairs, the change in odd ones; every run
+    # that goes second reads 1.2 times the run that goes first
+    parent = [100.0, 120.0, 101.0, 121.0, 99.0, 119.0]
+    change = [120.0, 100.0, 120.0, 100.0, 120.0, 100.0]
+    v = verdict(SPEED, parent, change)
+    assert v["second_over_first"]["parent"] == pytest.approx(120.0 / 100.0)
+    assert v["second_over_first"]["change"] == pytest.approx(1.2)
+    # a side that never went second has no ratio
+    one = bench_pairs.summarize(pairs("speed", [100.0], [100.0]), [SPEED])["w"]["speed"]
+    assert one["second_over_first"] == {"parent": None, "change": None}

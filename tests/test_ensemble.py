@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cps_sentinel import detection
-from cps_sentinel.detection import detect_ensemble, rn_series
+from cps_sentinel.detection import detect_ensemble, detect_tile, detection_plan, rn_series
 from cps_sentinel.model import AttackConfig, CpsModel
 from cps_sentinel import simulator
 from cps_sentinel.numerics import DiagonalPsd, Dirac, GaussianLaw, make_spd, sample_gaussian
@@ -34,8 +34,10 @@ from cps_sentinel.policies import (
 from cps_sentinel.simulator import (
     NonFiniteState,
     conditional_covariances,
+    path_tiles,
     simulate,
     simulate_ensemble,
+    simulation_plan,
 )
 
 
@@ -492,9 +494,8 @@ def test_engine_matches_a_hand_written_loop(corrupt):
 def test_dense_quadratic_forms_do_not_depend_on_the_batch():
     """Full process noise: the log densities need the whole Cholesky factor.
 
-    With 8 agents and 601 steps detect_ensemble works three seeds per
-    slice, so seed 3 opens a slice of the whole batch and closes a chunk,
-    at a row offset that is not a multiple of any vector width.
+    With 8 agents and 601 steps, seed 3 sits in the whole batch and closes
+    a chunk at a row offset that is not a multiple of any vector width.
     """
     from oracles import log_gaussian_density, step_loop_sum2
 
@@ -522,3 +523,54 @@ def test_dense_quadratic_forms_do_not_depend_on_the_batch():
     tol = 1e-12 * np.cumsum(np.abs(honest_dens) + np.abs(corrupt_dens))
     exact = step_loop_sum2(honest_dens - corrupt_dens)
     assert (np.abs(whole.cum_log_l[3] - exact) <= tol).all()
+
+
+# name: (model, honest law, attack, horizon); each runs several tiles of
+# one common block of the simulator's and the detector's block sizes
+TILE_CASES = {
+    # blocks of 21 and 10 steps: tiles of 210
+    "window-mimic": CASES["window-mimic"] + (635,),
+    # blocks of 2 and 1
+    "wide-window-mimic": BLOCK_CASES["wide-window-mimic"] + (15,),
+    # blocks of 4 and 1; the schedule starts at zero on both attacked channels
+    "chain-fdi-schedule": (chain(16), HistoryWindow((-0.2 * np.eye(16), 0.05 * np.eye(16))),
+                           (AttackConfig((2, 9)),
+                            Fdi(np.vstack([np.zeros((3, 2)),
+                                           np.linspace(-1, 1, 114).reshape(57, 2)])[:60])),
+                           57),
+    # an unstable loop steps one at a time, and its seeds overflow in later tiles
+    "unstable-replacement": (chain(2, initial=GaussianLaw(np.zeros(2), DiagonalPsd([1e300, 1.0]))),
+                             LinearFeedback(-0.2 * np.eye(2)),
+                             (AttackConfig((1,)), Replacement.scaled_state([2.66])), 318),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TILE_CASES))
+def test_tiles_of_whole_blocks_give_the_bits_of_one_tile(case):
+    m, honest, attack, horizon = TILE_CASES[case]
+    corrupt, cfg = attack[1], attack[0]
+    seeds = list(range(12))
+    sim = simulation_plan(m, honest, attack)
+    det = detection_plan(m, honest, corrupt, cfg, horizon)
+    common = math.lcm(sim.block, det.block)
+    assert 3 * common < horizon
+    whole = simulate_ensemble(m, honest, attack, horizon, seeds)
+    failed = whole.failed_at > 0
+    if case == "unstable-replacement":
+        assert failed.any() and not failed.all() and whole.failed_at[failed].min() > 2 * common
+    want = detect_ensemble(whole.states[~failed], m, honest, corrupt, cfg)
+    lags = sim.laws.lags
+    for steps in (common, 3 * common, horizon):
+        carry = det.fresh_carry(len(seeds))
+        tiles = []
+        for tile in path_tiles(sim, horizon, seeds, steps):
+            h = tile.path.shape[1] - lags
+            assert h == min(steps, horizon - tile.lo)
+            assert np.array_equal(tile.path[:, lags:], whole.states[:, tile.lo + 1:tile.lo + h + 1],
+                                  equal_nan=True)
+            series = detect_tile(det, tile.path, tile.lo, carry)
+            tiles.append(series.row(~failed))
+        assert np.array_equal(tile.failed_at, whole.failed_at)
+        for f in fields(want):
+            got = np.concatenate([getattr(t, f.name) for t in tiles], axis=-1)
+            assert np.array_equal(got, getattr(want, f.name), equal_nan=True), (steps, f.name)

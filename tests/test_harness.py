@@ -8,8 +8,10 @@ import math
 import os
 import stat
 import tempfile
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -31,13 +33,14 @@ from cps_sentinel.harness import (
 )
 from cps_sentinel.model import honest_influence_check
 from cps_sentinel.numerics import split_seed
-from cps_sentinel.simulator import simulate
+from cps_sentinel.simulator import NonFiniteState, simulate
 
 
 def run_in_chunks(s, chunk, out_dir):
-    """run_montecarlo with the seeds split into engine calls of ``chunk`` seeds."""
+    """run_montecarlo with the seeds in groups of ``chunk`` and tiles of one common block."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_chunk_seeds", lambda _: chunk)
+        mp.setattr(harness, "_GROUP_SEEDS", chunk)
+        mp.setattr(harness, "_TILE_CELLS", 1)
         return run_montecarlo(s, out_dir=out_dir)
 
 
@@ -323,14 +326,14 @@ class TestRunMontecarlo:
                                                                     monkeypatch):
         s = small("replacement", count=4, horizon=30)
         want = run_montecarlo(s, out_dir=tmp_path / "plain")
-        real = harness.detect_ensemble
+        real = harness.detect_tile
 
         def overflow_seed_2(*args):
-            batch = real(*args)
+            batch = real(*args)  # the whole horizon is one tile
             batch.cum_log_l[2, 17:] = math.nan
             return batch
 
-        monkeypatch.setattr(harness, "detect_ensemble", overflow_seed_2)
+        monkeypatch.setattr(harness, "detect_tile", overflow_seed_2)
         got = run_montecarlo(s, out_dir=tmp_path / "failed")
         assert got.failure_codes == {"NonFiniteLogRatio": 1}
         assert got.rows[2]["error"] == ("NonFiniteLogRatio: log likelihood ratio is not "
@@ -851,3 +854,213 @@ def test_mdp_count_and_seed_codes_match_the_linear_ones():
         [("seeds.count", "BadCount")]
     assert codes["identity", "base"] == codes["mdp-detect", "base"] == \
         [("seeds.base", "BadSeed")]
+
+
+# ---------------------------------------------------------------------------
+# The linear batch in time tiles
+
+
+def chain_scenario(n=16, horizon=100, count=3, base=7):
+    """An n-agent chain with full process noise, a 3-lag window law and mimicry on every
+    4th agent: the simulator's blocks are 64 // n steps and the detector's 1."""
+    a = 0.5 * np.eye(n) + 0.2 * np.eye(n, k=-1) + 0.1 * np.eye(n, k=1)
+    noise = 0.5 * np.eye(n) + 0.1 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    attacked = list(range(4, n + 1, 4))
+    return {"name": "chain", "horizon": horizon, "seeds": {"base": base, "count": count},
+            "threshold": -10.0,
+            "model": {"n_agents": n, "dynamics": a.tolist(), "actuator_gains": [1.0] * n,
+                      "process_noise": noise.tolist(), "excitation": [1.0] * n,
+                      "initial": {"kind": "dirac", "point": [0.0] * n}},
+            "honest": {"kind": "window", "lag_gains": [(-0.2 * np.eye(n)).tolist(),
+                                                       (-0.05 * np.eye(n)).tolist(),
+                                                       (0.02 * np.eye(n)).tolist()]},
+            "attack": {"malicious_set": attacked, "kind": "mimic",
+                       "self_excitation": [0.5] * len(attacked)}}
+
+
+def common_block(s):
+    cfg, corrupt = s.attack if s.attack is not None else (None, None)
+    sim = harness.simulation_plan(s.model, s.honest, s.attack)
+    det = harness.detection_plan(s.model, s.honest, corrupt, cfg, s.horizon)
+    return math.lcm(sim.block, det.block), max(sim.columns, det.columns)
+
+
+def run_in_tiles(s, blocks, out_dir):
+    """run_montecarlo with a tile budget of ``blocks`` common blocks (None: one tile)."""
+    block, columns = common_block(s)
+    cells = 1 << 62 if blocks is None else blocks * block * columns * s.seed_count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_TILE_CELLS", cells)
+        return run_montecarlo(s, out_dir=out_dir, override_assumption2=True)
+
+
+def output_bytes(out):
+    """Every output file's bytes, the summary without its run time."""
+    files = {}
+    for p in sorted(out.iterdir()):
+        if p.name == "summary.json":
+            summary = json.loads(p.read_text())
+            summary.pop("runtime_seconds")
+            files[p.name] = summary
+        else:
+            files[p.name] = p.read_bytes()
+    return files
+
+
+def fdi_schedule(horizon=1700, count=4):
+    data = preset("fdi")
+    data.update(horizon=horizon, seeds={"base": 3, "count": count})
+    data["attack"]["offsets"] = [[0.0]] + [[0.3 * math.sin(0.01 * t)] for t in range(1, horizon)]
+    return data
+
+
+def overflowing_states(horizon=317, count=12, base=0):
+    """Seeds of a wide initial law whose states overflow near step 316, and some do not."""
+    data = preset("replacement")
+    data["model"].update(dynamics=[[0.5, 0.1], [0.2, 0.5]], actuator_gains=[1.0, 2.0],
+                         process_noise=[[0.5, 0.1], [0.1, 0.5]], excitation=[0.5, 1.0],
+                         initial={"kind": "gaussian", "mean": [0.0, 0.0], "cov": [1e300, 1.0]})
+    data["attack"]["values"] = [2.66]
+    data.update(horizon=horizon, seeds={"base": base, "count": count})
+    return data
+
+
+TILED = {
+    "replacement": lambda: dict(preset("replacement"), horizon=1700,
+                                seeds={"base": 3_000_000, "count": 5}),
+    "mimic": lambda: dict(preset("mimic"), horizon=1700, seeds={"base": 7_000_000, "count": 5}),
+    "fdi-schedule": fdi_schedule,
+    "chain-mimic": lambda: chain_scenario(horizon=150, count=5),
+    "overflowing-states": overflowing_states,
+    "overflowing-log-ratio": overflowing_replacement,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TILED))
+def test_tiles_never_change_an_output_byte(tmp_path, name):
+    s = scenario_from_dict(TILED[name]())
+    block, _ = common_block(s)
+    assert s.horizon > 2 * block  # the shortest tiles split the horizon at least twice
+    want = run_in_tiles(s, None, tmp_path / "whole")
+    files = output_bytes(tmp_path / "whole")
+    for blocks in (1, 7):
+        got = run_in_tiles(s, blocks, tmp_path / str(blocks))
+        assert got.rows == want.rows
+        assert output_bytes(tmp_path / str(blocks)) == files
+    if name.startswith("overflowing"):  # and some seed fails after its second tile
+        steps = [int(r["error"].split(" from step ")[-1].split(" at step ")[-1].split()[0])
+                 for r in want.rows if r["error"] is not None]
+        assert max(steps) > 2 * block
+    corrupt, cfg = s.attack[1], s.attack[0]
+    for i, row in enumerate(want.rows):  # and each seed alone, through the one-tile API
+        seed = split_seed(s.seed_base, i)
+        try:
+            series = rn_series(simulate(s.model, s.honest, s.attack, s.horizon, seed),
+                               s.model, s.honest, corrupt, cfg)
+        except NonFiniteState as exc:
+            assert row["error"] == f"{type(exc).__name__}: {exc}"
+            continue
+        assert files[f"run_{i:05d}.csv"] == series_csv_text(series).encode()
+
+
+def test_the_default_tiles_hold_a_block_or_about_the_cell_budget():
+    replacement = scenario_from_dict(dict(preset("replacement"), seeds={"base": 1, "count": 40}))
+    chain = scenario_from_dict(chain_scenario(horizon=500, count=16))
+    steps = {}
+    for s in (replacement, chain):
+        cfg, corrupt = s.attack
+        sim = harness.simulation_plan(s.model, s.honest, s.attack)
+        det = harness.detection_plan(s.model, s.honest, corrupt, cfg, s.horizon)
+        steps[s.name] = (sim.block, det.block, harness._tile_steps(sim, det, s.seed_count))
+    # 40 seeds of the replacement preset: one common block of lcm(32, 17) steps,
+    # so the 500 steps of the bench workload are one tile
+    assert steps["replacement"] == (32, 17, 544)
+    # 16 seeds of the 16-agent chain: 48 stacked residual columns per seed
+    # and step, so 6 tiles of 84 steps cover 500
+    assert steps["chain"] == (4, 1, 84)
+
+
+def test_a_seed_that_fails_in_a_later_tile_leaves_the_others_as_without_it(tmp_path,
+                                                                           monkeypatch):
+    s = scenario_from_dict(chain_scenario(horizon=40, count=4))
+    block, _ = common_block(s)
+    assert block == 4
+    monkeypatch.setattr(harness, "_TILE_CELLS", 1)  # tiles of one common block
+    want = run_montecarlo(s, out_dir=tmp_path / "plain")
+    real = harness.detect_tile
+
+    def overflow_seed_1(plan, path, lo, carry):
+        series = real(plan, path, lo, carry)
+        if lo == 2 * block:  # its third tile, from the tile's second step on
+            series.cum_log_l[1, 1:] = math.inf
+            carry[:, 1] = math.nan  # its log ratio stays non-finite
+        return series
+
+    monkeypatch.setattr(harness, "detect_tile", overflow_seed_1)
+    got = run_montecarlo(s, out_dir=tmp_path / "failed")
+    seed = split_seed(s.seed_base, 1)
+    assert got.rows[1]["error"] == ("NonFiniteLogRatio: log likelihood ratio is not finite "
+                                    f"from step {2 * block + 2} (seed {seed})")
+    assert not (tmp_path / "failed" / "run_00001.csv").exists()
+    others = [0, 2, 3]
+    assert [got.rows[k] for k in others] == [want.rows[k] for k in others]
+    for k in others:
+        name = f"run_{k:05d}.csv"
+        assert (tmp_path / "failed" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    lines = {d: (tmp_path / d / "runs.csv").read_text().splitlines() for d in ("plain", "failed")}
+    assert [lines["failed"][k + 1] for k in others] == [lines["plain"][k + 1] for k in others]
+    # the summary is the plain batch's without seed 1
+    ok = [want.rows[k] for k in others]
+    mean, stderr = harness._drift_stats([r["log_l"] / s.horizon for r in ok])
+    assert (got.n_ok, got.n_failed, got.failure_codes) == (3, 1, {"NonFiniteLogRatio": 1})
+    assert (got.mean_drift, got.drift_stderr) == (mean, stderr)
+    assert got.detection_fraction == sum(r["decision"] == "attack" for r in ok) / 3
+
+
+@pytest.mark.parametrize("kind", ["NonFiniteState", "NonFiniteLogRatio"])
+def test_a_failed_seed_leaves_no_stale_csv_of_an_earlier_run(tmp_path, kind):
+    out = tmp_path / "out"
+    first = dict(preset("replacement"), horizon=50, seeds={"base": 0, "count": 12})
+    run_montecarlo(scenario_from_dict(first), out_dir=out)
+    failing = overflowing_states() if kind == "NonFiniteState" else dict(
+        overflowing_replacement(), seeds={"base": 0, "count": 12})
+    # a symlink at a seed's path is written through and left in place, as _create does
+    target = tmp_path / "target.csv"
+    target.write_text("kept\n")
+    (out / "run_00000.csv").unlink()
+    (out / "run_00000.csv").symlink_to(target)
+    summary = run_montecarlo(scenario_from_dict(failing), out_dir=out,
+                             override_assumption2=True)
+    assert summary.failure_codes.get(kind, 0) > 0
+    for i, row in enumerate(summary.rows):
+        path = out / f"run_{i:05d}.csv"
+        if i == 0:
+            assert path.is_symlink()
+        elif row["error"] is not None:
+            assert not path.exists(), path.name
+        else:
+            assert path.read_text().count("\n") == failing["horizon"] + 1
+
+
+@pytest.mark.parametrize("files", [False, True], ids=["no-outputs", "outputs"])
+@pytest.mark.parametrize("name", ["replacement", "chain"])
+def test_linear_batch_memory_stays_per_tile_whatever_the_horizon(tmp_path, name, files):
+    # the replacement preset runs tiles of 2720 steps of 4 seeds (10880 of the
+    # one seed whose CSV is written) and the chain tiles of 340 (1364), so
+    # a horizon of 20k steps already holds every tile-sized buffer; five
+    # times longer may hold no more
+    count = 1 if files else 4
+
+    def peak(horizon):
+        data = (dict(preset("replacement"), horizon=horizon, seeds={"base": 7, "count": count})
+                if name == "replacement" else chain_scenario(horizon=horizon, count=count))
+        s = scenario_from_dict(data)
+        tracemalloc.start()
+        try:
+            run_montecarlo(s, out_dir=tmp_path / str(horizon) if files else None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)  # whatever a first batch allocates once
+    assert peak(100_000) <= 1.1 * peak(20_000)

@@ -303,3 +303,23 @@ def test_split_seed_is_stable_and_spread():
 def test_gaussian_law_dimension_check():
     with pytest.raises(ValueError):
         GaussianLaw([0.0, 0.0, 0.0], make_spd(np.eye(2)))
+
+
+@pytest.mark.parametrize("cuts", [(1,), (3, 4), (1, 1, 1), (17,), (5, 30, 2)])
+def test_compensated_cumsum_continues_from_a_carry_bit_for_bit(cuts):
+    rng = np.random.default_rng(43)
+    values = rng.standard_normal((3, 40)) * 10.0 ** rng.integers(-12, 12, (3, 40))
+    values.reshape(-1)[::7] = -0.0
+    whole = compensated_cumsum(values)
+    carry = np.zeros((2, 3))
+    pieces, lo = [], 0
+    for hi in list(np.cumsum(cuts)) + [40]:
+        pieces.append(compensated_cumsum(values[:, lo:hi], carry))
+        lo = hi
+    assert (np.concatenate(pieces, axis=-1).view(np.int64) == whole.view(np.int64)).all()
+    # a carry that is a strided view of a larger array is read and written alike
+    wide = np.zeros((2, 7))
+    a = compensated_cumsum(values[:, :20], wide[:, ::3])
+    b = compensated_cumsum(values[:, 20:], wide[:, ::3])
+    assert (np.concatenate([a, b], axis=-1).view(np.int64) == whole.view(np.int64)).all()
+    assert not wide[:, 1::3].any() and not wide[:, 2::3].any()
