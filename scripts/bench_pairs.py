@@ -4,22 +4,28 @@
         --what "one batch writer for the detection CSVs"
 
 Exports the parent revision (required: the commit the change is measured
-against, which is ``HEAD`` only while the change is uncommitted) with
-``git archive`` into a temporary directory, then runs
+against, which is ``HEAD`` only while the change is uncommitted) twice with
+``git archive`` into a temporary directory, copies the working tree there
+once, then runs
 ``python3 bench/run.py --workload all --seed S --seconds 30 --trace 0``
-once there and once in the working tree for each of ten seeds
+once for each side (parent and change) for each of ten seeds
 (``--first-seed``, ``--first-seed + 1``, ...), alternating which side runs
-first. Both sides run the same benchmark code and settings: the working
-tree's ``bench/`` and the parent's must agree, or the script stops before
-running anything. The output JSON holds every run's per-workload record
-(metrics, checks, provenance) and, per workload and end-to-end metric, each
-side's median and quartiles, the ratio of the medians, the pairs the change
-won (ties count for neither), whether the medians differ by more than the
-parent's interquartile range, whether that shows a gain (``gain_shown``),
+first. Each side has two trees, the parent its two exports and the change
+the working tree and its copy, taken in turn so that no run uses the tree
+of the run just before it (:func:`run_order`): runs that followed one in
+their own tree read lower on the file workloads (``BENCH_19.json``), whose
+output files that run had just written. Both sides run the same benchmark
+code and settings: the working tree's ``bench/`` and the parent's must
+agree, or the script stops before running anything. The output JSON
+holds every run's per-workload record (metrics, checks, provenance) and,
+per workload and end-to-end metric, each side's median and quartiles, the
+ratio of the medians, the pairs the change won (ties count for neither),
+whether the medians differ by more than the parent's interquartile range,
+whether that shows a gain (``gain_shown``),
 how much going second in a pair moves each side (``second_over_first``),
 and the no-regression verdict against the metric's bound in
 ``BENCHMARK.json`` (``within_bound``, ``unresolved``; see
-:func:`summarize`). The temporary tree is removed at the end, and
+:func:`summarize`). The temporary trees are removed at the end, and
 every benchmark process has ended when the script returns.
 """
 
@@ -59,6 +65,29 @@ def _bench_files(tree: Path) -> dict:
     files = {p.relative_to(tree): p.read_bytes() for p in (tree / "bench").rglob("*")
              if p.is_file() and "__pycache__" not in p.parts}
     return files | {Path("BENCHMARK.json"): (tree / "BENCHMARK.json").read_bytes()}
+
+
+def copy_tree(dest: Path) -> None:
+    """Copy the working tree into ``dest``, without git's data or any run's leftovers."""
+    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
+        ".git", ".bench_work", ".benchmarks", "__pycache__", ".pytest_cache", ".hypothesis"))
+
+
+def run_order(pairs: int) -> list[list[tuple[str, int]]]:
+    """Each pair's two runs in order, as (side, which of the side's two trees).
+
+    Pairs alternate which side runs first, the parent first in pair 0. A
+    side's runs meet across a pair boundary (second in one pair, first in
+    the next), and there it changes tree; its runs take tree 0 and tree 1
+    alike as often first as second in their pair, so the tree does not
+    stand in for the order. Runs of different sides never share a tree.
+    """
+    order = []
+    for i in range(pairs):
+        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        tree = {"parent": i // 2 % 2, "change": (i + 1) // 2 % 2}
+        order.append([(side, tree[side]) for side in sides])
+    return order
 
 
 def run_side(tree: Path, seed: int) -> list[dict]:
@@ -155,19 +184,21 @@ def main(argv=None) -> int:
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
-        commit = export(args.parent, tmp)
-        if _bench_files(tmp) != _bench_files(ROOT):
+        trees = {"parent": [tmp / "parent-0", tmp / "parent-1"],
+                 "change": [ROOT, tmp / "change-1"]}
+        commit = export(args.parent, trees["parent"][0])
+        export(commit, trees["parent"][1])
+        copy_tree(trees["change"][1])
+        if _bench_files(trees["parent"][0]) != _bench_files(ROOT):
             print("error: bench/ or BENCHMARK.json differs between the parent and the "
                   "working tree", file=sys.stderr)
             return 2
-        trees = {"parent": tmp, "change": ROOT}
         pairs = []
-        for i in range(PAIRS):
+        for i, runs in enumerate(run_order(PAIRS)):
             seed = args.first_seed + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_side(trees[side], seed)
+            pair = {"seed": seed, "first": runs[0][0], "trees": dict(runs)}
+            for side, tree in runs:
+                pair[side] = run_side(trees[side][tree], seed)
                 print(f"seed {seed} {side}: " + ", ".join(
                     f"{r['workload']} {r['metrics']['seed_steps_per_calib']['value']:.5g}"
                     for r in pair[side]), file=sys.stderr)
@@ -184,18 +215,20 @@ def main(argv=None) -> int:
         "produced_by": shlex.join(["python3", "scripts/bench_pairs.py", "--parent", commit,
                                    "--first-seed", str(args.first_seed), "--out",
                                    str(args.out), "--what", args.what]),
-        "pairs": [{"seed": pair["seed"], "first": pair["first"],
+        "pairs": [{"seed": pair["seed"], "first": pair["first"], "trees": pair["trees"],
                    "correct": all(r["correct"] for side in ("parent", "change")
                                   for r in pair[side])} for pair in pairs],
         "parent": {"git_commit": commit,
                    "source_sha256": pairs[0]["parent"][0]["provenance"]["source_sha256"],
-                   "note": "run from a `git archive` export of this commit, so its records "
-                           "carry git_commit null"},
+                   "note": "run from two `git archive` exports of this commit (trees 0 "
+                           "and 1), so its records carry git_commit null"},
         "change": {"parent_commit": commit,
                    "source_sha256": pairs[0]["change"][0]["provenance"]["source_sha256"],
-                   "note": "run from the working tree; source_sha256 is bench/run.py's hash "
-                           "of src/cps_sentinel/*.py"},
-        "host": host | {"note": "runs alternate which side goes first"},
+                   "note": "run from the working tree (tree 0) and a copy of it (tree 1, "
+                           "git_commit null); source_sha256 is bench/run.py's hash of "
+                           "src/cps_sentinel/*.py"},
+        "host": host | {"note": "runs alternate which side goes first, and no run uses "
+                                "the tree of the run before it"},
         "summary": summarize(pairs, end_to_end),
         "records": [r | {"side": side} for pair in pairs for side in ("parent", "change")
                     for r in pair[side]],

@@ -13,8 +13,8 @@ reads a cumulative value.
 
 :func:`detect_tile` computes every statistic as arrays for a time tile
 of a batch of paths, one row per seed, and continues each seed's sums
-from the tile before; :func:`detect_ensemble` is the engine run as one
-tile over whole paths, and :func:`rn_series` the same on a batch of one.
+from the tile before; :func:`detect_ensemble` runs the engine over whole
+paths, tile by tile, and :func:`rn_series` the same on a batch of one.
 Both laws are linear in the observed states, so both residuals and both
 whitened residuals at a step are one stacked linear map of the stretch of
 path the step reads, and the maps of B consecutive steps are one banded
@@ -42,9 +42,10 @@ from numpy.lib.stride_tricks import as_strided
 
 from .model import AttackConfig, CpsModel
 from .numerics import (
-    BAND_ENTRIES,
     LOG_TWO_PI,
+    TILE_CELLS,
     banded,
+    block_steps,
     compensated_cumsum,
     eig_extremes,
     logdet,
@@ -161,9 +162,12 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
                     corrupt: CorruptPolicy | None, cfg: AttackConfig | None) -> DetectionSeries:
     """Detection series of every path in ``states`` (shape (S, n+1, N)).
 
-    The engine of :func:`detect_tile` run as one tile over the whole path.
-    Raises ``ValueError`` naming the seed row and the step of the first
-    non-finite state.
+    The engine of :func:`detect_tile` run over the whole paths in tiles of
+    whole blocks whose stacked residuals hold about ``TILE_CELLS`` cells,
+    at least one block, so that beyond ``states`` and the returned series
+    memory is per tile; the bits are those of one tile. Raises
+    ``ValueError`` naming the seed row and the step of the first non-finite
+    state.
     """
     states = np.asarray(states, dtype=float)
     n_seeds, n = states.shape[0], states.shape[1] - 1
@@ -173,9 +177,24 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
         row, step = np.argwhere(~np.isfinite(states).all(axis=-1))[0]
         raise ValueError(f"state x_{step} of seed row {row} is not finite")
     plan = detection_plan(m, honest, corrupt, cfg, n)
-    path = np.zeros((n_seeds, plan.lags + n, m.n_agents))
-    path[:, plan.lags - 1:] = states
-    return detect_tile(plan, path, 0, plan.fresh_carry(n_seeds))
+    steps = max(1, TILE_CELLS // max(1, n_seeds * plan.columns * plan.block)) * plan.block
+    # the shared logdet row is kept once (none without seeds) and broadcast
+    out = {f.name: np.empty((min(n_seeds, 1) if f.name == "cum_logdet_ratio" else n_seeds, n),
+                            dtype=bool if f.name == "r_defined" else float)
+           for f in fields(DetectionSeries)}
+    carry = plan.fresh_carry(n_seeds)
+    zeros = np.zeros((n_seeds, plan.lags - 1, m.n_agents))  # before x_0
+    for lo in range(0, n, steps):
+        h = min(steps, n - lo)
+        first = lo + 1 - plan.lags  # the tile's path is x_first, ..., x_{lo+h}
+        path = states[:, max(first, 0):lo + h + 1]
+        if first < 0:
+            path = np.concatenate([zeros[:, first:], path], axis=1)
+        tile = detect_tile(plan, path, lo, carry)
+        for name, whole in out.items():
+            whole[:, lo:lo + h] = getattr(tile, name)[:len(whole)]
+    out["cum_logdet_ratio"] = np.broadcast_to(out["cum_logdet_ratio"], (n_seeds, n))
+    return DetectionSeries(**out)
 
 
 def detect_tile(plan: DetectionPlan, path: np.ndarray, lo: int,
@@ -268,12 +287,13 @@ def _banded_operator(rows: np.ndarray, n_agents: int, lags: int) -> tuple[np.nda
     residuals. The windows of steps t..t+B-1 are overlapping stretches of
     the L + B states from x_{t-L+1} to x_{t+B}, so the operator
     (B K N, (L+B) N) holds ``rows`` B times down its block diagonal, each
-    copy N columns right of the one above. B is the largest block count,
-    at least 1, whose operator has at most ``BAND_ENTRIES`` entries: the
-    largest B with B (L+B) <= BAND_ENTRIES // (K N N).
+    copy N columns right of the one above. B is the largest divisor of the
+    simulator's stable-loop block, max(1, 64 // N), whose operator has at
+    most ``BAND_ENTRIES`` entries, or 1 (:func:`cps_sentinel.numerics.block_steps`):
+    16 or 8 steps for N = 2, so that a tile of whole simulator blocks is
+    whole detector blocks too.
     """
-    cells = BAND_ENTRIES // (len(rows) * n_agents)
-    block = max(1, (math.isqrt(lags * lags + 4 * cells) - lags) // 2)
+    block = block_steps(n_agents, len(rows), lags)
     return banded(rows, n_agents, block), block
 
 

@@ -51,7 +51,7 @@ from .model import (
     validate_attack,
     validate_model,
 )
-from .numerics import DiagonalPsd, Dirac, GaussianLaw, make_spd, split_seed
+from .numerics import TILE_CELLS, DiagonalPsd, Dirac, GaussianLaw, make_spd, split_seed
 from .policies import (
     Affine,
     CorruptPolicy,
@@ -229,11 +229,17 @@ def _create(path: Path, newline: str | None = None):
         return open(path, "x", newline=newline)
 
 
-def _discard(path: Path) -> None:
-    """Remove a regular file at ``path``; leave anything else there (see :func:`_create`)."""
+def _discard(path: Path, written: bool) -> None:
+    """Remove a regular file at ``path``; leave anything else there (see :func:`_create`).
+
+    A symlink stays, but what was ``written`` through it to a regular file
+    is truncated away; a FIFO or a device keeps what went through it.
+    """
     try:
         if stat.S_ISREG(os.lstat(path).st_mode):
             path.unlink()
+        elif written and stat.S_ISREG(os.stat(path).st_mode):
+            os.truncate(path, 0)
     except FileNotFoundError:
         pass
 
@@ -413,22 +419,33 @@ def _check_attack_sizes(model: CpsModel, attack, horizon) -> list[Violation]:
     return issues
 
 
-# Cells of the largest per-tile array of a linear batch: a tile of S seeds
-# runs about _TILE_CELLS // (S * widest columns per seed-step) steps.
-_TILE_CELLS = 1 << 16
+# A linear group holds as many seeds, up to _GROUP_SEEDS, as let a tile of
+# _TILE_BLOCKS common blocks fit TILE_CELLS: shorter tiles of more seeds
+# cost more in per-tile calls (one standard_normal per seed) than they save.
+_TILE_BLOCKS = 8
 
 
 def _tile_steps(sim: SimulationPlan, det: DetectionPlan, n_seeds: int) -> int:
     """Steps per tile of a group of ``n_seeds``: a whole number of both engines' blocks.
 
-    The largest of the simulator's noise planes (``sim.columns`` per seed
-    and step) and the detector's stacked residuals (``det.columns``) holds
-    about ``_TILE_CELLS`` cells, in at least one common block, so that every
-    tile starts on a block boundary of both engines.
+    One engine's block is a whole number of the other's
+    (:func:`cps_sentinel.numerics.block_steps`), so the larger is the
+    common block: 32 steps for N = 2. The largest of the simulator's noise
+    planes (``sim.columns`` per seed and step) and the detector's stacked
+    residuals (``det.columns``) holds about ``TILE_CELLS`` cells, in at
+    least one common block, so that every tile starts on a block boundary
+    of both engines.
     """
-    common = math.lcm(sim.block, det.block)
-    width = n_seeds * max(sim.columns, det.columns) * common
-    return max(1, _TILE_CELLS // width) * common
+    block = max(sim.block, det.block)
+    width = n_seeds * max(sim.columns, det.columns) * block
+    return max(1, TILE_CELLS // width) * block
+
+
+def _group_seeds(sim: SimulationPlan, det: DetectionPlan) -> int:
+    """Seeds per group: as many as let a tile of ``_TILE_BLOCKS`` common blocks fit
+    ``TILE_CELLS``, at least 1 and at most ``_GROUP_SEEDS``."""
+    width = max(sim.columns, det.columns) * max(sim.block, det.block) * _TILE_BLOCKS
+    return max(1, min(_GROUP_SEEDS, TILE_CELLS // width))
 
 
 def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
@@ -437,11 +454,13 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
 
     Refuses attack scenarios whose network leaves some agent untouched by
     honest excitation (``override_assumption2`` runs them anyway, for
-    studying exactly that failure mode). The seeds run in groups of at
-    most ``_GROUP_SEEDS``, each in time tiles of about ``_TILE_CELLS``
-    cells (:func:`_run_linear_group`), so memory stays per tile whatever
-    the horizon; a seed's result does not depend on its group or the
-    tiles. A seed whose state (``NonFiniteState``) or final logL
+    studying exactly that failure mode). The seeds run in groups
+    (:func:`_group_seeds`: as many as let a tile of ``_TILE_BLOCKS``
+    common blocks hold ``TILE_CELLS`` cells, at most ``_GROUP_SEEDS``),
+    each in time tiles of about ``TILE_CELLS`` cells
+    (:func:`_run_linear_group`), so memory stays per tile whatever the
+    horizon and the seed count; a seed's result does not depend on its
+    group or the tiles. A seed whose state (``NonFiniteState``) or final logL
     (``NonFiniteLogRatio``) is not finite gets no decision and no CSV, and
     is counted in ``n_failed`` and, by exception name, in
     ``failure_codes``; the others run on.
@@ -460,8 +479,9 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
     out_path = _out_path(out_dir, s.outputs)
 
     rows = []
-    for first in range(0, s.seed_count, _GROUP_SEEDS):
-        indices = range(first, min(first + _GROUP_SEEDS, s.seed_count))
+    group = _group_seeds(sim, det)
+    for first in range(0, s.seed_count, group):
+        indices = range(first, min(first + group, s.seed_count))
         rows += _run_linear_group(s, sim, det, indices, out_path)
     if out_path is not None:
         _write_runs_table(out_path / "runs.csv", rows)
@@ -494,25 +514,29 @@ def _run_linear_group(s: Scenario, sim: SimulationPlan, det: DetectionPlan, indi
 
     Each tile is simulated (:func:`path_tiles`), detected (:func:`detect_tile`,
     whose carry continues each seed's sums) and appended to the seeds'
-    CSVs, opened once for the group; a seed stops being written at the
-    tile in which it fails, and its file is removed at the end.
+    CSVs; a seed's CSV is opened at the first tile that writes its lines
+    and stays open for the group. A seed stops being written at the tile
+    in which it fails, so one that fails in its first tile never opens its
+    path, and its file is discarded at the end (:func:`_discard`).
     """
     seeds = [split_seed(s.seed_base, i) for i in indices]
     carry = det.fresh_carry(len(seeds))
     bad_log_l = np.zeros(len(seeds), dtype=int)  # first non-finite logL step, or 0
     paths = [] if out_path is None else [out_path / f"run_{i:05d}.csv" for i in indices]
+    files = [None] * len(paths)
     with ExitStack() as stack:
-        files = [stack.enter_context(_create(path)) for path in paths]
         for tile in path_tiles(sim, s.horizon, seeds, _tile_steps(sim, det, len(seeds))):
             series = detect_tile(det, tile.path, tile.lo, carry)
             bad = ~np.isfinite(series.cum_log_l)
             new = (bad_log_l == 0) & bad.any(axis=1)
             bad_log_l[new] = tile.lo + bad[new].argmax(axis=1) + 1
             alive = (tile.failed_at == 0) & (bad_log_l == 0)
-            if files and alive.any():
+            if paths and alive.any():
                 texts = series_csv_tile(series if alive.all() else series.row(alive), tile.lo)
-                for fp, text in zip([fp for fp, ok in zip(files, alive.tolist()) if ok], texts):
-                    fp.write(text)
+                for k, text in zip(np.flatnonzero(alive).tolist(), texts):
+                    if files[k] is None:
+                        files[k] = stack.enter_context(_create(paths[k]))
+                    files[k].write(text)
     log_l = series.cum_log_l[:, -1].tolist()
     r_n = [r if defined else None for r, defined
            in zip(series.r_n[:, -1].tolist(), series.r_defined[:, -1].tolist())]
@@ -525,7 +549,7 @@ def _run_linear_group(s: Scenario, sim: SimulationPlan, det: DetectionPlan, indi
         if error is not None:
             row["error"] = f"{type(error).__name__}: {error}"
             if paths:
-                _discard(paths[k])
+                _discard(paths[k], files[k] is not None)
         else:
             row["log_l"], row["r_n"] = log_l[k], r_n[k]
             row["decision"] = decide(log_l[k], s.threshold).value

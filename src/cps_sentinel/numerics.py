@@ -19,8 +19,11 @@ from numpy.lib.stride_tricks import as_strided
 DIM_CAP = 32
 # Entries of a banded operator (:func:`banded`): the simulator's block
 # operator and the detector's stacked residual band hold at most 64 x 64,
-# far below the size at which OpenBLAS starts threads.
+# far below the size at which OpenBLAS starts threads (see :func:`block_steps`).
 BAND_ENTRIES = 64 * 64
+# Cells of the largest per-tile array of the linear engines: a tile of S
+# seeds runs about TILE_CELLS // (S * widest columns per seed-step) steps.
+TILE_CELLS = 1 << 16
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 _MASK64 = (1 << 64) - 1
@@ -218,6 +221,26 @@ def banded(rows: np.ndarray, shift: int, copies: int) -> np.ndarray:
     return band
 
 
+def block_steps(n_agents: int, rows: int | None = None, lags: int = 0) -> int:
+    """Steps per block of a linear engine's banded operator; the one rule of both engines.
+
+    The simulator's stable loop (``rows`` None) advances B = max(1,
+    isqrt(BAND_ENTRIES) // N) steps per block: its block Toeplitz T holds
+    (B N)^2 entries. The detector's band of ``rows`` stacked residual rows
+    per step spans the L + B states of a block (``lags`` = L), so it holds
+    B ``rows`` (L + B) N entries; its B is the largest divisor of the
+    simulator's that keeps them within ``BAND_ENTRIES``, or 1. Both read N
+    alone, and an unstable loop steps one at a time, so one engine's block
+    is always a whole number of the other's: the larger is the common block.
+    """
+    top = max(1, math.isqrt(BAND_ENTRIES) // n_agents)
+    if rows is None:
+        return top
+    cells = BAND_ENTRIES // (rows * n_agents)
+    return max((b for b in range(1, top + 1) if top % b == 0 and b * (lags + b) <= cells),
+               default=1)
+
+
 def sample_gaussian(rng: np.random.Generator, law: GaussianLaw) -> np.ndarray:
     """One draw from ``law`` using the caller's stream.
 
@@ -274,7 +297,7 @@ def compensated_cumsum(values, carry=None) -> np.ndarray:
     if c:
         x[0, :m], err[0, :m] = carry[0].reshape(m), carry[1].reshape(m)
     total = np.empty_like(x)
-    np.cumsum(x.view(complex), axis=0, out=total.view(complex))
+    x.view(complex).cumsum(axis=0, out=total.view(complex))
     a, s, q = total[:-1], total[1:], err[1:]
     # TwoSum(a, x) = (s, q): d = s - a, q = (a - (s - d)) + (x - d), with
     # x - d kept in the copy of x; the last argument of each ufunc is its
@@ -284,11 +307,11 @@ def compensated_cumsum(values, carry=None) -> np.ndarray:
     np.subtract(s, q, q)
     np.subtract(a, q, q)
     np.add(q, x[1:], q)
-    np.cumsum(err.view(complex), axis=0, out=err.view(complex))
+    err.view(complex).cumsum(axis=0, out=err.view(complex))
     if c:
         carry[0], carry[1] = total[-1, :m].reshape(lead), err[-1, :m].reshape(lead)
     total += err
-    return np.moveaxis(total[c:, :m].reshape(n, *lead), 0, -1)
+    return total[c:, :m].T.reshape(*lead, n)
 
 
 def split_seed(base: int, index: int) -> int:

@@ -30,9 +30,11 @@ offset (:func:`cps_sentinel.policies.lift`). So :func:`path_tiles`
 advances every seed B steps per array call from precomputed powers of F:
 x_{lo+1..lo+B} = P z_lo + T d_{lo..lo+B-1}, where P stacks the bottom rows
 of F^1..F^B and T is block lower-triangular Toeplitz in the bottom-right
-blocks of F^0..F^(B-1). B = max(1, 64 // N), so
-no contraction reaches OpenBLAS's threading size, and B = 1 when F is not
-stable, since its powers would amplify roundoff. B is fixed by N alone,
+blocks of F^0..F^(B-1). B = max(1, 64 // N)
+(:func:`cps_sentinel.numerics.block_steps`, which also sets the detector's
+block to a divisor of it), so no contraction reaches OpenBLAS's threading
+size, and B = 1 when F is not stable, since its powers would amplify
+roundoff. B is fixed by N alone,
 never by the horizon: the last block is padded with zero drive and takes
 the same full P and T, so every block is the same product and a run's
 states are bit for bit the first steps of any longer run of its seed.
@@ -48,19 +50,18 @@ engine run as one tile, and :func:`simulate` the same with a single seed.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import CpsModel
 from .numerics import (
-    BAND_ENTRIES,
     DiagonalPsd,
     Dirac,
     GaussianLaw,
     SpdMatrix,
     banded,
+    block_steps,
     make_spd,
     matvec,
     sample_gaussian,
@@ -179,7 +180,7 @@ def simulation_plan(m: CpsModel, honest: HonestPolicy, attack: Attack | None) ->
     scales = np.concatenate([np.sqrt(law.cov.diag) for law in parts
                              if isinstance(law.cov, DiagonalPsd)])
     f, stable = closed_loop(m.dynamics, m.actuator_gains, laws.corrupt_gains)
-    steps = max(1, math.isqrt(BAND_ENTRIES) // n) if stable else 1  # T: (B N)^2 entries
+    steps = block_steps(n) if stable else 1
     p, t = _block_operators(f, n, steps)
     return SimulationPlan(m, laws, sum(law.dim for law in parts),
                           m.noise_law.cov.chol if dense else None, scales,
@@ -236,11 +237,12 @@ def path_tiles(plan: SimulationPlan, horizon: int, seeds, steps: int,
             path[:, :lags] = path[:, steps:steps + lags]
         h = min(steps, horizon - lo)
         planes = np.empty((plan.columns, n_seeds, h))
+        draws = buffer[:h]
         for i, rng in enumerate(rngs):
-            rng.standard_normal(out=buffer[:h])
+            rng.standard_normal(out=draws)
             if plan.chol is not None:
-                buffer[:h, n + k:] = matvec(plan.chol, buffer[:h, n + k:])
-            planes[:, i] = buffer[:h].T
+                draws[:, n + k:] = matvec(plan.chol, draws[:, n + k:])
+            planes[:, i] = draws.T
         excitations, own, w = planes[:n], planes[n:n + k], planes[n + k:]
         planes[:len(plan.scales)] *= plan.scales[:, None, None]
         planes += plan.means[:, None, None]
@@ -263,7 +265,7 @@ def path_tiles(plan: SimulationPlan, horizon: int, seeds, steps: int,
             for j in range(0, h, plan.block):
                 window = path[:, j:j + lags].reshape(n_seeds, lags * n)
                 drive = path[:, lags + j:lags + j + plan.block].reshape(n_seeds, -1)
-                drive[...] = matvec(plan.p, window) + matvec(plan.t, drive)
+                np.add(matvec(plan.p, window), matvec(plan.t, drive), out=drive)
             # a state is bad when its entries do not sum to a finite number
             bad = ~np.isfinite(np.einsum("stn->st", path[:, lags:lags + h]))
         new = (failed_at == 0) & bad.any(axis=1)

@@ -297,9 +297,13 @@ def test_criterion_9_reproducibility(tmp_path):
     # one batch, the same seeds in two groups and short tiles, and each seed on its own
     s = scenario_from_dict(json.loads(scenario_path.read_text()))
     whole = run_montecarlo(s, out_dir=tmp_path / "whole")
+    sim = harness.simulation_plan(s.model, s.honest, s.attack)
+    det = harness.detection_plan(s.model, s.honest, s.attack[1], s.attack[0], s.horizon)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_GROUP_SEEDS", 2)  # groups of 2 and 1 seeds
-        mp.setattr(harness, "_TILE_CELLS", 1)  # tiles of one common block
+        # groups of 2 and 1 seeds, tiles of one common block of 2 seeds
+        mp.setattr(harness, "_TILE_BLOCKS", 1)
+        mp.setattr(harness, "TILE_CELLS",
+                   2 * max(sim.columns, det.columns) * max(sim.block, det.block))
         chunked = run_montecarlo(s, out_dir=tmp_path / "chunked")
     a, b = whole.summary_dict(), chunked.summary_dict()
     a.pop("runtime_seconds"), b.pop("runtime_seconds")

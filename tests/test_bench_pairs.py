@@ -105,3 +105,17 @@ def test_second_over_first_is_each_side_s_order_effect():
     # a side that never went second has no ratio
     one = bench_pairs.summarize(pairs("speed", [100.0], [100.0]), [SPEED])["w"]["speed"]
     assert one["second_over_first"] == {"parent": None, "change": None}
+
+
+def test_no_run_uses_the_tree_of_the_run_before_it():
+    order = bench_pairs.run_order(10)
+    runs = [run for pair in order for run in pair]
+    assert len(runs) == 20 and all(a != b for a, b in zip(runs, runs[1:]))
+    # pairs alternate which side goes first, the parent in pair 0
+    assert [pair[0][0] for pair in order] == ["parent", "change"] * 5
+    assert all({side for side, _ in pair} == {"parent", "change"} for pair in order)
+    # each side's first runs, and its second runs, take both its trees alike
+    for side in ("parent", "change"):
+        for position in (0, 1):
+            trees = [pair[position][1] for pair in order if pair[position][0] == side]
+            assert len(trees) == 5 and sorted(trees) in ([0, 0, 0, 1, 1], [0, 0, 1, 1, 1])

@@ -528,7 +528,7 @@ def test_dense_quadratic_forms_do_not_depend_on_the_batch():
 # name: (model, honest law, attack, horizon); each runs several tiles of
 # one common block of the simulator's and the detector's block sizes
 TILE_CASES = {
-    # blocks of 21 and 10 steps: tiles of 210
+    # blocks of 21 and 7 steps: tiles of 21
     "window-mimic": CASES["window-mimic"] + (635,),
     # blocks of 2 and 1
     "wide-window-mimic": BLOCK_CASES["wide-window-mimic"] + (15,),
@@ -538,7 +538,8 @@ TILE_CASES = {
                             Fdi(np.vstack([np.zeros((3, 2)),
                                            np.linspace(-1, 1, 114).reshape(57, 2)])[:60])),
                            57),
-    # an unstable loop steps one at a time, and its seeds overflow in later tiles
+    # an unstable loop steps one at a time (the detector 8 at a time), and
+    # its seeds overflow in later tiles
     "unstable-replacement": (chain(2, initial=GaussianLaw(np.zeros(2), DiagonalPsd([1e300, 1.0]))),
                              LinearFeedback(-0.2 * np.eye(2)),
                              (AttackConfig((1,)), Replacement.scaled_state([2.66])), 318),
@@ -574,3 +575,17 @@ def test_tiles_of_whole_blocks_give_the_bits_of_one_tile(case):
         for f in fields(want):
             got = np.concatenate([getattr(t, f.name) for t in tiles], axis=-1)
             assert np.array_equal(got, getattr(want, f.name), equal_nan=True), (steps, f.name)
+
+
+@pytest.mark.parametrize("case", sorted(TILE_CASES))
+def test_detect_ensemble_in_tiles_of_one_block_gives_the_bits_of_one_tile(case, monkeypatch):
+    m, honest, attack, horizon = TILE_CASES[case]
+    corrupt, cfg = attack[1], attack[0]
+    ens = simulate_ensemble(m, honest, attack, horizon, list(range(12)))
+    states = ens.states[ens.failed_at == 0]
+    monkeypatch.setattr(detection, "TILE_CELLS", 1 << 62)
+    want = detect_ensemble(states, m, honest, corrupt, cfg)
+    monkeypatch.setattr(detection, "TILE_CELLS", 1)
+    got = detect_ensemble(states, m, honest, corrupt, cfg)
+    for f in fields(want):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name), equal_nan=True), f.name

@@ -37,10 +37,15 @@ from cps_sentinel.simulator import NonFiniteState, simulate
 
 
 def run_in_chunks(s, chunk, out_dir):
-    """run_montecarlo with the seeds in groups of ``chunk`` and tiles of one common block."""
+    """run_montecarlo with the seeds in groups of ``chunk`` and tiles of one common block.
+
+    A group's tile budget of one common block for ``chunk`` seeds; a
+    smaller last group runs longer tiles in the same budget.
+    """
+    block, columns = common_block(s)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_GROUP_SEEDS", chunk)
-        mp.setattr(harness, "_TILE_CELLS", 1)
+        mp.setattr(harness, "_TILE_BLOCKS", 1)
+        mp.setattr(harness, "TILE_CELLS", chunk * block * columns)
         return run_montecarlo(s, out_dir=out_dir)
 
 
@@ -886,11 +891,12 @@ def common_block(s):
 
 
 def run_in_tiles(s, blocks, out_dir):
-    """run_montecarlo with a tile budget of ``blocks`` common blocks (None: one tile)."""
+    """run_montecarlo in one group with tiles of ``blocks`` common blocks (None: one tile)."""
     block, columns = common_block(s)
     cells = 1 << 62 if blocks is None else blocks * block * columns * s.seed_count
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_TILE_CELLS", cells)
+        mp.setattr(harness, "_TILE_BLOCKS", 1)
+        mp.setattr(harness, "TILE_CELLS", cells)
         return run_montecarlo(s, out_dir=out_dir, override_assumption2=True)
 
 
@@ -971,32 +977,46 @@ def test_the_default_tiles_hold_a_block_or_about_the_cell_budget():
         cfg, corrupt = s.attack
         sim = harness.simulation_plan(s.model, s.honest, s.attack)
         det = harness.detection_plan(s.model, s.honest, corrupt, cfg, s.horizon)
-        steps[s.name] = (sim.block, det.block, harness._tile_steps(sim, det, s.seed_count))
-    # 40 seeds of the replacement preset: one common block of lcm(32, 17) steps,
-    # so the 500 steps of the bench workload are one tile
-    assert steps["replacement"] == (32, 17, 544)
+        steps[s.name] = (sim.block, det.block, harness._group_seeds(sim, det),
+                         harness._tile_steps(sim, det, s.seed_count))
+    # the replacement preset: blocks of 32 and 16 steps, 6 stacked residual
+    # columns; a tile of 8 blocks of 42 seeds fits 64k cells, so the 40 seeds
+    # of the bench workload are one group, and 500 steps two tiles of 256
+    assert steps["replacement"] == (32, 16, 42, 256)
     # 16 seeds of the 16-agent chain: 48 stacked residual columns per seed
     # and step, so 6 tiles of 84 steps cover 500
-    assert steps["chain"] == (4, 1, 84)
+    assert steps["chain"] == (4, 1, 42, 84)
+
+
+def one_block_tiles(monkeypatch, s):
+    """Run ``s`` as one group in tiles of one common block; returns the block."""
+    block, columns = common_block(s)
+    monkeypatch.setattr(harness, "_TILE_BLOCKS", 1)
+    monkeypatch.setattr(harness, "TILE_CELLS", s.seed_count * block * columns)
+    return block
+
+
+def overflow_seed_1(monkeypatch, tile_lo):
+    """Make seed row 1's log ratio non-finite from the second step of the tile at ``tile_lo``."""
+    real = harness.detect_tile
+
+    def detect(plan, path, lo, carry):
+        series = real(plan, path, lo, carry)
+        if lo == tile_lo:
+            series.cum_log_l[1, 1:] = math.inf
+            carry[:, 1] = math.nan  # its log ratio stays non-finite
+        return series
+
+    monkeypatch.setattr(harness, "detect_tile", detect)
 
 
 def test_a_seed_that_fails_in_a_later_tile_leaves_the_others_as_without_it(tmp_path,
                                                                            monkeypatch):
     s = scenario_from_dict(chain_scenario(horizon=40, count=4))
-    block, _ = common_block(s)
+    block = one_block_tiles(monkeypatch, s)
     assert block == 4
-    monkeypatch.setattr(harness, "_TILE_CELLS", 1)  # tiles of one common block
     want = run_montecarlo(s, out_dir=tmp_path / "plain")
-    real = harness.detect_tile
-
-    def overflow_seed_1(plan, path, lo, carry):
-        series = real(plan, path, lo, carry)
-        if lo == 2 * block:  # its third tile, from the tile's second step on
-            series.cum_log_l[1, 1:] = math.inf
-            carry[:, 1] = math.nan  # its log ratio stays non-finite
-        return series
-
-    monkeypatch.setattr(harness, "detect_tile", overflow_seed_1)
+    overflow_seed_1(monkeypatch, 2 * block)  # its third tile
     got = run_montecarlo(s, out_dir=tmp_path / "failed")
     seed = split_seed(s.seed_base, 1)
     assert got.rows[1]["error"] == ("NonFiniteLogRatio: log likelihood ratio is not finite "
@@ -1042,10 +1062,83 @@ def test_a_failed_seed_leaves_no_stale_csv_of_an_earlier_run(tmp_path, kind):
             assert path.read_text().count("\n") == failing["horizon"] + 1
 
 
+@pytest.mark.parametrize("tile, kept", [(0, "kept\n"), (2, "")],
+                         ids=["first-tile", "later-tile"])
+def test_a_failed_seed_leaves_a_symlinked_file_as_it_was_or_empty(tmp_path, monkeypatch,
+                                                                  tile, kept):
+    # a seed that fails in its first tile never opens its path; one that
+    # fails later truncates what it wrote through the link
+    s = scenario_from_dict(chain_scenario(horizon=40, count=4))
+    overflow_seed_1(monkeypatch, tile * one_block_tiles(monkeypatch, s))
+    out = tmp_path / "out"
+    out.mkdir()
+    target = tmp_path / "target.csv"
+    target.write_text("kept\n")
+    (out / "run_00001.csv").symlink_to(target)
+    got = run_montecarlo(s, out_dir=out)
+    assert got.rows[1]["error"].startswith("NonFiniteLogRatio: ")
+    assert (out / "run_00001.csv").is_symlink()
+    assert target.read_text() == kept
+    assert all((out / f"run_{k:05d}.csv").read_text().count("\n") == s.horizon + 1
+               for k in (0, 2, 3))
+
+
+@pytest.mark.parametrize("count", [1, 40, 200, 256])
+@pytest.mark.parametrize("name", LINEAR_PRESETS + ["chain"])
+def test_every_tile_keeps_to_the_cell_budget_whatever_the_seed_count(monkeypatch, name, count):
+    data = (chain_scenario(horizon=100, count=count) if name == "chain"
+            else dict(preset(name), seeds={"base": 5, "count": count}))
+    s = scenario_from_dict(data)
+    block, columns = common_block(s)
+    cfg, corrupt = s.attack if s.attack is not None else (None, None)
+    sim = harness.simulation_plan(s.model, s.honest, s.attack)
+    det = harness.detection_plan(s.model, s.honest, corrupt, cfg, s.horizon)
+    groups = []
+    real = harness.path_tiles
+
+    def recorded(plan, horizon, seeds, steps, *args):
+        starts = []
+        groups.append((len(seeds), steps, starts))
+        for tile in real(plan, horizon, seeds, steps, *args):
+            starts.append(tile.lo)
+            yield tile
+
+    monkeypatch.setattr(harness, "path_tiles", recorded)
+    run_montecarlo(s, override_assumption2=True)
+    assert sum(n_seeds for n_seeds, _, _ in groups) == count
+    alone = block * columns > harness.TILE_CELLS  # one block of one seed exceeds the budget
+    for n_seeds, steps, starts in groups:
+        assert n_seeds <= harness._GROUP_SEEDS
+        assert starts == list(range(0, s.horizon, steps))
+        assert all(lo % sim.block == 0 and lo % det.block == 0 for lo in starts)
+        if alone:
+            assert (n_seeds, steps) == (1, block)
+        else:
+            assert n_seeds * steps * columns <= harness.TILE_CELLS
+            assert n_seeds == 1 or steps >= harness._TILE_BLOCKS * block
+
+
+def test_linear_batch_memory_stays_per_tile_whatever_the_seed_count():
+    # replacement seeds run in groups of 42, in tiles of 256 steps, so 64
+    # seeds already hold every tile-sized buffer; four times as many may
+    # hold no more
+    def peak(count):
+        s = scenario_from_dict(dict(preset("replacement"), seeds={"base": 7, "count": count}))
+        tracemalloc.start()
+        try:
+            run_montecarlo(s)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # whatever a first batch allocates once
+    assert peak(256) <= 1.1 * peak(64)
+
+
 @pytest.mark.parametrize("files", [False, True], ids=["no-outputs", "outputs"])
 @pytest.mark.parametrize("name", ["replacement", "chain"])
 def test_linear_batch_memory_stays_per_tile_whatever_the_horizon(tmp_path, name, files):
-    # the replacement preset runs tiles of 2720 steps of 4 seeds (10880 of the
+    # the replacement preset runs tiles of 2720 steps of 4 seeds (10912 of the
     # one seed whose CSV is written) and the chain tiles of 340 (1364), so
     # a horizon of 20k steps already holds every tile-sized buffer; five
     # times longer may hold no more

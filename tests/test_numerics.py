@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cps_sentinel.numerics import (
+    BAND_ENTRIES,
     DIM_CAP,
     DiagonalPsd,
     GaussianLaw,
     NotPositiveDefinite,
     NotSymmetric,
     as_square_matrix,
+    block_steps,
     compensated_cumsum,
     eig_extremes,
     logdet,
@@ -323,3 +325,22 @@ def test_compensated_cumsum_continues_from_a_carry_bit_for_bit(cuts):
     b = compensated_cumsum(values[:, 20:], wide[:, ::3])
     assert (np.concatenate([a, b], axis=-1).view(np.int64) == whole.view(np.int64)).all()
     assert not wide[:, 1::3].any() and not wide[:, 2::3].any()
+
+
+@pytest.mark.parametrize("n_agents", range(1, DIM_CAP + 1))
+def test_the_detector_block_is_the_largest_divisor_of_the_simulator_s_that_fits(n_agents):
+    top = block_steps(n_agents)
+    assert top == max(1, 64 // n_agents)
+    for rows in range(n_agents, 4 * n_agents + 1, n_agents):
+        for lags in (1, 2, 3):
+            def fits(b):
+                return b * rows * (lags + b) * n_agents <= BAND_ENTRIES
+
+            block = block_steps(n_agents, rows, lags)
+            assert top % block == 0 and (block == 1 or fits(block))
+            assert not any(fits(b) for b in range(block + 1, top + 1) if top % b == 0)
+
+
+def test_the_detector_blocks_of_two_agents():
+    # one lag; two, three and four stacked residual blocks of two rows
+    assert [block_steps(2, rows, 1) for rows in (4, 6, 8)] == [16, 16, 8]
