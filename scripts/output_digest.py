@@ -1,0 +1,95 @@
+"""Digest of every output of a fixed set of command-line runs.
+
+    python3 scripts/output_digest.py --out DIR
+
+Runs the command-line interface of the package in the tree this script
+sits in (its ``src/``, unless the process has imported the package
+already), in this process: ``montecarlo`` on the seven
+linear presets at 50 seeds and 600 steps (the 40-odd seeds of a group
+and a few time tiles each), ``mdp`` on both MDP presets at 300 seeds and
+400 steps (two groups), and ``simulate`` and ``detect`` on the ``fdi``
+preset. Every output goes under ``DIR``, and ``DIR/digest.json`` maps
+each output's path relative to ``DIR`` to its sha256, the value of a
+``runtime_seconds`` field replaced by ``null`` first. Two trees whose
+digests are equal wrote the same bytes; run the script copied into an
+export of another revision to compare it with this one. The
+``CPS_SENTINEL_SEED`` variable is ignored, so that the digest depends on
+the program alone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LINEAR = ("identity", "replacement", "fdi", "dos", "mimic", "example1", "example2")
+MDP = ("mdp-detect", "mdp-mimic")
+_RUNTIME = re.compile(rb'("runtime_seconds": )[^,\n}]+')
+
+
+def commands(out: Path) -> list[list[str]]:
+    """The command lines, in order; each writes under ``out``."""
+    runs = [["preset", name, "--out", str(out / "scenarios" / f"{name}.json")]
+            for name in LINEAR + MDP]
+    # example1 fails the influence check on purpose
+    runs += [["montecarlo", str(out / "scenarios" / f"{name}.json"), "--seeds", "50",
+              "--horizon", "600", "--override-assumption2", "--out", str(out / "montecarlo" / name)]
+             for name in LINEAR]
+    runs += [["mdp", str(out / "scenarios" / f"{name}.json"), "--seeds", "300",
+              "--horizon", "400", "--out", str(out / "mdp" / name)] for name in MDP]
+    runs += [[cmd, str(out / "scenarios" / "fdi.json"), "--horizon", "600",
+              "--out", str(out / cmd / "fdi.csv")] for cmd in ("simulate", "detect")]
+    return runs
+
+
+def run(out: Path) -> None:
+    """Run every command line; ``out/stdout.txt`` gathers each one and what it printed."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from cps_sentinel import cli
+
+    os.environ.pop("CPS_SENTINEL_SEED", None)
+    for folder in ("scenarios", "simulate", "detect"):
+        (out / folder).mkdir(parents=True, exist_ok=True)
+    log = []
+    for argv in commands(out):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv)
+        line = " ".join(argv).replace(str(out), "DIR")
+        if code != 0:
+            raise SystemExit(f"cps-sentinel {line} exited with {code}")
+        log += [f"$ cps-sentinel {line}\n", stdout.getvalue()]
+    (out / "stdout.txt").write_text("".join(log))
+
+
+def digest(out: Path) -> dict[str, str]:
+    """sha256 of every file under ``out`` but ``digest.json``, by relative path."""
+    sums = {}
+    for path in sorted(out.rglob("*")):
+        name = path.relative_to(out).as_posix()
+        if path.is_file() and name != "digest.json":
+            sums[name] = hashlib.sha256(_RUNTIME.sub(rb"\1null", path.read_bytes())).hexdigest()
+    return sums
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, type=Path, help="directory for the outputs")
+    args = parser.parse_args(argv)
+    run(args.out)
+    sums = digest(args.out)
+    (args.out / "digest.json").write_text(json.dumps(sums, indent=2, sort_keys=True) + "\n")
+    print(f"{len(sums)} outputs, digest in {args.out / 'digest.json'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

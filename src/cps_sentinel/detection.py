@@ -27,8 +27,7 @@ axis with no step loop and carried from tile to tile, so that horizons up
 to 1e5 steps of small increments stay exact to roundoff.
 
 :func:`series_csv_tile` writes the lines of a tile of a batch's detection
-CSVs, :func:`series_csv_texts` a batch's whole CSVs and
-:func:`series_csv_text` one seed's.
+CSVs, and :func:`series_csv_text` one seed's whole CSV.
 """
 
 from __future__ import annotations
@@ -43,13 +42,13 @@ from numpy.lib.stride_tricks import as_strided
 from .model import AttackConfig, CpsModel
 from .numerics import (
     LOG_TWO_PI,
-    TILE_CELLS,
     banded,
     block_steps,
     compensated_cumsum,
     eig_extremes,
     logdet,
     matvec,
+    tile_steps,
 )
 from .policies import (
     CorruptPolicy,
@@ -163,11 +162,11 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
     """Detection series of every path in ``states`` (shape (S, n+1, N)).
 
     The engine of :func:`detect_tile` run over the whole paths in tiles of
-    whole blocks whose stacked residuals hold about ``TILE_CELLS`` cells,
-    at least one block, so that beyond ``states`` and the returned series
-    memory is per tile; the bits are those of one tile. Raises
-    ``ValueError`` naming the seed row and the step of the first non-finite
-    state.
+    whole blocks whose stacked residuals hold about ``TILE_CELLS`` cells
+    (:func:`cps_sentinel.numerics.tile_steps`), so that beyond ``states``
+    and the returned series memory is per tile; the bits are those of one
+    tile. Raises ``ValueError`` naming the seed row and the step of the
+    first non-finite state.
     """
     states = np.asarray(states, dtype=float)
     n_seeds, n = states.shape[0], states.shape[1] - 1
@@ -177,7 +176,7 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
         row, step = np.argwhere(~np.isfinite(states).all(axis=-1))[0]
         raise ValueError(f"state x_{step} of seed row {row} is not finite")
     plan = detection_plan(m, honest, corrupt, cfg, n)
-    steps = max(1, TILE_CELLS // max(1, n_seeds * plan.columns * plan.block)) * plan.block
+    steps = tile_steps(n_seeds, plan.columns, plan.block)
     # the shared logdet row is kept once (none without seeds) and broadcast
     out = {f.name: np.empty((min(n_seeds, 1) if f.name == "cum_logdet_ratio" else n_seeds, n),
                             dtype=bool if f.name == "r_defined" else float)
@@ -416,17 +415,10 @@ def expected_step_drift(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolic
 _CSV_HEADER = "t,logL,r_n,s_sum,sbreve_sum,logdet_ratio_sum\n"
 
 
-def series_csv_texts(series: DetectionSeries):
-    """Each seed's CSV text, columns t, logL, r_n, s_sum, sbreve_sum, logdet_ratio_sum.
-
-    ``series`` is a batch from :func:`detect_ensemble` or one seed's
-    series: the texts of :func:`series_csv_tile` with steps from 1.
-    """
-    return series_csv_tile(series, 0)
-
-
 def series_csv_tile(series: DetectionSeries, lo: int):
     """Each seed's CSV lines of steps lo+1..lo+h, after the header when lo is 0.
+
+    The columns are t, logL, r_n, s_sum, sbreve_sum and logdet_ratio_sum.
 
     ``series`` holds the h steps of a tile (:func:`detect_tile`), of a
     batch or of one seed; appending each tile's lines in order gives the
@@ -457,8 +449,8 @@ def series_csv_tile(series: DetectionSeries, lo: int):
 
 
 def series_csv_text(series: DetectionSeries) -> str:
-    """One seed's CSV text (see :func:`series_csv_texts`)."""
-    (text,) = series_csv_texts(series)
+    """One seed's CSV text: :func:`series_csv_tile` of its whole series."""
+    (text,) = series_csv_tile(series, 0)
     return text
 
 

@@ -2,11 +2,11 @@
 
 Scenarios are JSON with explicit row-major matrices and string-tagged
 policy kinds; statistical parameters carry no defaults, so a file either
-states its covariances or fails validation. Batch runs derive one stream
-per run index, simulate, detect and write groups of seeds together in
-time tiles, write one detection CSV per seed plus a deterministic summary,
-and refuse attack scenarios that violate the honest-influence
-requirement unless explicitly overridden.
+states its covariances or fails validation. Batch runs of both testbeds
+derive one stream per run index and go through one loop that runs groups
+of seeds together in time tiles and appends one CSV per seed; each batch
+writes a deterministic summary. Attack scenarios that violate the
+honest-influence requirement are refused unless explicitly overridden.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ from .detection import (
     series_csv_tile,
 )
 from .mdp import (
-    _GROUP_SEEDS,
     FiniteMdp,
     StochasticPolicy,
+    _log_ratio_tiles,
+    _path_tiles,
     analytic_drift,
     induced_kernel,
-    log_ratio_groups,
+    log_ratio_csv_tile,
 )
 from .model import (
     AttackConfig,
@@ -51,7 +52,7 @@ from .model import (
     validate_attack,
     validate_model,
 )
-from .numerics import TILE_CELLS, DiagonalPsd, Dirac, GaussianLaw, make_spd, split_seed
+from .numerics import DiagonalPsd, Dirac, GaussianLaw, make_spd, split_seed, tile_steps
 from .policies import (
     Affine,
     CorruptPolicy,
@@ -419,33 +420,59 @@ def _check_attack_sizes(model: CpsModel, attack, horizon) -> list[Violation]:
     return issues
 
 
-# A linear group holds as many seeds, up to _GROUP_SEEDS, as let a tile of
-# _TILE_BLOCKS common blocks fit TILE_CELLS: shorter tiles of more seeds
-# cost more in per-tile calls (one standard_normal per seed) than they save.
+# A group holds as many seeds, up to _GROUP_SEEDS, as let a tile of
+# _TILE_BLOCKS blocks fit TILE_CELLS: shorter tiles of more seeds cost more
+# in per-tile calls (one standard_normal per linear seed) than they save.
 _TILE_BLOCKS = 8
+# A group keeps one file open per seed it writes.
+_GROUP_SEEDS = 256
 
 
-def _tile_steps(sim: SimulationPlan, det: DetectionPlan, n_seeds: int) -> int:
-    """Steps per tile of a group of ``n_seeds``: a whole number of both engines' blocks.
+def _group_seeds(columns: int, block: int) -> int:
+    """Seeds per group of a batch whose tiles hold ``columns`` cells per seed and step.
 
-    One engine's block is a whole number of the other's
-    (:func:`cps_sentinel.numerics.block_steps`), so the larger is the
-    common block: 32 steps for N = 2. The largest of the simulator's noise
-    planes (``sim.columns`` per seed and step) and the detector's stacked
-    residuals (``det.columns``) holds about ``TILE_CELLS`` cells, in at
-    least one common block, so that every tile starts on a block boundary
-    of both engines.
+    As many as let a tile of ``_TILE_BLOCKS`` blocks of ``block`` steps
+    fit ``TILE_CELLS``, at least 1 and at most ``_GROUP_SEEDS``: by
+    symmetry, the blocks that a tile of ``_TILE_BLOCKS`` seeds runs.
     """
-    block = max(sim.block, det.block)
-    width = n_seeds * max(sim.columns, det.columns) * block
-    return max(1, TILE_CELLS // width) * block
+    return min(_GROUP_SEEDS, tile_steps(_TILE_BLOCKS, columns, block) // block)
 
 
-def _group_seeds(sim: SimulationPlan, det: DetectionPlan) -> int:
-    """Seeds per group: as many as let a tile of ``_TILE_BLOCKS`` common blocks fit
-    ``TILE_CELLS``, at least 1 and at most ``_GROUP_SEEDS``."""
-    width = max(sim.columns, det.columns) * max(sim.block, det.block) * _TILE_BLOCKS
-    return max(1, min(_GROUP_SEEDS, TILE_CELLS // width))
+def _run_batch(seed_base: int, n_seeds: int, columns: int, block: int, group_tiles,
+               out_path: Path | None) -> None:
+    """The batch loop of both testbeds: seeds 0..``n_seeds``-1 in groups, in time tiles.
+
+    A group (:func:`_group_seeds`) runs in tiles of whole ``block`` s,
+    ``columns`` cells per seed and step (:func:`cps_sentinel.numerics.tile_steps`):
+    ``group_tiles(indices, seeds, steps)`` yields per tile the mask of the
+    seeds of run ``indices`` still alive and a generator of their CSV
+    texts, in row order. A seed's CSV is opened at the first tile that
+    writes it; a seed not alive after the last tile has it discarded
+    (:func:`_discard`).
+    """
+    group = _group_seeds(columns, block)
+    for first in range(0, n_seeds, group):
+        indices = range(first, min(first + group, n_seeds))
+        seeds = [split_seed(seed_base, i) for i in indices]
+        paths = [] if out_path is None else [out_path / f"run_{i:05d}.csv" for i in indices]
+        files = [None] * len(paths)
+        steps = tile_steps(len(seeds), columns, block)
+        with ExitStack() as stack:
+            for alive, texts in group_tiles(indices, seeds, steps):
+                if paths:
+                    live = np.flatnonzero(alive).tolist()
+                    # open before the formatter starts, so that the files'
+                    # buffers are not scattered among a tile's texts
+                    for k in live:
+                        if files[k] is None:
+                            files[k] = stack.enter_context(_create(paths[k]))
+                    for k in live:
+                        files[k].write(next(texts))
+                # no text or formatter of this tile outlives it into the next
+                texts.close()
+        if paths:
+            for k in np.flatnonzero(~alive).tolist():
+                _discard(paths[k], files[k] is not None)
 
 
 def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
@@ -454,16 +481,15 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
 
     Refuses attack scenarios whose network leaves some agent untouched by
     honest excitation (``override_assumption2`` runs them anyway, for
-    studying exactly that failure mode). The seeds run in groups
-    (:func:`_group_seeds`: as many as let a tile of ``_TILE_BLOCKS``
-    common blocks hold ``TILE_CELLS`` cells, at most ``_GROUP_SEEDS``),
-    each in time tiles of about ``TILE_CELLS`` cells
-    (:func:`_run_linear_group`), so memory stays per tile whatever the
-    horizon and the seed count; a seed's result does not depend on its
-    group or the tiles. A seed whose state (``NonFiniteState``) or final logL
-    (``NonFiniteLogRatio``) is not finite gets no decision and no CSV, and
-    is counted in ``n_failed`` and, by exception name, in
-    ``failure_codes``; the others run on.
+    studying exactly that failure mode). The seeds run through the batch
+    loop (:func:`_run_batch`) in groups and time tiles sized to the wider
+    of the simulator's noise planes and the detector's stacked residuals,
+    in whole common blocks (:func:`_linear_tiles`), so memory stays per
+    tile whatever the horizon and the seed count; a seed's result does not
+    depend on its group or the tiles. A seed whose state
+    (``NonFiniteState``) or final logL (``NonFiniteLogRatio``) is not
+    finite gets no decision and no CSV, and is counted in ``n_failed`` and,
+    by exception name, in ``failure_codes``; the others run on.
     """
     if s.attack is not None:
         holds, unreachable = honest_influence_check(s.model, s.attack[0])
@@ -479,10 +505,13 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
     out_path = _out_path(out_dir, s.outputs)
 
     rows = []
-    group = _group_seeds(sim, det)
-    for first in range(0, s.seed_count, group):
-        indices = range(first, min(first + group, s.seed_count))
-        rows += _run_linear_group(s, sim, det, indices, out_path)
+    # one engine's block is a whole number of the other's
+    # (cps_sentinel.numerics.block_steps), so the larger is the common block
+    _run_batch(s.seed_base, s.seed_count, max(sim.columns, det.columns),
+               max(sim.block, det.block),
+               lambda indices, seeds, steps: _linear_tiles(s, sim, det, indices, seeds, steps,
+                                                           rows),
+               out_path)
     if out_path is not None:
         _write_runs_table(out_path / "runs.csv", rows)
 
@@ -508,39 +537,26 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
     return summary
 
 
-def _run_linear_group(s: Scenario, sim: SimulationPlan, det: DetectionPlan, indices: range,
-                      out_path: Path | None) -> list[dict]:
-    """The rows of the seeds of run ``indices``, simulated, detected and written per tile.
+def _linear_tiles(s: Scenario, sim: SimulationPlan, det: DetectionPlan, indices: range,
+                  seeds: list, steps: int, rows: list):
+    """The tiles of a linear group (see :func:`_run_batch`); then its rows go on ``rows``.
 
-    Each tile is simulated (:func:`path_tiles`), detected (:func:`detect_tile`,
-    whose carry continues each seed's sums) and appended to the seeds'
-    CSVs; a seed's CSV is opened at the first tile that writes its lines
-    and stays open for the group. A seed stops being written at the tile
-    in which it fails, so one that fails in its first tile never opens its
-    path, and its file is discarded at the end (:func:`_discard`).
+    Each tile is simulated (:func:`path_tiles`) and detected
+    (:func:`detect_tile`, whose carry continues each seed's sums); a seed
+    dies at the tile in which its state or its logL stops being finite.
     """
-    seeds = [split_seed(s.seed_base, i) for i in indices]
     carry = det.fresh_carry(len(seeds))
     bad_log_l = np.zeros(len(seeds), dtype=int)  # first non-finite logL step, or 0
-    paths = [] if out_path is None else [out_path / f"run_{i:05d}.csv" for i in indices]
-    files = [None] * len(paths)
-    with ExitStack() as stack:
-        for tile in path_tiles(sim, s.horizon, seeds, _tile_steps(sim, det, len(seeds))):
-            series = detect_tile(det, tile.path, tile.lo, carry)
-            bad = ~np.isfinite(series.cum_log_l)
-            new = (bad_log_l == 0) & bad.any(axis=1)
-            bad_log_l[new] = tile.lo + bad[new].argmax(axis=1) + 1
-            alive = (tile.failed_at == 0) & (bad_log_l == 0)
-            if paths and alive.any():
-                texts = series_csv_tile(series if alive.all() else series.row(alive), tile.lo)
-                for k, text in zip(np.flatnonzero(alive).tolist(), texts):
-                    if files[k] is None:
-                        files[k] = stack.enter_context(_create(paths[k]))
-                    files[k].write(text)
+    for tile in path_tiles(sim, s.horizon, seeds, steps):
+        series = detect_tile(det, tile.path, tile.lo, carry)
+        bad = ~np.isfinite(series.cum_log_l)
+        new = (bad_log_l == 0) & bad.any(axis=1)
+        bad_log_l[new] = tile.lo + bad[new].argmax(axis=1) + 1
+        alive = (tile.failed_at == 0) & (bad_log_l == 0)
+        yield alive, series_csv_tile(series if alive.all() else series.row(alive), tile.lo)
     log_l = series.cum_log_l[:, -1].tolist()
     r_n = [r if defined else None for r, defined
            in zip(series.r_n[:, -1].tolist(), series.r_defined[:, -1].tolist())]
-    rows = []
     for k, index in enumerate(indices):
         row = {"run_index": index, "seed": seeds[k], "log_l": None, "r_n": None,
                "decision": None, "error": None}
@@ -548,13 +564,10 @@ def _run_linear_group(s: Scenario, sim: SimulationPlan, det: DetectionPlan, indi
                  else NonFiniteLogRatio(bad_log_l[k], seeds[k]) if bad_log_l[k] else None)
         if error is not None:
             row["error"] = f"{type(error).__name__}: {error}"
-            if paths:
-                _discard(paths[k], files[k] is not None)
         else:
             row["log_l"], row["r_n"] = log_l[k], r_n[k]
             row["decision"] = decide(log_l[k], s.threshold).value
         rows.append(row)
-    return rows
 
 
 def _drift_stats(drifts) -> tuple[float | None, float | None]:
@@ -626,13 +639,11 @@ def mdp_scenario_from_dict(data: dict) -> MdpScenario:
 def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
     """Simulate corrupt-policy paths and track the kernel log ratio series.
 
-    One lockstep pass over the batch (:func:`log_ratio_groups`): the seeds
-    advance together, in groups of at most ``mdp._GROUP_SEEDS``, in time
-    tiles of about ``mdp._CHUNK_CELLS`` cells, so memory stays per tile and
-    only the final values outlive the pass. Each seed's series is its own
-    CSV, ``t,log_ratio``, opened once per group and appended tile by tile;
-    every distinct value of a tile is formatted once, with ``repr``, and
-    shared by the rows that hold it.
+    The seeds run through the batch loop (:func:`_run_batch`), a tile
+    counted at 4 cells per seed and step (its uniforms and their
+    time-major copy), so memory stays per tile. Each tile is sampled and
+    its log ratio continued (:mod:`cps_sentinel.mdp`); each seed's series
+    is its own CSV, ``t,log_ratio`` (:func:`cps_sentinel.mdp.log_ratio_csv_tile`).
     """
     start = time.perf_counter()
     k_h = induced_kernel(s.mdp, s.honest_policy)
@@ -640,18 +651,16 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
     drift = analytic_drift(k_h, k_c, s.mdp.initial)
     finals = np.empty(s.seed_count)
     out_path = _out_path(out_dir, s.outputs)
-    seeds = [split_seed(s.seed_base, i) for i in range(s.seed_count)]
-    for rows, tiles in log_ratio_groups(s.mdp, s.corrupt_policy, k_h, k_c, s.horizon, seeds):
-        with ExitStack() as stack:
-            files = [stack.enter_context(_create(out_path / f"run_{i:05d}.csv"))
-                     for i in rows] if out_path is not None else []
-            lo = 0
-            for series in tiles:
-                _append_log_ratio_lines(files, lo, series)
-                lo += series.shape[1]
-            for fp in files:
-                fp.write("\n")
-        finals[rows] = series[:, -1]
+
+    def group_tiles(indices, seeds, steps):
+        alive, lo = np.ones(len(seeds), dtype=bool), 0
+        for series in _log_ratio_tiles(_path_tiles(s.mdp, s.corrupt_policy, s.horizon, seeds,
+                                                    steps), k_h, k_c):
+            yield alive, log_ratio_csv_tile(series, lo)
+            lo += series.shape[1]
+        finals[indices] = series[:, -1]
+
+    _run_batch(s.seed_base, s.seed_count, 4, 1, group_tiles, out_path)
     mean_drift, drift_stderr = _drift_stats(finals / s.horizon)
     summary = {
         "scenario": s.name,
@@ -665,28 +674,6 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
     if out_path is not None:
         _write_fresh(out_path / "summary.json", json_text(summary))
     return summary
-
-
-def _append_log_ratio_lines(files: list, first: int, series: np.ndarray) -> None:
-    """Append row k of ``series`` to ``files[k]``, one ``t,value`` line per entry.
-
-    The entries are steps ``first``, ``first`` + 1, ...; step 0 follows
-    the CSV header, and the caller ends each file with ``"\n"``. Every
-    distinct value of the tile (bit pattern, so -0.0 and 0.0 keep their own
-    text) is formatted once, with ``repr``, and the tile's texts are
-    gathered once; no string outlives the call.
-    """
-    if not files:
-        return
-    lines = [""] * (2 * series.shape[1])
-    lines[0::2] = [f"\n{t}," for t in range(first, first + series.shape[1])]
-    if first == 0:
-        lines[0] = "t,log_ratio\n0,"
-    bits, inverse = np.unique(series.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    for fp, row in zip(files, texts[inverse.reshape(series.shape)].tolist()):
-        lines[1::2] = row
-        fp.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------

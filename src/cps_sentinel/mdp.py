@@ -5,16 +5,17 @@ two policies induce two chains, and the cumulative log ratio of their
 transition probabilities along one observed path is the discrete analog
 of the path likelihood ratio tracked in the linear-Gaussian modules.
 
-A batch runs as one lockstep pass (:func:`log_ratio_groups`): groups of
-seeds advance together in time tiles of about ``_CHUNK_CELLS`` cells, each
-seed continuing its own uniform stream and its own running log ratio from
-tile to tile, so memory stays per tile whatever the batch size and the
-horizon, and a writer can format each distinct value of a tile once.
-The sampler (:func:`_path_tiles`) fills, for a block of steps at a time,
-a state-major candidate table (steps, states, seeds) holding where each
-seed would move from each state, as the flat position ``state * seeds +
-seed``, so that a step of every seed is one ``take``; x_0, the actions
-and the successors are all drawn by one inverse-CDF rule
+A batch (:func:`cps_sentinel.harness.run_mdp_batch`, through the batch
+loop it shares with the linear testbed) runs groups of seeds in lockstep,
+in time tiles: the sampler (:func:`_path_tiles`) and the log ratio
+(:func:`_log_ratio_tiles`) continue each seed's uniform stream and its
+running log ratio from tile to tile, so memory stays per tile whatever
+the batch size and the horizon, and :func:`log_ratio_csv_tile` formats
+each distinct value of a tile once. The sampler fills, for a block of
+steps at a time, a state-major candidate table (steps, states, seeds)
+holding where each seed would move from each state, as the flat position
+``state * seeds + seed``, so that a step of every seed is one ``take``;
+x_0, the actions and the successors are all drawn by one inverse-CDF rule
 (:func:`_draw_rows`). :func:`simulate_paths` and :func:`path_log_ratio`
 are the same sampler and log ratio run as one tile.
 """
@@ -25,16 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import tile_steps
+
 _ROW_TOL = 1e-12
 STATE_ACTION_CAP = 64
-
-# Cells per tile of the batch engine: a tile advances every seed of a group
-# by about _CHUNK_CELLS / seeds steps, and each block of the sampler's
-# candidate-successor table holds about _CHUNK_CELLS entries too.
-_CHUNK_CELLS = 1 << 14
-# Seeds per group of the batch engine; a writer keeps one file open per seed
-# of the group it is writing.
-_GROUP_SEEDS = 256
 
 
 class NotAbsolutelyContinuous(RuntimeError):
@@ -140,8 +135,9 @@ def _path_tiles(mdp: FiniteMdp, policy: StochasticPolicy, n: int, seeds, steps: 
     Every draw, x_0's, the actions' and the successors', is one rule
     (:func:`_draw_rows`). A tile's uniforms are copied time-major once, and
     for a block of steps at once the sampler fills a state-major candidate
-    table (steps, states, seeds) of about ``_CHUNK_CELLS`` entries: entry
-    (t, y, s) is where seed s moves at that step if it is in state y,
+    table (steps, states, seeds), counted at 4 cells an entry as a tile
+    is at 4 cells a seed-step (:func:`cps_sentinel.numerics.tile_steps`):
+    entry (t, y, s) is where seed s moves at that step if it is in state y,
     stored as the flat position ``state * seeds + s`` of a step's row. The
     time recursion is then one ``take`` per step across the seeds. Row s
     depends on seed s alone, not on the other seeds.
@@ -156,7 +152,7 @@ def _path_tiles(mdp: FiniteMdp, policy: StochasticPolicy, n: int, seeds, steps: 
     # under action a, state-major so that a state's rows share cache lines
     ker_cum = np.cumsum(mdp.kernel, axis=2).transpose(2, 1, 0).reshape(n_states, -1)
     ker_last = _last_positive(mdp.kernel).T.ravel()
-    block = max(1, _CHUNK_CELLS // max(1, n_seeds * n_states))
+    block = tile_steps(n_seeds, 4 * n_states)
     states = np.arange(n_states)[:, None]
     seed_at = np.arange(n_seeds)  # seed s is position s of each state's run
 
@@ -280,25 +276,22 @@ def path_log_ratio(path: np.ndarray, k_honest: np.ndarray, k_corrupt: np.ndarray
     return out
 
 
-def log_ratio_groups(mdp: FiniteMdp, policy: StochasticPolicy, k_honest: np.ndarray,
-                     k_corrupt: np.ndarray, n: int, seeds):
-    """The batch engine: every seed's log-ratio series in one lockstep pass.
+def log_ratio_csv_tile(series: np.ndarray, lo: int):
+    """Each seed's CSV lines ``t,log_ratio`` of steps lo..lo+h-1, after the header when lo is 0.
 
-    The seeds run in groups of at most ``_GROUP_SEEDS``, in order; each
-    group is sampled under ``policy`` (:func:`_path_tiles`) and its log
-    ratio of ``k_honest`` to ``k_corrupt`` tracked
-    (:func:`_log_ratio_tiles`) in time tiles of about ``_CHUNK_CELLS``
-    cells, so memory stays per tile whatever the batch. Yields
-    ``(rows, tiles)`` per group: ``rows`` is the range of the group's
-    positions in ``seeds`` and ``tiles`` gives its (rows, steps) series
-    tiles in time order, to be consumed before the next group.
+    ``series`` (seeds, h) is a tile as :func:`_log_ratio_tiles` yields it.
+    Every distinct value of the tile (bit pattern, so -0.0 and 0.0 keep
+    their own text) is formatted once, with ``repr``; a seed's text is one
+    join of the tile's line prefixes and its values.
     """
-    seeds = list(seeds)
-    for first in range(0, len(seeds), _GROUP_SEEDS):
-        group = seeds[first:first + _GROUP_SEEDS]
-        paths = _path_tiles(mdp, policy, n, group, max(1, _CHUNK_CELLS // len(group)))
-        yield (range(first, first + len(group)),
-               _log_ratio_tiles(paths, k_honest, k_corrupt))
+    lines = [""] * (2 * series.shape[1] + 1)
+    lines[0::2] = [f"\n{t}," for t in range(lo, lo + series.shape[1])] + ["\n"]
+    lines[0] = f"{lo}," if lo else "t,log_ratio\n0,"
+    bits, inverse = np.unique(series.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    for row in texts[inverse.reshape(series.shape)].tolist():
+        lines[1::2] = row
+        yield "".join(lines)
 
 
 def stationary_distribution(k: np.ndarray, initial: np.ndarray) -> np.ndarray:

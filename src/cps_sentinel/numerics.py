@@ -21,8 +21,7 @@ DIM_CAP = 32
 # operator and the detector's stacked residual band hold at most 64 x 64,
 # far below the size at which OpenBLAS starts threads (see :func:`block_steps`).
 BAND_ENTRIES = 64 * 64
-# Cells of the largest per-tile array of the linear engines: a tile of S
-# seeds runs about TILE_CELLS // (S * widest columns per seed-step) steps.
+# Cells of the largest per-tile array of every batch engine (:func:`tile_steps`).
 TILE_CELLS = 1 << 16
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -239,6 +238,16 @@ def block_steps(n_agents: int, rows: int | None = None, lags: int = 0) -> int:
     cells = BAND_ENTRIES // (rows * n_agents)
     return max((b for b in range(1, top + 1) if top % b == 0 and b * (lags + b) <= cells),
                default=1)
+
+
+def tile_steps(n_seeds: int, columns: int, block: int = 1) -> int:
+    """Steps per tile of ``n_seeds`` seeds, the one tile rule of every batch engine.
+
+    The tile's largest array holds ``columns`` cells per seed and step; the
+    tile runs as many whole blocks of ``block`` steps as keep that array
+    within ``TILE_CELLS`` cells, and at least one.
+    """
+    return max(1, TILE_CELLS // max(1, n_seeds * columns * block)) * block
 
 
 def sample_gaussian(rng: np.random.Generator, law: GaussianLaw) -> np.ndarray:

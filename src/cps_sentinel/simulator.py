@@ -43,8 +43,9 @@ its last L states into the next, so tiles of any such length give the
 same bits. Both contractions go through
 :func:`cps_sentinel.numerics.matvec`, so a row's bits never depend on the
 batch. Everything the tiles share (the laws, the noise scales, P and T)
-is one :class:`SimulationPlan` per batch; :func:`simulate_ensemble` is the
-engine run as one tile, and :func:`simulate` the same with a single seed.
+is one :class:`SimulationPlan` per batch; :func:`simulate_ensemble` runs
+the engine in tiles of :func:`cps_sentinel.numerics.tile_steps` steps into
+whole-path arrays, and :func:`simulate` the same with a single seed.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .numerics import (
     make_spd,
     matvec,
     sample_gaussian,
+    tile_steps,
 )
 from .policies import (
     Attack,
@@ -277,24 +279,32 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
                       horizon: int, seeds, *, keep_controls: bool = False) -> Ensemble:
     """Simulate ``horizon`` steps of the closed loop for every seed at once.
 
-    The engine of :func:`path_tiles` run as one tile. ``keep_controls``
-    keeps the controls and excitations of every step; detection needs
-    only the states. A run whose state overflows is marked in
-    ``failed_at`` at its own first bad step, and the other runs go on.
-    States are never clamped, since clamping would corrupt every
-    downstream statistic.
+    The engine of :func:`path_tiles`, run in tiles of whole blocks within
+    ``TILE_CELLS`` (:func:`cps_sentinel.numerics.tile_steps`) that are
+    copied into the returned arrays, so that beyond them memory is per
+    tile; the bits are those of one tile. ``keep_controls`` keeps the
+    controls and excitations of every step; detection needs only the
+    states. A run whose state overflows is marked in ``failed_at`` at its
+    own first bad step, and the other runs go on. States are never
+    clamped, since clamping would corrupt every downstream statistic.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     seeds = tuple(int(seed) for seed in seeds)
     plan = simulation_plan(m, honest, attack)
-    (tile,) = path_tiles(plan, horizon, seeds, horizon, keep_controls)
-    states = tile.path[:, plan.laws.lags - 1:]
-    controls = tile.controls
+    lags, shape = plan.laws.lags, (len(seeds), horizon, m.n_agents)
+    states = np.empty((len(seeds), horizon + 1, m.n_agents))
+    controls, excitations = (np.empty(shape), np.empty(shape)) if keep_controls else (None, None)
+    steps = tile_steps(len(seeds), plan.columns, plan.block)
+    for tile in path_tiles(plan, horizon, seeds, steps, keep_controls):
+        lo, hi = tile.lo, tile.lo + tile.path.shape[1] - lags
+        states[:, lo:hi + 1] = tile.path[:, lags - 1:]  # x_lo, then the tile's states
+        if keep_controls:
+            controls[:, lo:hi], excitations[:, lo:hi] = tile.controls, tile.excitations
     if controls is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             controls += control_means(plan.laws, states[:, :-1])[1]
-    return Ensemble(states, controls, tile.excitations, seeds, attack is not None,
+    return Ensemble(states, controls, excitations, seeds, attack is not None,
                     tile.failed_at)
 
 

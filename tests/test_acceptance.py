@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from cps_sentinel import cli, harness
+from cps_sentinel import cli, harness, numerics
 from cps_sentinel.detection import (
     Decision,
     classify,
@@ -302,7 +302,7 @@ def test_criterion_9_reproducibility(tmp_path):
     with pytest.MonkeyPatch.context() as mp:
         # groups of 2 and 1 seeds, tiles of one common block of 2 seeds
         mp.setattr(harness, "_TILE_BLOCKS", 1)
-        mp.setattr(harness, "TILE_CELLS",
+        mp.setattr(numerics, "TILE_CELLS",
                    2 * max(sim.columns, det.columns) * max(sim.block, det.block))
         chunked = run_montecarlo(s, out_dir=tmp_path / "chunked")
     a, b = whole.summary_dict(), chunked.summary_dict()

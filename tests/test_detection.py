@@ -15,7 +15,7 @@ from cps_sentinel.detection import (
     expected_step_drift,
     rn_series,
     series_csv_text,
-    series_csv_texts,
+    series_csv_tile,
     series_summary,
 )
 from cps_sentinel.harness import preset, scenario_from_dict
@@ -499,12 +499,12 @@ def series_batches(draw):
 @settings(max_examples=200, deadline=None)
 @given(batch=series_batches())
 def test_every_batch_file_is_the_per_cell_oracle(batch):
-    texts = list(series_csv_texts(batch))
+    texts = list(series_csv_tile(batch, 0))
     assert len(texts) == batch.cum_log_l.shape[0]
     for k, text in enumerate(texts):
         assert text == plain_series_csv(batch.row(k))
     # a single seed's series, not a batch of one, gives the same text
-    assert list(series_csv_texts(batch.row(0))) == texts[:1]
+    assert list(series_csv_tile(batch.row(0), 0)) == texts[:1]
 
 
 def test_undefined_and_special_cells_by_hand():
@@ -513,7 +513,7 @@ def test_undefined_and_special_cells_by_hand():
         cum_s=np.array([[0.5, math.nan]]), cum_s_breve=np.array([[0.0, -math.inf]]),
         cum_logdet_ratio=np.array([[0.25, 0.5]]), r_n=np.array([[math.nan, 3.0]]),
         r_defined=np.array([[False, True]]))
-    assert list(series_csv_texts(batch)) == [
+    assert list(series_csv_tile(batch, 0)) == [
         "t,logL,r_n,s_sum,sbreve_sum,logdet_ratio_sum\n"
         "1,-0.0,,0.5,0.0,0.25\n"
         "2,inf,3.0,nan,-inf,0.5\n"]
@@ -529,7 +529,7 @@ def test_preset_batches_share_the_logdet_column_and_match_the_one_seed_writer(na
     batch = detect_ensemble(ens.states, s.model, s.honest, corrupt, cfg)
     logdet = batch.cum_logdet_ratio
     assert (logdet.view(np.int64) == logdet[:1].view(np.int64)).all()
-    for k, text in enumerate(series_csv_texts(batch)):
+    for k, text in enumerate(series_csv_tile(batch, 0)):
         assert series_csv_text(batch.row(k)) == text == plain_series_csv(batch.row(k))
     with pytest.raises(ValueError):
         series_csv_text(batch)

@@ -6,6 +6,7 @@ policy kind, and a seed whose state overflows must fail alone.
 """
 
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cps_sentinel import detection
+from cps_sentinel import detection, numerics
 from cps_sentinel.detection import detect_ensemble, detect_tile, detection_plan, rn_series
 from cps_sentinel.model import AttackConfig, CpsModel
 from cps_sentinel import simulator
@@ -583,9 +584,40 @@ def test_detect_ensemble_in_tiles_of_one_block_gives_the_bits_of_one_tile(case, 
     corrupt, cfg = attack[1], attack[0]
     ens = simulate_ensemble(m, honest, attack, horizon, list(range(12)))
     states = ens.states[ens.failed_at == 0]
-    monkeypatch.setattr(detection, "TILE_CELLS", 1 << 62)
+    monkeypatch.setattr(numerics, "TILE_CELLS", 1 << 62)
     want = detect_ensemble(states, m, honest, corrupt, cfg)
-    monkeypatch.setattr(detection, "TILE_CELLS", 1)
+    monkeypatch.setattr(numerics, "TILE_CELLS", 1)
     got = detect_ensemble(states, m, honest, corrupt, cfg)
     for f in fields(want):
         assert np.array_equal(getattr(got, f.name), getattr(want, f.name), equal_nan=True), f.name
+
+
+@pytest.mark.parametrize("case", sorted(TILE_CASES))
+def test_simulate_ensemble_in_tiles_of_one_block_gives_the_bits_of_one_tile(case, monkeypatch):
+    m, honest, attack, horizon = TILE_CASES[case]
+    monkeypatch.setattr(numerics, "TILE_CELLS", 1 << 62)
+    want = simulate_ensemble(m, honest, attack, horizon, range(12), keep_controls=True)
+    monkeypatch.setattr(numerics, "TILE_CELLS", 1)
+    got = simulate_ensemble(m, honest, attack, horizon, range(12), keep_controls=True)
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a == b if f.name in ("seeds", "attacked")
+                else a.shape == b.shape and a.tobytes() == b.tobytes()), f.name
+
+
+def test_simulate_ensemble_holds_one_tile_beyond_its_states_whatever_the_horizon():
+    # 4 seeds of N = 3 run tiles of 2730 steps, so a horizon of 20k steps
+    # already holds every tile-sized buffer; five times longer may hold no
+    # more beyond the states it returns
+    m, honest, attack = CASES["linear-replacement"]
+
+    def beyond_states(horizon):
+        tracemalloc.start()
+        try:
+            states = simulate_ensemble(m, honest, attack, horizon, range(4)).states
+            return tracemalloc.get_traced_memory()[1] - states.nbytes
+        finally:
+            tracemalloc.stop()
+
+    beyond_states(1000)  # whatever a first batch allocates once
+    assert beyond_states(100_000) <= 1.1 * beyond_states(20_000)

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cps_sentinel import cli, harness
+from cps_sentinel import cli, harness, numerics
+from cps_sentinel import mdp as mdp_module
 from cps_sentinel.detection import classify, rn_series, series_csv_text
 from cps_sentinel.harness import (
     AssumptionViolation,
@@ -45,7 +46,7 @@ def run_in_chunks(s, chunk, out_dir):
     block, columns = common_block(s)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_TILE_BLOCKS", 1)
-        mp.setattr(harness, "TILE_CELLS", chunk * block * columns)
+        mp.setattr(numerics, "TILE_CELLS", chunk * block * columns)
         return run_montecarlo(s, out_dir=out_dir)
 
 
@@ -896,7 +897,7 @@ def run_in_tiles(s, blocks, out_dir):
     cells = 1 << 62 if blocks is None else blocks * block * columns * s.seed_count
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_TILE_BLOCKS", 1)
-        mp.setattr(harness, "TILE_CELLS", cells)
+        mp.setattr(numerics, "TILE_CELLS", cells)
         return run_montecarlo(s, out_dir=out_dir, override_assumption2=True)
 
 
@@ -977,8 +978,9 @@ def test_the_default_tiles_hold_a_block_or_about_the_cell_budget():
         cfg, corrupt = s.attack
         sim = harness.simulation_plan(s.model, s.honest, s.attack)
         det = harness.detection_plan(s.model, s.honest, corrupt, cfg, s.horizon)
-        steps[s.name] = (sim.block, det.block, harness._group_seeds(sim, det),
-                         harness._tile_steps(sim, det, s.seed_count))
+        block, columns = max(sim.block, det.block), max(sim.columns, det.columns)
+        steps[s.name] = (sim.block, det.block, harness._group_seeds(columns, block),
+                         numerics.tile_steps(s.seed_count, columns, block))
     # the replacement preset: blocks of 32 and 16 steps, 6 stacked residual
     # columns; a tile of 8 blocks of 42 seeds fits 64k cells, so the 40 seeds
     # of the bench workload are one group, and 500 steps two tiles of 256
@@ -992,7 +994,7 @@ def one_block_tiles(monkeypatch, s):
     """Run ``s`` as one group in tiles of one common block; returns the block."""
     block, columns = common_block(s)
     monkeypatch.setattr(harness, "_TILE_BLOCKS", 1)
-    monkeypatch.setattr(harness, "TILE_CELLS", s.seed_count * block * columns)
+    monkeypatch.setattr(numerics, "TILE_CELLS", s.seed_count * block * columns)
     return block
 
 
@@ -1083,9 +1085,46 @@ def test_a_failed_seed_leaves_a_symlinked_file_as_it_was_or_empty(tmp_path, monk
                for k in (0, 2, 3))
 
 
-@pytest.mark.parametrize("count", [1, 40, 200, 256])
-@pytest.mark.parametrize("name", LINEAR_PRESETS + ["chain"])
+def assert_mdp_tiles_keep_to_the_cell_budget(monkeypatch, name, count):
+    """An MDP tile counts 4 cells per seed and step, and its candidate table 4 per entry."""
+    s = mdp_scenario_from_dict(dict(preset(name), seeds={"base": 5, "count": count}))
+    groups, blocks = [], []
+    real_tiles, real_steps = harness._path_tiles, mdp_module.tile_steps
+
+    def recorded_tiles(mdp, policy, n, seeds, steps):
+        groups.append((len(seeds), steps))
+        return real_tiles(mdp, policy, n, seeds, steps)
+
+    def recorded_steps(n_seeds, columns, block=1):  # the sampler's candidate block
+        blocks.append((n_seeds, columns, real_steps(n_seeds, columns, block)))
+        return blocks[-1][-1]
+
+    monkeypatch.setattr(harness, "_path_tiles", recorded_tiles)
+    monkeypatch.setattr(mdp_module, "tile_steps", recorded_steps)
+    run_mdp_batch(s)
+    assert sum(n_seeds for n_seeds, _ in groups) == count
+    assert [n_seeds for n_seeds, _, _ in blocks] == [n_seeds for n_seeds, _ in groups]
+    for (n_seeds, steps), (_, columns, block) in zip(groups, blocks):
+        assert n_seeds <= harness._GROUP_SEEDS
+        assert columns == 4 * s.mdp.n_states
+        assert n_seeds * steps * 4 <= numerics.TILE_CELLS
+        assert n_seeds * block * columns <= numerics.TILE_CELLS
+    if (name, count) == ("mdp-detect", 100):
+        # the tiles that keep the bench workload's memory where it is
+        assert (groups, blocks[0][-1]) == ([(100, 163)], 81)
+
+
+BUDGET_CASES = ([(name, count) for name in LINEAR_PRESETS + ["chain"]
+                 for count in (1, 40, 200, 256)]
+                + [(name, count) for name in ("mdp-detect", "mdp-mimic")
+                   for count in (1, 40, 100, 256, 300)])
+
+
+@pytest.mark.parametrize("name, count", BUDGET_CASES)
 def test_every_tile_keeps_to_the_cell_budget_whatever_the_seed_count(monkeypatch, name, count):
+    if name.startswith("mdp"):
+        assert_mdp_tiles_keep_to_the_cell_budget(monkeypatch, name, count)
+        return
     data = (chain_scenario(horizon=100, count=count) if name == "chain"
             else dict(preset(name), seeds={"base": 5, "count": count}))
     s = scenario_from_dict(data)
@@ -1106,7 +1145,7 @@ def test_every_tile_keeps_to_the_cell_budget_whatever_the_seed_count(monkeypatch
     monkeypatch.setattr(harness, "path_tiles", recorded)
     run_montecarlo(s, override_assumption2=True)
     assert sum(n_seeds for n_seeds, _, _ in groups) == count
-    alone = block * columns > harness.TILE_CELLS  # one block of one seed exceeds the budget
+    alone = block * columns > numerics.TILE_CELLS  # one block of one seed exceeds the budget
     for n_seeds, steps, starts in groups:
         assert n_seeds <= harness._GROUP_SEEDS
         assert starts == list(range(0, s.horizon, steps))
@@ -1114,7 +1153,7 @@ def test_every_tile_keeps_to_the_cell_budget_whatever_the_seed_count(monkeypatch
         if alone:
             assert (n_seeds, steps) == (1, block)
         else:
-            assert n_seeds * steps * columns <= harness.TILE_CELLS
+            assert n_seeds * steps * columns <= numerics.TILE_CELLS
             assert n_seeds == 1 or steps >= harness._TILE_BLOCKS * block
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cps_sentinel import harness
+from cps_sentinel import harness, numerics
 from cps_sentinel import mdp as mdp_module
 from cps_sentinel.harness import mdp_scenario_from_dict, run_mdp_batch
 from cps_sentinel.mdp import (
@@ -18,7 +18,6 @@ from cps_sentinel.mdp import (
     StochasticPolicy,
     analytic_drift,
     induced_kernel,
-    log_ratio_groups,
     path_log_ratio,
     simulate_paths,
     stationary_distribution,
@@ -255,7 +254,7 @@ class TestSimulatePath:
             paths = simulate_paths(mdp, pol, 80, seeds)
             for row, seed in zip(paths, seeds):
                 np.testing.assert_array_equal(row, reference_path(mdp, pol, 80, seed))
-        assert mdp_module._CHUNK_CELLS // (len(seeds) * cap) == 1
+        assert numerics.tile_steps(len(seeds), 4 * cap) == 1
 
     def test_batch_rows_are_the_per_seed_paths(self):
         mdp = two_action_mdp(initial=(0.3, 0.7))
@@ -285,21 +284,17 @@ def test_a_stream_drawn_in_pieces_is_the_stream_drawn_at_once(seed, parts):
 
 @settings(max_examples=60, deadline=None)
 @given(case=finite_mdps(), n=st.integers(0, 40), count=st.integers(1, 6),
-       base=st.integers(0, 2**63), cells=st.sampled_from([1, 7, 40, 1 << 15]),
-       group=st.sampled_from([1, 2, 256]))
-def test_engine_paths_are_the_per_seed_loop_whatever_the_batch(case, n, count, base, cells,
-                                                                group):
+       base=st.integers(0, 2**63), cells=st.sampled_from([4, 28, 160, 1 << 17]))
+def test_engine_paths_are_the_per_seed_loop_whatever_the_batch(case, n, count, base, cells):
     mdp, honest, corrupt = case
     k_h, k_c = induced_kernel(mdp, honest), induced_kernel(mdp, corrupt)
     seeds = [base + i for i in range(count)]
     references = np.array([reference_path(mdp, corrupt, n, seed) for seed in seeds])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mdp_module, "_CHUNK_CELLS", cells)
-        mp.setattr(mdp_module, "_GROUP_SEEDS", group)
+        mp.setattr(numerics, "TILE_CELLS", cells)
         paths = simulate_paths(mdp, corrupt, n, seeds)
-        tiles = list(mdp_module._path_tiles(mdp, corrupt, n, seeds, max(1, cells // count)))
-        groups = [(rows, list(series)) for rows, series
-                  in log_ratio_groups(mdp, corrupt, k_h, k_c, n, seeds)]
+        tiles = list(mdp_module._path_tiles(mdp, corrupt, n, seeds,
+                                            numerics.tile_steps(count, 4)))
     np.testing.assert_array_equal(paths, references)
     # each tile starts where the one before stopped, and together they are the paths
     for before, tile in zip(tiles, tiles[1:]):
@@ -312,14 +307,6 @@ def test_engine_paths_are_the_per_seed_loop_whatever_the_batch(case, n, count, b
     whole = path_log_ratio(paths, k_h, k_c)
     assert np.concatenate(tiled, axis=1).tobytes() == whole.tobytes()
     assert whole[:, 0].tobytes() == np.zeros(count).tobytes()
-    # the batch engine's groups cover the seeds in order, and their series
-    # tiles are the whole-path log ratio bit for bit
-    assert [i for rows, _ in groups for i in rows] == list(range(count))
-    for rows, series in groups:
-        assert len(rows) <= group
-        whole = path_log_ratio(references[rows], k_h, k_c)
-        assert np.concatenate(series, axis=1).tobytes() == whole.tobytes()
-        assert series[0][:, 0].tobytes() == np.zeros(len(rows)).tobytes()
     # one seed alone, and the batch minus its first seed, give the same rows
     np.testing.assert_array_equal(simulate_paths(mdp, corrupt, n, [seeds[-1]])[0], paths[-1])
     np.testing.assert_array_equal(simulate_paths(mdp, corrupt, n, seeds[1:]), paths[1:])
@@ -328,7 +315,7 @@ def test_engine_paths_are_the_per_seed_loop_whatever_the_batch(case, n, count, b
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=finite_mdps(), n=st.integers(1, 30), count=st.integers(1, 6),
-       base=st.integers(0, 2**63), cells=st.sampled_from([1, 7, 40, 1 << 15]),
+       base=st.integers(0, 2**63), cells=st.sampled_from([4, 28, 160, 1 << 17]),
        group=st.sampled_from([1, 2, 256]))
 def test_batch_files_are_plain_repr_rows_whatever_the_batch(tmp_path_factory, case, n, count,
                                                             base, cells, group):
@@ -336,8 +323,10 @@ def test_batch_files_are_plain_repr_rows_whatever_the_batch(tmp_path_factory, ca
     k_h, k_c = induced_kernel(mdp, honest), induced_kernel(mdp, corrupt)
     out = tmp_path_factory.mktemp("mdp")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mdp_module, "_CHUNK_CELLS", cells)
-        mp.setattr(mdp_module, "_GROUP_SEEDS", group)
+        # groups of at most `group` seeds, in tiles of cells // (4 * seeds) steps
+        mp.setattr(numerics, "TILE_CELLS", cells)
+        mp.setattr(harness, "_GROUP_SEEDS", group)
+        mp.setattr(harness, "_TILE_BLOCKS", 1)
         summary = run_mdp_batch(mdp_scenario(mdp, honest, corrupt, n, base, count), out_dir=out)
     finals = []
     for i in range(count):
@@ -386,10 +375,11 @@ def assert_plain_files(out, mdp, honest, corrupt, n, base, count):
 
 @pytest.mark.parametrize("horizon", [3, 4, 5])
 def test_batch_files_at_a_tile_boundary(tmp_path, monkeypatch, horizon):
-    # 3 seeds and 12 cells: tiles of 4 steps, so the horizon ends one step
+    # 3 seeds and 48 cells: tiles of 4 steps, so the horizon ends one step
     # before, at and one step after the first tile boundary
-    monkeypatch.setattr(mdp_module, "_CHUNK_CELLS", 12)
-    monkeypatch.setattr(mdp_module, "_GROUP_SEEDS", 3)
+    monkeypatch.setattr(numerics, "TILE_CELLS", 48)
+    monkeypatch.setattr(harness, "_GROUP_SEEDS", 3)
+    monkeypatch.setattr(harness, "_TILE_BLOCKS", 1)
     mdp = two_action_mdp(initial=(0.3, 0.7))
     honest = StochasticPolicy(np.array([[0.5, 0.5], [0.5, 0.5]]))
     corrupt = StochasticPolicy(np.array([[0.1, 0.9], [0.8, 0.2]]))
@@ -398,9 +388,10 @@ def test_batch_files_at_a_tile_boundary(tmp_path, monkeypatch, horizon):
 
 
 def test_minus_inf_is_carried_across_tile_boundaries(tmp_path, monkeypatch):
-    # 4 seeds in groups of 2 and 6 cells: tiles of 3 steps
-    monkeypatch.setattr(mdp_module, "_CHUNK_CELLS", 6)
-    monkeypatch.setattr(mdp_module, "_GROUP_SEEDS", 2)
+    # 4 seeds in groups of 2 and 24 cells: tiles of 3 steps
+    monkeypatch.setattr(numerics, "TILE_CELLS", 24)
+    monkeypatch.setattr(harness, "_GROUP_SEEDS", 2)
+    monkeypatch.setattr(harness, "_TILE_BLOCKS", 1)
     kernel, honest, corrupt = FORBIDDEN_MOVE
     mdp = FiniteMdp(kernel, np.array([1.0, 0.0]))
     honest, corrupt = StochasticPolicy(honest), StochasticPolicy(corrupt)
