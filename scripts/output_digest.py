@@ -8,7 +8,13 @@ already), in this process: ``montecarlo`` on the seven
 linear presets at 50 seeds and 600 steps (the 40-odd seeds of a group
 and a few time tiles each), ``mdp`` on both MDP presets at 300 seeds and
 400 steps (two groups), and ``simulate`` and ``detect`` on the ``fdi``
-preset. Every output goes under ``DIR``, and ``DIR/digest.json`` maps
+preset. Two written scenarios cover what no preset does:
+``zero-variance`` (``replacement``'s model with a zero excitation
+variance on agent 2, and a mimic on agent 1 with zero own excitation, so
+that some normals are scaled to -0.0) runs ``montecarlo``, ``simulate``
+and ``detect`` like the linear presets, and ``mdp-forbidden-move`` (a
+corrupt kernel that forbids the move 0 -> 1 the honest one allows) runs
+``mdp`` like the MDP presets. Every output goes under ``DIR``, and ``DIR/digest.json`` maps
 each output's path relative to ``DIR`` to its sha256, the value of a
 ``runtime_seconds`` field replaced by ``null`` first. Two trees whose
 digests are equal wrote the same bytes; run the script copied into an
@@ -32,6 +38,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LINEAR = ("identity", "replacement", "fdi", "dos", "mimic", "example1", "example2")
 MDP = ("mdp-detect", "mdp-mimic")
+WRITTEN = {
+    "zero-variance": {
+        "name": "zero-variance",
+        "model": {"n_agents": 2, "dynamics": [[0.5, 0.3], [0.0, 0.5]],
+                  "actuator_gains": [1.0, 1.0], "process_noise": [[0.04, 0.0], [0.0, 2.0]],
+                  "excitation": [0.16, 0.0], "initial": {"kind": "dirac", "point": [0.0, 0.0]}},
+        "honest": {"kind": "linear", "gain": [[-0.2, 0.0], [0.0, -0.2]]},
+        "attack": {"malicious_set": [1], "kind": "mimic", "self_excitation": [0.0]},
+        "horizon": 600, "seeds": {"base": 2025, "count": 50}, "threshold": -10.0,
+    },
+    "mdp-forbidden-move": {
+        "name": "mdp-forbidden-move",
+        "mdp": {"kernel": [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]]],
+                "initial": [0.5, 0.5]},
+        "honest_policy": [[0.5, 0.5], [0.5, 0.5]],
+        "corrupt_policy": [[1.0, 0.0], [0.2, 0.8]],
+        "horizon": 400, "seeds": {"base": 2025, "count": 300},
+    },
+}
 _RUNTIME = re.compile(rb'("runtime_seconds": )[^,\n}]+')
 
 
@@ -42,11 +67,13 @@ def commands(out: Path) -> list[list[str]]:
     # example1 fails the influence check on purpose
     runs += [["montecarlo", str(out / "scenarios" / f"{name}.json"), "--seeds", "50",
               "--horizon", "600", "--override-assumption2", "--out", str(out / "montecarlo" / name)]
-             for name in LINEAR]
+             for name in LINEAR + ("zero-variance",)]
     runs += [["mdp", str(out / "scenarios" / f"{name}.json"), "--seeds", "300",
-              "--horizon", "400", "--out", str(out / "mdp" / name)] for name in MDP]
-    runs += [[cmd, str(out / "scenarios" / "fdi.json"), "--horizon", "600",
-              "--out", str(out / cmd / "fdi.csv")] for cmd in ("simulate", "detect")]
+              "--horizon", "400", "--out", str(out / "mdp" / name)]
+             for name in MDP + ("mdp-forbidden-move",)]
+    runs += [[cmd, str(out / "scenarios" / f"{name}.json"), "--horizon", "600",
+              "--out", str(out / cmd / f"{name}.csv")]
+             for name in ("fdi", "zero-variance") for cmd in ("simulate", "detect")]
     return runs
 
 
@@ -58,6 +85,8 @@ def run(out: Path) -> None:
     os.environ.pop("CPS_SENTINEL_SEED", None)
     for folder in ("scenarios", "simulate", "detect"):
         (out / folder).mkdir(parents=True, exist_ok=True)
+    for name, scenario in WRITTEN.items():
+        (out / "scenarios" / f"{name}.json").write_text(json.dumps(scenario, indent=2) + "\n")
     log = []
     for argv in commands(out):
         stdout = io.StringIO()

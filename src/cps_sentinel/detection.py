@@ -112,10 +112,14 @@ class DetectionSeries:
 class DetectionPlan:
     """What every tile of a batch's detection shares (see :func:`detection_plan`).
 
-    ``band`` holds the stacked residual rows, ``columns`` = K N of them
-    per step, of ``block`` steps; ``shift`` is their shift (one row, one
-    per step of the horizon, or None) and ``where`` the block of each of
-    the four residuals (:func:`_residual_operator`). ``honest_const`` and
+    ``band`` (B K N, (L + B) N) holds the ``columns`` = K N stacked
+    residual rows of a step (:func:`_residual_operator`) B times down its
+    block diagonal, each copy N columns right of the one above: the
+    windows of steps t..t+B-1 are overlapping stretches of the L + B states
+    from x_{t-L+1} to x_{t+B}. B = ``block`` is the one of
+    :func:`cps_sentinel.numerics.block_steps`. ``shift`` is their shift
+    (one row, one per step of the horizon, or None) and ``where`` the block
+    of each of the four residuals. ``honest_const`` and
     ``corrupt_const`` are each law's log density less half its quadratic
     form.
     """
@@ -151,9 +155,9 @@ def detection_plan(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolicy | N
     ld_h, ld_c = logdet(h_cov), logdet(c_cov)
     const = -0.5 * n_agents * LOG_TWO_PI
     rows, shift, where = _residual_operator(m, laws, (h_cov, c_cov), horizon)
-    band, block = _banded_operator(rows, n_agents, laws.lags)
-    return DetectionPlan(band, block, len(rows), shift, where, laws.lags, n_agents,
-                         eig_extremes(h_cov)[0], eig_extremes(c_cov)[1],
+    block = block_steps(n_agents, len(rows), laws.lags)
+    return DetectionPlan(banded(rows, n_agents, block), block, len(rows), shift, where,
+                         laws.lags, n_agents, eig_extremes(h_cov)[0], eig_extremes(c_cov)[1],
                          const - 0.5 * ld_h, const - 0.5 * ld_c, 0.5 * (ld_c - ld_h))
 
 
@@ -215,7 +219,7 @@ def detect_tile(plan: DetectionPlan, path: np.ndarray, lo: int,
     form), is a fixed linear map of the lag window (x_{t-L}, ..., x_t) less
     a shift (:func:`_residual_operator`). A block of B consecutive windows
     is one stretch of L + B states of the path, so the stacked maps of B
-    steps are one banded operator (:func:`_banded_operator`), applied by
+    steps are one banded operator (:class:`DetectionPlan`), applied by
     one matrix-vector product per block to an overlapping view of the
     path (:func:`_block_energies`). Each of the three per-seed series and
     the log-determinant increment, one constant whose sums are one row
@@ -271,29 +275,12 @@ def _block_energies(plan: DetectionPlan, path: np.ndarray, lo: int) -> np.ndarra
     padded[:, :plan.lags + h] = path
     view = as_strided(padded, (n_seeds, n_blocks, plan.band.shape[1]),
                       (padded.strides[0], block * padded.strides[1], padded.strides[2]))
-    z = matvec(plan.band, view).reshape(n_seeds, n_blocks * block, -1)
+    z = matvec(plan.band, view).reshape(n_seeds, n_blocks * block, plan.columns)
     del padded, view  # so that the copy and the squared norms are never alive at once
     if plan.shift is not None:
         z[:, :h] -= plan.shift if len(plan.shift) == 1 else plan.shift[lo:lo + h]
-    z = z.reshape(n_seeds, n_blocks * block, -1, n_agents)
+    z = z.reshape(n_seeds, n_blocks * block, plan.columns // n_agents, n_agents)
     return np.einsum("stbn,stbn->bst", z, z)[..., :h]
-
-
-def _banded_operator(rows: np.ndarray, n_agents: int, lags: int) -> tuple[np.ndarray, int]:
-    """The stacked ``rows`` of B consecutive steps as one operator, and B.
-
-    ``rows`` (K N, (L+1) N) maps the lag window of one step to its stacked
-    residuals. The windows of steps t..t+B-1 are overlapping stretches of
-    the L + B states from x_{t-L+1} to x_{t+B}, so the operator
-    (B K N, (L+B) N) holds ``rows`` B times down its block diagonal, each
-    copy N columns right of the one above. B is the largest divisor of the
-    simulator's stable-loop block, max(1, 64 // N), whose operator has at
-    most ``BAND_ENTRIES`` entries, or 1 (:func:`cps_sentinel.numerics.block_steps`):
-    16 or 8 steps for N = 2, so that a tile of whole simulator blocks is
-    whole detector blocks too.
-    """
-    block = block_steps(n_agents, len(rows), lags)
-    return banded(rows, n_agents, block), block
 
 
 def _residual_operator(m: CpsModel, laws: LinearLaws, covs: tuple, n: int):
@@ -429,10 +416,11 @@ def series_csv_tile(series: DetectionSeries, lo: int):
     of one scalar increment and so the same bits in every row (taken from
     row 0). A seed's text is then one ``%`` format of its other four
     columns; ``%r`` and ``%s`` of a float are its ``repr``. Undefined ratio
-    entries are left empty rather than written as inf/nan.
+    entries are left empty rather than written as inf/nan. A batch of no
+    seeds yields nothing.
     """
     n = series.horizon
-    logdet = series.cum_logdet_ratio.reshape(-1, n)[0].tolist()
+    logdet = series.cum_logdet_ratio.reshape(-1, n)[:1].ravel().tolist()  # [] without seeds
     template = ("" if lo else _CSV_HEADER) + "".join(
         [f"{t},%r,%s,%r,%r,{ld!r}\n" for t, ld in enumerate(logdet, start=lo + 1)])
     cells = np.stack([series.cum_log_l, series.r_n, series.cum_s, series.cum_s_breve],

@@ -204,11 +204,11 @@ def _run_settings(data: dict, issues: list[Violation]) -> dict:
             "seed_count": seed_count, "outputs": outputs}
 
 
-def _out_path(out_dir, outputs: str | None) -> Path | None:
-    """A batch's output directory, created: ``out_dir``, else the scenario's ``outputs``."""
-    if out_dir is None and not outputs:
+def _out_path(outputs: str | None) -> Path | None:
+    """A batch's output directory, the scenario's ``outputs``, created; None without one."""
+    if not outputs:
         return None
-    path = Path(out_dir if out_dir is not None else outputs)
+    path = Path(outputs)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -381,7 +381,10 @@ def _parse_attack(ad: dict) -> tuple[AttackConfig, CorruptPolicy]:
     elif kind == "dos":
         pol = DoS()
     elif kind == "mimic":
-        pol = Mimic(DiagonalPsd(np.asarray(ad["self_excitation"], dtype=float)))
+        try:
+            pol = Mimic(DiagonalPsd(ad["self_excitation"]))
+        except ValueError as exc:
+            raise ValueError(f"self_excitation: {exc}") from None
     else:
         raise ValueError(f"unknown attack kind {kind!r}")
     return cfg, pol
@@ -475,8 +478,7 @@ def _run_batch(seed_base: int, n_seeds: int, columns: int, block: int, group_til
                 _discard(paths[k], files[k] is not None)
 
 
-def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
-                   out_dir=None) -> RunSummary:
+def run_montecarlo(s: Scenario, *, override_assumption2: bool = False) -> RunSummary:
     """Simulate, detect, and classify one batch of independent seeds.
 
     Refuses attack scenarios whose network leaves some agent untouched by
@@ -502,7 +504,7 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False,
     cfg, corrupt = s.attack if s.attack is not None else (None, None)
     sim = simulation_plan(s.model, s.honest, s.attack)
     det = detection_plan(s.model, s.honest, corrupt, cfg, s.horizon)
-    out_path = _out_path(out_dir, s.outputs)
+    out_path = _out_path(s.outputs)
 
     rows = []
     # one engine's block is a whole number of the other's
@@ -636,7 +638,7 @@ def mdp_scenario_from_dict(data: dict) -> MdpScenario:
     return MdpScenario(mdp=mdp, **policies, **settings)
 
 
-def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
+def run_mdp_batch(s: MdpScenario) -> dict:
     """Simulate corrupt-policy paths and track the kernel log ratio series.
 
     The seeds run through the batch loop (:func:`_run_batch`), a tile
@@ -650,7 +652,7 @@ def run_mdp_batch(s: MdpScenario, out_dir=None) -> dict:
     k_c = induced_kernel(s.mdp, s.corrupt_policy)
     drift = analytic_drift(k_h, k_c, s.mdp.initial)
     finals = np.empty(s.seed_count)
-    out_path = _out_path(out_dir, s.outputs)
+    out_path = _out_path(s.outputs)
 
     def group_tiles(indices, seeds, steps):
         alive, lo = np.ones(len(seeds), dtype=bool), 0

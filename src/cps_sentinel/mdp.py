@@ -17,7 +17,9 @@ holding where each seed would move from each state, as the flat position
 ``state * seeds + seed``, so that a step of every seed is one ``take``;
 x_0, the actions and the successors are all drawn by one inverse-CDF rule
 (:func:`_draw_rows`). :func:`simulate_paths` and :func:`path_log_ratio`
-are the same sampler and log ratio run as one tile.
+are the same sampler and log ratio run as one tile; only
+:func:`path_log_ratio`, which takes paths from outside, rejects a move the
+corrupt law forbids (:class:`NotAbsolutelyContinuous`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import tile_steps
+from .numerics import reachable, tile_steps
 
 _ROW_TOL = 1e-12
 STATE_ACTION_CAP = 64
@@ -209,40 +211,25 @@ def _log_ratio_tiles(tiles, k_honest, k_corrupt):
     (``steps[..., 0] += carry`` before the cumulative sum), so any tiling
     gives the bits of one cumulative sum over the whole path.
 
-    After the last tile, raises :class:`NotAbsolutelyContinuous` if a path
-    used a move the corrupt law forbids but the honest law allows, naming
-    the first such path in row-major order with the message that path
-    gives alone; the reverse case legitimately sends the ratio to -inf.
-    The moves are looked up in a table of such moves only when the kernel
-    pair has one; paths sampled under the corrupt kernel, as a batch's are,
-    never take one.
+    Only computes: a move the corrupt law forbids but the honest law
+    allows has the increment +inf, and the reverse case -inf. A batch's
+    paths are drawn under the corrupt kernel (:func:`_draw_rows` never
+    draws an index of probability zero), so they never take the first
+    kind; paths from outside go through :func:`path_log_ratio`, which
+    rejects it.
     """
     k_honest = np.asarray(k_honest, dtype=float)
     k_corrupt = np.asarray(k_corrupt, dtype=float)
     n_states = k_honest.shape[1]
     h, c = k_honest.reshape(-1), k_corrupt.reshape(-1)
-    bad_move = (c == 0.0) & (h > 0.0)
-    check = bad_move.any()
     with np.errstate(divide="ignore", invalid="ignore"):
         inc = np.where(h > 0.0, np.log(np.where(h > 0.0, h, 1.0)) - np.log(c), -np.inf)
 
-    first_bad, message = None, None
     lo = 0  # step index of the tile's first transition
     for tile in tiles:
         tile = np.asarray(tile, dtype=np.int64)
         codes = tile[..., :-1] * n_states
         codes += tile[..., 1:]
-        if check:
-            moved_bad = bad_move[codes]
-            bad = moved_bad.any(axis=-1)
-            # a path's first offending tile names its first offending move
-            k = int(np.argmax(bad.reshape(-1)))
-            if bad.reshape(-1)[k] and (first_bad is None or k < first_bad):
-                first_bad, row = k, tile.reshape(-1, tile.shape[-1])[k]
-                t = int(np.argmax(moved_bad.reshape(-1, codes.shape[-1])[k]))
-                message = (f"transition {row[t]}->{row[t + 1]} at step {lo + t} "
-                           "impossible under the corrupt law")
-
         if lo == 0:
             out = np.empty(tile.shape)
             out[..., 0] = 0.0
@@ -256,8 +243,6 @@ def _log_ratio_tiles(tiles, k_honest, k_corrupt):
         carry = steps[..., -1:].copy()
         lo += codes.shape[-1]
         yield out
-    if first_bad is not None:
-        raise NotAbsolutelyContinuous(message)
 
 
 def path_log_ratio(path: np.ndarray, k_honest: np.ndarray, k_corrupt: np.ndarray) -> np.ndarray:
@@ -266,12 +251,20 @@ def path_log_ratio(path: np.ndarray, k_honest: np.ndarray, k_corrupt: np.ndarray
     ``path`` holds x_0..x_n on its last axis, with any leading axes (one
     path per row): the batch engine's log ratio run as one tile (see
     :func:`_log_ratio_tiles`). Both hypotheses share the initial law, so
-    entry 0 is +0.0 and entry t sums the first t transitions. Raises
-    :class:`NotAbsolutelyContinuous` whenever a path uses a move the
-    corrupt law forbids but the honest law allows, naming the first such
-    path in row-major order with the message that path gives alone; the
-    reverse case legitimately sends the ratio to -inf.
+    entry 0 is +0.0 and entry t sums the first t transitions. The whole
+    array is checked first: raises :class:`NotAbsolutelyContinuous`
+    whenever a path uses a move the corrupt law forbids but the honest law
+    allows, naming the first such path in row-major order and its first
+    such move; the reverse case legitimately sends the ratio to -inf.
     """
+    path = np.asarray(path, dtype=np.int64)
+    bad = (np.asarray(k_corrupt) == 0.0) & (np.asarray(k_honest) > 0.0)
+    moved = bad[path[..., :-1], path[..., 1:]]
+    if moved.any():
+        *row, t = np.argwhere(moved)[0]  # row-major: the first path, then its first move
+        x = path[tuple(row)]
+        raise NotAbsolutelyContinuous(f"transition {x[t]}->{x[t + 1]} at step {t} "
+                                      "impossible under the corrupt law")
     (out,) = _log_ratio_tiles([path], k_honest, k_corrupt)
     return out
 
@@ -304,8 +297,7 @@ def stationary_distribution(k: np.ndarray, initial: np.ndarray) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     nu = np.asarray(initial, dtype=float)
     n = k.shape[0]
-    # reach[x, y]: y is reachable from x; the path counts stay below 1e115
-    reach = np.linalg.matrix_power(np.eye(n) + (k > 0.0), n - 1) > 0.0
+    reach = reachable(k)  # reach[x, y]: y is reachable from x
     rec = (reach <= reach.T).all(axis=1)
     # first landing law on the recurrent states, via expected transient visits
     visits = np.linalg.solve(np.eye(n - rec.sum()) - k[np.ix_(~rec, ~rec)].T, nu[~rec])

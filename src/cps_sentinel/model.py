@@ -23,6 +23,7 @@ from .numerics import (
     NotPositiveDefinite,
     NotSymmetric,
     make_spd,
+    reachable,
 )
 
 InitialLaw = Union[GaussianLaw, Dirac]
@@ -46,13 +47,8 @@ class CpsModel:
     initial_law: InitialLaw
 
     def __post_init__(self):
-        object.__setattr__(self, "dynamics", _ro(np.array(self.dynamics, dtype=float)))
-        object.__setattr__(self, "actuator_gains",
-                           _ro(np.array(self.actuator_gains, dtype=float).reshape(-1)))
-        object.__setattr__(self, "process_noise",
-                           _ro(np.array(self.process_noise, dtype=float)))
-        object.__setattr__(self, "excitation",
-                           _ro(np.array(self.excitation, dtype=float).reshape(-1)))
+        for name in ("dynamics", "actuator_gains", "process_noise", "excitation"):
+            object.__setattr__(self, name, _ro(np.array(getattr(self, name), dtype=float)))
 
     @cached_property
     def noise_law(self) -> GaussianLaw:
@@ -204,16 +200,6 @@ def honest_influence_check(m: CpsModel,
     malicious = set(attack.malicious_indices.tolist()) if attack is not None else set()
     sources = [i for i in range(n)
                if i not in malicious and m.actuator_gains[i] != 0.0]
-    reached = np.zeros(n, dtype=bool)
-    stack = list(sources)
-    reached[sources] = True
-    adj = m.dynamics != 0.0  # adj[i, j]: j influences i
-    while stack:
-        j = stack.pop()
-        for i in np.nonzero(adj[:, j])[0]:
-            if not reached[i]:
-                reached[i] = True
-                stack.append(int(i))
+    reached = reachable(m.dynamics.T)[sources].any(axis=0)
     unreachable = frozenset(int(i) + 1 for i in np.nonzero(~reached)[0])
     return (len(unreachable) == 0, unreachable)
-

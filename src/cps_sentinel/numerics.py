@@ -107,9 +107,9 @@ class DiagonalPsd:
     diag: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.diag, dtype=float).reshape(-1)
-        if d.size == 0:
-            raise ValueError("diagonal must be nonempty")
+        d = np.array(self.diag, dtype=float)
+        if d.ndim != 1 or d.size == 0:
+            raise ValueError(f"diagonal must be a nonempty vector, got shape {d.shape}")
         if not np.isfinite(d).all():
             raise ValueError("diagonal entries must be finite")
         if (d < 0).any():
@@ -132,10 +132,9 @@ class GaussianLaw:
     cov: Covariance
 
     def __post_init__(self):
-        mu = np.array(self.mean, dtype=float).reshape(-1)
-        if mu.size != self.cov.dim:
-            raise ValueError(
-                f"mean length {mu.size} does not match covariance dim {self.cov.dim}")
+        mu = np.array(self.mean, dtype=float)
+        if mu.shape != (self.cov.dim,):
+            raise ValueError(f"mean shape {mu.shape} does not match covariance dim {self.cov.dim}")
         if not np.isfinite(mu).all():
             raise ValueError("mean entries must be finite")
         object.__setattr__(self, "mean", _frozen(mu))
@@ -152,9 +151,9 @@ class Dirac:
     point: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.point, dtype=float).reshape(-1)
-        if p.size == 0 or not np.isfinite(p).all():
-            raise ValueError("point must be nonempty and finite")
+        p = np.array(self.point, dtype=float)
+        if p.ndim != 1 or p.size == 0 or not np.isfinite(p).all():
+            raise ValueError(f"point must be a nonempty finite vector, got shape {p.shape}")
         object.__setattr__(self, "point", _frozen(p))
 
     @property
@@ -228,9 +227,10 @@ def block_steps(n_agents: int, rows: int | None = None, lags: int = 0) -> int:
     (B N)^2 entries. The detector's band of ``rows`` stacked residual rows
     per step spans the L + B states of a block (``lags`` = L), so it holds
     B ``rows`` (L + B) N entries; its B is the largest divisor of the
-    simulator's that keeps them within ``BAND_ENTRIES``, or 1. Both read N
-    alone, and an unstable loop steps one at a time, so one engine's block
-    is always a whole number of the other's: the larger is the common block.
+    simulator's that keeps them within ``BAND_ENTRIES``, or 1 (16 or 8 for
+    N = 2). Both read N alone, and an unstable loop steps one at a time, so
+    one engine's block is a whole number of the other's: the larger is the
+    common block.
     """
     top = max(1, math.isqrt(BAND_ENTRIES) // n_agents)
     if rows is None:
@@ -248,6 +248,16 @@ def tile_steps(n_seeds: int, columns: int, block: int = 1) -> int:
     within ``TILE_CELLS`` cells, and at least one.
     """
     return max(1, TILE_CELLS // max(1, n_seeds * columns * block)) * block
+
+
+def reachable(edges: np.ndarray) -> np.ndarray:
+    """``reach[x, y]``: y is reachable from x along nonzero ``edges``, in zero hops too.
+
+    The (n - 1)-th power of I + (edges != 0), whose walk counts stay below
+    (n + 1)^(n - 1), under 1e115 at n = 64.
+    """
+    n = len(edges)
+    return np.linalg.matrix_power(np.eye(n) + (np.asarray(edges) != 0), n - 1) > 0.0
 
 
 def sample_gaussian(rng: np.random.Generator, law: GaussianLaw) -> np.ndarray:

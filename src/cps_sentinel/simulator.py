@@ -13,11 +13,12 @@ law's Cholesky factor is applied there, on the interleaved columns, as
 :func:`cps_sentinel.numerics.sample_gaussian` does) and copied
 transposed into the tile's column planes, one contiguous (seeds, steps)
 array per column. The normals then become the drive in a few passes over
-whole planes: the laws' scales, their means, the admitted excitation, the
-corrupt offset (one value per plane, or one per step of the tile for an
-FDI schedule), the actuator gains, and w + b (e + offset), with the
-arithmetic a step-by-step draw would do. One copy writes the drive back
-as (seeds, steps, N) into the slots of the states it forces.
+whole planes: the laws' scales (every law has mean zero), the admitted
+excitation, the corrupt offset (one value per plane, or one per step of
+the tile for an FDI schedule), the actuator gains, and w + b (e +
+offset), with the arithmetic a step-by-step draw would do. One copy
+writes the drive back as (seeds, steps, N) into the slots of the states
+it forces.
 Batches derive disjoint streams with
 :func:`cps_sentinel.numerics.split_seed`.
 
@@ -59,7 +60,6 @@ from .model import CpsModel
 from .numerics import (
     DiagonalPsd,
     Dirac,
-    GaussianLaw,
     SpdMatrix,
     banded,
     block_steps,
@@ -156,9 +156,9 @@ class SimulationPlan:
 
     ``columns`` standard normals drive a step: excitation, mimic own and
     process noise. ``chol`` is the dense noise law's Cholesky factor, or
-    None for a diagonal one. ``scales`` and ``means`` map the normals of
-    the diagonal columns (a dense noise law's come last) and of every
-    column to the laws' draws. ``p`` and ``t`` advance ``block`` steps.
+    None for a diagonal one. ``scales`` maps the normals of the diagonal
+    columns (a dense noise law's come last) to the laws' draws; every law
+    has mean zero. ``p`` and ``t`` advance ``block`` steps.
     """
 
     model: CpsModel
@@ -166,7 +166,6 @@ class SimulationPlan:
     columns: int
     chol: np.ndarray | None
     scales: np.ndarray
-    means: np.ndarray
     p: np.ndarray
     t: np.ndarray
     block: int
@@ -176,17 +175,14 @@ def simulation_plan(m: CpsModel, honest: HonestPolicy, attack: Attack | None) ->
     """The :class:`SimulationPlan` of a scenario, computed once per batch."""
     n = m.n_agents
     laws = lift(honest, attack, n)
-    own_law = None if laws.own is None else GaussianLaw(np.zeros(laws.own.dim), laws.own)
-    parts = [m.excitation_law] + ([] if own_law is None else [own_law]) + [m.noise_law]
+    covs = [m.excitation_law.cov, *([] if laws.own is None else [laws.own]), m.noise_law.cov]
     dense = not isinstance(m.noise_law.cov, DiagonalPsd)
-    scales = np.concatenate([np.sqrt(law.cov.diag) for law in parts
-                             if isinstance(law.cov, DiagonalPsd)])
+    scales = np.concatenate([np.sqrt(cov.diag) for cov in covs if isinstance(cov, DiagonalPsd)])
     f, stable = closed_loop(m.dynamics, m.actuator_gains, laws.corrupt_gains)
     steps = block_steps(n) if stable else 1
     p, t = _block_operators(f, n, steps)
-    return SimulationPlan(m, laws, sum(law.dim for law in parts),
-                          m.noise_law.cov.chol if dense else None, scales,
-                          np.concatenate([law.mean for law in parts]), p, t, steps)
+    return SimulationPlan(m, laws, sum(cov.dim for cov in covs),
+                          m.noise_law.cov.chol if dense else None, scales, p, t, steps)
 
 
 @dataclass(frozen=True)
@@ -247,14 +243,14 @@ def path_tiles(plan: SimulationPlan, horizon: int, seeds, steps: int,
             planes[:, i] = draws.T
         excitations, own, w = planes[:n], planes[n:n + k], planes[n + k:]
         planes[:len(plan.scales)] *= plan.scales[:, None, None]
-        planes += plan.means[:, None, None]
 
         # d_t = diag(b) (corrupt offset + admitted excitation) + w_t, built in
-        # place over the excitation and process-noise planes
-        drawn = excitations.transpose(1, 2, 0).copy() if keep_controls else None
+        # place over the excitation and process-noise planes; a kept copy
+        # is + 0.0, which writes a zero-variance channel's -0.0 as 0.0
+        drawn = excitations.transpose(1, 2, 0) + 0.0 if keep_controls else None
         admit_excitation(laws, excitations.transpose(1, 2, 0),
                          None if k == 0 else own.transpose(1, 2, 0))
-        controls = excitations.transpose(1, 2, 0).copy() if keep_controls else None
+        controls = excitations.transpose(1, 2, 0) + 0.0 if keep_controls else None
         offsets = laws.corrupt_offsets(lo + h)
         excitations += np.atleast_2d(offsets if offsets.ndim == 1 else offsets[lo:]).T[:, None, :]
         excitations *= b[:, None, None]

@@ -6,6 +6,7 @@ forms or independent oracles computed inside the test, never from the
 code path under test. Fixed seeds make every gate deterministic.
 """
 
+import dataclasses
 import json
 import math
 
@@ -296,7 +297,7 @@ def test_criterion_9_reproducibility(tmp_path):
 
     # one batch, the same seeds in two groups and short tiles, and each seed on its own
     s = scenario_from_dict(json.loads(scenario_path.read_text()))
-    whole = run_montecarlo(s, out_dir=tmp_path / "whole")
+    whole = run_montecarlo(dataclasses.replace(s, outputs=str(tmp_path / "whole")))
     sim = harness.simulation_plan(s.model, s.honest, s.attack)
     det = harness.detection_plan(s.model, s.honest, s.attack[1], s.attack[0], s.horizon)
     with pytest.MonkeyPatch.context() as mp:
@@ -304,7 +305,7 @@ def test_criterion_9_reproducibility(tmp_path):
         mp.setattr(harness, "_TILE_BLOCKS", 1)
         mp.setattr(numerics, "TILE_CELLS",
                    2 * max(sim.columns, det.columns) * max(sim.block, det.block))
-        chunked = run_montecarlo(s, out_dir=tmp_path / "chunked")
+        chunked = run_montecarlo(dataclasses.replace(s, outputs=str(tmp_path / "chunked")))
     a, b = whole.summary_dict(), chunked.summary_dict()
     a.pop("runtime_seconds"), b.pop("runtime_seconds")
     ok &= a == b and whole.rows == chunked.rows

@@ -519,6 +519,19 @@ def test_undefined_and_special_cells_by_hand():
         "2,inf,3.0,nan,-inf,0.5\n"]
 
 
+@pytest.mark.parametrize("name", ["replacement", "fdi"])
+def test_no_seeds_write_no_lines(name):
+    s = scenario_from_dict(preset(name))
+    cfg, corrupt = s.attack
+    states = simulate_ensemble(s.model, s.honest, s.attack, 30, [1, 2, 3]).states
+    batch = detect_ensemble(states, s.model, s.honest, corrupt, cfg)
+    assert list(series_csv_tile(batch.row(np.zeros(3, bool)), 0)) == []
+    # a batch of no seeds has empty series, which write no lines either
+    empty = detect_ensemble(states[:0], s.model, s.honest, corrupt, cfg)
+    assert empty.cum_log_l.shape == empty.cum_logdet_ratio.shape == (0, 30)
+    assert list(series_csv_tile(empty, 0)) == []
+
+
 @pytest.mark.parametrize("name", ["identity", "replacement", "fdi", "dos", "mimic",
                                   "example1", "example2"])
 def test_preset_batches_share_the_logdet_column_and_match_the_one_seed_writer(name):

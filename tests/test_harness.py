@@ -37,7 +37,7 @@ from cps_sentinel.numerics import split_seed
 from cps_sentinel.simulator import NonFiniteState, simulate
 
 
-def run_in_chunks(s, chunk, out_dir):
+def run_in_chunks(s, chunk, out):
     """run_montecarlo with the seeds in groups of ``chunk`` and tiles of one common block.
 
     A group's tile budget of one common block for ``chunk`` seeds; a
@@ -47,7 +47,7 @@ def run_in_chunks(s, chunk, out_dir):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_TILE_BLOCKS", 1)
         mp.setattr(numerics, "TILE_CELLS", chunk * block * columns)
-        return run_montecarlo(s, out_dir=out_dir)
+        return run_montecarlo(dataclasses.replace(s, outputs=str(out)))
 
 
 def assert_batch_matches_chunks_and_per_seed(s, chunk, tmp_path):
@@ -55,7 +55,7 @@ def assert_batch_matches_chunks_and_per_seed(s, chunk, tmp_path):
 
     Compares per-seed CSV bytes, runs.csv bytes, rows and the summary.
     """
-    whole = run_montecarlo(s, out_dir=tmp_path / "whole")
+    whole = run_montecarlo(dataclasses.replace(s, outputs=str(tmp_path / "whole")))
     chunked = run_in_chunks(s, chunk, tmp_path / "chunked")
     a, b = whole.summary_dict(), chunked.summary_dict()
     a.pop("runtime_seconds"), b.pop("runtime_seconds")
@@ -275,8 +275,8 @@ class TestRunMontecarlo:
     def test_outputs_are_byte_identical_across_reruns(self, tmp_path):
         s = small("replacement", count=3, horizon=30)
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        run_montecarlo(s, out_dir=dir_a)
-        run_montecarlo(s, out_dir=dir_b)
+        run_montecarlo(dataclasses.replace(s, outputs=str(dir_a)))
+        run_montecarlo(dataclasses.replace(s, outputs=str(dir_b)))
         for name in ("run_00000.csv", "run_00001.csv", "run_00002.csv", "runs.csv"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
         sa = json.loads((dir_a / "summary.json").read_text())
@@ -290,7 +290,7 @@ class TestRunMontecarlo:
 
     def test_summary_json_keys_exact(self, tmp_path):
         s = small("identity", count=2, horizon=20)
-        run_montecarlo(s, out_dir=tmp_path)
+        run_montecarlo(dataclasses.replace(s, outputs=str(tmp_path)))
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert set(summary) == {"scenario", "n_runs", "n_ok", "n_failed", "failure_codes",
                                 "horizon", "threshold", "detection_fraction", "mean_drift",
@@ -313,8 +313,8 @@ class TestRunMontecarlo:
 
     def test_an_overflowing_log_ratio_is_a_failed_seed(self, tmp_path):
         # the states stay finite (about 2^1000) but their residual energies overflow
-        summary = run_montecarlo(scenario_from_dict(overflowing_replacement()),
-                                 out_dir=tmp_path)
+        summary = run_montecarlo(dataclasses.replace(scenario_from_dict(overflowing_replacement()),
+                                                     outputs=str(tmp_path)))
         assert summary.n_failed == 3 and summary.n_ok == 0
         assert summary.failure_codes == {"NonFiniteLogRatio": 3}
         assert summary.detection_fraction is None and summary.mean_drift is None
@@ -331,7 +331,7 @@ class TestRunMontecarlo:
     def test_a_failed_log_ratio_leaves_the_other_seeds_as_they_were(self, tmp_path,
                                                                     monkeypatch):
         s = small("replacement", count=4, horizon=30)
-        want = run_montecarlo(s, out_dir=tmp_path / "plain")
+        want = run_montecarlo(dataclasses.replace(s, outputs=str(tmp_path / "plain")))
         real = harness.detect_tile
 
         def overflow_seed_2(*args):
@@ -340,7 +340,7 @@ class TestRunMontecarlo:
             return batch
 
         monkeypatch.setattr(harness, "detect_tile", overflow_seed_2)
-        got = run_montecarlo(s, out_dir=tmp_path / "failed")
+        got = run_montecarlo(dataclasses.replace(s, outputs=str(tmp_path / "failed")))
         assert got.failure_codes == {"NonFiniteLogRatio": 1}
         assert got.rows[2]["error"] == ("NonFiniteLogRatio: log likelihood ratio is not "
                                         f"finite from step 18 (seed {got.rows[2]['seed']})")
@@ -370,13 +370,14 @@ class TestRunMontecarlo:
 def test_a_rerun_over_longer_stale_files_writes_a_fresh_runs_bytes(tmp_path, kind):
     if kind == "montecarlo":
         def run(out):
-            run_montecarlo(small("replacement", count=3, horizon=30), out_dir=out)
+            s = small("replacement", count=3, horizon=30)
+            run_montecarlo(dataclasses.replace(s, outputs=str(out)))
     else:
         data = preset("mdp-detect")
         data["seeds"]["count"], data["horizon"] = 3, 50
 
         def run(out):
-            run_mdp_batch(mdp_scenario_from_dict(data), out_dir=out)
+            run_mdp_batch(mdp_scenario_from_dict(dict(data, outputs=str(out))))
     fresh, rerun, old = tmp_path / "fresh", tmp_path / "rerun", tmp_path / "old"
     run(fresh)
     names = sorted(p.name for p in fresh.iterdir())
@@ -417,7 +418,7 @@ class TestMdpBatch:
         data["seeds"]["count"] = 5
         data["horizon"] = 500
         s = mdp_scenario_from_dict(data)
-        summary = run_mdp_batch(s, out_dir=tmp_path)
+        summary = run_mdp_batch(dataclasses.replace(s, outputs=str(tmp_path)))
         assert summary["analytic_drift"] < 0.0
         assert (tmp_path / "summary.json").exists()
         assert (tmp_path / "run_00004.csv").exists()
@@ -846,6 +847,30 @@ def test_malformed_fields_exit_one_with_an_error_line(tmp_path, name, path, valu
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("name, path, value, words", [
+    ("replacement", ("model", "actuator_gains"), [[1.0], [1.0]],
+     ("model.actuator_gains", "(2, 1)")),
+    ("replacement", ("model", "excitation"), [[0.16], [1.0]], ("model.excitation", "(2, 1)")),
+    ("replacement", ("model", "excitation"), [[1.0, 0.0], [0.0, 1.0]],
+     ("model.excitation", "(2, 2)")),
+    ("replacement", ("model", "initial", "point"), [[0.0], [0.0]],
+     ("model.initial: point", "(2, 1)")),
+    ("replacement", ("model", "initial"),
+     {"kind": "gaussian", "mean": [[0.0], [0.0]], "cov": [1.0, 1.0]},
+     ("model.initial: mean", "(2, 1)")),
+    ("mimic", ("attack", "self_excitation"), [[0.16]], ("attack: self_excitation", "(1, 1)")),
+], ids=["actuator_gains", "excitation", "excitation-matrix", "initial-point", "initial-mean",
+        "self_excitation"])
+def test_a_nested_vector_field_is_named_with_its_shape_as_written(tmp_path, name, path, value,
+                                                                  words):
+    file = tmp_path / "scenario.json"
+    file.write_text(json.dumps(swapped(preset(name), path, value)))
+    code, out, err = run_cli(["detect", str(file), "--horizon", "5"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert all(word in err for word in words), err
+
+
 def test_mdp_count_and_seed_codes_match_the_linear_ones():
     codes = {}
     for name in ("identity", "mdp-detect"):
@@ -891,14 +916,14 @@ def common_block(s):
     return math.lcm(sim.block, det.block), max(sim.columns, det.columns)
 
 
-def run_in_tiles(s, blocks, out_dir):
+def run_in_tiles(s, blocks, out):
     """run_montecarlo in one group with tiles of ``blocks`` common blocks (None: one tile)."""
     block, columns = common_block(s)
     cells = 1 << 62 if blocks is None else blocks * block * columns * s.seed_count
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_TILE_BLOCKS", 1)
         mp.setattr(numerics, "TILE_CELLS", cells)
-        return run_montecarlo(s, out_dir=out_dir, override_assumption2=True)
+        return run_montecarlo(dataclasses.replace(s, outputs=str(out)), override_assumption2=True)
 
 
 def output_bytes(out):
@@ -1017,9 +1042,9 @@ def test_a_seed_that_fails_in_a_later_tile_leaves_the_others_as_without_it(tmp_p
     s = scenario_from_dict(chain_scenario(horizon=40, count=4))
     block = one_block_tiles(monkeypatch, s)
     assert block == 4
-    want = run_montecarlo(s, out_dir=tmp_path / "plain")
+    want = run_montecarlo(dataclasses.replace(s, outputs=str(tmp_path / "plain")))
     overflow_seed_1(monkeypatch, 2 * block)  # its third tile
-    got = run_montecarlo(s, out_dir=tmp_path / "failed")
+    got = run_montecarlo(dataclasses.replace(s, outputs=str(tmp_path / "failed")))
     seed = split_seed(s.seed_base, 1)
     assert got.rows[1]["error"] == ("NonFiniteLogRatio: log likelihood ratio is not finite "
                                     f"from step {2 * block + 2} (seed {seed})")
@@ -1043,7 +1068,7 @@ def test_a_seed_that_fails_in_a_later_tile_leaves_the_others_as_without_it(tmp_p
 def test_a_failed_seed_leaves_no_stale_csv_of_an_earlier_run(tmp_path, kind):
     out = tmp_path / "out"
     first = dict(preset("replacement"), horizon=50, seeds={"base": 0, "count": 12})
-    run_montecarlo(scenario_from_dict(first), out_dir=out)
+    run_montecarlo(scenario_from_dict(dict(first, outputs=str(out))))
     failing = overflowing_states() if kind == "NonFiniteState" else dict(
         overflowing_replacement(), seeds={"base": 0, "count": 12})
     # a symlink at a seed's path is written through and left in place, as _create does
@@ -1051,7 +1076,7 @@ def test_a_failed_seed_leaves_no_stale_csv_of_an_earlier_run(tmp_path, kind):
     target.write_text("kept\n")
     (out / "run_00000.csv").unlink()
     (out / "run_00000.csv").symlink_to(target)
-    summary = run_montecarlo(scenario_from_dict(failing), out_dir=out,
+    summary = run_montecarlo(scenario_from_dict(dict(failing, outputs=str(out))),
                              override_assumption2=True)
     assert summary.failure_codes.get(kind, 0) > 0
     for i, row in enumerate(summary.rows):
@@ -1077,7 +1102,7 @@ def test_a_failed_seed_leaves_a_symlinked_file_as_it_was_or_empty(tmp_path, monk
     target = tmp_path / "target.csv"
     target.write_text("kept\n")
     (out / "run_00001.csv").symlink_to(target)
-    got = run_montecarlo(s, out_dir=out)
+    got = run_montecarlo(dataclasses.replace(s, outputs=str(out)))
     assert got.rows[1]["error"].startswith("NonFiniteLogRatio: ")
     assert (out / "run_00001.csv").is_symlink()
     assert target.read_text() == kept
@@ -1189,7 +1214,8 @@ def test_linear_batch_memory_stays_per_tile_whatever_the_horizon(tmp_path, name,
         s = scenario_from_dict(data)
         tracemalloc.start()
         try:
-            run_montecarlo(s, out_dir=tmp_path / str(horizon) if files else None)
+            out = str(tmp_path / str(horizon)) if files else None
+            run_montecarlo(dataclasses.replace(s, outputs=out))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -327,7 +328,8 @@ def test_batch_files_are_plain_repr_rows_whatever_the_batch(tmp_path_factory, ca
         mp.setattr(numerics, "TILE_CELLS", cells)
         mp.setattr(harness, "_GROUP_SEEDS", group)
         mp.setattr(harness, "_TILE_BLOCKS", 1)
-        summary = run_mdp_batch(mdp_scenario(mdp, honest, corrupt, n, base, count), out_dir=out)
+        s = mdp_scenario(mdp, honest, corrupt, n, base, count)
+        summary = run_mdp_batch(dataclasses.replace(s, outputs=str(out)))
     finals = []
     for i in range(count):
         path = reference_path(mdp, corrupt, n, split_seed(base, i))
@@ -346,7 +348,8 @@ def test_batch_memory_stays_per_tile_whatever_the_horizon(tmp_path, files):
                                         seeds={"base": 7, "count": 4}))
         tracemalloc.start()
         try:
-            run_mdp_batch(s, out_dir=tmp_path / str(horizon) if files else None)
+            out = str(tmp_path / str(horizon)) if files else None
+            run_mdp_batch(dataclasses.replace(s, outputs=out))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -383,7 +386,8 @@ def test_batch_files_at_a_tile_boundary(tmp_path, monkeypatch, horizon):
     mdp = two_action_mdp(initial=(0.3, 0.7))
     honest = StochasticPolicy(np.array([[0.5, 0.5], [0.5, 0.5]]))
     corrupt = StochasticPolicy(np.array([[0.1, 0.9], [0.8, 0.2]]))
-    run_mdp_batch(mdp_scenario(mdp, honest, corrupt, horizon, 5, 3), out_dir=tmp_path)
+    run_mdp_batch(dataclasses.replace(mdp_scenario(mdp, honest, corrupt, horizon, 5, 3),
+                                      outputs=str(tmp_path)))
     assert_plain_files(tmp_path, mdp, honest, corrupt, horizon, 5, 3)
 
 
@@ -395,7 +399,8 @@ def test_minus_inf_is_carried_across_tile_boundaries(tmp_path, monkeypatch):
     kernel, honest, corrupt = FORBIDDEN_MOVE
     mdp = FiniteMdp(kernel, np.array([1.0, 0.0]))
     honest, corrupt = StochasticPolicy(honest), StochasticPolicy(corrupt)
-    run_mdp_batch(mdp_scenario(mdp, honest, corrupt, 20, 11, 4), out_dir=tmp_path)
+    s = mdp_scenario(mdp, honest, corrupt, 20, 11, 4)
+    run_mdp_batch(dataclasses.replace(s, outputs=str(tmp_path)))
     texts = assert_plain_files(tmp_path, mdp, honest, corrupt, 20, 11, 4)
     # some seed meets -inf in its first tile (t <= 3) and keeps it to t = 20
     assert any(text.splitlines()[4].endswith(",-inf") and text.endswith("20,-inf\n")
@@ -407,7 +412,8 @@ def test_batch_files_carry_minus_inf_cells(tmp_path):
     mdp = FiniteMdp(kernel, np.array([1.0, 0.0]))
     honest, corrupt = StochasticPolicy(honest), StochasticPolicy(corrupt)
     k_h, k_c = induced_kernel(mdp, honest), induced_kernel(mdp, corrupt)
-    summary = run_mdp_batch(mdp_scenario(mdp, honest, corrupt, 40, 11, 5), out_dir=tmp_path)
+    summary = run_mdp_batch(dataclasses.replace(mdp_scenario(mdp, honest, corrupt, 40, 11, 5),
+                                                outputs=str(tmp_path)))
     assert summary["analytic_drift"] == -np.inf
     texts = [(tmp_path / f"run_{i:05d}.csv").read_text() for i in range(5)]
     assert any("-inf" in text for text in texts)
@@ -424,7 +430,8 @@ def test_summary_json_is_strict_when_the_drift_is_minus_inf(tmp_path):
                     np.array([1.0, 0.0]))
     honest = StochasticPolicy(np.array([[1.0, 0.0], [0.5, 0.5]]))
     corrupt = StochasticPolicy(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    summary = run_mdp_batch(mdp_scenario(mdp, honest, corrupt, 40, 11, 5), out_dir=tmp_path)
+    summary = run_mdp_batch(dataclasses.replace(mdp_scenario(mdp, honest, corrupt, 40, 11, 5),
+                                                outputs=str(tmp_path)))
     assert summary["mean_drift"] == -np.inf
 
     def reject(token):
@@ -470,16 +477,23 @@ class TestPathLogRatio:
 
         assert message([fine, late_move, from_one, early_move]) == message(late_move) \
             == "transition 0->1 at step 1 impossible under the corrupt law"
-        # in tiles, a later path that goes wrong in an earlier tile does not
-        # take the place of the first offending path
-        paths = np.array([fine, late_move, from_one, early_move])
-        for split in range(1, 4):
-            tiles = [paths[:, :split + 1], paths[:, split:]]
-            with pytest.raises(NotAbsolutelyContinuous) as info:
-                list(mdp_module._log_ratio_tiles(tiles, kh, kc))
-            assert str(info.value) == message(late_move)
         assert message([[fine, from_one], [late_move, early_move]]) == message(late_move)
         assert message([[fine, fine], [early_move, from_one]]) == message(early_move)
+
+    def test_the_tile_engine_sends_a_corrupt_forbidden_move_to_plus_inf(self):
+        # the engine only computes: from a move the corrupt law forbids on,
+        # the series is +inf, in tiles as whole, and nothing raises
+        kh = np.array([[0.5, 0.5], [0.5, 0.5]])
+        kc = np.array([[1.0, 0.0], [0.5, 0.5]])  # corrupt forbids 0 -> 1
+        paths = np.array([[0, 0, 0, 0, 0], [0, 0, 1, 1, 0], [1, 0, 0, 1, 1]])
+        (whole,) = mdp_module._log_ratio_tiles([paths], kh, kc)
+        np.testing.assert_array_equal(np.isposinf(whole), [[0, 0, 0, 0, 0], [0, 0, 1, 1, 1],
+                                                           [0, 0, 0, 1, 1]])
+        assert np.isfinite(whole[0]).all()
+        for split in range(1, 4):
+            tiles = [paths[:, :split + 1], paths[:, split:]]
+            tiled = list(mdp_module._log_ratio_tiles(tiles, kh, kc))
+            assert np.concatenate(tiled, axis=1).tobytes() == whole.tobytes()
 
     def test_stack_rows_are_the_rows_alone(self):
         kh = np.array([[1.0, 0.0], [0.5, 0.5]])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from cps_sentinel.numerics import (
     BAND_ENTRIES,
@@ -20,9 +21,11 @@ from cps_sentinel.numerics import (
     logdet,
     make_spd,
     matvec,
+    reachable,
     sample_gaussian,
     split_seed,
 )
+from cps_sentinel.model import AttackConfig, CpsModel, honest_influence_check
 from oracles import log_gaussian_density, quad_form_inv, step_loop_sum2
 
 
@@ -344,3 +347,28 @@ def test_the_detector_block_is_the_largest_divisor_of_the_simulator_s_that_fits(
 def test_the_detector_blocks_of_two_agents():
     # one lag; two, three and four stacked residual blocks of two rows
     assert [block_steps(2, rows, 1) for rows in (4, 6, 8)] == [16, 16, 8]
+
+
+def finite_distances(edges):
+    """Reachability oracle: a finite hop count from x to y along nonzero ``edges[x, y]``."""
+    return np.isfinite(shortest_path(np.ascontiguousarray(edges != 0), directed=True,
+                                     unweighted=True))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 64), density=st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_reachable_is_a_finite_shortest_path(n, density, seed):
+    rng = np.random.default_rng(seed)
+    edges = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
+    np.testing.assert_array_equal(reachable(edges), finite_distances(edges))
+    if n > DIM_CAP:
+        return
+    # the influence check's graph is the transpose: dynamics[i, j] != 0 is an edge j -> i
+    gains = (rng.random(n) < 0.3).astype(float)
+    m = CpsModel(n, edges, gains, np.eye(n), np.ones(n), None)
+    sources = np.flatnonzero(gains)
+    reached = finite_distances(edges.T)[sources].any(axis=0)
+    holds, unreachable = honest_influence_check(m, None)
+    assert unreachable == frozenset((np.flatnonzero(~reached) + 1).tolist())
+    assert holds == reached.all()
