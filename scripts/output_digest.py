@@ -8,13 +8,16 @@ already), in this process: ``montecarlo`` on the seven
 linear presets at 50 seeds and 600 steps (the 40-odd seeds of a group
 and a few time tiles each), ``mdp`` on both MDP presets at 300 seeds and
 400 steps (two groups), and ``simulate`` and ``detect`` on the ``fdi``
-preset. Two written scenarios cover what no preset does:
+preset at 600 steps. Three written scenarios cover what no preset does:
 ``zero-variance`` (``replacement``'s model with a zero excitation
 variance on agent 2, and a mimic on agent 1 with zero own excitation, so
 that some normals are scaled to -0.0) runs ``montecarlo``, ``simulate``
-and ``detect`` like the linear presets, and ``mdp-forbidden-move`` (a
-corrupt kernel that forbids the move 0 -> 1 the honest one allows) runs
-``mdp`` like the MDP presets. Every output goes under ``DIR``, and ``DIR/digest.json`` maps
+and ``detect`` like the linear presets; ``window-fdi-schedule`` (a 3-lag
+window honest law and an FDI attack with one offset per step for 25,000
+steps) runs ``montecarlo`` like the linear presets, and ``simulate`` and
+``detect`` at 25,000 steps, several one-seed tiles; and
+``mdp-forbidden-move`` (a corrupt kernel that forbids the move 0 -> 1 the
+honest one allows) runs ``mdp`` like the MDP presets. Every output goes under ``DIR``, and ``DIR/digest.json`` maps
 each output's path relative to ``DIR`` to its sha256, the value of a
 ``runtime_seconds`` field replaced by ``null`` first. Two trees whose
 digests are equal wrote the same bytes; run the script copied into an
@@ -48,6 +51,18 @@ WRITTEN = {
         "attack": {"malicious_set": [1], "kind": "mimic", "self_excitation": [0.0]},
         "horizon": 600, "seeds": {"base": 2025, "count": 50}, "threshold": -10.0,
     },
+    "window-fdi-schedule": {
+        "name": "window-fdi-schedule",
+        "model": {"n_agents": 2, "dynamics": [[0.5, 0.3], [0.0, 0.5]],
+                  "actuator_gains": [1.0, 1.0], "process_noise": [[0.04, 0.0], [0.0, 2.0]],
+                  "excitation": [0.16, 1.0], "initial": {"kind": "dirac", "point": [0.0, 0.0]}},
+        "honest": {"kind": "window", "lag_gains": [[[-0.2, 0.0], [0.0, -0.2]],
+                                                   [[0.1, 0.0], [0.0, 0.05]],
+                                                   [[-0.05, 0.0], [0.02, -0.05]]]},
+        "attack": {"malicious_set": [1], "kind": "fdi",
+                   "offsets": [[((t * 37) % 11 - 5) / 10] for t in range(25_000)]},
+        "horizon": 600, "seeds": {"base": 2025, "count": 50}, "threshold": -10.0,
+    },
     "mdp-forbidden-move": {
         "name": "mdp-forbidden-move",
         "mdp": {"kernel": [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]]],
@@ -67,13 +82,15 @@ def commands(out: Path) -> list[list[str]]:
     # example1 fails the influence check on purpose
     runs += [["montecarlo", str(out / "scenarios" / f"{name}.json"), "--seeds", "50",
               "--horizon", "600", "--override-assumption2", "--out", str(out / "montecarlo" / name)]
-             for name in LINEAR + ("zero-variance",)]
+             for name in LINEAR + ("zero-variance", "window-fdi-schedule")]
     runs += [["mdp", str(out / "scenarios" / f"{name}.json"), "--seeds", "300",
               "--horizon", "400", "--out", str(out / "mdp" / name)]
              for name in MDP + ("mdp-forbidden-move",)]
-    runs += [[cmd, str(out / "scenarios" / f"{name}.json"), "--horizon", "600",
+    runs += [[cmd, str(out / "scenarios" / f"{name}.json"), "--horizon", horizon,
               "--out", str(out / cmd / f"{name}.csv")]
-             for name in ("fdi", "zero-variance") for cmd in ("simulate", "detect")]
+             for name, horizon in (("fdi", "600"), ("zero-variance", "600"),
+                                   ("window-fdi-schedule", "25000"))
+             for cmd in ("simulate", "detect")]
     return runs
 
 

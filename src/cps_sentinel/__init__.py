@@ -5,10 +5,9 @@ from .detection import (
     Decision,
     DetectionSeries,
     DriftEstimate,
-    classify,
+    decide,
     detect_ensemble,
     expected_step_drift,
-    rn_series,
 )
 from .harness import (
     AssumptionViolation,
@@ -74,10 +73,8 @@ from .policies import (
 from .simulator import (
     Ensemble,
     NonFiniteState,
-    Trajectory,
-    simulate,
     simulate_ensemble,
-    write_trajectory_csv,
+    trajectory_csv_tile,
 )
 
 __version__ = "0.1.0"

@@ -14,11 +14,11 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .detection import expected_step_drift, rn_series, series_csv_text, series_summary
+from .detection import expected_step_drift
 from .mdp import NotAbsolutelyContinuous
 from .model import honest_influence_check
 from .numerics import ConvergenceFailure, NotPositiveDefinite, NotSymmetric, split_seed
-from .simulator import NonFiniteState, simulate, trajectory_csv_text
+from .simulator import NonFiniteState
 
 _NUMERIC_ERRORS = (NonFiniteState, NotPositiveDefinite, NotSymmetric,
                    ConvergenceFailure, NotAbsolutelyContinuous)
@@ -84,13 +84,6 @@ def _scenario_data(args) -> dict:
         seed_base=seed_base, outputs=args.out)
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        harness._write_fresh(Path(out), text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -110,7 +103,11 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "preset":
-        _write_or_print(harness.json_text(harness.preset(args.name)), args.out)
+        text = harness.json_text(harness.preset(args.name))
+        if args.out:
+            harness._write_fresh(Path(args.out), text)
+        else:
+            sys.stdout.write(text)
         return 0
 
     if args.command == "check":
@@ -132,17 +129,23 @@ def _dispatch(args) -> int:
         if args.seed is not None and args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         seed = args.seed if args.seed is not None else split_seed(s.seed_base, 0)
-        traj = simulate(s.model, s.honest, s.attack, s.horizon, seed)
+        # the CSV streams to its file, or to standard output as it comes
+        target = Path(args.out) if args.out else sys.stdout
         if args.command == "simulate":
-            _write_or_print(trajectory_csv_text(traj), args.out)
-            return 0
-        cfg, corrupt = s.attack if s.attack is not None else (None, None)
-        series = rn_series(traj, s.model, s.honest, corrupt, cfg)
-        drift = (expected_step_drift(s.model, s.honest, corrupt, cfg)
-                 if s.attack else None)
-        _write_or_print(series_csv_text(series), args.out)
-        summary = series_summary(series, s.horizon, s.threshold, drift)
-        sys.stdout.write(harness.json_text(summary))
+            error = harness.run_simulate(s, seed, target)
+        else:
+            drift = (expected_step_drift(s.model, s.honest, s.attack[1], s.attack[0])
+                     if s.attack else None)
+            row = harness.run_detect(s, seed, target)
+            error = row["error"]
+        if error is not None:
+            print(f"numeric error: {error}", file=sys.stderr)
+            return 2
+        if args.command == "detect":
+            sys.stdout.write(harness.json_text({
+                "n": s.horizon, "logL": row["log_l"], "r_n": row["r_n"],
+                "decision": row["decision"], "threshold": s.threshold,
+                "drift_estimate": None if drift is None else drift.value}))
         return 0
 
     if args.command == "montecarlo":

@@ -14,7 +14,7 @@ reads a cumulative value.
 :func:`detect_tile` computes every statistic as arrays for a time tile
 of a batch of paths, one row per seed, and continues each seed's sums
 from the tile before; :func:`detect_ensemble` runs the engine over whole
-paths, tile by tile, and :func:`rn_series` the same on a batch of one.
+paths, tile by tile.
 Both laws are linear in the observed states, so both residuals and both
 whitened residuals at a step are one stacked linear map of the stretch of
 path the step reads, and the maps of B consecutive steps are one banded
@@ -27,13 +27,12 @@ axis with no step loop and carried from tile to tile, so that horizons up
 to 1e5 steps of small increments stay exact to roundoff.
 
 :func:`series_csv_tile` writes the lines of a tile of a batch's detection
-CSVs, and :func:`series_csv_text` one seed's whole CSV.
+CSVs.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -58,7 +57,7 @@ from .policies import (
     lift,
     loop_rows,
 )
-from .simulator import NonFiniteState, Trajectory, conditional_covariances
+from .simulator import NonFiniteState, conditional_covariances
 
 
 class Decision(enum.Enum):
@@ -81,9 +80,9 @@ class DetectionSeries:
     :meth:`row` takes one seed's series out of it. ``cum_log_l[k]`` is
     the log likelihood ratio after k+1 steps; ``r_n`` is the ratio of
     cumulative weighted residual energies, carried as NaN wherever its
-    denominator is zero (flagged, never infinite). The scalar accessors
-    apply to a single seed's series. In a batch from :func:`detect_ensemble`
-    the log-determinant sums are one read-only row that every seed shares.
+    denominator is zero (flagged, never infinite). In a batch from
+    :func:`detect_ensemble` the log-determinant sums are one read-only row
+    that every seed shares.
     """
 
     cum_log_l: np.ndarray
@@ -100,12 +99,6 @@ class DetectionSeries:
     def row(self, i) -> "DetectionSeries":
         """The series of seed ``i`` of a batch, or the batch of the seeds a mask picks."""
         return DetectionSeries(*(getattr(self, f.name)[i] for f in fields(self)))
-
-    def log_l_at(self, n: int) -> float:
-        """Cumulative log likelihood ratio after n steps (n >= 1)."""
-        if not 1 <= n <= self.horizon:
-            raise ValueError(f"n must lie in [1, {self.horizon}], got {n}")
-        return float(self.cum_log_l[n - 1])
 
 
 @dataclass(frozen=True)
@@ -317,26 +310,12 @@ def _residual_operator(m: CpsModel, laws: LinearLaws, covs: tuple, n: int):
     return np.vstack(rows), shift, where
 
 
-def rn_series(traj: Trajectory, m: CpsModel, honest: HonestPolicy,
-              corrupt: CorruptPolicy | None, cfg: AttackConfig | None) -> DetectionSeries:
-    """Detection series of one path; raises :class:`NonFiniteLogRatio` if its logL overflows."""
-    series = detect_ensemble(traj.states[None], m, honest, corrupt, cfg).row(0)
-    if not math.isfinite(series.cum_log_l[-1]):
-        raise NonFiniteLogRatio(int(np.isfinite(series.cum_log_l).argmin()) + 1, traj.seed)
-    return series
-
-
 def decide(log_l: float, log_threshold: float) -> Decision:
     """Attack iff the log likelihood ratio is strictly below the threshold.
 
     Exact equality stays honest (conservative tie-break).
     """
     return Decision.ATTACK if log_l < log_threshold else Decision.HONEST
-
-
-def classify(series: DetectionSeries, n: int, log_threshold: float) -> Decision:
-    """Threshold the cumulative log likelihood ratio after n steps (see :func:`decide`)."""
-    return decide(series.log_l_at(n), log_threshold)
 
 
 @dataclass(frozen=True)
@@ -434,23 +413,3 @@ def series_csv_tile(series: DetectionSeries, lo: int):
         for i in missing.get(k, ()):
             values[i] = ""
         yield template % tuple(values)
-
-
-def series_csv_text(series: DetectionSeries) -> str:
-    """One seed's CSV text: :func:`series_csv_tile` of its whole series."""
-    (text,) = series_csv_tile(series, 0)
-    return text
-
-
-def series_summary(series: DetectionSeries, n: int, log_threshold: float,
-                   drift: DriftEstimate | None = None) -> dict:
-    """Summary mapping for JSON export: n, logL, r_n, decision, threshold, drift."""
-    return {
-        "n": n,
-        "logL": series.log_l_at(n),
-        "r_n": float(series.r_n[n - 1]) if series.r_defined[n - 1] else None,
-        "decision": classify(series, n, log_threshold).value,
-        "threshold": log_threshold,
-        "drift_estimate": None if drift is None else drift.value,
-    }
-

@@ -3,9 +3,11 @@
 Scenarios are JSON with explicit row-major matrices and string-tagged
 policy kinds; statistical parameters carry no defaults, so a file either
 states its covariances or fails validation. Batch runs of both testbeds
-derive one stream per run index and go through one loop that runs groups
-of seeds together in time tiles and appends one CSV per seed; each batch
-writes a deterministic summary. Attack scenarios that violate the
+derive one stream per run index; they and the one-seed runs of the
+command line's ``simulate`` and ``detect`` go through one loop that runs
+groups of seeds together in time tiles and appends one CSV per seed. Each
+batch writes a deterministic summary and leaves only its own run CSVs in
+its directory. Attack scenarios that violate the
 honest-influence requirement are refused unless explicitly overridden.
 """
 
@@ -65,7 +67,13 @@ from .policies import (
     Replacement,
     Zero,
 )
-from .simulator import NonFiniteState, SimulationPlan, path_tiles, simulation_plan
+from .simulator import (
+    NonFiniteState,
+    SimulationPlan,
+    path_tiles,
+    simulation_plan,
+    trajectory_csv_tile,
+)
 
 
 class ParseError(Exception):
@@ -441,41 +449,104 @@ def _group_seeds(columns: int, block: int) -> int:
     return min(_GROUP_SEEDS, tile_steps(_TILE_BLOCKS, columns, block) // block)
 
 
-def _run_batch(seed_base: int, n_seeds: int, columns: int, block: int, group_tiles,
-               out_path: Path | None) -> None:
-    """The batch loop of both testbeds: seeds 0..``n_seeds``-1 in groups, in time tiles.
+def _run_batch(seeds: list, targets: list | None, columns: int, block: int,
+               group_tiles) -> None:
+    """The batch loop of every run: the run ``seeds`` in groups, in time tiles.
 
     A group (:func:`_group_seeds`) runs in tiles of whole ``block`` s,
     ``columns`` cells per seed and step (:func:`cps_sentinel.numerics.tile_steps`):
     ``group_tiles(indices, seeds, steps)`` yields per tile the mask of the
     seeds of run ``indices`` still alive and a generator of their CSV
-    texts, in row order. A seed's CSV is opened at the first tile that
-    writes it; a seed not alive after the last tile has it discarded
-    (:func:`_discard`).
+    texts, in row order. ``targets`` holds one output per run, or is None
+    when nothing is written: a ``Path`` is opened (:func:`_create`) at the
+    first tile that writes it, and discarded (:func:`_discard`) when its
+    seed is not alive after the last tile; anything else is a text stream
+    (the command line's standard output), written as the texts come and
+    never discarded.
     """
     group = _group_seeds(columns, block)
-    for first in range(0, n_seeds, group):
-        indices = range(first, min(first + group, n_seeds))
-        seeds = [split_seed(seed_base, i) for i in indices]
-        paths = [] if out_path is None else [out_path / f"run_{i:05d}.csv" for i in indices]
-        files = [None] * len(paths)
-        steps = tile_steps(len(seeds), columns, block)
+    for first in range(0, len(seeds), group):
+        indices = range(first, min(first + group, len(seeds)))
+        outs = None if targets is None else targets[first:indices.stop]
+        files = [None] * len(indices)
+        steps = tile_steps(len(indices), columns, block)
         with ExitStack() as stack:
-            for alive, texts in group_tiles(indices, seeds, steps):
-                if paths:
+            for alive, texts in group_tiles(indices, seeds[first:indices.stop], steps):
+                if outs is not None:
                     live = np.flatnonzero(alive).tolist()
                     # open before the formatter starts, so that the files'
                     # buffers are not scattered among a tile's texts
                     for k in live:
                         if files[k] is None:
-                            files[k] = stack.enter_context(_create(paths[k]))
+                            files[k] = (stack.enter_context(_create(outs[k]))
+                                        if isinstance(outs[k], Path) else outs[k])
                     for k in live:
                         files[k].write(next(texts))
                 # no text or formatter of this tile outlives it into the next
                 texts.close()
-        if paths:
+        if outs is not None:
             for k in np.flatnonzero(~alive).tolist():
-                _discard(paths[k], files[k] is not None)
+                if isinstance(outs[k], Path):
+                    _discard(outs[k], files[k] is not None)
+
+
+def _run_files(out_path: Path | None, n_seeds: int) -> list | None:
+    """Each run's CSV in a batch's output directory, or None without one."""
+    return None if out_path is None else [out_path / f"run_{i:05d}.csv" for i in range(n_seeds)]
+
+
+def _discard_stale_runs(out_path: Path, n_seeds: int) -> None:
+    """Discard the run CSVs of an earlier batch with more seeds (:func:`_discard`'s rule)."""
+    for path in out_path.glob("run_*.csv"):
+        index = path.name[4:-4]
+        if index.isdecimal() and int(index) >= n_seeds and path.name == f"run_{int(index):05d}.csv":
+            _discard(path, False)
+
+
+def _linear_batch(s: Scenario, seeds: list, targets: list | None) -> list[dict]:
+    """Run the linear ``seeds`` through the batch loop; one row per seed (:func:`_linear_tiles`).
+
+    Its groups and time tiles are sized to the wider of the simulator's
+    noise planes and the detector's stacked residuals, in whole common
+    blocks.
+    """
+    cfg, corrupt = s.attack if s.attack is not None else (None, None)
+    sim = simulation_plan(s.model, s.honest, s.attack)
+    det = detection_plan(s.model, s.honest, corrupt, cfg, s.horizon)
+    rows: list[dict] = []
+    # one engine's block is a whole number of the other's
+    # (cps_sentinel.numerics.block_steps), so the larger is the common block
+    _run_batch(seeds, targets, max(sim.columns, det.columns), max(sim.block, det.block),
+               lambda indices, group, steps: _linear_tiles(s, sim, det, indices, group, steps,
+                                                           rows))
+    return rows
+
+
+def run_detect(s: Scenario, seed: int, target) -> dict:
+    """Detect along the path of one ``seed``, writing its series CSV to ``target``.
+
+    The batch loop of :func:`run_montecarlo` on the one seed, with no
+    influence check; ``target`` is as in :func:`_run_batch`. Returns the
+    seed's row: its error text, or its final logL, r_n and decision.
+    """
+    return _linear_batch(s, [seed], [target])[0]
+
+
+def run_simulate(s: Scenario, seed: int, target) -> str | None:
+    """Write the trajectory CSV of one ``seed`` to ``target`` (see :func:`_run_batch`).
+
+    Returns the error text of a run whose state overflowed, or None.
+    """
+    plan = simulation_plan(s.model, s.honest, s.attack)
+    failed_at = []
+
+    def group_tiles(indices, seeds, steps):
+        for tile in path_tiles(plan, s.horizon, seeds, steps, keep_controls=True):
+            yield tile.failed_at == 0, trajectory_csv_tile(tile, s.horizon)
+        failed_at.append(int(tile.failed_at[0]))
+
+    _run_batch([seed], [target], plan.columns, plan.block, group_tiles)
+    return f"NonFiniteState: {NonFiniteState(failed_at[0], seed)}" if failed_at[0] else None
 
 
 def run_montecarlo(s: Scenario, *, override_assumption2: bool = False) -> RunSummary:
@@ -484,10 +555,8 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False) -> RunSum
     Refuses attack scenarios whose network leaves some agent untouched by
     honest excitation (``override_assumption2`` runs them anyway, for
     studying exactly that failure mode). The seeds run through the batch
-    loop (:func:`_run_batch`) in groups and time tiles sized to the wider
-    of the simulator's noise planes and the detector's stacked residuals,
-    in whole common blocks (:func:`_linear_tiles`), so memory stays per
-    tile whatever the horizon and the seed count; a seed's result does not
+    loop (:func:`_linear_batch`) in groups and time tiles, so memory stays
+    per tile whatever the horizon and the seed count; a seed's result does not
     depend on its group or the tiles. A seed whose state
     (``NonFiniteState``) or final logL (``NonFiniteLogRatio``) is not
     finite gets no decision and no CSV, and is counted in ``n_failed`` and,
@@ -501,20 +570,11 @@ def run_montecarlo(s: Scenario, *, override_assumption2: bool = False) -> RunSum
                 "actuated agent; detection guarantees do not apply "
                 "(pass override_assumption2 to run anyway)")
     start = time.perf_counter()
-    cfg, corrupt = s.attack if s.attack is not None else (None, None)
-    sim = simulation_plan(s.model, s.honest, s.attack)
-    det = detection_plan(s.model, s.honest, corrupt, cfg, s.horizon)
     out_path = _out_path(s.outputs)
-
-    rows = []
-    # one engine's block is a whole number of the other's
-    # (cps_sentinel.numerics.block_steps), so the larger is the common block
-    _run_batch(s.seed_base, s.seed_count, max(sim.columns, det.columns),
-               max(sim.block, det.block),
-               lambda indices, seeds, steps: _linear_tiles(s, sim, det, indices, seeds, steps,
-                                                           rows),
-               out_path)
+    rows = _linear_batch(s, [split_seed(s.seed_base, i) for i in range(s.seed_count)],
+                         _run_files(out_path, s.seed_count))
     if out_path is not None:
+        _discard_stale_runs(out_path, s.seed_count)
         _write_runs_table(out_path / "runs.csv", rows)
 
     ok = [r for r in rows if r["error"] is None]
@@ -662,7 +722,8 @@ def run_mdp_batch(s: MdpScenario) -> dict:
             lo += series.shape[1]
         finals[indices] = series[:, -1]
 
-    _run_batch(s.seed_base, s.seed_count, 4, 1, group_tiles, out_path)
+    _run_batch([split_seed(s.seed_base, i) for i in range(s.seed_count)],
+               _run_files(out_path, s.seed_count), 4, 1, group_tiles)
     mean_drift, drift_stderr = _drift_stats(finals / s.horizon)
     summary = {
         "scenario": s.name,
@@ -674,6 +735,7 @@ def run_mdp_batch(s: MdpScenario) -> dict:
         "runtime_seconds": time.perf_counter() - start,
     }
     if out_path is not None:
+        _discard_stale_runs(out_path, s.seed_count)
         _write_fresh(out_path / "summary.json", json_text(summary))
     return summary
 

@@ -252,13 +252,20 @@ def path_log_ratio(path: np.ndarray, k_honest: np.ndarray, k_corrupt: np.ndarray
     path per row): the batch engine's log ratio run as one tile (see
     :func:`_log_ratio_tiles`). Both hypotheses share the initial law, so
     entry 0 is +0.0 and entry t sums the first t transitions. The whole
-    array is checked first: raises :class:`NotAbsolutelyContinuous`
-    whenever a path uses a move the corrupt law forbids but the honest law
-    allows, naming the first such path in row-major order and its first
-    such move; the reverse case legitimately sends the ratio to -inf.
+    array is checked first, in row-major order: raises ``ValueError``
+    naming the path row, the step and the value of the first state outside
+    [0, number of states), then :class:`NotAbsolutelyContinuous` whenever
+    a path uses a move the corrupt law forbids but the honest law allows,
+    naming the first such path and its first such move; the reverse case
+    legitimately sends the ratio to -inf.
     """
     path = np.asarray(path, dtype=np.int64)
     bad = (np.asarray(k_corrupt) == 0.0) & (np.asarray(k_honest) > 0.0)
+    outside = (path < 0) | (path >= len(bad))
+    if outside.any():
+        *row, t = np.argwhere(outside)[0]
+        raise ValueError(f"state {path[tuple(row)][t]} at step {t} of path row "
+                         f"{tuple(int(i) for i in row)} is not in [0, {len(bad)})")
     moved = bad[path[..., :-1], path[..., 1:]]
     if moved.any():
         *row, t = np.argwhere(moved)[0]  # row-major: the first path, then its first move

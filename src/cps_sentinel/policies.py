@@ -209,17 +209,16 @@ def lift(honest: HonestPolicy, attack: Attack | None, n: int) -> LinearLaws:
     return LinearLaws(gains, offset, corrupt_gains, corrupt_offset, mal, keep=False)
 
 
-def lag_windows(states: np.ndarray, lags: int) -> np.ndarray:
-    """The lag window of every step along ``states``, zero before x_0.
+def lag_windows(path: np.ndarray, lags: int) -> np.ndarray:
+    """The lag window of every step of ``path`` after its first L - 1 states.
 
-    ``states`` holds x_0, x_1, ... along its second-to-last axis, with any
-    leading axes; row t of the result is (x_{t-L+1}, ..., x_t), oldest
-    first, of length ``lags`` N.
+    ``path`` holds states along its second-to-last axis, with any leading
+    axes: the L - 1 states before the first step (zero before x_0), then
+    one state per step; row t of the result is (x_{t-L+1}, ..., x_t),
+    oldest first, of length ``lags`` N.
     """
-    n = states.shape[-1]
-    padded = np.concatenate([np.zeros(states.shape[:-2] + (lags - 1, n)), states], axis=-2)
-    windows = sliding_window_view(padded, lags, axis=-2).swapaxes(-1, -2)
-    return windows.reshape(states.shape[:-1] + (lags * n,))
+    windows = sliding_window_view(path, lags, axis=-2).swapaxes(-1, -2)
+    return windows.reshape(windows.shape[:-2] + (lags * path.shape[-1],))
 
 
 def control_means(laws: LinearLaws, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +236,8 @@ def control_means(laws: LinearLaws, states: np.ndarray) -> tuple[np.ndarray, np.
     is ever ``-0.0``.
     """
     states = np.asarray(states, dtype=float)
-    windows = lag_windows(states, laws.lags)
+    before = np.zeros(states.shape[:-2] + (laws.lags - 1, states.shape[-1]))
+    windows = lag_windows(np.concatenate([before, states], axis=-2), laws.lags)
     g = matvec(laws.gains, windows) + laws.offset
     if laws.corrupt_gains is laws.gains and laws.corrupt_offset is laws.offset:
         return g, g

@@ -46,12 +46,12 @@ same bits. Both contractions go through
 batch. Everything the tiles share (the laws, the noise scales, P and T)
 is one :class:`SimulationPlan` per batch; :func:`simulate_ensemble` runs
 the engine in tiles of :func:`cps_sentinel.numerics.tile_steps` steps into
-whole-path arrays, and :func:`simulate` the same with a single seed.
+whole-path arrays, and :func:`trajectory_csv_tile` writes the lines of a
+tile of a trajectory CSV.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +74,7 @@ from .policies import (
     LinearLaws,
     admit_excitation,
     closed_loop,
-    control_means,
+    lag_windows,
     lift,
 )
 
@@ -86,38 +86,6 @@ class NonFiniteState(RuntimeError):
 
     def __init__(self, step: int, seed: int):
         super().__init__(f"{self.what} {step} (seed {seed})")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A sample path: n+1 states, n controls, n excitations, plus provenance."""
-
-    states: np.ndarray
-    controls: np.ndarray
-    excitations: np.ndarray
-    seed: int
-    attacked: bool
-
-    def __post_init__(self):
-        s = np.asarray(self.states, dtype=float)
-        u = np.asarray(self.controls, dtype=float)
-        e = np.asarray(self.excitations, dtype=float)
-        n = s.shape[0] - 1
-        if s.ndim != 2 or n < 0:
-            raise ValueError("states must be a (n+1, n_agents) array")
-        if u.shape != (n, s.shape[1]) or e.shape != (n, s.shape[1]):
-            raise ValueError("controls and excitations must have shape (n, n_agents)")
-        for name, a in (("states", s), ("controls", u), ("excitations", e)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    @property
-    def horizon(self) -> int:
-        return self.states.shape[0] - 1
-
-    @property
-    def n_agents(self) -> int:
-        return self.states.shape[1]
 
 
 @dataclass(frozen=True)
@@ -142,12 +110,6 @@ class Ensemble:
         if step == 0:
             return None
         return NonFiniteState(step, self.seeds[i])
-
-    def trajectory(self, i: int) -> Trajectory:
-        if self.controls is None:
-            raise ValueError("the ensemble was simulated without keeping controls")
-        return Trajectory(self.states[i], self.controls[i], self.excitations[i],
-                          seed=self.seeds[i], attacked=self.attacked)
 
 
 @dataclass(frozen=True)
@@ -192,8 +154,9 @@ class PathTile:
     ``path`` (S, L + h, N) holds x_{lo-L+1}, ..., x_{lo+h}, zero before
     x_0: the lag window before the tile, then its states. ``failed_at`` is
     each seed's first overflowed step so far, or 0. ``excitations`` and
-    ``controls`` (S, h, N), the drawn and the admitted excitations, are
-    kept only on request. Every array is overwritten by the next tile.
+    ``controls`` (S, h, N) of steps lo..lo+h-1, the drawn excitations and
+    the applied controls (the corrupt mean plus the admitted excitation),
+    are kept only on request. Every array is overwritten by the next tile.
     """
 
     lo: int
@@ -213,7 +176,10 @@ def path_tiles(plan: SimulationPlan, horizon: int, seeds, steps: int,
     ``plan.block`` steps ends on a block boundary, so the states are the
     bits of one tile over the whole horizon. A run whose state overflows
     is marked in ``failed_at`` at its own first bad step, and the other
-    runs go on.
+    runs go on. ``keep_controls`` keeps each tile's excitations and
+    controls; the corrupt mean of a control is its law's window rows times
+    the lag window of its step, read off the tile's path, plus the offset
+    of its step.
     """
     m, laws, k = plan.model, plan.laws, plan.columns - 2 * plan.model.n_agents
     n_seeds, n, lags, b = len(seeds), m.n_agents, laws.lags, m.actuator_gains
@@ -252,7 +218,8 @@ def path_tiles(plan: SimulationPlan, horizon: int, seeds, steps: int,
                          None if k == 0 else own.transpose(1, 2, 0))
         controls = excitations.transpose(1, 2, 0) + 0.0 if keep_controls else None
         offsets = laws.corrupt_offsets(lo + h)
-        excitations += np.atleast_2d(offsets if offsets.ndim == 1 else offsets[lo:]).T[:, None, :]
+        offset = offsets if offsets.ndim == 1 else offsets[lo:]
+        excitations += np.atleast_2d(offset).T[:, None, :]
         excitations *= b[:, None, None]
         w += excitations
 
@@ -266,6 +233,9 @@ def path_tiles(plan: SimulationPlan, horizon: int, seeds, steps: int,
                 np.add(matvec(plan.p, window), matvec(plan.t, drive), out=drive)
             # a state is bad when its entries do not sum to a finite number
             bad = ~np.isfinite(np.einsum("stn->st", path[:, lags:lags + h]))
+            if keep_controls:  # the windows of steps lo..lo+h-1, from x_{lo-L+1} on
+                windows = lag_windows(path[:, :lags + h - 1], lags)
+                controls += matvec(laws.corrupt_gains, windows) + offset
         new = (failed_at == 0) & bad.any(axis=1)
         failed_at[new] = lo + bad[new].argmax(axis=1) + 1
         yield PathTile(lo, path[:, :lags + h], failed_at, drawn, controls)
@@ -297,9 +267,6 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
         states[:, lo:hi + 1] = tile.path[:, lags - 1:]  # x_lo, then the tile's states
         if keep_controls:
             controls[:, lo:hi], excitations[:, lo:hi] = tile.controls, tile.excitations
-    if controls is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            controls += control_means(plan.laws, states[:, :-1])[1]
     return Ensemble(states, controls, excitations, seeds, attack is not None,
                     tile.failed_at)
 
@@ -322,19 +289,6 @@ def _block_operators(f: np.ndarray, n: int, steps: int) -> tuple[np.ndarray, np.
     return np.vstack(powers), np.ascontiguousarray(t)
 
 
-def simulate(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
-             horizon: int, seed: int) -> Trajectory:
-    """Simulate one run: :func:`simulate_ensemble` with the single ``seed``.
-
-    Raises :class:`NonFiniteState` if the state overflows.
-    """
-    ens = simulate_ensemble(m, honest, attack, horizon, [seed], keep_controls=True)
-    error = ens.error(0)
-    if error is not None:
-        raise error
-    return ens.trajectory(0)
-
-
 def conditional_covariances(m: CpsModel, laws: LinearLaws) -> tuple[SpdMatrix, SpdMatrix]:
     """Time-invariant conditional covariances under both hypotheses.
 
@@ -353,22 +307,23 @@ def conditional_covariances(m: CpsModel, laws: LinearLaws) -> tuple[SpdMatrix, S
     return honest_cov, make_spd(m.process_noise + np.diag(b * b * v))
 
 
-def write_trajectory_csv(traj: Trajectory, fp) -> None:
-    """Write columns t, x_1..x_N, u_1..u_N, e_1..e_N.
+def trajectory_csv_tile(tile: PathTile, horizon: int):
+    """Each seed's trajectory CSV lines of steps lo..lo+h-1 of a tile kept with its controls.
 
-    The final row carries the terminal state with empty control cells.
-    Each column is formatted at once, with ``repr`` per value.
+    The columns are t, x_1..x_N, u_1..u_N and e_1..e_N, after the header
+    when lo is 0; the tile that ends the ``horizon`` adds the row of the
+    terminal state, with empty control and excitation cells. Each column
+    of a seed is formatted at once, with ``repr`` per value; appending each
+    tile's lines in order gives the seed's CSV.
     """
-    n = traj.n_agents
-    fp.write(",".join(["t"] + [f"{name}_{i + 1}" for name in "xue" for i in range(n)]) + "\n")
-    cols = [map(str, range(traj.horizon + 1))]
-    cols += [map(repr, col) for col in traj.states.T.tolist()]
-    cols += [[*map(repr, col), ""] for a in (traj.controls, traj.excitations)
-             for col in a.T.tolist()]
-    fp.write("\n".join(map(",".join, zip(*cols))) + "\n")
-
-
-def trajectory_csv_text(traj: Trajectory) -> str:
-    buf = io.StringIO()
-    write_trajectory_csv(traj, buf)
-    return buf.getvalue()
+    (n_seeds, h, n), lo = tile.controls.shape, tile.lo
+    lags, last = tile.path.shape[1] - h, lo + h == horizon
+    header = "" if lo else ",".join(
+        ["t"] + [f"{name}_{i + 1}" for name in "xue" for i in range(n)]) + "\n"
+    for k in range(n_seeds):
+        states = tile.path[k, lags - 1:lags - 1 + h + last]
+        cols = [map(str, range(lo, lo + h + last))]
+        cols += [map(repr, col) for col in states.T.tolist()]
+        cols += [[*map(repr, col), *[""] * last] for a in (tile.controls, tile.excitations)
+                 for col in a[k].T.tolist()]
+        yield header + "\n".join(map(",".join, zip(*cols))) + "\n"

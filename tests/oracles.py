@@ -57,7 +57,7 @@ from cps_sentinel.policies import (
     control_means,
     lift,
 )
-from cps_sentinel.simulator import Trajectory, conditional_covariances
+from cps_sentinel.simulator import conditional_covariances
 
 
 def quad_forms_inv(v, rows) -> np.ndarray:
@@ -235,9 +235,9 @@ def det_ratio_bound(series: DetectionSeries, n: int) -> float:
     return float(math.exp(series.cum_logdet_ratio[n - 1]))
 
 
-def joint_log_density_oracle(traj: Trajectory, m: CpsModel,
+def joint_log_density_oracle(states: np.ndarray, m: CpsModel,
                              honest: HonestPolicy) -> float:
-    """Joint log density of the whole path under the honest closed loop.
+    """Joint log density of the whole path ``states`` (x_0..x_n) under the honest closed loop.
 
     Independent cross-check of the chain-rule factorization: the closed
     loop x_{t+1} = (A + diag(b) K) x_t + diag(b) e_t + w_t is a linear map
@@ -251,7 +251,7 @@ def joint_log_density_oracle(traj: Trajectory, m: CpsModel,
     density and is excluded.
     """
     gain, offset = _stationary_linear_gain(honest, m.n_agents)
-    n = traj.horizon
+    n = len(states) - 1
     n_agents = m.n_agents
     a = m.dynamics
     b = m.actuator_gains
@@ -297,7 +297,7 @@ def joint_log_density_oracle(traj: Trajectory, m: CpsModel,
     joint_cov = (lin @ noise_cov @ lin.T)[skip:, skip:]
     # the joint covariance may exceed the package's dimension cap, so it is factored here
     law = GaussianLaw(mean.ravel()[skip:], SpdMatrix(joint_cov, np.linalg.cholesky(joint_cov)))
-    return log_gaussian_density(traj.states.ravel()[skip:], law)
+    return log_gaussian_density(np.asarray(states).ravel()[skip:], law)
 
 
 ATTACK_BUILDERS = {
@@ -321,9 +321,9 @@ def random_attack(rng, n_agents: int, kind: str):
     return AttackConfig(tuple(agents)), ATTACK_BUILDERS[kind](values, count)
 
 
-def joint_log_ratio_oracle(traj: Trajectory, m: CpsModel, honest: HonestPolicy,
+def joint_log_ratio_oracle(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
                            corrupt, cfg) -> float:
-    """Log likelihood ratio of the whole path as the difference of two joint Gaussians.
+    """Log likelihood ratio of the path ``states`` as the difference of two joint Gaussians.
 
     Under a stationary linear honest law the corrupt closed loop is again
     one: the affine law of the corrupt gains and offset, on the model whose
@@ -335,8 +335,8 @@ def joint_log_ratio_oracle(traj: Trajectory, m: CpsModel, honest: HonestPolicy,
     laws = lift(honest, (cfg, corrupt), m.n_agents)
     own = None if laws.own is None else laws.own.diag
     m_c = dataclasses.replace(m, excitation=admit_excitation(laws, m.excitation.copy(), own))
-    return (joint_log_density_oracle(traj, m, honest)
-            - joint_log_density_oracle(traj, m_c, Affine(laws.corrupt_gains,
+    return (joint_log_density_oracle(states, m, honest)
+            - joint_log_density_oracle(states, m_c, Affine(laws.corrupt_gains,
                                                          laws.corrupt_offset)))
 
 

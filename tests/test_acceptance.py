@@ -16,11 +16,10 @@ import pytest
 from cps_sentinel import cli, harness, numerics
 from cps_sentinel.detection import (
     Decision,
-    classify,
+    decide,
     detect_ensemble,
     expected_step_drift,
-    rn_series,
-    series_csv_text,
+    series_csv_tile,
 )
 from cps_sentinel.harness import (
     AssumptionViolation,
@@ -41,7 +40,7 @@ from cps_sentinel.numerics import (
     split_seed,
 )
 from cps_sentinel.policies import DoS, LinearFeedback, Replacement, lift
-from cps_sentinel.simulator import conditional_covariances, simulate, simulate_ensemble
+from cps_sentinel.simulator import conditional_covariances, simulate_ensemble
 from oracles import (
     ATTACK_BUILDERS,
     det_ratio_bound,
@@ -86,9 +85,10 @@ def test_criterion_1_factorization_oracle():
                          initial_law=initial)
             policy = LinearFeedback(rng.standard_normal((n_agents, n_agents)) * 0.2)
             cfg, corrupt = random_attack(rng, n_agents, kinds[i % len(kinds)])
-            traj = simulate(m, policy, (cfg, corrupt), 10, seed=int(rng.integers(0, 2 ** 62)))
-            log_l = rn_series(traj, m, policy, corrupt, cfg).cum_log_l[-1]
-            joint = joint_log_ratio_oracle(traj, m, policy, corrupt, cfg)
+            states = simulate_ensemble(m, policy, (cfg, corrupt), 10,
+                                       [int(rng.integers(0, 2 ** 62))]).states
+            log_l = detect_ensemble(states, m, policy, corrupt, cfg).cum_log_l[0, -1]
+            joint = joint_log_ratio_oracle(states[0], m, policy, corrupt, cfg)
             worst = max(worst, abs(log_l - joint))
     gate(1, worst < 1e-8,
          f"factorization oracle: 300 random trajectories (N in 1..3, n=10, "
@@ -100,11 +100,12 @@ def test_criterion_2_identity_attack():
     worst = 0.0
     decisions_ok = True
     for i in range(20):
-        traj = simulate(s.model, s.honest, None, 200, split_seed(s.seed_base, i))
-        series = rn_series(traj, s.model, s.honest, None, None)
+        states = simulate_ensemble(s.model, s.honest, None, 200,
+                                   [split_seed(s.seed_base, i)]).states
+        series = detect_ensemble(states, s.model, s.honest, None, None).row(0)
         worst = max(worst, float(np.abs(series.cum_log_l).max()))
         for threshold in (-1e-9, -0.5, -10.0, -1e6):
-            decisions_ok &= classify(series, 200, threshold) is Decision.HONEST
+            decisions_ok &= decide(series.cum_log_l[-1], threshold) is Decision.HONEST
     gate(2, worst < 1e-9 and decisions_ok,
          f"identity attack: max |logL| over 20 seeds x 200 steps = {worst:.1e} < 1e-9, "
          f"honest at every negative threshold")
@@ -144,9 +145,9 @@ def test_criterion_4_determinant_ratio_bound():
         h_cov, c_cov = conditional_covariances(m, lift(LinearFeedback(np.zeros((n, n))),
                                                         (cfg, pol), n))
         all_strict &= logdet(c_cov) < logdet(h_cov)
-        traj = simulate(m, LinearFeedback(np.zeros((n, n))), (cfg, pol), 5,
-                        seed=int(rng.integers(0, 2 ** 62)))
-        series = rn_series(traj, m, LinearFeedback(np.zeros((n, n))), pol, cfg)
+        states = simulate_ensemble(m, LinearFeedback(np.zeros((n, n))), (cfg, pol), 5,
+                                   [int(rng.integers(0, 2 ** 62))]).states
+        series = detect_ensemble(states, m, LinearFeedback(np.zeros((n, n))), pol, cfg).row(0)
         for step in range(1, 6):
             all_in_unit &= 0.0 < det_ratio_bound(series, step) < 1.0
     gate(4, all_strict and all_in_unit,
@@ -168,7 +169,7 @@ def test_criterion_5_detection_regime():
     rn_big = 0
     for i in range(n_seeds):
         series = batch.row(i)
-        if classify(series, horizon_detect, -10.0) is Decision.ATTACK:
+        if decide(series.cum_log_l[horizon_detect - 1], -10.0) is Decision.ATTACK:
             detected += 1
         assert series.r_defined[n - 1]
         if series.r_n[n - 1] > 10.0:
@@ -199,7 +200,7 @@ def test_criterion_6_non_detection_regime():
     for i in range(n_seeds):
         series = batch.row(i)
         for threshold in (-1e-9, -10.0, -1e6):
-            if classify(series, n, threshold) is Decision.ATTACK:
+            if decide(series.cum_log_l[n - 1], threshold) is Decision.ATTACK:
                 detected += 1
     gate(6, worst_log_l < 1e-9 and detected == 0
          and np.isfinite(max_rn) and max_rn <= recorded_bound,
@@ -312,8 +313,10 @@ def test_criterion_9_reproducibility(tmp_path):
     ok &= (tmp_path / "whole" / "runs.csv").read_bytes() == \
         (tmp_path / "chunked" / "runs.csv").read_bytes()
     for i in range(3):
-        traj = simulate(s.model, s.honest, s.attack, s.horizon, split_seed(s.seed_base, i))
-        alone = series_csv_text(rn_series(traj, s.model, s.honest, s.attack[1], s.attack[0]))
+        states = simulate_ensemble(s.model, s.honest, s.attack, s.horizon,
+                                   [split_seed(s.seed_base, i)]).states
+        (alone,) = series_csv_tile(detect_ensemble(states, s.model, s.honest, s.attack[1],
+                                                   s.attack[0]), 0)
         name = f"run_{i:05d}.csv"
         ok &= (tmp_path / "whole" / name).read_bytes() == \
             (tmp_path / "chunked" / name).read_bytes() == alone.encode()

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -6,19 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cps_sentinel import cli
 from cps_sentinel.detection import (
     Decision,
     DetectionSeries,
-    NonFiniteLogRatio,
-    classify,
+    decide,
     detect_ensemble,
     expected_step_drift,
-    rn_series,
-    series_csv_text,
     series_csv_tile,
-    series_summary,
 )
-from cps_sentinel.harness import preset, scenario_from_dict
+from cps_sentinel.harness import preset, run_detect, scenario_from_dict
 from cps_sentinel.model import AttackConfig, CpsModel
 from cps_sentinel.numerics import (
     DiagonalPsd,
@@ -39,7 +37,7 @@ from cps_sentinel.policies import (
     control_means,
     lift,
 )
-from cps_sentinel.simulator import Trajectory, conditional_covariances, simulate, simulate_ensemble
+from cps_sentinel.simulator import conditional_covariances, simulate_ensemble
 from oracles import (
     ATTACK_BUILDERS,
     det_ratio_bound,
@@ -62,21 +60,15 @@ def model(n=2, dynamics=None, gains=None, noise=None, excitation=None, initial=N
     )
 
 
-def manual_trajectory(states, attacked=False):
-    states = np.asarray(states, dtype=float)
-    n, width = states.shape[0] - 1, states.shape[1]
-    return Trajectory(states, np.zeros((n, width)), np.zeros((n, width)),
-                      seed=0, attacked=attacked)
-
-
 class TestRnSeries:
     def test_identity_corrupt_law_gives_zero_log_ratio(self):
         # mimic with the honest excitation block and the honest mean map
         m = model(dynamics=np.array([[0.5, 0.2], [0.0, 0.4]]))
         cfg = AttackConfig((1,))
         pol = Mimic(DiagonalPsd([1.0]))
-        traj = simulate(m, LinearFeedback(-0.1 * np.eye(2)), (cfg, pol), 300, seed=1)
-        series = rn_series(traj, m, LinearFeedback(-0.1 * np.eye(2)), pol, cfg)
+        states = simulate_ensemble(m, LinearFeedback(-0.1 * np.eye(2)), (cfg, pol), 300,
+                                   [1]).states
+        series = detect_ensemble(states, m, LinearFeedback(-0.1 * np.eye(2)), pol, cfg).row(0)
         assert np.abs(series.cum_log_l).max() == 0.0
         assert series.r_defined.all()
         ratio = series.cum_s / series.cum_s_breve
@@ -88,27 +80,28 @@ class TestRnSeries:
         m = model()
         cfg = AttackConfig((1,))
         pol = Replacement.constant([0.0])
-        traj = manual_trajectory([[0.0, 0.0], [1.0, 0.0]], attacked=True)
-        series = rn_series(traj, m, Zero(), pol, cfg)
-        assert series.cum_log_l[0] == pytest.approx(0.25 - 0.5 * math.log(2.0))
+        series = detect_ensemble(np.array([[[0.0, 0.0], [1.0, 0.0]]]), m, Zero(), pol, cfg)
+        assert series.cum_log_l[0, 0] == pytest.approx(0.25 - 0.5 * math.log(2.0))
 
     def test_cumulative_matches_fsum(self):
         m = model(dynamics=np.array([[0.5, 0.2], [0.0, 0.4]]))
         cfg = AttackConfig((1,))
         pol = Replacement.constant([1.0])
-        traj = simulate(m, Zero(), (cfg, pol), 200, seed=2)
-        series = rn_series(traj, m, Zero(), pol, cfg)
-        ratios = detect_per_law(traj.states[None], m, Zero(), pol, cfg).step_log_ratio[0].tolist()
+        states = simulate_ensemble(m, Zero(), (cfg, pol), 200, [2]).states
+        series = detect_ensemble(states, m, Zero(), pol, cfg).row(0)
+        ratios = detect_per_law(states, m, Zero(), pol, cfg).step_log_ratio[0].tolist()
         for n in (1, 50, 200):
-            assert series.log_l_at(n) == pytest.approx(math.fsum(ratios[:n]), abs=1e-10)
+            assert series.cum_log_l[n - 1] == pytest.approx(math.fsum(ratios[:n]), abs=1e-10)
 
     def test_rayleigh_sandwich_per_step(self):
         m = model(dynamics=np.array([[0.5, 0.2], [0.1, 0.4]]),
                   noise=np.array([[1.0, 0.3], [0.3, 2.0]]))
         cfg = AttackConfig((2,))
         pol = DoS()
-        traj = simulate(m, LinearFeedback(-0.2 * np.eye(2)), (cfg, pol), 100, seed=3)
-        series = rn_series(traj, m, LinearFeedback(-0.2 * np.eye(2)), pol, cfg)
+        states = simulate_ensemble(m, LinearFeedback(-0.2 * np.eye(2)), (cfg, pol), 100,
+                                   [3]).states[0]
+        series = detect_ensemble(states[None], m, LinearFeedback(-0.2 * np.eye(2)), pol,
+                                 cfg).row(0)
         from cps_sentinel.numerics import eig_extremes
         from oracles import quad_form_inv
         laws = lift(LinearFeedback(-0.2 * np.eye(2)), (cfg, pol), 2)
@@ -116,8 +109,8 @@ class TestRnSeries:
         lo, hi = eig_extremes(h_cov)
         norms2 = []
         for t in range(100):
-            g = control_means(laws, traj.states[: t + 1])[0][t]
-            z = traj.states[t + 1] - (m.dynamics @ traj.states[t] + m.actuator_gains * g)
+            g = control_means(laws, states[: t + 1])[0][t]
+            z = states[t + 1] - (m.dynamics @ states[t] + m.actuator_gains * g)
             norms2.append(float(z @ z))
             if t in (0, 10, 99):
                 q = quad_form_inv(h_cov, z)
@@ -125,50 +118,46 @@ class TestRnSeries:
             # cum_s sums the same residual energies over the smallest eigenvalue
             assert series.cum_s[t] == pytest.approx(math.fsum(norms2) / lo, rel=1e-12)
 
-    def test_an_overflowing_log_ratio_is_flagged_and_raises_naming_its_step(self):
+    def test_an_overflowing_log_ratio_is_flagged_and_raises_naming_its_step(self, tmp_path):
         # finite states near 2^1000 whose residual energies overflow
         data = preset("replacement")
         data["model"]["dynamics"] = [[2.0, 0.3], [0.0, 2.0]]
+        data["horizon"] = 1000
         s = scenario_from_dict(data)
         cfg, pol = s.attack
-        traj = simulate(s.model, s.honest, s.attack, 1000, seed=3)
-        assert np.isfinite(traj.states).all()
+        states = simulate_ensemble(s.model, s.honest, s.attack, 1000, [3]).states
+        assert np.isfinite(states).all()
         # no RuntimeWarning: pytest turns one into an error
-        batch = detect_ensemble(traj.states[None], s.model, s.honest, pol, cfg)
+        batch = detect_ensemble(states, s.model, s.honest, pol, cfg)
         bad = ~np.isfinite(batch.cum_log_l[0])
         step = int(bad.argmax()) + 1
         assert 1 < step and bad[step - 1:].all() and not bad[:step - 1].any()
-        with pytest.raises(NonFiniteLogRatio, match=rf"^log likelihood ratio is not finite "
-                                                    rf"from step {step} \(seed 3\)$"):
-            rn_series(traj, s.model, s.honest, pol, cfg)
+        # the one-seed run fails naming the step, and leaves no CSV
+        row = run_detect(s, 3, tmp_path / "series.csv")
+        assert row["error"] == ("NonFiniteLogRatio: log likelihood ratio is not finite "
+                                f"from step {step} (seed 3)")
+        assert row["log_l"] is None and not (tmp_path / "series.csv").exists()
 
     def test_undefined_ratio_flagged_not_infinite(self):
         m = model()
-        traj = manual_trajectory([[0.0, 0.0], [0.0, 0.0]])
-        series = rn_series(traj, m, Zero(), Replacement.constant([0.0]), AttackConfig((1,)))
+        series = detect_ensemble(np.zeros((1, 2, 2)), m, Zero(), Replacement.constant([0.0]),
+                                 AttackConfig((1,))).row(0)
         assert not series.r_defined[0]
         assert np.isnan(series.r_n[0])
-        csv_text = series_csv_text(series)
+        (csv_text,) = series_csv_tile(series, 0)
         row = csv_text.strip().split("\n")[1].split(",")
         assert row[2] == ""  # empty cell, never inf
 
 
 class TestClassify:
-    def make_series(self, value, n=1):
-        import dataclasses
-        m = model()
-        traj = manual_trajectory([[0.0, 0.0]] + [[1.0, 0.0]] * n)
-        series = rn_series(traj, m, Zero(), None, None)
-        return dataclasses.replace(series, cum_log_l=np.full(n, float(value)))
-
     def test_zero_stat_is_honest(self):
-        assert classify(self.make_series(0.0), 1, -10.0) is Decision.HONEST
+        assert decide(0.0, -10.0) is Decision.HONEST
 
     def test_exact_threshold_ties_to_honest(self):
-        assert classify(self.make_series(-10.0), 1, -10.0) is Decision.HONEST
+        assert decide(-10.0, -10.0) is Decision.HONEST
 
     def test_below_threshold_is_attack(self):
-        assert classify(self.make_series(-10.5), 1, -10.0) is Decision.ATTACK
+        assert decide(-10.5, -10.0) is Decision.ATTACK
 
 
 class TestDetRatioBound:
@@ -176,8 +165,8 @@ class TestDetRatioBound:
         m = model()
         cfg = AttackConfig((1,))
         pol = Fdi(np.array([1.0]))
-        traj = simulate(m, Zero(), (cfg, pol), 10, seed=4)
-        series = rn_series(traj, m, Zero(), pol, cfg)
+        states = simulate_ensemble(m, Zero(), (cfg, pol), 10, [4]).states
+        series = detect_ensemble(states, m, Zero(), pol, cfg).row(0)
         for n in (1, 5, 10):
             assert det_ratio_bound(series, n) == 1.0
 
@@ -186,8 +175,8 @@ class TestDetRatioBound:
         m = model()
         cfg = AttackConfig((1,))
         pol = Replacement.constant([0.0])
-        traj = simulate(m, Zero(), (cfg, pol), 10, seed=5)
-        series = rn_series(traj, m, Zero(), pol, cfg)
+        states = simulate_ensemble(m, Zero(), (cfg, pol), 10, [5]).states
+        series = detect_ensemble(states, m, Zero(), pol, cfg).row(0)
         assert det_ratio_bound(series, 1) == pytest.approx(1.0 / math.sqrt(2.0))
         assert det_ratio_bound(series, 10) == pytest.approx(2.0 ** -5)
 
@@ -195,8 +184,8 @@ class TestDetRatioBound:
         m = model(dynamics=np.array([[0.3, 0.1], [0.0, 0.6]]))
         cfg = AttackConfig((1,))
         pol = Replacement.constant([0.5])
-        traj = simulate(m, Zero(), (cfg, pol), 50, seed=6)
-        series = rn_series(traj, m, Zero(), pol, cfg)
+        states = simulate_ensemble(m, Zero(), (cfg, pol), 50, [6]).states
+        series = detect_ensemble(states, m, Zero(), pol, cfg).row(0)
         for n in range(1, 51):
             assert 0.0 < det_ratio_bound(series, n) < 1.0
 
@@ -207,15 +196,13 @@ class TestJointOracle:
         # x_1 ~ N(0, 2), evaluated at 0
         m = model(n=1, dynamics=[[0.0]], gains=[1.0], noise=[[1.0]],
                   excitation=[1.0], initial=Dirac([0.0]))
-        traj = manual_trajectory([[0.0], [0.0]])
-        value = joint_log_density_oracle(traj, m, Zero())
+        value = joint_log_density_oracle(np.array([[0.0], [0.0]]), m, Zero())
         assert value == pytest.approx(-0.5 * math.log(2 * math.pi) - 0.5 * math.log(2.0))
 
     def test_zero_length_horizon_gaussian_initial(self):
         init = GaussianLaw([0.5, -0.5], make_spd([[2.0, 0.3], [0.3, 1.0]]))
         m = model(initial=init)
-        traj = manual_trajectory([[0.7, 0.1]])
-        value = joint_log_density_oracle(traj, m, Zero())
+        value = joint_log_density_oracle(np.array([[0.7, 0.1]]), m, Zero())
         assert value == pytest.approx(log_gaussian_density([0.7, 0.1], init))
 
     def test_chain_rule_equivalence_random_models(self):
@@ -238,9 +225,10 @@ class TestJointOracle:
                       excitation=rng.random(n_agents), initial=initial)
             policy = LinearFeedback(rng.standard_normal((n_agents, n_agents)) * 0.2)
             cfg, corrupt = random_attack(rng, n_agents, kinds[i % len(kinds)])
-            traj = simulate(m, policy, (cfg, corrupt), 10, seed=int(rng.integers(0, 2 ** 32)))
-            log_l = rn_series(traj, m, policy, corrupt, cfg).cum_log_l[-1]
-            assert abs(log_l - joint_log_ratio_oracle(traj, m, policy, corrupt, cfg)) < 1e-8
+            states = simulate_ensemble(m, policy, (cfg, corrupt), 10,
+                                       [int(rng.integers(0, 2 ** 32))]).states
+            log_l = detect_ensemble(states, m, policy, corrupt, cfg).cum_log_l[0, -1]
+            assert abs(log_l - joint_log_ratio_oracle(states[0], m, policy, corrupt, cfg)) < 1e-8
 
     def test_affine_policy_supported(self):
         m = model(dynamics=np.array([[0.4, 0.1], [0.0, 0.3]]))
@@ -248,16 +236,16 @@ class TestJointOracle:
         cfg = AttackConfig((2,))
         for kind, build in ATTACK_BUILDERS.items():
             corrupt = build(np.array([0.7]), 1)
-            traj = simulate(m, policy, (cfg, corrupt), 6, seed=8)
-            log_l = rn_series(traj, m, policy, corrupt, cfg).cum_log_l[-1]
-            joint = joint_log_ratio_oracle(traj, m, policy, corrupt, cfg)
+            states = simulate_ensemble(m, policy, (cfg, corrupt), 6, [8]).states
+            log_l = detect_ensemble(states, m, policy, corrupt, cfg).cum_log_l[0, -1]
+            joint = joint_log_ratio_oracle(states[0], m, policy, corrupt, cfg)
             assert abs(log_l - joint) < 1e-8, kind
 
     def test_history_policy_rejected(self):
         m = model()
-        traj = simulate(m, Zero(), None, 2, seed=9)
+        states = simulate_ensemble(m, Zero(), None, 2, [9]).states[0]
         with pytest.raises(ValueError):
-            joint_log_density_oracle(traj, m, HistoryWindow((np.eye(2),)))
+            joint_log_density_oracle(states, m, HistoryWindow((np.eye(2),)))
 
 
 class TestExpectedStepDrift:
@@ -320,9 +308,9 @@ class TestExpectedStepDrift:
         pol = Replacement.constant([0.0])
         cfg = AttackConfig((1,))
         closed = expected_step_drift(m, Zero(), pol, cfg).value
-        traj = simulate(m, Zero(), (cfg, pol), 20_000, seed=10)
-        mean = rn_series(traj, m, Zero(), pol, cfg).log_l_at(20_000) / 20_000
-        ratios = detect_per_law(traj.states[None], m, Zero(), pol, cfg).step_log_ratio
+        states = simulate_ensemble(m, Zero(), (cfg, pol), 20_000, [10]).states
+        mean = detect_ensemble(states, m, Zero(), pol, cfg).cum_log_l[0, -1] / 20_000
+        ratios = detect_per_law(states, m, Zero(), pol, cfg).step_log_ratio
         assert mean == pytest.approx(closed, abs=4 * np.std(ratios) / 140)
 
 
@@ -337,10 +325,10 @@ def test_two_path_energy_ratio_limit_matches_trace_oracle():
     honest = LinearFeedback(np.diag([-0.2, -0.2]))
     cfg = AttackConfig((1,))
     pol = Replacement.scaled_state([-0.2])
-    honest_traj = simulate(m, honest, None, 2000, seed=15)
-    attacked_traj = simulate(m, honest, (cfg, pol), 2000, seed=16)
-    cum_s = rn_series(honest_traj, m, honest, None, None).cum_s
-    cum_s_breve = rn_series(attacked_traj, m, honest, pol, cfg).cum_s_breve
+    honest_states = simulate_ensemble(m, honest, None, 2000, [15]).states
+    attacked_states = simulate_ensemble(m, honest, (cfg, pol), 2000, [16]).states
+    cum_s = detect_ensemble(honest_states, m, honest, None, None).cum_s[0]
+    cum_s_breve = detect_ensemble(attacked_states, m, honest, pol, cfg).cum_s_breve[0]
     oracle = (3.2 / 0.2) / (3.04 / 3.0)
     assert float(cum_s[-1] / cum_s_breve[-1]) == pytest.approx(oracle, rel=0.1)
 
@@ -355,10 +343,10 @@ def test_history_dependent_policy_end_to_end():
     pol = Fdi(np.array([0.5]))
     est = expected_step_drift(m, honest, pol, cfg)
     assert est.method == "closed_form"  # constant offset: gap is b * d
-    traj = simulate(m, honest, (cfg, pol), 400, seed=17)
-    series = rn_series(traj, m, honest, pol, cfg)
-    assert classify(series, 400, -10.0) is Decision.ATTACK
-    assert series.log_l_at(400) / 400 == pytest.approx(est.value, rel=0.5)
+    states = simulate_ensemble(m, honest, (cfg, pol), 400, [17]).states
+    log_l = detect_ensemble(states, m, honest, pol, cfg).cum_log_l[0, -1]
+    assert decide(log_l, -10.0) is Decision.ATTACK
+    assert log_l / 400 == pytest.approx(est.value, rel=0.5)
 
     # state-dependent corruption of a window policy: the lag-stacked loop
     flip = Replacement.sign_flip()
@@ -444,17 +432,24 @@ def test_exact_drift_matches_the_monte_carlo_oracle(honest_kind, attack_kind, da
     assert abs(est.value - mean) <= 5 * stderr + 1e-12, (est, mean, stderr)
 
 
-def test_series_summary_round_trip():
-    m = model()
-    cfg = AttackConfig((1,))
-    pol = Replacement.constant([0.0])
-    traj = simulate(m, Zero(), (cfg, pol), 20, seed=14)
-    series = rn_series(traj, m, Zero(), pol, cfg)
-    drift = expected_step_drift(m, Zero(), pol, cfg)
-    summary = series_summary(series, 20, -10.0, drift)
+def test_series_summary_round_trip(tmp_path, capsys):
+    # detect's summary is the seed's row of the batch loop, as JSON
+    data = preset("replacement")
+    data["horizon"] = 20
+    (tmp_path / "s.json").write_text(json.dumps(data))
+    assert cli.main(["detect", str(tmp_path / "s.json"), "--seed", "14",
+                     "--out", str(tmp_path / "series.csv")]) == 0
+    summary = json.loads(capsys.readouterr().out)
     assert set(summary) == {"n", "logL", "r_n", "decision", "threshold", "drift_estimate"}
-    assert summary["n"] == 20
-    assert summary["decision"] in ("honest", "attack")
+    s = scenario_from_dict(data)
+    cfg, pol = s.attack
+    series = detect_ensemble(simulate_ensemble(s.model, s.honest, s.attack, 20, [14]).states,
+                             s.model, s.honest, pol, cfg).row(0)
+    assert summary == {"n": 20, "logL": series.cum_log_l[-1], "r_n": series.r_n[-1],
+                       "decision": decide(series.cum_log_l[-1], s.threshold).value,
+                       "threshold": s.threshold,
+                       "drift_estimate": expected_step_drift(s.model, s.honest, pol, cfg).value}
+    assert (tmp_path / "series.csv").read_text() == next(series_csv_tile(series, 0))
 
 
 def plain_series_csv(series):
@@ -543,9 +538,8 @@ def test_preset_batches_share_the_logdet_column_and_match_the_one_seed_writer(na
     logdet = batch.cum_logdet_ratio
     assert (logdet.view(np.int64) == logdet[:1].view(np.int64)).all()
     for k, text in enumerate(series_csv_tile(batch, 0)):
-        assert series_csv_text(batch.row(k)) == text == plain_series_csv(batch.row(k))
-    with pytest.raises(ValueError):
-        series_csv_text(batch)
+        assert list(series_csv_tile(batch.row(k), 0)) == [text]
+        assert text == plain_series_csv(batch.row(k))
 
 
 

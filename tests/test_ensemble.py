@@ -1,8 +1,8 @@
 """The seed-ensemble engine: a seed's result never depends on its batch.
 
-Row i of a batch, the same seed in another chunk, and the per-seed
-``simulate`` / ``rn_series`` result must agree bit for bit, for every
-policy kind, and a seed whose state overflows must fail alone.
+Row i of a batch, the same seed in another chunk, and the seed run
+alone must agree bit for bit, for every policy kind, and a seed whose
+state overflows must fail alone.
 """
 
 import math
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cps_sentinel import detection, numerics
-from cps_sentinel.detection import detect_ensemble, detect_tile, detection_plan, rn_series
+from cps_sentinel.detection import detect_ensemble, detect_tile, detection_plan
 from cps_sentinel.model import AttackConfig, CpsModel
 from cps_sentinel import simulator
 from cps_sentinel.numerics import DiagonalPsd, Dirac, GaussianLaw, make_spd, sample_gaussian
@@ -36,7 +36,6 @@ from cps_sentinel.simulator import (
     NonFiniteState,
     conditional_covariances,
     path_tiles,
-    simulate,
     simulate_ensemble,
     simulation_plan,
 )
@@ -99,11 +98,11 @@ def test_rows_match_chunks_and_the_per_seed_api(case, count, horizon, split, bas
     rows = [(p, s, k) for p, s in zip(parts, part_series) for k in range(len(p.seeds))]
     for i, seed in enumerate(seeds):
         part, part_batch, k = rows[i]
-        alone = simulate(m, honest, attack, horizon, seed)
+        alone = simulate_ensemble(m, honest, attack, horizon, [seed], keep_controls=True)
         for name in ("states", "controls", "excitations"):
-            assert np.array_equal(getattr(whole, name)[i], getattr(alone, name)), name
-            assert np.array_equal(getattr(part, name)[k], getattr(alone, name)), name
-        single = rn_series(alone, m, honest, corrupt, cfg)
+            assert np.array_equal(getattr(whole, name)[i], getattr(alone, name)[0]), name
+            assert np.array_equal(getattr(part, name)[k], getattr(alone, name)[0]), name
+        single = detect_ensemble(alone.states, m, honest, corrupt, cfg).row(0)
         assert_series_equal(batch.row(i), single)
         assert_series_equal(part_batch.row(k), single)
 
@@ -121,16 +120,15 @@ def test_an_overflowing_seed_fails_alone_with_its_own_message():
     assert failed.any() and not failed.all()
     assert len(set(ens.failed_at[failed].tolist())) > 1
     for i, seed in enumerate(seeds):
+        alone = simulate_ensemble(m, honest, attack, 318, [seed])
         if failed[i]:
-            with pytest.raises(NonFiniteState) as err:
-                simulate(m, honest, attack, 318, seed)
-            assert str(err.value) == str(ens.error(i))
-            assert str(err.value) == (f"state overflowed at step {ens.failed_at[i]} "
-                                      f"(seed {seed})")
+            assert isinstance(alone.error(0), NonFiniteState)
+            assert str(alone.error(0)) == str(ens.error(i))
+            assert str(alone.error(0)) == (f"state overflowed at step {ens.failed_at[i]} "
+                                           f"(seed {seed})")
         else:
-            assert ens.error(i) is None
-            alone = simulate(m, honest, attack, 318, seed)
-            assert np.array_equal(ens.states[i], alone.states)
+            assert ens.error(i) is None and alone.error(0) is None
+            assert np.array_equal(ens.states[i], alone.states[0])
 
 
 def test_a_non_finite_state_is_an_error_naming_its_seed_row_and_step():
@@ -424,12 +422,6 @@ def test_the_plane_drive_matches_a_per_step_oracle_bit_for_bit(scenario, seeds):
         assert same_bits(ens.controls[i], controls)
         if zero_loop:
             assert same_bits(ens.states[i, 1:], drive)
-
-
-def test_trajectory_needs_kept_controls():
-    ens = simulate_ensemble(chain(2), Zero(), None, 3, [1])
-    with pytest.raises(ValueError):
-        ens.trajectory(0)
 
 
 def reference_path(m, honest_gain, attack, horizon, seed):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from cps_sentinel import cli, harness, numerics
 from cps_sentinel import mdp as mdp_module
-from cps_sentinel.detection import classify, rn_series, series_csv_text
+from cps_sentinel.detection import NonFiniteLogRatio, decide, detect_ensemble, series_csv_tile
 from cps_sentinel.harness import (
     AssumptionViolation,
     PRESETS,
@@ -34,7 +34,7 @@ from cps_sentinel.harness import (
 )
 from cps_sentinel.model import honest_influence_check
 from cps_sentinel.numerics import split_seed
-from cps_sentinel.simulator import NonFiniteState, simulate
+from cps_sentinel.simulator import simulate_ensemble
 
 
 def run_in_chunks(s, chunk, out):
@@ -50,6 +50,20 @@ def run_in_chunks(s, chunk, out):
         return run_montecarlo(dataclasses.replace(s, outputs=str(out)))
 
 
+def seed_alone(s, seed):
+    """Seed ``seed`` of ``s`` through the whole-path APIs: its row's error text, or its series."""
+    ens = simulate_ensemble(s.model, s.honest, s.attack, s.horizon, [seed])
+    corrupt, cfg = (s.attack[1], s.attack[0]) if s.attack else (None, None)
+    error = ens.error(0)
+    if error is None:
+        series = detect_ensemble(ens.states, s.model, s.honest, corrupt, cfg).row(0)
+        bad = ~np.isfinite(series.cum_log_l)
+        if not bad.any():
+            return None, series
+        error = NonFiniteLogRatio(int(bad.argmax()) + 1, seed)
+    return f"{type(error).__name__}: {error}", None
+
+
 def assert_batch_matches_chunks_and_per_seed(s, chunk, tmp_path):
     """A whole batch, the same seeds in chunks, and each seed alone agree exactly.
 
@@ -63,16 +77,14 @@ def assert_batch_matches_chunks_and_per_seed(s, chunk, tmp_path):
     assert whole.rows == chunked.rows
     assert (tmp_path / "whole" / "runs.csv").read_bytes() == \
         (tmp_path / "chunked" / "runs.csv").read_bytes()
-    corrupt, cfg = (s.attack[1], s.attack[0]) if s.attack else (None, None)
     for i, row in enumerate(whole.rows):
-        traj = simulate(s.model, s.honest, s.attack, s.horizon, split_seed(s.seed_base, i))
-        series = rn_series(traj, s.model, s.honest, corrupt, cfg)
+        _, series = seed_alone(s, split_seed(s.seed_base, i))
         name = f"run_{i:05d}.csv"
         assert (tmp_path / "whole" / name).read_bytes() == \
-            (tmp_path / "chunked" / name).read_bytes() == series_csv_text(series).encode()
-        assert row["log_l"] == series.log_l_at(s.horizon)
+            (tmp_path / "chunked" / name).read_bytes() == next(series_csv_tile(series, 0)).encode()
+        assert row["log_l"] == series.cum_log_l[-1]
         assert row["r_n"] == (float(series.r_n[-1]) if series.r_defined[-1] else None)
-        assert row["decision"] == classify(series, s.horizon, s.threshold).value
+        assert row["decision"] == decide(series.cum_log_l[-1], s.threshold).value
 
 
 LINEAR_PRESETS = ["identity", "replacement", "fdi", "dos", "mimic", "example1", "example2"]
@@ -230,13 +242,12 @@ class TestRunMontecarlo:
         s = small("replacement", count=1, horizon=60)
         summary = run_montecarlo(s)
         seed = split_seed(s.seed_base, 0)
-        traj = simulate(s.model, s.honest, s.attack, s.horizon, seed)
-        series = rn_series(traj, s.model, s.honest, s.attack[1], s.attack[0])
+        _, series = seed_alone(s, seed)
         row = summary.rows[0]
         assert row["seed"] == seed
-        assert row["log_l"] == series.log_l_at(s.horizon)
+        assert row["log_l"] == series.cum_log_l[-1]
         assert row["r_n"] == float(series.r_n[-1])
-        assert row["decision"] == classify(series, s.horizon, s.threshold).value
+        assert row["decision"] == decide(series.cum_log_l[-1], s.threshold).value
 
     def test_no_attack_identity_gives_zero_stat(self):
         s = small("identity", count=4, horizon=50)
@@ -983,16 +994,11 @@ def test_tiles_never_change_an_output_byte(tmp_path, name):
         steps = [int(r["error"].split(" from step ")[-1].split(" at step ")[-1].split()[0])
                  for r in want.rows if r["error"] is not None]
         assert max(steps) > 2 * block
-    corrupt, cfg = s.attack[1], s.attack[0]
-    for i, row in enumerate(want.rows):  # and each seed alone, through the one-tile API
-        seed = split_seed(s.seed_base, i)
-        try:
-            series = rn_series(simulate(s.model, s.honest, s.attack, s.horizon, seed),
-                               s.model, s.honest, corrupt, cfg)
-        except NonFiniteState as exc:
-            assert row["error"] == f"{type(exc).__name__}: {exc}"
-            continue
-        assert files[f"run_{i:05d}.csv"] == series_csv_text(series).encode()
+    for i, row in enumerate(want.rows):  # and each seed alone, through the whole-path API
+        error, series = seed_alone(s, split_seed(s.seed_base, i))
+        assert row["error"] == error
+        if error is None:
+            assert files[f"run_{i:05d}.csv"] == next(series_csv_tile(series, 0)).encode()
 
 
 def test_the_default_tiles_hold_a_block_or_about_the_cell_budget():
@@ -1222,3 +1228,123 @@ def test_linear_batch_memory_stays_per_tile_whatever_the_horizon(tmp_path, name,
 
     peak(1000)  # whatever a first batch allocates once
     assert peak(100_000) <= 1.1 * peak(20_000)
+
+
+@pytest.mark.parametrize("kind", ["montecarlo", "mdp"])
+def test_a_rerun_with_fewer_seeds_leaves_only_its_own_run_files(tmp_path, kind):
+    out = tmp_path / "out"
+
+    def run(count):
+        if kind == "montecarlo":
+            s = small("replacement", count=count, horizon=30)
+            run_montecarlo(dataclasses.replace(s, outputs=str(out)))
+        else:
+            data = dict(preset("mdp-detect"), horizon=50, seeds={"base": 1, "count": count})
+            run_mdp_batch(mdp_scenario_from_dict(dict(data, outputs=str(out))))
+
+    run(5)
+    # what is not a regular run file of an earlier batch stays, as _discard leaves it
+    target = tmp_path / "target.csv"
+    target.write_text("kept\n")
+    (out / "run_00004.csv").unlink()
+    (out / "run_00004.csv").symlink_to(target)
+    os.mkfifo(out / "run_00007.csv")
+    (out / "run_00008.csv").mkdir()
+    for name in ("run_9.csv", "run_000003.csv", "notes.txt"):
+        (out / name).write_text("not a run file\n")
+    run(2)
+    own = {"run_00000.csv", "run_00001.csv", "summary.json"} | (
+        {"runs.csv"} if kind == "montecarlo" else set())
+    assert {p.name for p in out.iterdir()} == own | {
+        "run_00004.csv", "run_00007.csv", "run_00008.csv", "run_9.csv", "run_000003.csv",
+        "notes.txt"}
+    assert (out / "run_00004.csv").is_symlink() and target.read_text() == "kept\n"
+    assert stat.S_ISFIFO(os.lstat(out / "run_00007.csv").st_mode)
+
+
+@pytest.mark.parametrize("command", ["simulate", "detect"])
+def test_cli_memory_stays_per_tile_whatever_the_horizon(tmp_path, capsys, command):
+    # one replacement seed runs tiles of 10912 steps (detect) or 16384
+    # (simulate), so 20k steps already hold every tile-sized buffer; five
+    # times longer may hold no more
+    path = tmp_path / "replacement.json"
+    path.write_text(json.dumps(preset("replacement")))
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            assert cli.main([command, str(path), "--horizon", str(horizon),
+                             "--out", str(tmp_path / f"{horizon}.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)  # whatever a first run allocates once
+    assert peak(100_000) <= 1.1 * peak(20_000)
+
+
+def one_seed_tiles(s, command):
+    """The block and the cells per step of a tile of the one seed of ``command``."""
+    if command == "simulate":
+        plan = harness.simulation_plan(s.model, s.honest, s.attack)
+        return plan.block, plan.columns
+    return common_block(s)
+
+
+@pytest.mark.parametrize("name", ["replacement", "fdi-schedule", "chain-mimic"])
+@pytest.mark.parametrize("command", ["simulate", "detect"])
+def test_one_seed_commands_write_the_same_bytes_in_any_tiles(tmp_path, capsys, monkeypatch,
+                                                             command, name):
+    data = TILED[name]()
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    assert cli.main([command, str(path), "--out", str(tmp_path / "default.csv")]) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        block, columns = one_seed_tiles(scenario_from_dict(data), command)
+        mp.setattr(numerics, "TILE_CELLS", block * columns)
+        assert cli.main([command, str(path), "--out", str(tmp_path / "blocks.csv")]) == 0
+    default = (tmp_path / "default.csv").read_bytes()
+    assert (tmp_path / "blocks.csv").read_bytes() == default
+    assert default.count(b"\n") == data["horizon"] + 1 + (command == "simulate")
+    if command == "detect":
+        # the one seed of detect is run 0 of a batch
+        assert cli.main(["montecarlo", str(path), "--seeds", "1", "--override-assumption2",
+                         "--out", str(tmp_path / "batch")]) == 0
+        assert (tmp_path / "batch" / "run_00000.csv").read_bytes() == default
+
+
+@pytest.mark.parametrize("tiled", [False, True], ids=["one-tile", "tiles-of-7-blocks"])
+@pytest.mark.parametrize("command, data", [("simulate", overflowing_states),
+                                           ("detect", overflowing_replacement)])
+def test_a_failed_one_seed_run_prints_one_error_line_and_whole_earlier_tiles(
+        tmp_path, capsys, monkeypatch, command, data, tiled):
+    data = data()
+    s = scenario_from_dict(data)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    seed, error = next((seed, error) for seed in (split_seed(s.seed_base, i) for i in range(12))
+                       for error, _ in [seed_alone(s, seed)] if error is not None)
+    step = int(error.split(" step ")[1].split()[0])
+    block, columns = one_seed_tiles(s, command)
+    if tiled:
+        monkeypatch.setattr(numerics, "TILE_CELLS", 7 * block * columns)
+    tile = numerics.tile_steps(1, columns, block)
+    lo = (step - 1) // tile * tile  # the failing tile's first step
+    assert 0 < lo if tiled else lo == 0
+    # what the tiles before it wrote: the same command's CSV of lo steps,
+    # less its terminal state
+    if lo:
+        assert cli.main([command, str(path), "--seed", str(seed), "--horizon", str(lo),
+                         "--out", str(tmp_path / "prefix.csv")]) == 0
+        capsys.readouterr()
+    lines = (tmp_path / "prefix.csv").read_text().splitlines(True) if lo else []
+    prefix = "".join(lines[:-1] if command == "simulate" else lines)
+
+    argv = [command, str(path), "--seed", str(seed)]
+    out = tmp_path / "out.csv"
+    out.write_text("an earlier run\n")
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"numeric error: {error}\n")
+    assert not out.exists()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == (prefix, f"numeric error: {error}\n")

@@ -480,6 +480,22 @@ class TestPathLogRatio:
         assert message([[fine, from_one], [late_move, early_move]]) == message(late_move)
         assert message([[fine, fine], [early_move, from_one]]) == message(early_move)
 
+    @pytest.mark.parametrize("paths, message", [
+        ([0, -1, 1], "state -1 at step 1 of path row () is not in [0, 2)"),
+        ([0, 2], "state 2 at step 1 of path row () is not in [0, 2)"),
+        ([[0, 1, 1], [1, 0, 7], [-3, 0, 0]], "state 7 at step 2 of path row (1,) is not in [0, 2)"),
+        ([[[0, 1]], [[0, -1]]], "state -1 at step 1 of path row (1, 0) is not in [0, 2)"),
+    ], ids=["negative", "past-the-end", "a-later-row", "nested-rows"])
+    def test_a_state_outside_the_chain_is_named_before_any_lookup(self, paths, message):
+        # -1 would wrap to the last entry of the transition table, and a
+        # state past the end would raise a bare IndexError; the range comes
+        # first even when the path also makes a corrupt-forbidden move
+        kh = np.array([[0.5, 0.5], [0.2, 0.8]])
+        kc = np.array([[1.0, 0.0], [0.3, 0.7]])
+        with pytest.raises(ValueError) as info:
+            path_log_ratio(np.array(paths), kh, kc)
+        assert str(info.value) == message
+
     def test_the_tile_engine_sends_a_corrupt_forbidden_move_to_plus_inf(self):
         # the engine only computes: from a move the corrupt law forbids on,
         # the series is +inf, in tiles as whole, and nothing raises

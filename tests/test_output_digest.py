@@ -22,7 +22,9 @@ def test_two_runs_give_equal_digests_and_a_changed_byte_changes_one(tmp_path, mo
             "mdp/mdp-mimic/run_00299.csv", "mdp/mdp-detect/summary.json",
             "simulate/fdi.csv", "detect/fdi.csv", "scenarios/zero-variance.json",
             "montecarlo/zero-variance/run_00049.csv", "simulate/zero-variance.csv",
-            "detect/zero-variance.csv", "mdp/mdp-forbidden-move/run_00299.csv"} <= first.keys()
+            "detect/zero-variance.csv", "mdp/mdp-forbidden-move/run_00299.csv",
+            "scenarios/window-fdi-schedule.json", "montecarlo/window-fdi-schedule/run_00049.csv",
+            "simulate/window-fdi-schedule.csv", "detect/window-fdi-schedule.csv"} <= first.keys()
     assert json.loads((tmp_path / "a" / "mdp" / "mdp-detect" / "summary.json").read_text())[
         "n_runs"] == 300
     target = tmp_path / "a" / "mdp" / "mdp-detect" / "run_00123.csv"

@@ -18,11 +18,11 @@ from cps_sentinel.policies import (
 )
 from cps_sentinel.simulator import (
     NonFiniteState,
-    Trajectory,
     conditional_covariances,
-    simulate,
+    path_tiles,
     simulate_ensemble,
-    write_trajectory_csv,
+    simulation_plan,
+    trajectory_csv_tile,
 )
 
 
@@ -47,24 +47,23 @@ class TestSimulate:
         # A = 0, b = 0, zero process noise: everything after x_0 is zero
         m = model(dynamics=np.zeros((2, 2)), gains=np.zeros(2),
                   noise=np.zeros((2, 2)), initial=Dirac([1.0, 1.0]))
-        traj = simulate(m, Zero(), None, horizon=4, seed=0)
-        assert np.array_equal(traj.states[0], [1.0, 1.0])
-        assert np.array_equal(traj.states[1:], np.zeros((4, 2)))
+        states = simulate_ensemble(m, Zero(), None, 4, [0]).states[0]
+        assert np.array_equal(states[0], [1.0, 1.0])
+        assert np.array_equal(states[1:], np.zeros((4, 2)))
 
     def test_bit_reproducible_per_seed(self):
         m = model(dynamics=np.array([[0.5, 0.2], [0.0, 0.4]]))
         attack = (AttackConfig((1,)), Mimic(DiagonalPsd([1.0])))
-        a = simulate(m, LinearFeedback(-0.1 * np.eye(2)), attack, 50, seed=123)
-        b = simulate(m, LinearFeedback(-0.1 * np.eye(2)), attack, 50, seed=123)
+        a, b = (simulate_ensemble(m, LinearFeedback(-0.1 * np.eye(2)), attack, 50, [123],
+                                  keep_controls=True) for _ in range(2))
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.controls, b.controls)
         assert np.array_equal(a.excitations, b.excitations)
 
     def test_different_seeds_differ(self):
         m = model()
-        a = simulate(m, Zero(), None, 10, seed=1)
-        b = simulate(m, Zero(), None, 10, seed=2)
-        assert not np.array_equal(a.states, b.states)
+        states = simulate_ensemble(m, Zero(), None, 10, [1, 2]).states
+        assert not np.array_equal(states[0], states[1])
 
     def test_scalar_stationary_variance(self):
         # x' = 0.5 x + u + w with u = e: Var_inf = (V_w + V_e) / (1 - 0.25) = 8/3
@@ -76,17 +75,17 @@ class TestSimulate:
 
     def test_nonfinite_state_raises(self):
         m = model(dynamics=10.0 * np.eye(2))
-        with pytest.raises(NonFiniteState):
-            simulate(m, Zero(), None, 400, seed=0)
+        ens = simulate_ensemble(m, Zero(), None, 400, [0])
+        assert isinstance(ens.error(0), NonFiniteState)
 
     def test_gaussian_initial_law(self):
         m = model(initial=GaussianLaw([5.0, -5.0], make_spd(0.0001 * np.eye(2))))
-        traj = simulate(m, Zero(), None, 1, seed=3)
-        assert np.abs(traj.states[0] - [5.0, -5.0]).max() < 0.1
+        states = simulate_ensemble(m, Zero(), None, 1, [3]).states[0]
+        assert np.abs(states[0] - [5.0, -5.0]).max() < 0.1
 
     def test_horizon_must_be_positive(self):
         with pytest.raises(ValueError):
-            simulate(model(), Zero(), None, 0, seed=0)
+            simulate_ensemble(model(), Zero(), None, 0, [0])
 
     def test_fdi_schedule_shorter_than_the_horizon(self):
         attack = (AttackConfig((1,)), Fdi(np.ones((20, 1))))
@@ -154,20 +153,20 @@ class TestConditionalCovariances:
             assert logdet(c) < logdet(h)
 
 
-def predicted_means(m, honest, corrupt, cfg, traj, t):
-    """Honest and corrupt one-step predictor means of x_{t+1} along ``traj``."""
+def predicted_means(m, honest, corrupt, cfg, states, t):
+    """Honest and corrupt one-step predictor means of x_{t+1} along ``states``."""
     attack = None if corrupt is None else (cfg, corrupt)
-    g, c = control_means(lift(honest, attack, m.n_agents), traj.states[: t + 1])
+    g, c = control_means(lift(honest, attack, m.n_agents), states[: t + 1])
     g, c = g[t], c[t]
-    drive = m.dynamics @ traj.states[t]
+    drive = m.dynamics @ states[t]
     return drive + m.actuator_gains * g, drive + m.actuator_gains * c
 
 
 class TestPredictedConditionals:
     def test_no_attack_direct_substitution(self):
         m = model()
-        traj = simulate(m, Zero(), None, 3, seed=5)
-        mu_h, mu_c = predicted_means(m, Zero(), None, None, traj, 1)
+        states = simulate_ensemble(m, Zero(), None, 3, [5]).states[0]
+        mu_h, mu_c = predicted_means(m, Zero(), None, None, states, 1)
         np.testing.assert_array_equal(mu_h, np.zeros(2))
         np.testing.assert_array_equal(mu_c, mu_h)
         h_cov, c_cov = covariances(m, None, None)
@@ -178,8 +177,8 @@ class TestPredictedConditionals:
         m = model()
         cfg = AttackConfig((1,))
         pol = Replacement.constant([0.0])
-        traj = simulate(m, Zero(), (cfg, pol), 3, seed=5)
-        mu_h, mu_c = predicted_means(m, Zero(), pol, cfg, traj, 0)
+        states = simulate_ensemble(m, Zero(), (cfg, pol), 3, [5]).states[0]
+        mu_h, mu_c = predicted_means(m, Zero(), pol, cfg, states, 0)
         np.testing.assert_array_equal(mu_c, mu_h)  # both channel means are 0
         _, c_cov = covariances(m, pol, cfg)
         np.testing.assert_array_equal(c_cov.mat, np.diag([1.0, 2.0]))
@@ -188,8 +187,8 @@ class TestPredictedConditionals:
         m = model(dynamics=np.array([[0.3, 0.1], [0.0, 0.2]]), gains=[2.0, 1.0])
         cfg = AttackConfig((1,))
         pol = Fdi(np.array([1.0]))
-        traj = simulate(m, Zero(), (cfg, pol), 3, seed=6)
-        mu_h, mu_c = predicted_means(m, Zero(), pol, cfg, traj, 2)
+        states = simulate_ensemble(m, Zero(), (cfg, pol), 3, [6]).states[0]
+        mu_h, mu_c = predicted_means(m, Zero(), pol, cfg, states, 2)
         np.testing.assert_allclose(mu_c - mu_h, [2.0, 0.0])
         h_cov, c_cov = covariances(m, pol, cfg)
         np.testing.assert_array_equal(c_cov.mat, h_cov.mat)
@@ -199,11 +198,9 @@ class TestPredictedConditionals:
         cfg = AttackConfig((2,))
         pol = Replacement.scaled_state([0.3])
         honest = LinearFeedback(-0.2 * np.eye(2))
-        traj = simulate(m, honest, (cfg, pol), 5, seed=7)
-        mutated = Trajectory(
-            np.vstack([traj.states[:4][::-1], traj.states[4:]]),
-            traj.controls, traj.excitations, traj.seed, traj.attacked)
-        for a, b in zip(predicted_means(m, honest, pol, cfg, traj, 4),
+        states = simulate_ensemble(m, honest, (cfg, pol), 5, [7]).states[0]
+        mutated = np.vstack([states[:4][::-1], states[4:]])
+        for a, b in zip(predicted_means(m, honest, pol, cfg, states, 4),
                         predicted_means(m, honest, pol, cfg, mutated, 4)):
             assert np.array_equal(a, b)
 
@@ -220,8 +217,8 @@ class TestPredictedConditionals:
         history = np.array([[1.0, -1.0]])
         seeds = [split_seed(55, i) for i in range(20_000)]
         for pol in kinds:
-            traj = simulate(m, honest, (cfg, pol), 1, seed=0)
-            _, corrupt_mean = predicted_means(m, honest, pol, cfg, traj, 0)
+            states = simulate_ensemble(m, honest, (cfg, pol), 1, [0]).states[0]
+            _, corrupt_mean = predicted_means(m, honest, pol, cfg, states, 0)
             # one step from x_0 for each seed: the controls the engine admits
             ens = simulate_ensemble(m, honest, (cfg, pol), 1, seeds, keep_controls=True)
             sampled_mean = m.dynamics @ history[0] + m.actuator_gains * ens.controls[:, 0].mean(0)
@@ -232,44 +229,46 @@ class TestPredictedConditionals:
         # approaches the honest conditional covariance
         m = model(n=1, dynamics=[[0.5]], gains=[1.0], noise=[[1.0]],
                   excitation=[1.0], initial=Dirac([0.0]))
-        traj = simulate(m, Zero(), None, 10_000, seed=8)
-        resid = traj.states[1:, 0] - 0.5 * traj.states[:-1, 0]
+        states = simulate_ensemble(m, Zero(), None, 10_000, [8]).states[0]
+        resid = states[1:, 0] - 0.5 * states[:-1, 0]
         assert abs(np.var(resid) - 2.0) < 0.05 * 2.0
+
+
+def trajectory_csv(m, honest, attack, horizon, seed, steps=10_000):
+    """One seed's trajectory CSV: its tiles of ``steps`` steps, joined."""
+    plan = simulation_plan(m, honest, attack)
+    return "".join(text for tile in path_tiles(plan, horizon, [seed], steps, keep_controls=True)
+                   for text in trajectory_csv_tile(tile, horizon))
 
 
 class TestTrajectoryCsv:
     def test_layout_and_terminal_row(self):
         m = model()
-        traj = simulate(m, Zero(), None, 2, seed=9)
-        buf = io.StringIO()
-        write_trajectory_csv(traj, buf)
-        lines = buf.getvalue().strip().split("\n")
+        lines = trajectory_csv(m, Zero(), None, 2, 9).strip().split("\n")
         assert lines[0] == "t,x_1,x_2,u_1,u_2,e_1,e_2"
         assert len(lines) == 4
         last = lines[-1].split(",")
         assert last[0] == "2" and last[3] == "" and last[-1] == ""
-        assert float(last[1]) == traj.states[2, 0]
+        assert float(last[1]) == simulate_ensemble(m, Zero(), None, 2, [9]).states[0, 2, 0]
 
     def test_columns_match_a_per_cell_writer(self):
         # zero controls included: a DoS channel, a sign flip of a zero mean
-        # and a scaled state from x_0 = 0 all emit 0.0, never -0.0
+        # and a scaled state from x_0 = 0 all emit 0.0, never -0.0; tiles
+        # of any whole number of blocks (32 steps) give the same text
+        horizon = 70
         for pol in (DoS(), Replacement.sign_flip(), Replacement.scaled_state([-0.2])):
-            traj = simulate(model(), LinearFeedback(-0.2 * np.eye(2)),
-                            (AttackConfig((1,)), pol), 30, seed=10)
+            attack = (AttackConfig((1,)), pol)
+            ens = simulate_ensemble(model(), LinearFeedback(-0.2 * np.eye(2)), attack, horizon,
+                                    [10], keep_controls=True)
+            states, controls, excitations = ens.states[0], ens.controls[0], ens.excitations[0]
             ref = io.StringIO()
             writer = csv.writer(ref, lineterminator="\n")
             writer.writerow(["t", "x_1", "x_2", "u_1", "u_2", "e_1", "e_2"])
-            for t in range(traj.horizon):
-                writer.writerow([t] + [repr(float(v)) for v in traj.states[t]]
-                                + [repr(float(v)) for v in traj.controls[t]]
-                                + [repr(float(v)) for v in traj.excitations[t]])
-            writer.writerow([traj.horizon] + [repr(float(v)) for v in traj.states[-1]]
-                            + [""] * 4)
-            buf = io.StringIO()
-            write_trajectory_csv(traj, buf)
-            assert buf.getvalue() == ref.getvalue()
-
-    def test_trajectory_shape_validation(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.zeros((3, 2)), np.zeros((1, 2)), np.zeros((2, 2)),
-                       seed=0, attacked=False)
+            for t in range(horizon):
+                writer.writerow([t] + [repr(float(v)) for v in states[t]]
+                                + [repr(float(v)) for v in controls[t]]
+                                + [repr(float(v)) for v in excitations[t]])
+            writer.writerow([horizon] + [repr(float(v)) for v in states[-1]] + [""] * 4)
+            for steps in (32, 64, horizon):
+                assert trajectory_csv(model(), LinearFeedback(-0.2 * np.eye(2)), attack,
+                                      horizon, 10, steps) == ref.getvalue()
