@@ -5,28 +5,33 @@
 
 Exports the parent revision (required: the commit the change is measured
 against, which is ``HEAD`` only while the change is uncommitted) twice with
-``git archive`` into a temporary directory, copies the working tree there
-once, then runs
+``git archive`` into a temporary directory, and the change the same way:
+the working tree is written into a git tree object through a temporary
+index (its tracked and untracked files less the ignored ones, as
+``git add -A`` sees them; the repository's own index is untouched), and
+that tree is exported twice. It then runs
 ``python3 bench/run.py --workload all --seed S --seconds 30 --trace 0``
 once for each side (parent and change) for each of ten seeds
 (``--first-seed``, ``--first-seed + 1``, ...), alternating which side runs
-first. Each side has two trees, the parent its two exports and the change
-the working tree and its copy, taken in turn so that no run uses the tree
-of the run just before it (:func:`run_order`): runs that followed one in
-their own tree read lower on the file workloads (``BENCH_19.json``), whose
-output files that run had just written. Both sides run the same benchmark
-code and settings: the working tree's ``bench/`` and the parent's must
-agree, or the script stops before running anything. The output JSON
-holds every run's per-workload record (metrics, checks, provenance) and,
-per workload and end-to-end metric, each side's median and quartiles, the
-ratio of the medians, the pairs the change won (ties count for neither),
-whether the medians differ by more than the parent's interquartile range,
-whether that shows a gain (``gain_shown``),
-how much going second in a pair moves each side (``second_over_first``),
-and the no-regression verdict against the metric's bound in
-``BENCHMARK.json`` (``within_bound``, ``unresolved``; see
-:func:`summarize`). The temporary trees are removed at the end, and
-every benchmark process has ended when the script returns.
+first. Each side has its two exports, taken in turn so that no run uses
+the tree of the run just before it (:func:`run_order`): runs that followed
+one in their own tree read lower on the file workloads (``BENCH_19.json``),
+whose output files that run had just written. Both sides run from the same
+kind of tree: in ``BENCH_26.json`` the same source read 111.4k seed steps
+per calibration unit on ``mdp-detect-files`` from the working tree and
+90.9k from a copy of it. Both sides run the same benchmark code and
+settings: the change's ``bench/`` and the parent's must agree, or the
+script stops before running anything. The output JSON holds every run's
+per-workload record (metrics, checks, provenance) and, per workload and
+end-to-end metric, each side's median and quartiles, the ratio of the
+medians, the pairs the change won (ties count for neither), whether the
+medians differ by more than the parent's interquartile range, whether
+that shows a gain (``gain_shown``), how much going second in a pair moves
+each side (``second_over_first``), and the no-regression verdict
+against the metric's bound in ``BENCHMARK.json`` (``within_bound``,
+``unresolved``; see :func:`summarize`). The temporary trees are removed
+at the end, and every benchmark process has ended when the script
+returns.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -48,16 +54,23 @@ PAIRS = 10  # alternating pairs per record
 SECONDS = 30  # bench/run.py --seconds of every run
 
 
-def _git(*args: str) -> bytes:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+def _git(*args: str, env: dict | None = None) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
+                          capture_output=True).stdout
 
 
-def export(rev: str, dest: Path) -> str:
-    """Extract ``rev`` into ``dest``; returns its full commit hash."""
-    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
-    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", commit))) as tar:
+def export(tree: str, dest: Path) -> None:
+    """Extract the commit or tree ``tree`` into ``dest``."""
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", tree))) as tar:
         tar.extractall(dest, filter="data")
-    return commit
+
+
+def working_tree() -> str:
+    """The working tree written as a git tree object, through a temporary index; its hash."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = os.environ | {"GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        _git("add", "-A", env=env)
+        return _git("write-tree", env=env).decode().strip()
 
 
 def _bench_files(tree: Path) -> dict:
@@ -65,12 +78,6 @@ def _bench_files(tree: Path) -> dict:
     files = {p.relative_to(tree): p.read_bytes() for p in (tree / "bench").rglob("*")
              if p.is_file() and "__pycache__" not in p.parts}
     return files | {Path("BENCHMARK.json"): (tree / "BENCHMARK.json").read_bytes()}
-
-
-def copy_tree(dest: Path) -> None:
-    """Copy the working tree into ``dest``, without git's data or any run's leftovers."""
-    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
-        ".git", ".bench_work", ".benchmarks", "__pycache__", ".pytest_cache", ".hypothesis"))
 
 
 def run_order(pairs: int) -> list[list[tuple[str, int]]]:
@@ -182,14 +189,15 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    commit = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
+    change = working_tree()
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        trees = {"parent": [tmp / "parent-0", tmp / "parent-1"],
-                 "change": [ROOT, tmp / "change-1"]}
-        commit = export(args.parent, trees["parent"][0])
-        export(commit, trees["parent"][1])
-        copy_tree(trees["change"][1])
-        if _bench_files(trees["parent"][0]) != _bench_files(ROOT):
+        trees = {side: [tmp / f"{side}-0", tmp / f"{side}-1"] for side in ("parent", "change")}
+        for side, rev in (("parent", commit), ("change", change)):
+            for tree in trees[side]:
+                export(rev, tree)
+        if _bench_files(trees["parent"][0]) != _bench_files(trees["change"][0]):
             print("error: bench/ or BENCHMARK.json differs between the parent and the "
                   "working tree", file=sys.stderr)
             return 2
@@ -222,11 +230,12 @@ def main(argv=None) -> int:
                    "source_sha256": pairs[0]["parent"][0]["provenance"]["source_sha256"],
                    "note": "run from two `git archive` exports of this commit (trees 0 "
                            "and 1), so its records carry git_commit null"},
-        "change": {"parent_commit": commit,
+        "change": {"parent_commit": commit, "git_tree": change,
                    "source_sha256": pairs[0]["change"][0]["provenance"]["source_sha256"],
-                   "note": "run from the working tree (tree 0) and a copy of it (tree 1, "
-                           "git_commit null); source_sha256 is bench/run.py's hash of "
-                           "src/cps_sentinel/*.py"},
+                   "note": "run from two `git archive` exports (trees 0 and 1) of the "
+                           "working tree written as this git tree through a temporary "
+                           "index, so its records carry git_commit null; source_sha256 is "
+                           "bench/run.py's hash of src/cps_sentinel/*.py"},
         "host": host | {"note": "runs alternate which side goes first, and no run uses "
                                 "the tree of the run before it"},
         "summary": summarize(pairs, end_to_end),

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: check, simulate, detect, montecarlo, mdp, preset. Exit codes:
-0 success, 1 validation or parse failure or an output that cannot be
-written, 2 runtime numeric failure. The environment variable
+0 success, 1 a usage error, a validation or parse failure or an output
+that cannot be written, 2 runtime numeric failure. The environment variable
 CPS_SENTINEL_SEED overrides seeds.base when set.
 """
 
@@ -15,17 +15,20 @@ from pathlib import Path
 
 from . import harness
 from .detection import expected_step_drift
-from .mdp import NotAbsolutelyContinuous
 from .model import honest_influence_check
 from .numerics import ConvergenceFailure, NotPositiveDefinite, NotSymmetric, split_seed
-from .simulator import NonFiniteState
 
-_NUMERIC_ERRORS = (NonFiniteState, NotPositiveDefinite, NotSymmetric,
-                   ConvergenceFailure, NotAbsolutelyContinuous)
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``ValueError``, so that they exit 1 with an ``error:`` line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cps-sentinel",
         description="Simulate watermarked networked control systems and "
                     "detect actuator attacks by likelihood ratio.")
@@ -85,9 +88,12 @@ def _scenario_data(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # numeric errors are caught first, since two of them subclass ValueError
     try:
-        return _dispatch(args)
+        return _dispatch(_build_parser().parse_args(argv))
+    except (NotPositiveDefinite, NotSymmetric, ConvergenceFailure) as exc:
+        print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except (harness.ParseError, harness.ValidationError,
             harness.AssumptionViolation, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -96,9 +102,6 @@ def main(argv=None) -> int:
         where = exc.filename if exc.filename is not None else "output"
         print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return 1
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
 
 
 def _dispatch(args) -> int:

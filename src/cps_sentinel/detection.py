@@ -21,7 +21,7 @@ path the step reads, and the maps of B consecutive steps are one banded
 operator, applied in one matrix-vector product per block of B steps.
 Everything the tiles share (the stacked maps, de-duplicated over the
 whole horizon, and the laws' constants) is one :class:`DetectionPlan` per
-batch. All cumulative series use Sum2 compensated summation
+batch. The per-seed cumulative series use Sum2 compensated summation
 (:func:`cps_sentinel.numerics.compensated_cumsum`), run across the seed
 axis with no step loop and carried from tile to tile, so that horizons up
 to 1e5 steps of small increments stay exact to roundoff.
@@ -76,13 +76,13 @@ class DetectionSeries:
     """Cumulative detection statistics, all arrays over steps.
 
     The last axis of every field is the step: entry k sums the predictions
-    of states x_1..x_{k+1}. A batch carries a leading seed axis, and
-    :meth:`row` takes one seed's series out of it. ``cum_log_l[k]`` is
-    the log likelihood ratio after k+1 steps; ``r_n`` is the ratio of
-    cumulative weighted residual energies, carried as NaN wherever its
-    denominator is zero (flagged, never infinite). In a batch from
-    :func:`detect_ensemble` the log-determinant sums are one read-only row
-    that every seed shares.
+    of states x_1..x_{k+1} (..x_{lo+k+1} in a tile of :func:`detect_tile`).
+    A batch carries a leading seed axis, and :meth:`row` takes one seed's
+    series out of it. ``cum_log_l[k]`` is the log likelihood ratio after
+    k+1 steps; ``r_n`` is the ratio of cumulative weighted residual
+    energies, carried as NaN wherever its denominator is zero (flagged,
+    never infinite). In a batch the log-determinant sums are one read-only
+    row that every seed shares: t times the step's increment, rounded once.
     """
 
     cum_log_l: np.ndarray
@@ -132,7 +132,7 @@ class DetectionPlan:
 
     def fresh_carry(self, n_seeds: int) -> np.ndarray:
         """The carry of :func:`detect_tile` before the first tile of ``n_seeds`` paths."""
-        return np.zeros((2, 3 * n_seeds + 1))
+        return np.zeros((2, 3, n_seeds))
 
 
 def detection_plan(m: CpsModel, honest: HonestPolicy, corrupt: CorruptPolicy | None,
@@ -174,10 +174,8 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
         raise ValueError(f"state x_{step} of seed row {row} is not finite")
     plan = detection_plan(m, honest, corrupt, cfg, n)
     steps = tile_steps(n_seeds, plan.columns, plan.block)
-    # the shared logdet row is kept once (none without seeds) and broadcast
-    out = {f.name: np.empty((min(n_seeds, 1) if f.name == "cum_logdet_ratio" else n_seeds, n),
-                            dtype=bool if f.name == "r_defined" else float)
-           for f in fields(DetectionSeries)}
+    out = {f.name: np.empty((n_seeds, n), dtype=bool if f.name == "r_defined" else float)
+           for f in fields(DetectionSeries) if f.name != "cum_logdet_ratio"}
     carry = plan.fresh_carry(n_seeds)
     zeros = np.zeros((n_seeds, plan.lags - 1, m.n_agents))  # before x_0
     for lo in range(0, n, steps):
@@ -188,9 +186,9 @@ def detect_ensemble(states: np.ndarray, m: CpsModel, honest: HonestPolicy,
             path = np.concatenate([zeros[:, first:], path], axis=1)
         tile = detect_tile(plan, path, lo, carry)
         for name, whole in out.items():
-            whole[:, lo:lo + h] = getattr(tile, name)[:len(whole)]
-    out["cum_logdet_ratio"] = np.broadcast_to(out["cum_logdet_ratio"], (n_seeds, n))
-    return DetectionSeries(**out)
+            whole[:, lo:lo + h] = getattr(tile, name)
+    return DetectionSeries(**out, cum_logdet_ratio=np.broadcast_to(
+        np.arange(1, n + 1) * plan.step_logdet, (n_seeds, n)))
 
 
 def detect_tile(plan: DetectionPlan, path: np.ndarray, lo: int,
@@ -214,15 +212,15 @@ def detect_tile(plan: DetectionPlan, path: np.ndarray, lo: int,
     is one stretch of L + B states of the path, so the stacked maps of B
     steps are one banded operator (:class:`DetectionPlan`), applied by
     one matrix-vector product per block to an overlapping view of the
-    path (:func:`_block_energies`). Each of the three per-seed series and
-    the log-determinant increment, one constant whose sums are one row
-    that every seed shares, is summed in one compensated pass that
-    continues from its columns of ``carry`` and updates them: shape
-    (2, 3 S + 1), the Sum2 carries of every seed's log ratio, then of
-    every s, of every s_breve and of the shared row
-    (:meth:`DetectionPlan.fresh_carry` before the first tile). A tile that
-    starts at a multiple of B gets the bits of one tile over the whole
-    path, and every seed's result is the same alone or in any batch.
+    path (:func:`_block_energies`). Each of the three per-seed series is
+    summed in one compensated pass that continues from its row of
+    ``carry`` and updates it: shape (2, 3, S), the Sum2 carries of every
+    seed's log ratio, s and s_breve (:meth:`DetectionPlan.fresh_carry`
+    before the first tile). The log-determinant increment is one constant,
+    so its sum at step t is t times it, rounded once: the correctly rounded
+    sum, one row that every seed shares. A tile that starts at a multiple of B gets the bits
+    of one tile over the whole path, and every seed's result is the same
+    alone or in any batch.
 
     Residual energies that overflow, and states that are not finite, give
     non-finite series, not a warning.
@@ -240,12 +238,11 @@ def detect_tile(plan: DetectionPlan, path: np.ndarray, lo: int,
         del energy
         # one compensated pass per series, so that its temporaries are a
         # third of what one pass over the stack would hold
-        carries = carry[:, :-1].reshape(2, 3, n_seeds)
-        cum_log_l, cum_s, cum_s_breve = [compensated_cumsum(x, carries[:, k])
+        cum_log_l, cum_s, cum_s_breve = [compensated_cumsum(x, carry[:, k])
                                          for k, x in enumerate(steps)]
         r_defined = cum_s_breve > 0.0
         r_n = np.where(r_defined, cum_s / np.where(r_defined, cum_s_breve, 1.0), np.nan)
-    cum_logdet = compensated_cumsum(np.full(h, plan.step_logdet), carry[:, -1])
+    cum_logdet = np.arange(lo + 1, lo + h + 1) * plan.step_logdet
     return DetectionSeries(cum_log_l, cum_s, cum_s_breve,
                            np.broadcast_to(cum_logdet, (n_seeds, h)), r_n, r_defined)
 
@@ -391,9 +388,9 @@ def series_csv_tile(series: DetectionSeries, lo: int):
     seed's CSV. The texts come one seed at a time, in row order, so a
     caller that writes each before taking the next keeps one alive at a
     time. The columns every seed shares are formatted once per call into
-    a line template: ``t`` and ``logdet_ratio_sum``, the compensated sum
-    of one scalar increment and so the same bits in every row (taken from
-    row 0). A seed's text is then one ``%`` format of its other four
+    a line template: ``t`` and ``logdet_ratio_sum``, t times the step's
+    half log-determinant ratio and so the same bits in every row (taken
+    from row 0). A seed's text is then one ``%`` format of its other four
     columns; ``%r`` and ``%s`` of a float are its ``repr``. Undefined ratio
     entries are left empty rather than written as inf/nan. A batch of no
     seeds yields nothing.

@@ -203,13 +203,14 @@ def _log_ratio_tiles(tiles, k_honest, k_corrupt):
     Both hypotheses share the initial law, so the ratio is the kernels'
     alone. ``tiles`` are path tiles x_lo..x_hi with any leading axes, as
     :func:`_path_tiles` yields them: the first starts at x_0, each later
-    one at the last state of the one before. Yields the series at the
-    tile's new times: x_0's tile gives entries 0..hi, a later one entries
-    lo+1..hi. Entry 0 is +0.0; entry t is the sum of the first t
-    transitions' increments, looked up by transition code ``x * states +
-    y`` in one table. Each path's running sum carries across tiles
-    (``steps[..., 0] += carry`` before the cumulative sum), so any tiling
-    gives the bits of one cumulative sum over the whole path.
+    one at the last state of the one before. Yields per tile the series at
+    steps lo+1..hi, one column per transition (+0.0 at x_0 is no tile's):
+    entry t sums the first t transitions' increments, looked up by
+    transition code ``x * states + y`` in one table. Each path's running
+    sum carries across tiles (``steps[..., 0] += carry`` before the
+    cumulative sum, from a carry of +0.0, which leaves the bits of an
+    increment, never -0.0, as they are), so any tiling gives the bits of
+    one cumulative sum over the whole path.
 
     Only computes: a move the corrupt law forbids but the honest law
     allows has the increment +inf, and the reverse case -inf. A batch's
@@ -218,75 +219,75 @@ def _log_ratio_tiles(tiles, k_honest, k_corrupt):
     kind; paths from outside go through :func:`path_log_ratio`, which
     rejects it.
     """
-    k_honest = np.asarray(k_honest, dtype=float)
-    k_corrupt = np.asarray(k_corrupt, dtype=float)
-    n_states = k_honest.shape[1]
-    h, c = k_honest.reshape(-1), k_corrupt.reshape(-1)
+    n_states = len(k_honest)
+    h, c = np.ravel(k_honest), np.ravel(k_corrupt)
     with np.errstate(divide="ignore", invalid="ignore"):
         inc = np.where(h > 0.0, np.log(np.where(h > 0.0, h, 1.0)) - np.log(c), -np.inf)
 
-    lo = 0  # step index of the tile's first transition
+    carry = 0.0
     for tile in tiles:
         tile = np.asarray(tile, dtype=np.int64)
         codes = tile[..., :-1] * n_states
         codes += tile[..., 1:]
-        if lo == 0:
-            out = np.empty(tile.shape)
-            out[..., 0] = 0.0
-            steps = out[..., 1:]
-        else:
-            out = steps = np.empty(codes.shape)
-        np.take(inc, codes, out=steps)
-        if lo > 0:
-            steps[..., :1] += carry
+        steps = inc.take(codes)
+        steps[..., :1] += carry
         np.cumsum(steps, axis=-1, out=steps)
         carry = steps[..., -1:].copy()
-        lo += codes.shape[-1]
-        yield out
+        yield steps
 
 
 def path_log_ratio(path: np.ndarray, k_honest: np.ndarray, k_corrupt: np.ndarray) -> np.ndarray:
     """Cumulative log ratio of honest to corrupt path probability.
 
     ``path`` holds x_0..x_n on its last axis, with any leading axes (one
-    path per row): the batch engine's log ratio run as one tile (see
-    :func:`_log_ratio_tiles`). Both hypotheses share the initial law, so
-    entry 0 is +0.0 and entry t sums the first t transitions. The whole
-    array is checked first, in row-major order: raises ``ValueError``
-    naming the path row, the step and the value of the first state outside
-    [0, number of states), then :class:`NotAbsolutelyContinuous` whenever
-    a path uses a move the corrupt law forbids but the honest law allows,
-    naming the first such path and its first such move; the reverse case
-    legitimately sends the ratio to -inf.
+    path per row). Both hypotheses share the initial law, so entry 0 is
+    +0.0; entries 1..n are the batch engine's log ratio run as one tile
+    (see :func:`_log_ratio_tiles`). Before any lookup, raises
+    ``ValueError`` for kernels not square and of one shape, for a path
+    without x_0, and naming the path row, the step and the value of the
+    first state (row-major) that is not an integer in [0, states); then
+    :class:`NotAbsolutelyContinuous` whenever a path uses a move the
+    corrupt law forbids but the honest law allows, naming the first such
+    path and its first such move; the reverse case legitimately sends the
+    ratio to -inf.
     """
-    path = np.asarray(path, dtype=np.int64)
-    bad = (np.asarray(k_corrupt) == 0.0) & (np.asarray(k_honest) > 0.0)
-    outside = (path < 0) | (path >= len(bad))
+    path = np.asarray(path)
+    k_honest, k_corrupt = np.asarray(k_honest, dtype=float), np.asarray(k_corrupt, dtype=float)
+    if k_honest.ndim != 2 or {k_honest.shape, k_corrupt.shape} != {k_honest.shape[:1] * 2}:
+        raise ValueError("kernels must be square and of one shape, got "
+                         f"{k_honest.shape} and {k_corrupt.shape}")
+    if path.ndim == 0 or path.shape[-1] == 0:
+        raise ValueError("a path must hold x_0")
+    outside = ~np.isin(path, np.arange(len(k_honest)))
     if outside.any():
         *row, t = np.argwhere(outside)[0]
         raise ValueError(f"state {path[tuple(row)][t]} at step {t} of path row "
-                         f"{tuple(int(i) for i in row)} is not in [0, {len(bad)})")
+                         f"{tuple(int(i) for i in row)} is not an integer in [0, {len(k_honest)})")
+    path = path.astype(np.int64)
+    bad = (k_corrupt == 0.0) & (k_honest > 0.0)
     moved = bad[path[..., :-1], path[..., 1:]]
     if moved.any():
         *row, t = np.argwhere(moved)[0]  # row-major: the first path, then its first move
         x = path[tuple(row)]
         raise NotAbsolutelyContinuous(f"transition {x[t]}->{x[t + 1]} at step {t} "
                                       "impossible under the corrupt law")
-    (out,) = _log_ratio_tiles([path], k_honest, k_corrupt)
+    out = np.zeros(path.shape)
+    (out[..., 1:],) = _log_ratio_tiles([path], k_honest, k_corrupt)
     return out
 
 
 def log_ratio_csv_tile(series: np.ndarray, lo: int):
-    """Each seed's CSV lines ``t,log_ratio`` of steps lo..lo+h-1, after the header when lo is 0.
+    """Each seed's CSV lines ``t,log_ratio`` of steps lo+1..lo+h, after the header when lo is 0.
 
-    ``series`` (seeds, h) is a tile as :func:`_log_ratio_tiles` yields it.
-    Every distinct value of the tile (bit pattern, so -0.0 and 0.0 keep
-    their own text) is formatted once, with ``repr``; a seed's text is one
-    join of the tile's line prefixes and its values.
+    ``series`` (seeds, h) is a tile as :func:`_log_ratio_tiles` yields it;
+    the header holds every seed's line of t = 0, ``0,0.0``. Every distinct
+    value of the tile (bit pattern, so -0.0 and 0.0 keep their own text) is
+    formatted once, with ``repr``; a seed's text is one join of the tile's
+    line prefixes and its values.
     """
     lines = [""] * (2 * series.shape[1] + 1)
-    lines[0::2] = [f"\n{t}," for t in range(lo, lo + series.shape[1])] + ["\n"]
-    lines[0] = f"{lo}," if lo else "t,log_ratio\n0,"
+    lines[0::2] = [f"\n{t}," for t in range(lo + 1, lo + series.shape[1] + 1)] + ["\n"]
+    lines[0] = ("" if lo else "t,log_ratio\n0,0.0\n") + f"{lo + 1},"
     bits, inverse = np.unique(series.view(np.int64), return_inverse=True)
     texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     for row in texts[inverse.reshape(series.shape)].tolist():

@@ -102,7 +102,6 @@ class Ensemble:
     controls: np.ndarray | None
     excitations: np.ndarray | None
     seeds: tuple[int, ...]
-    attacked: bool
     failed_at: np.ndarray
 
     def error(self, i: int) -> NonFiniteState | None:
@@ -267,8 +266,7 @@ def simulate_ensemble(m: CpsModel, honest: HonestPolicy, attack: Attack | None,
         states[:, lo:hi + 1] = tile.path[:, lags - 1:]  # x_lo, then the tile's states
         if keep_controls:
             controls[:, lo:hi], excitations[:, lo:hi] = tile.controls, tile.excitations
-    return Ensemble(states, controls, excitations, seeds, attack is not None,
-                    tile.failed_at)
+    return Ensemble(states, controls, excitations, seeds, tile.failed_at)
 
 
 def _block_operators(f: np.ndarray, n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:

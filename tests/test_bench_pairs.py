@@ -1,6 +1,7 @@
 """The gain and no-regression verdicts of ``scripts/bench_pairs.py`` on synthetic pairs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -119,3 +120,32 @@ def test_no_run_uses_the_tree_of_the_run_before_it():
         for position in (0, 1):
             trees = [pair[position][1] for pair in order if pair[position][0] == side]
             assert len(trees) == 5 and sorted(trees) in ([0, 0, 0, 1, 1], [0, 0, 1, 1, 1])
+
+
+def test_the_change_is_exported_as_git_add_sees_the_working_tree(tmp_path, monkeypatch):
+    repo, out = tmp_path / "repo", tmp_path / "out"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text(".bench_work/\n")
+    (repo / "kept.py").write_text("kept\n")
+    (repo / "deleted.py").write_text("deleted\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "deleted.py").unlink()
+    (repo / "kept.py").write_text("edited\n")
+    (repo / "untracked.py").write_text("new\n")
+    (repo / ".bench_work").mkdir()
+    (repo / ".bench_work" / "result.json").write_text("{}\n")
+    index = (repo / ".git" / "index").read_bytes()
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    bench_pairs.export(bench_pairs.working_tree(), out)
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
+        ".gitignore", "kept.py", "untracked.py"]
+    assert (out / "kept.py").read_text() == "edited\n"
+    # the repository's own index is untouched
+    assert (repo / ".git" / "index").read_bytes() == index

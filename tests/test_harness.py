@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cps_sentinel import cli, harness, numerics
+from cps_sentinel import cli, detection, harness, numerics
 from cps_sentinel import mdp as mdp_module
 from cps_sentinel.detection import NonFiniteLogRatio, decide, detect_ensemble, series_csv_tile
 from cps_sentinel.harness import (
@@ -33,7 +33,12 @@ from cps_sentinel.harness import (
     scenario_from_dict,
 )
 from cps_sentinel.model import honest_influence_check
-from cps_sentinel.numerics import split_seed
+from cps_sentinel.numerics import (
+    ConvergenceFailure,
+    NotPositiveDefinite,
+    NotSymmetric,
+    split_seed,
+)
 from cps_sentinel.simulator import simulate_ensemble
 
 
@@ -626,6 +631,36 @@ class TestCli:
         assert capsys.readouterr().err == \
             "error: --seed must be a non-negative integer, got -1\n"
 
+    @pytest.mark.parametrize("argv", [["montecarlo"], ["detect", "x.json", "--horizon", "abc"],
+                                      ["preset", "nope"]],
+                             ids=["no-scenario", "horizon-not-an-integer", "unknown-preset"])
+    def test_a_usage_error_exits_one_with_an_error_line(self, capsys, argv):
+        # 2 is the code of a numeric failure, not argparse's usage error
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cps-sentinel ")
+        assert err.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["detect", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cps-sentinel")
+
+    @pytest.mark.parametrize("error", [NotPositiveDefinite, NotSymmetric, ConvergenceFailure])
+    def test_a_numeric_error_exits_two_though_it_may_be_a_value_error(
+            self, tmp_path, capsys, monkeypatch, error):
+        path = self.write_preset(tmp_path, "replacement", horizon=10)
+
+        def fail(*args):
+            raise error("from a patched eig_extremes")
+
+        monkeypatch.setattr(detection, "eig_extremes", fail)
+        assert cli.main(["detect", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"numeric error: {error.__name__}: from a patched eig_extremes\n"
+
     def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
         path = self.write_preset(tmp_path, "identity", horizon=10)
         out1 = tmp_path / "a.csv"
@@ -920,6 +955,22 @@ def chain_scenario(n=16, horizon=100, count=3, base=7):
                        "self_excitation": [0.5] * len(attacked)}}
 
 
+@pytest.mark.parametrize("name", ["identity", "replacement", "fdi", "dos", "mimic",
+                                  "example1", "example2", "chain"])
+def test_logdet_ratio_sum_at_step_t_is_t_times_the_step_constant(name):
+    # the product rounds once, so it is the correctly rounded sum; Sum2 of
+    # the constant matches it on every preset and on the benchmark chain
+    s = scenario_from_dict(chain_scenario() if name == "chain" else preset(name))
+    cfg, corrupt = s.attack if s.attack is not None else (None, None)
+    n = 100_000
+    states = np.zeros((1, n + 1, s.model.n_agents))
+    got = detect_ensemble(states, s.model, s.honest, corrupt, cfg).cum_logdet_ratio
+    step = harness.detection_plan(s.model, s.honest, corrupt, cfg, n).step_logdet
+    want = np.arange(1, n + 1) * step
+    assert got.shape == (1, n) and got.tobytes() == want.tobytes()
+    assert numerics.compensated_cumsum(np.full(n, step)).tobytes() == want.tobytes()
+
+
 def common_block(s):
     cfg, corrupt = s.attack if s.attack is not None else (None, None)
     sim = harness.simulation_plan(s.model, s.honest, s.attack)
@@ -1037,7 +1088,7 @@ def overflow_seed_1(monkeypatch, tile_lo):
         series = real(plan, path, lo, carry)
         if lo == tile_lo:
             series.cum_log_l[1, 1:] = math.inf
-            carry[:, 1] = math.nan  # its log ratio stays non-finite
+            carry[:, 0, 1] = math.nan  # its log ratio stays non-finite
         return series
 
     monkeypatch.setattr(harness, "detect_tile", detect)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -302,11 +303,13 @@ def test_engine_paths_are_the_per_seed_loop_whatever_the_batch(case, n, count, b
         np.testing.assert_array_equal(tile[:, 0], before[:, -1])
     np.testing.assert_array_equal(
         np.concatenate([tiles[0]] + [tile[:, 1:] for tile in tiles[1:]], axis=1), paths)
-    # the log ratio carried across those tiles is the whole-path one bit for
-    # bit, and entry 0 is +0.0, which the batch files' "0,0.0" line relies on
+    # the log ratio carried across those tiles, one column per transition,
+    # is the whole-path one after x_0 bit for bit, and entry 0 is +0.0, as
+    # the batch files' "0,0.0" header line has it
     tiled = list(mdp_module._log_ratio_tiles(iter(tiles), k_h, k_c))
+    assert [t.shape for t in tiled] == [(count, tile.shape[1] - 1) for tile in tiles]
     whole = path_log_ratio(paths, k_h, k_c)
-    assert np.concatenate(tiled, axis=1).tobytes() == whole.tobytes()
+    assert np.concatenate(tiled, axis=1).tobytes() == whole[:, 1:].tobytes()
     assert whole[:, 0].tobytes() == np.zeros(count).tobytes()
     # one seed alone, and the batch minus its first seed, give the same rows
     np.testing.assert_array_equal(simulate_paths(mdp, corrupt, n, [seeds[-1]])[0], paths[-1])
@@ -481,11 +484,14 @@ class TestPathLogRatio:
         assert message([[fine, fine], [early_move, from_one]]) == message(early_move)
 
     @pytest.mark.parametrize("paths, message", [
-        ([0, -1, 1], "state -1 at step 1 of path row () is not in [0, 2)"),
-        ([0, 2], "state 2 at step 1 of path row () is not in [0, 2)"),
-        ([[0, 1, 1], [1, 0, 7], [-3, 0, 0]], "state 7 at step 2 of path row (1,) is not in [0, 2)"),
-        ([[[0, 1]], [[0, -1]]], "state -1 at step 1 of path row (1, 0) is not in [0, 2)"),
-    ], ids=["negative", "past-the-end", "a-later-row", "nested-rows"])
+        ([0, -1, 1], "state -1 at step 1 of path row () is not an integer in [0, 2)"),
+        ([0, 2], "state 2 at step 1 of path row () is not an integer in [0, 2)"),
+        ([[0, 1, 1], [1, 0, 7], [-3, 0, 0]],
+         "state 7 at step 2 of path row (1,) is not an integer in [0, 2)"),
+        ([[[0, 1]], [[0, -1]]], "state -1 at step 1 of path row (1, 0) is not an integer in [0, 2)"),
+        ([0, 1.7, 0.2], "state 1.7 at step 1 of path row () is not an integer in [0, 2)"),
+        ([[0, 1], [np.nan, 0]], "state nan at step 0 of path row (1,) is not an integer in [0, 2)"),
+    ], ids=["negative", "past-the-end", "a-later-row", "nested-rows", "fraction", "nan"])
     def test_a_state_outside_the_chain_is_named_before_any_lookup(self, paths, message):
         # -1 would wrap to the last entry of the transition table, and a
         # state past the end would raise a bare IndexError; the range comes
@@ -496,6 +502,42 @@ class TestPathLogRatio:
             path_log_ratio(np.array(paths), kh, kc)
         assert str(info.value) == message
 
+    def test_a_path_without_x_0_is_refused(self):
+        k = np.array([[0.5, 0.5], [0.2, 0.8]])
+        for empty in ([], [[], []]):
+            with pytest.raises(ValueError, match="^a path must hold x_0$"):
+                path_log_ratio(empty, k, k)
+
+    @pytest.mark.parametrize("kh, kc", [
+        (np.full((2, 3), 1 / 3), np.full((2, 3), 1 / 3)),
+        (np.full((2, 2), 0.5), np.full((3, 3), 1 / 3)),
+        (np.full((2, 2), 0.5), np.full((1, 2, 2), 0.5)),
+    ], ids=["not-square", "two-sizes", "three-axes"])
+    def test_kernels_must_be_square_and_of_one_shape(self, kh, kc):
+        with pytest.raises(ValueError, match="^kernels must be square and of one shape, got "):
+            path_log_ratio([0, 1, 0], kh, kc)
+
+    def test_tiles_of_any_split_are_the_series_after_x_0_and_write_its_csv(self):
+        # one column per transition in every tile; the CSV's "0,0.0" line
+        # is the header's, and each tile writes the lines of its own steps
+        kh = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]])
+        kc = np.array([[0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.1, 0.8, 0.1]])
+        n = 9
+        paths = simulate_paths(FiniteMdp(kc[None], np.full(3, 1 / 3)),
+                               StochasticPolicy(np.ones((3, 1))), n, range(4))
+        whole = path_log_ratio(paths, kh, kc)
+        want = [plain_csv(row) for row in whole]
+        for cuts in itertools.chain.from_iterable(
+                itertools.combinations(range(1, n), k) for k in range(3)):
+            bounds = [0, *cuts, n]
+            tiles = list(mdp_module._log_ratio_tiles(
+                [paths[:, lo:hi + 1] for lo, hi in zip(bounds, bounds[1:])], kh, kc))
+            assert [t.shape for t in tiles] == [(4, hi - lo) for lo, hi
+                                                in zip(bounds, bounds[1:])]
+            assert np.concatenate(tiles, axis=1).tobytes() == whole[:, 1:].tobytes()
+            texts = [list(mdp_module.log_ratio_csv_tile(t, lo)) for t, lo in zip(tiles, bounds)]
+            assert ["".join(seed) for seed in zip(*texts)] == want
+
     def test_the_tile_engine_sends_a_corrupt_forbidden_move_to_plus_inf(self):
         # the engine only computes: from a move the corrupt law forbids on,
         # the series is +inf, in tiles as whole, and nothing raises
@@ -503,8 +545,8 @@ class TestPathLogRatio:
         kc = np.array([[1.0, 0.0], [0.5, 0.5]])  # corrupt forbids 0 -> 1
         paths = np.array([[0, 0, 0, 0, 0], [0, 0, 1, 1, 0], [1, 0, 0, 1, 1]])
         (whole,) = mdp_module._log_ratio_tiles([paths], kh, kc)
-        np.testing.assert_array_equal(np.isposinf(whole), [[0, 0, 0, 0, 0], [0, 0, 1, 1, 1],
-                                                           [0, 0, 0, 1, 1]])
+        np.testing.assert_array_equal(np.isposinf(whole), [[0, 0, 0, 0], [0, 1, 1, 1],
+                                                           [0, 0, 1, 1]])
         assert np.isfinite(whole[0]).all()
         for split in range(1, 4):
             tiles = [paths[:, :split + 1], paths[:, split:]]
